@@ -320,67 +320,6 @@ let detection_probe () =
       ("rejoins", d.Samhita.Metrics.rejoins) ]
 
 (* ------------------------------------------------------------------ *)
-(* ParDES events/sec probe                                             *)
-
-(* Host-time throughput of the engine itself, sequential vs parallel:
-   the 512-thread microbench macro (compute-heavy shape, global
-   allocation — the shape whose hub-serial fraction is small enough for
-   domains to matter) and a quick KV serving point, each run once on the
-   sequential engine and once on 4 domains. Reported as executed
-   simulation events per host second; the simulated results are equal by
-   construction (the CI pardes-determinism job pins that), so the ratio
-   isolates engine throughput. Unix.gettimeofday because this is the one
-   probe measuring the host, not the simulation. *)
-let pardes_probe () =
-  let timed ~domains body =
-    let config = { Samhita.Config.default with Samhita.Config.domains } in
-    let captured = ref None in
-    let b =
-      Workload.Samhita_backend.make ~config
-        ~on_create:(fun sys -> captured := Some sys)
-        ()
-    in
-    let t0 = Unix.gettimeofday () in
-    body b;
-    let dt = Unix.gettimeofday () -. t0 in
-    let events =
-      match !captured with Some s -> Samhita.System.events s | None -> 0
-    in
-    float_of_int events /. dt
-  in
-  let micro b =
-    ignore
-      (Workload.Microbench.run b ~threads:512
-         { Workload.Microbench.default_params with
-           m_inner = 40;
-           s_rows = 2;
-           alloc = Workload.Microbench.Global }
-       : Workload.Microbench.result)
-  in
-  let kv b =
-    ignore
-      (Workload.Kv.run b ~threads:8 Workload.Kv.default_params
-       : Workload.Kv.result)
-  in
-  let m1 = timed ~domains:1 micro in
-  let m4 = timed ~domains:4 micro in
-  let k1 = timed ~domains:1 kv in
-  let k4 = timed ~domains:4 kv in
-  Printf.printf
-    "== pardes events/sec probe (host wall) ==\n\
-    \  micro 512t  1 domain   %12.0f ev/s\n\
-    \  micro 512t  4 domains  %12.0f ev/s  (%.2fx)\n\
-    \  kv quick    1 domain   %12.0f ev/s\n\
-    \  kv quick    4 domains  %12.0f ev/s  (%.2fx)\n\n"
-    m1 m4 (m4 /. m1) k1 k4 (k4 /. k1);
-  [ ("micro_512t_domains1", m1);
-    ("micro_512t_domains4", m4);
-    ("micro_512t_speedup", m4 /. m1);
-    ("kv_quick_domains1", k1);
-    ("kv_quick_domains4", k4);
-    ("kv_quick_speedup", k4 /. k1) ]
-
-(* ------------------------------------------------------------------ *)
 (* BENCH.json                                                          *)
 
 let json_escape s =
@@ -394,7 +333,7 @@ let json_escape s =
     s;
   Buffer.contents b
 
-let write_bench_json ~scale ~micro ~figures ~repl ~detect ~pardes =
+let write_bench_json ~scale ~micro ~figures ~repl ~detect =
   let oc = open_out "BENCH.json" in
   let field_block name entries fmt_v =
     Printf.fprintf oc "  \"%s\": {" name;
@@ -439,8 +378,6 @@ let write_bench_json ~scale ~micro ~figures ~repl ~detect ~pardes =
     Printf.fprintf oc ",\n";
     field_block "detection" detect string_of_int
   end;
-  Printf.fprintf oc ",\n";
-  field_block "events_per_sec" pardes (Printf.sprintf "%.1f");
   Printf.fprintf oc "\n}\n";
   close_out oc;
   Printf.printf "wrote BENCH.json\n%!"
@@ -465,8 +402,7 @@ let () =
   if json then begin
     let repl = replication_probe () in
     let detect = detection_probe () in
-    let pardes = pardes_probe () in
     write_bench_json
       ~scale:(if quick then "quick" else "paper")
-      ~micro ~figures ~repl ~detect ~pardes
+      ~micro ~figures ~repl ~detect
   end

@@ -138,17 +138,6 @@ let servers_t =
           "Memory servers the global address space is striped across. \
            Samhita backend only.")
 
-let domains_t =
-  Arg.(
-    value & opt int 1
-    & info [ "domains" ] ~docv:"N"
-        ~doc:
-          "ParDES: run the simulation engine on $(docv) OCaml domains \
-           (default 1, the sequential engine). Simulated results are \
-           deterministic and equal to the 1-domain run; only host \
-           wall-clock changes. Samhita backend only; incompatible with \
-           --sanitize, --migrate and fault/crash injection.")
-
 let migrate_t =
   Arg.(
     value & flag
@@ -191,25 +180,17 @@ let check_smh_only ~cmd ~backend flags =
 (* Kernel config for the smh backend: Config.default with only the
    flag-selected fields overridden, so a run with every new flag at its
    default is byte-identical to the pre-sharding driver. *)
-let kernel_config ~cmd ~threads ~shards ~servers ~migrate ~sanitize
-    ~domains =
+let kernel_config ~cmd ~threads ~shards ~servers ~migrate ~sanitize =
   check_shards ~cmd ~flag:"--shards" shards;
   if servers < 1 then usage ~cmd "--servers must be >= 1";
-  if domains < 1 then usage ~cmd "--domains must be >= 1";
   let config =
     { Samhita.Config.default with
       Samhita.Config.sanitize;
       memory_servers = servers;
       manager_shards = shards;
-      home_migration = migrate;
-      domains }
+      home_migration = migrate }
   in
   check_threads ~cmd ~config threads;
-  (* Surface Config.validate's ParDES-exclusion messages as usage errors
-     (exit 2) instead of a System.create exception. *)
-  (match Samhita.Config.validate config with
-   | Ok () -> ()
-   | Error msg -> usage ~cmd "%s" msg);
   config
 
 (* The smh backend for a kernel run, capturing the concrete system so
@@ -220,20 +201,18 @@ let smh_backend ~config ~captured =
     ()
 
 let kernel_backend ~cmd ~backend ~threads ~shards ~servers ~migrate
-    ~sanitize ~domains ~captured =
+    ~sanitize ~captured =
   match backend with
   | `Smh ->
     let config =
       kernel_config ~cmd ~threads ~shards ~servers ~migrate ~sanitize
-        ~domains
     in
     smh_backend ~config ~captured
   | `Pth ->
     check_smh_only ~cmd ~backend
       [ ("--shards", shards > 1);
         ("--servers", servers <> Samhita.Config.default.Samhita.Config.memory_servers);
-        ("--migrate", migrate);
-        ("--domains", domains <> 1) ];
+        ("--migrate", migrate) ];
     check_threads ~cmd threads;
     Workload.Smp_backend.default
 

@@ -85,15 +85,14 @@ let micro_cmd =
   let s_t =
     Arg.(value & opt int 2 & info [ "s" ] ~docv:"S" ~doc:"Rows per thread.")
   in
-  let run backend threads alloc m s shards servers migrate report sanitize
-      domains =
+  let run backend threads alloc m s shards servers migrate report sanitize =
     let p =
       { Workload.Microbench.default_params with alloc; m_inner = m; s_rows = s }
     in
     let captured = ref None in
     let b =
       Cli.kernel_backend ~cmd:"micro" ~backend ~threads ~shards ~servers
-        ~migrate ~sanitize ~domains ~captured
+        ~migrate ~sanitize ~captured
     in
     let r = Workload.Microbench.run b ~threads p in
     Printf.printf
@@ -128,8 +127,7 @@ let micro_cmd =
     (Cmd.info "micro" ~doc:"Run the paper's Figure-2 micro-benchmark once")
     Term.(
       const run $ backend_t $ threads_t $ alloc_t $ m_t $ s_t $ Cli.shards_t
-      $ Cli.servers_t $ Cli.migrate_t $ report_t $ sanitize_t
-      $ Cli.domains_t)
+      $ Cli.servers_t $ Cli.migrate_t $ report_t $ sanitize_t)
 
 (* ---------------- jacobi ---------------- *)
 
@@ -140,12 +138,12 @@ let jacobi_cmd =
   let iters_t =
     Arg.(value & opt int 20 & info [ "iters" ] ~docv:"K" ~doc:"Sweeps.")
   in
-  let run backend threads n iters shards servers migrate sanitize domains =
+  let run backend threads n iters shards servers migrate sanitize =
     let p = { Workload.Jacobi.default_params with n; iters } in
     let captured = ref None in
     let b =
       Cli.kernel_backend ~cmd:"jacobi" ~backend ~threads ~shards ~servers
-        ~migrate ~sanitize ~domains ~captured
+        ~migrate ~sanitize ~captured
     in
     let r = Workload.Jacobi.run b ~threads p in
     let ref_sum, ref_res = Workload.Jacobi.reference p in
@@ -171,7 +169,7 @@ let jacobi_cmd =
     (Cmd.info "jacobi" ~doc:"Run the Jacobi application kernel once")
     Term.(
       const run $ backend_t $ threads_t $ n_t $ iters_t $ Cli.shards_t
-      $ Cli.servers_t $ Cli.migrate_t $ sanitize_t $ Cli.domains_t)
+      $ Cli.servers_t $ Cli.migrate_t $ sanitize_t)
 
 (* ---------------- md ---------------- *)
 
@@ -182,12 +180,12 @@ let md_cmd =
   let steps_t =
     Arg.(value & opt int 10 & info [ "steps" ] ~docv:"K" ~doc:"Time steps.")
   in
-  let run backend threads n steps shards servers migrate sanitize domains =
+  let run backend threads n steps shards servers migrate sanitize =
     let p = { Workload.Md.default_params with n; steps } in
     let captured = ref None in
     let b =
       Cli.kernel_backend ~cmd:"md" ~backend ~threads ~shards ~servers
-        ~migrate ~sanitize ~domains ~captured
+        ~migrate ~sanitize ~captured
     in
     let r = Workload.Md.run b ~threads p in
     let ref_sum, _ = Workload.Md.reference p in
@@ -215,7 +213,7 @@ let md_cmd =
     (Cmd.info "md" ~doc:"Run the molecular-dynamics kernel once")
     Term.(
       const run $ backend_t $ threads_t $ n_t $ steps_t $ Cli.shards_t
-      $ Cli.servers_t $ Cli.migrate_t $ sanitize_t $ Cli.domains_t)
+      $ Cli.servers_t $ Cli.migrate_t $ sanitize_t)
 
 (* ---------------- serve ---------------- *)
 
@@ -343,7 +341,7 @@ let serve_cmd =
              in the current directory.")
   in
   let run backend threads keys shards manager_shards clients requests zipf
-      read_fraction seed replication crash load json domains =
+      read_fraction seed replication crash load json =
     (* Hand-validated so usage errors exit 2 (the shared contract). *)
     let usage fmt = Cli.usage ~cmd:"serve" fmt in
     Cli.check_threads ~cmd:"serve" threads;
@@ -363,11 +361,7 @@ let serve_cmd =
     if backend = `Pth && (replication > 0 || crash) then
       usage "--replication and --crash require --backend smh";
     Cli.check_smh_only ~cmd:"serve" ~backend
-      [ ("--manager-shards", manager_shards > 1);
-        ("--domains", domains <> 1) ];
-    if domains < 1 then usage "--domains must be >= 1";
-    if domains > 1 && crash then
-      usage "--domains > 1 is incompatible with --crash";
+      [ ("--manager-shards", manager_shards > 1) ];
     if crash && replication = 0 then
       usage "--crash requires --replication 1";
     let fractions =
@@ -397,7 +391,7 @@ let serve_cmd =
     in
     let sweep =
       Harness.Serving.run ~fractions ~backend:kind ~threads ~replication
-        ~manager_shards ~domains ~crash kv
+        ~manager_shards ~crash kv
     in
     Format.printf "%a@?" Harness.Serving.pp sweep;
     if json then append_serve_json sweep;
@@ -424,7 +418,7 @@ let serve_cmd =
       const run $ backend_t $ threads_t $ keys_t $ shards_t
       $ Cli.manager_shards_t $ clients_t $ requests_t $ zipf_t
       $ read_fraction_t $ seed_t $ replication_t $ crash_t $ load_t
-      $ json_t $ Cli.domains_t)
+      $ json_t)
 
 (* ---------------- torture ---------------- *)
 
@@ -511,15 +505,7 @@ let torture_cmd =
              split-brain through the zombie primary, no lost acked write \
              across the false suspicion, post-heal rejoin convergence).")
   in
-  let run seeds base_seed level kernel replay crash crash_shard partition
-      domains =
-    (* Torture needs probes, shuffle and fault injection — all sequential
-       machinery; the flag exists so sweep scripts can pass --domains
-       uniformly, but only 1 is accepted. *)
-    if domains <> 1 then
-      Cli.usage ~cmd:"torture"
-        "--domains must be 1 (the torture oracle and schedule fuzzing \
-         need the sequential engine)";
+  let run seeds base_seed level kernel replay crash crash_shard partition =
     if (crash && crash_shard) || (crash && partition)
        || (crash_shard && partition)
     then
@@ -593,7 +579,7 @@ let torture_cmd =
           bit-for-bit determinism")
     Term.(
       const run $ seeds_t $ base_seed_t $ faults_t $ kernel_t $ replay_t
-      $ crash_t $ crash_shard_t $ partition_t $ Cli.domains_t)
+      $ crash_t $ crash_shard_t $ partition_t)
 
 (* ---------------- race ---------------- *)
 

@@ -42,7 +42,6 @@ type t = {
   home_migration : bool;
   migration_window : int;
   crash_shard : (int * int) option;
-  domains : int;
   (* Gray-failure injection: (server, scope, start_ns, heal_ns) makes the
      server's node unreachable per scope inside [start, heal) — it keeps
      executing, unlike crash_server. stall_server (server, start_ns,
@@ -85,7 +84,6 @@ let default =
     home_migration = false;
     migration_window = 32;
     crash_shard = None;
-    domains = 1;
     partition_server = None;
     stall_server = None }
 
@@ -180,43 +178,6 @@ let validate t =
       ((not t.home_migration) || t.model = Regc)
       "home_migration is only modeled for the regc engine"
   in
-  let* () = check (t.domains >= 1) "domains must be >= 1" in
-  (* ParDES exclusions: parallel runs keep the conservative-safety
-     argument simple by forbidding every feature that either perturbs
-     timing sub-lookahead (faults, shuffle), needs the global sequential
-     schedule (sanitize feeds the vector-clock analyzer), or lets the
-     protocol bypass the hub (manager_bypass loopback, home migration's
-     direct blits). *)
-  let* () =
-    check (t.domains = 1 || t.model = Regc)
-      "domains > 1 is only modeled for the regc engine"
-  in
-  let* () =
-    check (t.domains = 1 || not t.sanitize)
-      "domains > 1 is incompatible with sanitize (RegCSan needs the \
-       sequential engine)"
-  in
-  let* () =
-    check (t.domains = 1 || not t.shuffle)
-      "domains > 1 is incompatible with shuffle (tie fuzzing needs the \
-       sequential engine)"
-  in
-  let* () =
-    check (t.domains = 1 || t.fault_level = Fabric.Faults.Off)
-      "domains > 1 is incompatible with fault injection"
-  in
-  let* () =
-    check (t.domains = 1 || (t.crash_server = None && t.crash_shard = None))
-      "domains > 1 is incompatible with crash injection"
-  in
-  let* () =
-    check (t.domains = 1 || not t.home_migration)
-      "domains > 1 is incompatible with home_migration"
-  in
-  let* () =
-    check (t.domains = 1 || not t.manager_bypass)
-      "domains > 1 is incompatible with manager_bypass"
-  in
   let* () =
     match t.crash_shard with
     | None -> Ok ()
@@ -263,14 +224,10 @@ let validate t =
           "partition_server requires replication = 1 (promotion under a \
            false suspicion needs a backup to promote)"
       in
-      let* () =
-        check
-          (t.crash_server = None && t.crash_shard = None)
-          "partition_server and crash injection are mutually exclusive \
-           (single-failure model)"
-      in
-      check (t.domains = 1)
-        "partition_server is incompatible with domains > 1"
+      check
+        (t.crash_server = None && t.crash_shard = None)
+        "partition_server and crash injection are mutually exclusive \
+         (single-failure model)"
   in
   match t.stall_server with
   | None -> Ok ()
@@ -285,11 +242,7 @@ let validate t =
         (0 <= start && start < heal)
         "stall_server window must satisfy 0 <= start < heal"
     in
-    let* () =
-      check (t.model = Regc)
-        "stall_server is only modeled for the regc engine"
-    in
-    check (t.domains = 1) "stall_server is incompatible with domains > 1"
+    check (t.model = Regc) "stall_server is only modeled for the regc engine"
 
 let model_name = function Regc -> "regc" | Sc_invalidate -> "sc-invalidate"
 
@@ -329,10 +282,8 @@ let pp ppf t =
     (match t.crash_shard with
      | None -> "none"
      | Some (shard, at) -> Printf.sprintf "shard%d@%dns" shard at);
-  (* Only parallel runs mention ParDES, keeping every domains = 1 report
-     byte-identical to the sequential engine's. Likewise only gray-failure
-     runs mention partitions/stalls. *)
-  if t.domains <> 1 then Format.fprintf ppf "@ par: domains=%d" t.domains;
+  (* Only gray-failure runs mention partitions/stalls, keeping every other
+     report byte-identical. *)
   if t.partition_server <> None || t.stall_server <> None then
     Format.fprintf ppf "@ gray: partition=%s stall=%s"
       (match t.partition_server with

@@ -136,18 +136,6 @@ type t = {
           allocation); mutually exclusive with [crash_server]
           (single-failure model). The ring successor takes over the dead
           shard's slice. *)
-  (* Parallel execution *)
-  domains : int;
-      (** ParDES: number of OCaml domains driving the simulation
-          (default 1 — the sequential engine, byte-identical to the seed
-          build). With [domains = n >= 2] the system partitions compute
-          nodes across [n] client partitions and runs them concurrently
-          under the conservative hub/client alternation
-          ({!Desim.Engine.create}); all servers, shards and fabric state
-          stay on the hub. Simulated results stay deterministic per seed
-          and equal to the 1-domain run. Requires the [Regc] model and is
-          mutually exclusive with [sanitize], [shuffle], fault/crash
-          injection, [home_migration] and [manager_bypass]. *)
   (* Gray failures *)
   partition_server : (int * partition_scope * int * int) option;
       (** Gray-failure injection: [(server, scope, start_ns, heal_ns)]

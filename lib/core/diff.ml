@@ -34,10 +34,11 @@ let small_blit src spos dst dpos len =
   else Bytes.blit src spos dst dpos len
 
 (* Span-boundary scratch reused across calls, grown geometrically and
-   never shrunk. Domain-local (ParDES runs [make] concurrently from every
-   client partition's domain when threads flush their dirty lines);
-   within one domain [make] never re-enters (it calls no user code), so
-   handing out the arrays before the scan is safe. *)
+   never shrunk. Its contents never outlive one call, so sharing it
+   between simulations is harmless; it is domain-local only so that a
+   caller running simulations on several domains stays safe. [make]
+   never re-enters (it calls no user code), so handing out the arrays
+   before the scan is safe. *)
 type scratch = { mutable offs : int array; mutable lens : int array }
 
 let scratch_key =

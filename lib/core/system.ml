@@ -12,9 +12,7 @@ type t = {
   first_compute_node : int;
   mutable threads_rev : Thread_ctx.t list;
   mutable next_thread : int;
-  (* Atomic: with domains > 1, client partitions increment it from their
-     own domains while hub-side monitor processes poll it. *)
-  finished : int Atomic.t;
+  mutable finished : int;
   mutable probe : Probe.t option;
 }
 
@@ -44,7 +42,7 @@ let spawn_lease_monitor t ~shard:si ~subset =
       let rec loop () =
         Desim.Engine.delay t.cfg.Config.lease_interval;
         if
-          Atomic.get t.finished < t.next_thread
+          t.finished < t.next_thread
           && !alive
           && not (Control_plane.shard_failed t.cp si)
         then begin
@@ -176,7 +174,7 @@ let spawn_shard_monitor t =
       let rec loop () =
         Desim.Engine.delay t.cfg.Config.lease_interval;
         if
-          Atomic.get t.finished < t.next_thread
+          t.finished < t.next_thread
           && not (Control_plane.any_shard_failed t.cp)
         then begin
           let dead = ref None in
@@ -270,11 +268,7 @@ let create ?(trace = Desim.Trace.null) ?(config = Config.default) ~threads () =
       Some (Desim.Engine.shuffle_tie_break ~seed:config.Config.seed)
     else None
   in
-  if config.Config.domains > 1 && Desim.Trace.enabled trace then
-    invalid_arg "System.create: tracing requires domains = 1";
-  let engine =
-    Desim.Engine.create ~trace ?tie_break ~domains:config.Config.domains ()
-  in
+  let engine = Desim.Engine.create ~trace ?tie_break () in
   let ms = config.Config.memory_servers in
   let tpn = config.Config.threads_per_node in
   let nshards = config.Config.manager_shards in
@@ -333,8 +327,6 @@ let create ?(trace = Desim.Trace.null) ?(config = Config.default) ~threads () =
     Fabric.Network.create ?faults engine ~profile:config.Config.fabric
       ~node_count
   in
-  if config.Config.domains > 1 then
-    Desim.Engine.set_lookahead engine (Fabric.Network.lookahead network);
   let layout = Layout.of_config config in
   let shard_nodes = Array.init nshards shard_node in
   let shards =
@@ -373,7 +365,7 @@ let create ?(trace = Desim.Trace.null) ?(config = Config.default) ~threads () =
       first_compute_node;
       threads_rev = [];
       next_thread = 0;
-      finished = Atomic.make 0;
+      finished = 0;
       probe = None }
   in
   if config.Config.home_migration then
@@ -424,10 +416,6 @@ let sanitizer t = t.san
 let set_probe t probe =
   if t.next_thread > 0 then
     invalid_arg "System.set_probe: attach the probe before spawning threads";
-  if t.cfg.Config.domains > 1 then
-    invalid_arg
-      "System.set_probe: probes observe the global sequential schedule \
-       and require domains = 1";
   t.probe <- Some probe
 
 let probe t = t.probe
@@ -453,27 +441,17 @@ let spawn t body =
     invalid_arg "System.spawn: all thread slots used";
   let id = t.next_thread in
   t.next_thread <- id + 1;
-  let tpn = t.cfg.Config.threads_per_node in
-  let node_idx = id / tpn in
-  let node = t.first_compute_node + node_idx in
-  (* ParDES partition map: compute nodes split into [domains] contiguous
-     blocks, one client partition per block; a node's threads never
-     straddle partitions, so all intra-node state stays domain-local.
-     With domains = 1 [spawn_on] takes its sequential path and [part] is
-     irrelevant. *)
-  let compute_nodes = (t.total_threads + tpn - 1) / tpn in
-  let part = 1 + (node_idx * t.cfg.Config.domains / compute_nodes) in
+  let node = t.first_compute_node + (id / t.cfg.Config.threads_per_node) in
   let ctx = Thread_ctx.create (env t) ~id ~node in
   t.threads_rev <- ctx :: t.threads_rev;
-  Desim.Engine.spawn_on t.engine ~part ~name:(Printf.sprintf "thread%d" id)
-    (fun () ->
-       body ctx;
-       Thread_ctx.finish ctx;
-       Atomic.incr t.finished);
+  Desim.Engine.spawn t.engine ~name:(Printf.sprintf "thread%d" id) (fun () ->
+      body ctx;
+      Thread_ctx.finish ctx;
+      t.finished <- t.finished + 1);
   ctx
 
 let threads t = List.rev t.threads_rev
-let finished_threads t = Atomic.get t.finished
+let finished_threads t = t.finished
 let run t = Desim.Engine.run t.engine
 let elapsed t = Desim.Engine.now t.engine
 let events t = Desim.Engine.events t.engine

@@ -45,9 +45,7 @@ val sanitizer : t -> Analysis.Regcsan.t option
 val set_probe : t -> Probe.t -> unit
 (** Attach a protocol-event observer ({!Probe.t}); the torture oracle
     subscribes through this. Must be called before the first {!spawn}
-    (raises [Invalid_argument] otherwise) so every thread sees it.
-    Probes observe the global sequential schedule, so this also raises
-    when [Config.domains > 1]. *)
+    (raises [Invalid_argument] otherwise) so every thread sees it. *)
 
 val probe : t -> Probe.t option
 
@@ -78,6 +76,5 @@ val elapsed : t -> Desim.Time.t
 (** Simulated makespan so far. *)
 
 val events : t -> int
-(** Simulation events executed so far, summed over all partitions
-    ({!Desim.Engine.events}) — the numerator of the ParDES events/sec
-    throughput metric. *)
+(** Simulation events executed so far ({!Desim.Engine.events}) — the
+    numerator of the events/sec throughput metric. *)

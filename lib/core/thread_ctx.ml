@@ -177,21 +177,9 @@ let delay_until t instant =
    the directory and lands on the promoted replica. [f] must mutate state
    only after its full round trip lands (the simulation-wide idiom), so a
    retry never double-applies. Escalations from non-server nodes (the
-   manager never crashes in this model) propagate.
-
-   This wrapper (and {!with_shard_failover} below) also marks the ParDES
-   hub-region boundary: every protocol interaction that touches
-   hub-owned simulated state — fabric ports, memory servers, manager
-   shards, the directory — already runs under one of the two, so routing
-   the body through {!Desim.Engine.hub_run} is all it takes to make the
-   protocol domain-safe. With [domains = 1] (and for any caller already
-   on the hub) [hub_run] is an inline call and nothing changes; under a
-   parallel run the client fiber parks, the body executes as a hub
-   fiber — serially, while clients are paused — and the result (or
-   exception) travels back. Crashes are excluded when [domains > 1], so
-   the failover path itself never runs off the hub. *)
+   manager never crashes in this model) propagate. *)
 let rec with_failover t f =
-  try Desim.Engine.hub_run t.e.engine f with
+  try f () with
   | Fabric.Scl.Node_dead (node, at)
     when node >= 1 && node <= t.e.cfg.Config.memory_servers ->
     t.m_failovers <- t.m_failovers + 1;
@@ -227,7 +215,7 @@ let fence t ~logical ~epoch =
    replay), so a request that executed before the crash is not
    double-applied. *)
 let rec with_shard_failover t f =
-  try Desim.Engine.hub_run t.e.engine f with
+  try f () with
   | Fabric.Scl.Node_dead (node, at)
     when Control_plane.shard_node_of t.e.cp node <> None ->
     (match Control_plane.shard_node_of t.e.cp node with
@@ -1019,21 +1007,18 @@ let held_locks t = List.map fst t.held
 (* Allocation                                                          *)
 
 (* Allocation is served by shard 0 (never killable), so the RPC needs no
-   failover wrapper — only the hub region. *)
+   failover wrapper. *)
 let manager_alloc_rpc t ~kind ~bytes =
-  Desim.Engine.hub_run t.e.engine (fun () ->
-      let mgr = Control_plane.alloc_shard t.e.cp in
-      let mep = Manager_shard.endpoint mgr in
-      let arrival = transfer_to t ~dst:mep ~bytes:alloc_request_wire in
-      let served =
-        Desim.Resource.reserve (Manager_shard.service mgr) ~now:arrival
-          ~duration:t.e.cfg.Config.manager_service
-      in
-      let reply =
-        transfer_from t ~src:mep ~at:served ~bytes:alloc_reply_wire
-      in
-      delay_until t reply;
-      Manager_shard.alloc mgr ~kind ~bytes)
+  let mgr = Control_plane.alloc_shard t.e.cp in
+  let mep = Manager_shard.endpoint mgr in
+  let arrival = transfer_to t ~dst:mep ~bytes:alloc_request_wire in
+  let served =
+    Desim.Resource.reserve (Manager_shard.service mgr) ~now:arrival
+      ~duration:t.e.cfg.Config.manager_service
+  in
+  let reply = transfer_from t ~src:mep ~at:served ~bytes:alloc_reply_wire in
+  delay_until t reply;
+  Manager_shard.alloc mgr ~kind ~bytes
 
 let rec malloc_impl t ~bytes =
   if bytes <= 0 then invalid_arg "Samhita.malloc: bytes must be positive";
@@ -1436,46 +1421,30 @@ let cond_wait t cond lock =
      signal finds no waiter and the wakeup is lost. The latch handles a
      signal that lands before we manage to suspend. *)
   let state = ref `Armed in
-  (* The registration is a pure bookkeeping write on the shard — no wire
-     cost, no reply — so under ParDES it rides a fire-and-forget post
-     rather than a hub region: a region's resume would hand the shard's
-     answer back to this thread with zero simulated turnaround, below the
-     fabric lookahead. Ordering is still right: the post and the
-     [mutex_unlock] region behind it drain from this partition's outbox
-     in staging order, so the shard sees the registration before the
-     release — the POSIX atomic release-and-wait. The [state] latch is
-     phase-safe: the client writes it strictly before its pass ends, hub
-     signals read it strictly after. *)
-  Desim.Engine.remote_post t.e.engine (fun () ->
-      Manager_shard.cond_wait mgr ~cond ~thread:t.id ~endpoint:t.endpoint
-        ~wake:(fun () ->
-            match !state with
-            | `Suspended wake -> wake ()
-            | _ -> state := `Signalled));
+  Manager_shard.cond_wait mgr ~cond ~thread:t.id ~endpoint:t.endpoint
+    ~wake:(fun () ->
+        match !state with
+        | `Suspended wake -> wake ()
+        | _ -> state := `Signalled);
   mutex_unlock t lock;
   let start = now t in
   (match !state with
    | `Signalled -> ()
    | _ ->
      Desim.Engine.suspendv ~register:(fun ~wake ->
-         (* The waiter is already registered (the post above); this round
-            trip only models the wait notification's wire cost, so under
-            ParDES it too is a fire-and-forget hub post — the suspend
-            itself stays on the client. If the shard died mid-flight the
-            cost is forfeited but the wake path stays intact: the
-            registration travels with the absorbed state and a signal on
-            the takeover shard fires it. *)
-         Desim.Engine.remote_post t.e.engine (fun () ->
-             try
-               let arrival =
-                 transfer_to t ~dst:mep ~bytes:cond_request_wire
-               in
-               let served =
-                 Desim.Resource.reserve (Manager_shard.service mgr)
-                   ~now:arrival ~duration:t.e.cfg.Config.manager_service
-               in
-               ignore (served : Desim.Time.t)
-             with Fabric.Scl.Node_dead _ -> ());
+         (* The waiter is already registered (the direct call above); this
+            round trip only models the wait notification's wire cost. If
+            the shard died mid-flight the cost is forfeited but the wake
+            path stays intact: the registration travels with the absorbed
+            state and a signal on the takeover shard fires it. *)
+         (try
+            let arrival = transfer_to t ~dst:mep ~bytes:cond_request_wire in
+            let served =
+              Desim.Resource.reserve (Manager_shard.service mgr) ~now:arrival
+                ~duration:t.e.cfg.Config.manager_service
+            in
+            ignore (served : Desim.Time.t)
+          with Fabric.Scl.Node_dead _ -> ());
          state := `Suspended wake));
   (match t.e.san with
    | None -> ()

@@ -149,11 +149,6 @@ let one_way_estimate t ~bytes =
   let hops = if p.switched then 2 else 1 in
   p.post_overhead + (2 * ser) + (hops * p.hop_latency)
 
-let lookahead t =
-  let open Profile in
-  let p = t.profile in
-  p.post_overhead + p.hop_latency
-
 let messages t = t.messages
 let bytes_carried t = t.bytes
 let tx_link t n = check_node t n; t.tx.(n)

@@ -54,15 +54,6 @@ val one_way_estimate : t -> bytes:int -> Desim.Time.span
 (** Uncontended transfer time for a message of this size (for tests and
     back-of-envelope assertions). *)
 
-val lookahead : t -> Desim.Time.span
-(** A strict lower bound on any cross-node one-way transfer through this
-    fabric: post overhead plus one hop of propagation latency
-    (serialization, switching, queueing and retransmission only add to
-    it). ParDES ({!Desim.Engine.set_lookahead}) uses it as the
-    conservative lookahead — no simulated thread can affect another
-    node's state sooner than this. Loopbacks are cheaper, but loopback
-    traffic never crosses a partition. *)
-
 val messages : t -> int
 val bytes_carried : t -> int
 

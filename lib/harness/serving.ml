@@ -21,7 +21,6 @@ type t = {
   threads : int;
   replication : int;
   manager_shards : int;
-  domains : int;
   crash : bool;
   kv : Workload.Kv.params;
   capacity_rps : float;
@@ -33,13 +32,12 @@ let default_fractions = [ 0.25; 0.5; 0.75; 0.9; 1.5 ]
 (* Both sides of a replication on/off comparison run with two memory
    servers, so the comparison isolates the mirroring cost itself (the
    bench replication probe does the same). *)
-let smh_config ~replication ~manager_shards ~domains ~crash ~span_ns =
+let smh_config ~replication ~manager_shards ~crash ~span_ns =
   let base =
     { Samhita.Config.default with
       Samhita.Config.memory_servers = 2;
       replication;
-      manager_shards;
-      domains }
+      manager_shards }
   in
   if crash then
     { base with
@@ -47,15 +45,13 @@ let smh_config ~replication ~manager_shards ~domains ~crash ~span_ns =
       lease_interval = Desim.Time.ns 20_000 }
   else base
 
-let backend_of ~kind ~replication ~manager_shards ~domains ~crash ~span_ns :
+let backend_of ~kind ~replication ~manager_shards ~crash ~span_ns :
   Workload.Backend_sig.backend =
   match kind with
   | Pth -> Workload.Smp_backend.default
   | Smh ->
     Workload.Samhita_backend.make
-      ~config:
-        (smh_config ~replication ~manager_shards ~domains ~crash ~span_ns)
-      ()
+      ~config:(smh_config ~replication ~manager_shards ~crash ~span_ns) ()
 
 (* Serving span at the offered rate: when to schedule a mid-run crash. *)
 let span_ns_of (kv : Workload.Kv.params) =
@@ -64,19 +60,13 @@ let span_ns_of (kv : Workload.Kv.params) =
     (float_of_int tp.Workload.Traffic.requests
      *. 1e9 /. tp.Workload.Traffic.rate_rps)
 
-let run_kv ~kind ~threads ~replication ~manager_shards ~domains ~crash
+let run_kv ~kind ~threads ~replication ~manager_shards ~crash
     (kv : Workload.Kv.params) =
   let b =
-    backend_of ~kind ~replication ~manager_shards ~domains ~crash
+    backend_of ~kind ~replication ~manager_shards ~crash
       ~span_ns:(span_ns_of kv)
   in
   let r = Workload.Kv.run b ~threads kv in
-  (* The estimator is fed from the recorded latency array after the run
-     rather than streamed through [on_latency]: with [domains > 1] the
-     callback would fire concurrently from every client partition's
-     domain, racing on the histogram counts. The array slots are
-     per-request (disjoint writers), and filling in request order keeps
-     the feed deterministic. *)
   let est = Percentile.create () in
   Array.iter (fun l -> Percentile.add est l) r.Workload.Kv.latencies_ns;
   (r, est)
@@ -101,23 +91,17 @@ let with_rate (kv : Workload.Kv.params) rate =
     Workload.Kv.traffic =
       { kv.Workload.Kv.traffic with Workload.Traffic.rate_rps = rate } }
 
-let run ?(fractions = default_fractions) ?(manager_shards = 1)
-    ?(domains = 1) ~backend:kind ~threads ~replication ~crash
-    (kv : Workload.Kv.params) =
+let run ?(fractions = default_fractions) ?(manager_shards = 1) ~backend:kind
+    ~threads ~replication ~crash (kv : Workload.Kv.params) =
   if threads <= 0 then invalid_arg "Serving.run: threads";
   if replication < 0 || replication > 1 then
     invalid_arg "Serving.run: replication must be 0 or 1";
   if manager_shards < 1 then
     invalid_arg "Serving.run: manager_shards must be >= 1";
-  if domains < 1 then invalid_arg "Serving.run: domains must be >= 1";
   if kind = Pth && (replication > 0 || crash || manager_shards > 1) then
     invalid_arg
       "Serving.run: replication, crash and manager shards need the smh \
        backend";
-  if kind = Pth && domains > 1 then
-    invalid_arg "Serving.run: domains > 1 needs the smh backend";
-  if domains > 1 && crash then
-    invalid_arg "Serving.run: domains > 1 is incompatible with crash";
   if crash && replication = 0 then
     invalid_arg "Serving.run: a crash is survivable only with replication";
   if fractions = [] then invalid_arg "Serving.run: empty load sweep";
@@ -132,8 +116,8 @@ let run ?(fractions = default_fractions) ?(manager_shards = 1)
      The probe never crashes (a recovery pause would understate
      capacity and shift every sweep point). *)
   let probe_r, probe_est =
-    run_kv ~kind ~threads ~replication ~manager_shards ~domains
-      ~crash:false (with_rate kv 1e12)
+    run_kv ~kind ~threads ~replication ~manager_shards ~crash:false
+      (with_rate kv 1e12)
   in
   ignore (probe_est : Percentile.t);
   let capacity_rps =
@@ -145,8 +129,8 @@ let run ?(fractions = default_fractions) ?(manager_shards = 1)
       (fun fraction ->
          let rate_rps = fraction *. capacity_rps in
          let r, est =
-           run_kv ~kind ~threads ~replication ~manager_shards ~domains
-             ~crash (with_rate kv rate_rps)
+           run_kv ~kind ~threads ~replication ~manager_shards ~crash
+             (with_rate kv rate_rps)
          in
          point_of ~fraction ~rate_rps r est)
       fractions
@@ -155,7 +139,6 @@ let run ?(fractions = default_fractions) ?(manager_shards = 1)
     threads;
     replication;
     manager_shards;
-    domains;
     crash;
     kv;
     capacity_rps;
@@ -176,8 +159,7 @@ let pp ppf t =
     (if t.manager_shards > 1 then
        Printf.sprintf " mshards=%d" t.manager_shards
      else "")
-    ((if t.domains > 1 then Printf.sprintf " domains=%d" t.domains else "")
-     ^ if t.crash then " crash" else "");
+    (if t.crash then " crash" else "");
   Format.fprintf ppf "capacity %.0f req/s (closed-loop probe)@\n"
     t.capacity_rps;
   Format.fprintf ppf
@@ -202,7 +184,6 @@ let to_json t =
   Printf.bprintf b "    \"threads\": %d,\n" t.threads;
   Printf.bprintf b "    \"replication\": %d,\n" t.replication;
   Printf.bprintf b "    \"manager_shards\": %d,\n" t.manager_shards;
-  Printf.bprintf b "    \"domains\": %d,\n" t.domains;
   Printf.bprintf b "    \"crash\": %b,\n" t.crash;
   Printf.bprintf b "    \"keys\": %d,\n" tp.Workload.Traffic.keys;
   Printf.bprintf b "    \"shards\": %d,\n" t.kv.Workload.Kv.shards;

@@ -32,7 +32,6 @@ type t = {
   threads : int;
   replication : int;
   manager_shards : int;  (** Control-plane shards (1 = classic manager). *)
-  domains : int;  (** ParDES engine domains (1 = sequential). *)
   crash : bool;
   kv : Workload.Kv.params;  (** Base parameters; rate set per point. *)
   capacity_rps : float;
@@ -46,7 +45,6 @@ val default_fractions : float list
 val run :
   ?fractions:float list ->
   ?manager_shards:int ->
-  ?domains:int ->
   backend:backend_kind ->
   threads:int ->
   replication:int ->
@@ -58,11 +56,8 @@ val run :
     [replication = 1] and injects a fail-stop memory-server crash
     mid-sweep-point, measuring what a lease-detected promotion costs the
     tail. [manager_shards] (default 1) shards the control plane the KV
-    mutexes resolve through. [domains] (default 1) runs the simulation
-    itself on that many ParDES engine domains ({!Samhita.Config.domains});
-    results are deterministic and equal to the 1-domain run, only host
-    wall-clock changes. Needs [Smh] and no [crash]. Raises
-    [Invalid_argument] on bad combinations. *)
+    mutexes resolve through. Raises [Invalid_argument] on bad
+    combinations. *)
 
 val pp : Format.formatter -> t -> unit
 (** Human-readable capacity line plus one row per sweep point. *)

@@ -13,33 +13,14 @@ exception Stalled of string
     wake them (a deadlock in the simulated system). The message names every
     blocked process (their spawn [?name]s) in spawn order. *)
 
-val create :
-  ?trace:Trace.t -> ?tie_break:Heap.tie_break -> ?domains:int -> unit -> t
+val create : ?trace:Trace.t -> ?tie_break:Heap.tie_break -> unit -> t
 (** [tie_break] installs a same-instant ordering hook on the event queue
     (see {!Heap.tie_break}); omitted, events at one instant run in
-    insertion order.
-
-    [domains] (default 1) selects ParDES parallel execution: with
-    [domains = n >= 2] the engine holds one {e hub} partition (index 0)
-    plus [n] {e client} partitions (1..n), each with its own event heap
-    and clock, and {!run} executes client passes concurrently on [n] OCaml
-    domains (the caller's plus [n - 1] spawned ones), alternating with
-    serial hub passes. [domains = 1] is the classic sequential engine —
-    same code path, byte-identical behavior. *)
-
-val domains : t -> int
-(** The [?domains] the engine was created with (1 = sequential). *)
-
-val set_lookahead : t -> Time.span -> unit
-(** Conservative lookahead for parallel runs: a lower bound (in ns) on
-    the latency of any cross-partition interaction — for this simulator,
-    the fabric's minimum cross-node one-way latency
-    ({!Fabric.Network.lookahead}). Must be positive before a parallel
-    {!run}; ignored by sequential engines. *)
+    insertion order. *)
 
 val events : t -> int
-(** Total number of events executed so far, summed over all partitions.
-    The macro benchmark divides this by wall-clock time for events/sec. *)
+(** Total number of events executed so far. The macro benchmark divides
+    this by wall-clock time for events/sec. *)
 
 val shuffle_tie_break : seed:int -> Heap.tie_break
 (** The schedule fuzzer's seeded shuffler: a pure hash of
@@ -90,15 +71,7 @@ val schedule_at : t -> Time.t -> (unit -> unit) -> unit
 
 val spawn : t -> ?delay:Time.span -> ?name:string -> (unit -> unit) -> unit
 (** Start a new process at [now + delay]. The engine counts live processes
-    so {!run} can detect deadlock. On a parallel engine the process lands
-    on the calling partition (the hub during setup). *)
-
-val spawn_on :
-  t -> part:int -> ?delay:Time.span -> ?name:string -> (unit -> unit) -> unit
-(** Like {!spawn} but places the process on partition [part] (0 = hub,
-    1..domains = clients). Call during setup, before {!run}. On a
-    sequential engine [part] is ignored. A process never migrates: its
-    continuations always resume on its home partition. *)
+    so {!run} can detect deadlock. *)
 
 val run : t -> unit
 (** Drain the event queue. Raises {!Stalled} if processes spawned via
@@ -127,23 +100,3 @@ val suspend : register:(wake:(unit -> unit) -> unit) -> unit
 val suspendv : register:(wake:('a -> unit) -> unit) -> 'a
 (** Like {!suspend} but the waker passes a value through to the suspended
     process. *)
-
-val hub_run : t -> (unit -> 'a) -> 'a
-(** Run [f] in hub context and return its result. Sequentially (or when
-    already on the hub) this is exactly [f ()]. On a client partition the
-    calling fiber parks, a migration message carries the region to the
-    hub (merged deterministically at the next pass barrier, ordered after
-    all same-instant hub-local events), the hub runs [f] as a fresh fiber
-    — it may delay, suspend, and touch hub-owned simulated state — and
-    the result (or exception, re-raised here) wakes the caller at the
-    hub's clock. Because every region body starts with a cross-node
-    transfer (>= lookahead), the resume can never land in the client's
-    executed past. *)
-
-val remote_post : t -> (unit -> unit) -> unit
-(** Fire-and-forget variant of {!hub_run} for {e effect-free} closures:
-    sequentially (or on the hub) runs [f] inline now; from a client
-    partition, stages [f] to run as a plain hub event at this partition's
-    current instant (no fiber, so [f] must not delay or suspend). Used
-    for pure hub-state registrations whose turnaround would otherwise be
-    zero (e.g. condition-variable wait registration). *)

@@ -76,18 +76,13 @@ let move_slot t ~src ~dst =
   Array.unsafe_set t.seqs dst (Array.unsafe_get t.seqs src);
   Array.unsafe_set t.payloads dst (Array.unsafe_get t.payloads src)
 
-let push t ?prio ~time payload =
+let push t ~time payload =
   if t.size = Array.length t.times then grow t;
   if Array.length t.payloads = 0 then
     t.payloads <- Array.make (Array.length t.times) payload;
   let seq = t.next_seq in
   t.next_seq <- seq + 1;
-  let prio =
-    match prio with
-    | Some p -> p
-    | None ->
-      (match t.tie_break with None -> seq | Some f -> f ~time ~seq)
-  in
+  let prio = match t.tie_break with None -> seq | Some f -> f ~time ~seq in
   (* Hole-based sift-up: parents slide down until the new key's slot is
      found; the new element is written exactly once. *)
   let i = ref t.size in

@@ -35,12 +35,8 @@ val set_tie_break : 'a t -> tie_break option -> unit
 val is_empty : 'a t -> bool
 val length : 'a t -> int
 
-val push : 'a t -> ?prio:int -> time:int -> 'a -> unit
-(** Insert a payload keyed by [time]. O(log n). [?prio] overrides the
-    entry's priority outright (bypassing both the [prio = seq] default and
-    any {!tie_break} hook); the parallel engine uses huge explicit
-    priorities to order cross-partition merges after all same-instant
-    local events. *)
+val push : 'a t -> time:int -> 'a -> unit
+(** Insert a payload keyed by [time]. O(log n). *)
 
 val pop : 'a t -> (int * 'a) option
 (** Remove and return the entry with the smallest [(time, prio, seq)] key,

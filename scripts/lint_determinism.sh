@@ -28,18 +28,17 @@ if [ -n "$hits" ]; then
   exit 1
 fi
 
-# Domain-safety check (ParDES): with the engine running client
-# partitions on several OCaml domains, a new top-level `ref` or
-# `Hashtbl.create` in lib/sim or lib/core is shared mutable state that
-# every domain can reach — an unsynchronized write there is a data race
-# the simulation cannot replay. Keep state inside per-engine/per-system
-# records, use Domain.DLS for per-domain scratch, or Atomic.t for
-# cross-domain counters; extend the allowlist only for hooks that are
-# provably single-domain (set before the run, read serially).
+# Run-isolation check: one process builds hundreds of Systems (torture
+# sweeps, model-checker schedules, every figure of a fig run), so a
+# top-level `ref` or `Hashtbl.create` in lib/sim or lib/core is state
+# that leaks from one run into the next — the second run of a seed
+# would no longer match the first. Keep state inside the per-engine or
+# per-system records; extend the allowlist only for hooks that are
+# installed and cleared around a single run.
 #
 # Allowlist (file:binding, matched against the grep hit):
 #   lib/sim/resource.ml let observer — RegCCheck observer hook, installed
-#   and read only in 1-domain model-checking runs.
+#   for one model-checking run and removed after it.
 mutable_allow='^lib/sim/resource\.ml:[0-9]+:let observer '
 mutable_hits=$(grep -rn -E \
   '^let [^=]*= *(ref |Hashtbl\.create|Array\.make|Bytes\.create|Buffer\.create)' \
@@ -49,10 +48,10 @@ mutable_hits=$(grep -rn -E \
 if [ -n "$mutable_hits" ]; then
   echo "lint_determinism: new top-level mutable state in lib/sim or lib/core:" >&2
   echo "$mutable_hits" >&2
-  echo "client partitions run on multiple domains (ParDES); top-level refs" >&2
-  echo "and Hashtbls are cross-domain shared state. Put it in the engine or" >&2
-  echo "system record, a Domain.DLS key, or an Atomic — or allowlist it" >&2
-  echo "here with a proof it is only touched from one domain." >&2
+  echo "one process runs many simulations; top-level refs and Hashtbls" >&2
+  echo "carry state from one run into the next. Put it in the engine or" >&2
+  echo "system record — or allowlist it here with a proof that it is" >&2
+  echo "reset around every run." >&2
   exit 1
 fi
 echo "lint_determinism: clean"

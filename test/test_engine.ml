@@ -196,6 +196,30 @@ let test_stalled_names () =
     [ "node0/thr1"; "node1/thr0" ]
     (Desim.Engine.blocked_names e)
 
+let test_run_until_quantum () =
+  let e = Desim.Engine.create () in
+  Desim.Engine.set_quantum e 100;
+  let log = ref [] in
+  let mark tag () =
+    log := (tag, Desim.Time.to_ns (Desim.Engine.now e)) :: !log
+  in
+  Desim.Engine.schedule e ~delay:(ns 10) (mark "a");
+  Desim.Engine.schedule e ~delay:(ns 110) (mark "b");
+  Desim.Engine.schedule e ~delay:(ns 250) (mark "c");
+  Desim.Engine.run_until e (Desim.Time.of_ns 200);
+  Alcotest.(check (list (pair string int)))
+    "instants round up to the quantum; horizon is inclusive"
+    [ ("a", 100); ("b", 200) ]
+    (List.rev !log);
+  Alcotest.(check int) "clock parked exactly at the horizon" 200
+    (Desim.Time.to_ns (Desim.Engine.now e));
+  Desim.Engine.run_until e (Desim.Time.of_ns 1000);
+  Alcotest.(check (pair string int))
+    "the rounded tail event runs on the next call" ("c", 300)
+    (List.hd !log);
+  Alcotest.(check int) "empty queue still advances to the horizon" 1000
+    (Desim.Time.to_ns (Desim.Engine.now e))
+
 let test_trace_records () =
   let trace = Desim.Trace.recording () in
   let e = Desim.Engine.create ~trace () in
@@ -234,6 +258,7 @@ let tests =
     Alcotest.test_case "stalled names blocked processes" `Quick
       test_stalled_names;
     Alcotest.test_case "trace recording" `Quick test_trace_records;
-    Alcotest.test_case "null trace" `Quick test_null_trace_silent ]
+    Alcotest.test_case "null trace" `Quick test_null_trace_silent;
+    Alcotest.test_case "run_until under quantum" `Quick test_run_until_quantum ]
 
 let () = Alcotest.run "desim.engine" [ ("engine", tests) ]
