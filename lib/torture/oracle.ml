@@ -17,6 +17,9 @@ type t = {
   own : (int * int, int64) Hashtbl.t;
   (* Words touched by sub-word/bulk stores: legality not word-expressible. *)
   tainted : (int, unit) Hashtbl.t;
+  (* Word addresses some thread stored 0L to. Publications record only
+     nonzero words, so this is what makes a published zero legal. *)
+  zeroed : (int, unit) Hashtbl.t;
   (* Live allocations: base -> size. *)
   live : (int, int) Hashtbl.t;
   (* (barrier, epoch) -> (arrivals, departures). *)
@@ -45,6 +48,7 @@ let create ~config () =
     last_line = Hashtbl.create 256;
     own = Hashtbl.create 4096;
     tainted = Hashtbl.create 64;
+    zeroed = Hashtbl.create 64;
     live = Hashtbl.create 64;
     episodes = Hashtbl.create 64;
     last_arrive = Hashtbl.create 64;
@@ -147,7 +151,8 @@ let on_write t ~thread ~time ~addr ~len ~value =
   match value with
   | Some v ->
     fold t 4 (word_key v);
-    Hashtbl.replace t.own (thread, addr) v
+    Hashtbl.replace t.own (thread, addr) v;
+    if v = 0L then Hashtbl.replace t.zeroed addr ()
   | None -> taint_words t ~addr ~len
 
 let on_publish t ~thread ~time ~server ~line ~version ~data =
@@ -373,7 +378,9 @@ let finalize t sys =
      - durability: no acknowledged write lost — every nonzero word of the
        dead primary's last published snapshot must either survive on the
        promoted replica or have been overwritten by another published
-       value. *)
+       value. Zero counts as published only at words a thread stored zero
+       to (a kernel resetting an accumulator); elsewhere a zero is the
+       lost write itself. *)
   List.iter
     (fun (_, failed, promoted, _) ->
        let psrv = servers.(promoted) in
@@ -393,10 +400,11 @@ let finalize t sys =
                 let v = Bytes.get_int64_le snap (w * 8) in
                 if v <> 0L then begin
                   let cur = Bytes.get_int64_le live (w * 8) in
+                  let addr = base + (w * 8) in
                   let legal =
                     cur = v
-                    || (match Hashtbl.find_opt t.published (base + (w * 8))
-                        with
+                    || (cur = 0L && Hashtbl.mem t.zeroed addr)
+                    || (match Hashtbl.find_opt t.published addr with
                         | Some set -> Hashtbl.mem set cur
                         | None -> false)
                   in
@@ -406,9 +414,7 @@ let finalize t sys =
                          "line %d word at 0x%x: crashed primary %d had \
                           acknowledged 0x%Lx but promoted server %d holds \
                           0x%Lx (never published)"
-                         line
-                         (base + (w * 8))
-                         failed v promoted cur)
+                         line addr failed v promoted cur)
                 end
               done
             end)
