@@ -288,7 +288,11 @@ let detection_probe () =
       Samhita.Config.memory_servers = 2;
       replication = 1;
       lease_interval = Desim.Time.ns 20_000;
-      partition_server = Some (1, Samhita.Config.Control, 5_000, 400_000) }
+      fault =
+        Some
+          (Partition_server
+             { server = 1; scope = Control; start_ns = 5_000;
+               heal_ns = 400_000 }) }
   in
   let captured = ref None in
   let b =

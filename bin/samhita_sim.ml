@@ -506,24 +506,27 @@ let torture_cmd =
              across the false suspicion, post-heal rejoin convergence).")
   in
   let run seeds base_seed level kernel replay crash crash_shard partition =
-    if (crash && crash_shard) || (crash && partition)
-       || (crash_shard && partition)
-    then
-      Cli.usage ~cmd:"torture"
-        "--crash, --crash-shard and --partition are mutually exclusive \
-         (single-failure model)";
-    if crash_shard && kernel = Torture.Runner.Racy then
-      Cli.usage ~cmd:"torture"
-        "--crash-shard supports --kernel micro, jacobi or kv (racy pins \
-         per-class defect counts that a takeover would perturb)";
-    if partition && kernel = Torture.Runner.Racy then
-      Cli.usage ~cmd:"torture"
-        "--partition supports --kernel micro, jacobi or kv (racy pins \
-         per-class defect counts that a false suspicion would perturb)";
+    let mode =
+      match Torture.Runner.mode_of_flags ~crash ~crash_shard ~partition with
+      | Ok mode -> mode
+      | Error e -> Cli.usage ~cmd:"torture" "%s" e
+    in
+    (match (mode, kernel) with
+     | Torture.Runner.Crash_shard, Torture.Runner.Racy ->
+       Cli.usage ~cmd:"torture"
+         "--crash-shard supports --kernel micro, jacobi or kv (racy pins \
+          per-class defect counts that a takeover would perturb)"
+     | Torture.Runner.Partition, Torture.Runner.Racy ->
+       Cli.usage ~cmd:"torture"
+         "--partition supports --kernel micro, jacobi or kv (racy pins \
+          per-class defect counts that a false suspicion would perturb)"
+     | _ -> ());
     let flags_repro =
-      (if crash then " --crash" else "")
-      ^ (if crash_shard then " --crash-shard" else "")
-      ^ if partition then " --partition" else ""
+      match mode with
+      | Torture.Runner.Plain -> ""
+      | Torture.Runner.Crash -> " --crash"
+      | Torture.Runner.Crash_shard -> " --crash-shard"
+      | Torture.Runner.Partition -> " --partition"
     in
     match replay with
     | Some seed ->
@@ -698,12 +701,13 @@ let check_cmd =
            let r = Check.Gray.explore ~scope ~writes () in
            Format.printf "%a@." Check.Gray.pp_result r;
            defects := !defects + List.length r.Check.Gray.g_defects)
-        [ Check.Gray.Isolate; Check.Gray.Control ];
+        [ Samhita.Config.Isolate; Samhita.Config.Control ];
       (* Negative control: the same exploration with the epoch fence
          disabled must find split-brain counterexamples, or the
          invariant checks are vacuous. *)
       let neg =
-        Check.Gray.explore ~fence:false ~scope:Check.Gray.Control ~writes ()
+        Check.Gray.explore ~fence:false ~scope:Samhita.Config.Control ~writes
+          ()
       in
       Format.printf "%a@." Check.Gray.pp_result neg;
       if neg.Check.Gray.g_defects = [] then begin

@@ -42,7 +42,7 @@ let config_for opts =
       Samhita.Config.memory_servers = 2;
       replication = 1;
       lease_interval = Desim.Time.ns 20_000;
-      crash_server = Some (0, 30_000) }
+      fault = Some (Crash_server { server = 0; at_ns = 30_000 }) }
 
 (* ------------------------------------------------------------------ *)
 (* One controlled execution *)

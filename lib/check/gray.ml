@@ -1,7 +1,3 @@
-type scope = Isolate | Control
-
-let scope_name = function Isolate -> "isolate" | Control -> "control"
-
 (* The victim of the partition is server 0 — the primary at time zero.
    Server 1 is its backup, promoted if the detector fires. *)
 let victim = 0
@@ -30,7 +26,7 @@ type state = {
 }
 
 type result = {
-  g_scope : scope;
+  g_scope : Samhita.Config.partition_scope;
   g_fence : bool;
   g_writes : int;
   g_states : int;
@@ -65,7 +61,7 @@ let set_write s i w =
    are data-plane endpoints, so under [Control] no data hop blocks: the
    zombie stays reachable and only the epoch fence protects it. *)
 let data_hop_blocked ~scope s ~a ~b =
-  s.partition && scope = Isolate && (a = victim || b = victim)
+  s.partition && scope = Samhita.Config.Isolate && (a = victim || b = victim)
 
 (* Enabled transitions of [s]: (label, defect option, fenced, s'). The
    defect is attached to the transition that manifests it, so DFS (which
@@ -219,8 +215,8 @@ let pp_result ppf r =
   Format.fprintf ppf
     "@[<v>graycheck scope=%s fence=%b writes=%d: %d states, %d \
      transitions, %d terminals, %d fenced@,"
-    (scope_name r.g_scope) r.g_fence r.g_writes r.g_states r.g_transitions
-    r.g_terminals r.g_fenced;
+    (Samhita.Config.scope_name r.g_scope)
+    r.g_fence r.g_writes r.g_states r.g_transitions r.g_terminals r.g_fenced;
   if r.g_defects = [] then Format.fprintf ppf "no invariant violations@]"
   else begin
     Format.fprintf ppf "%d invariant violation(s):@," (List.length r.g_defects);

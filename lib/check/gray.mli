@@ -25,16 +25,13 @@
     then find split-brain counterexamples, proving the invariant checks
     are not vacuous. *)
 
-type scope = Isolate | Control
-(** Mirror of [Samhita.Config.partition_scope]: [Isolate] blocks the
-    victim from everyone (client deliveries to it park until promotion
-    or heal); [Control] blocks only the control plane (the client can
-    still reach the zombie primary — fencing is load-bearing). *)
-
-val scope_name : scope -> string
-
+(** The partition [scope] is the simulator's
+    {!Samhita.Config.partition_scope}: [Isolate] blocks the victim from
+    everyone (client deliveries to it park until promotion or heal);
+    [Control] blocks only the control plane (the client can still reach
+    the zombie primary — fencing is load-bearing). *)
 type result = {
-  g_scope : scope;
+  g_scope : Samhita.Config.partition_scope;
   g_fence : bool;
   g_writes : int;  (** Writes in the bounded client sequence. *)
   g_states : int;  (** Distinct states visited. *)
@@ -46,7 +43,12 @@ type result = {
           first) that reaches the violating state. Bounded. *)
 }
 
-val explore : ?fence:bool -> scope:scope -> writes:int -> unit -> result
+val explore :
+  ?fence:bool ->
+  scope:Samhita.Config.partition_scope ->
+  writes:int ->
+  unit ->
+  result
 (** Exhaust every interleaving. [fence] defaults to [true]; [writes]
     must be 1..4 (the state space is exponential in it). *)
 

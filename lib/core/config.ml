@@ -8,6 +8,21 @@ type model = Regc | Sc_invalidate
    zombie-primary case the epoch fence exists for. *)
 type partition_scope = Isolate | Control
 
+(* The run's one injected failure (single-failure model): a crash is
+   fail-stop from at_ns on; a partition cuts the server's node off per
+   scope inside [start_ns, heal_ns) while it keeps executing; a stall adds
+   a constant multi-RTT penalty to its traffic inside the window. *)
+type fault =
+  | Crash_server of { server : int; at_ns : int }
+  | Crash_shard of { shard : int; at_ns : int }
+  | Partition_server of {
+      server : int;
+      scope : partition_scope;
+      start_ns : int;
+      heal_ns : int;
+    }
+  | Stall_server of { server : int; start_ns : int; heal_ns : int }
+
 type t = {
   model : model;
   page_bytes : int;
@@ -21,7 +36,6 @@ type t = {
   stripe_lines : int;
   update_log_history : int;
   manager_bypass : bool;
-  coalesce_updates : bool;
   t_mem : float;
   t_flop : float;
   server_service : Desim.Time.span;
@@ -35,19 +49,12 @@ type t = {
   fault_level : Fabric.Faults.level;
   shuffle : bool;
   replication : int;
-  crash_server : (int * int) option;
   lease_interval : Desim.Time.span;
   max_threads : int;
   manager_shards : int;
   home_migration : bool;
   migration_window : int;
-  crash_shard : (int * int) option;
-  (* Gray-failure injection: (server, scope, start_ns, heal_ns) makes the
-     server's node unreachable per scope inside [start, heal) — it keeps
-     executing, unlike crash_server. stall_server (server, start_ns,
-     heal_ns) adds a constant multi-RTT penalty to its traffic instead. *)
-  partition_server : (int * partition_scope * int * int) option;
-  stall_server : (int * int * int) option;
+  fault : fault option;
 }
 
 let default =
@@ -63,7 +70,6 @@ let default =
     stripe_lines = 4;
     update_log_history = 64;
     manager_bypass = false;
-    coalesce_updates = false;
     t_mem = 1.2;
     t_flop = 0.8;
     server_service = Desim.Time.ns 1_500;
@@ -77,15 +83,12 @@ let default =
     fault_level = Fabric.Faults.Off;
     shuffle = false;
     replication = 0;
-    crash_server = None;
     lease_interval = Desim.Time.ns 100_000;
     max_threads = 512;
     manager_shards = 1;
     home_migration = false;
     migration_window = 32;
-    crash_shard = None;
-    partition_server = None;
-    stall_server = None }
+    fault = None }
 
 let is_pow2 n = n > 0 && n land (n - 1) = 0
 
@@ -94,6 +97,13 @@ let line_bytes t = t.page_bytes * t.pages_per_line
 let line_shift t =
   let rec shift n acc = if n <= 1 then acc else shift (n lsr 1) (acc + 1) in
   shift (line_bytes t) 0
+
+(* Prefix of the failure's validation messages. *)
+let fault_name = function
+  | Crash_server _ -> "crash_server"
+  | Crash_shard _ -> "crash_shard"
+  | Partition_server _ -> "partition_server"
+  | Stall_server _ -> "stall_server"
 
 let validate t =
   let check cond msg = if cond then Ok () else Error msg in
@@ -146,19 +156,6 @@ let validate t =
     check (t.replication = 0 || t.model = Regc)
       "replication is only modeled for the regc engine"
   in
-  let* () =
-    match t.crash_server with
-    | None -> Ok ()
-    | Some (srv, at) ->
-      let* () =
-        check
-          (srv >= 0 && srv < t.memory_servers)
-          "crash_server index out of range"
-      in
-      let* () = check (at >= 0) "crash_server instant must be >= 0" in
-      check (t.model = Regc)
-        "crash_server is only modeled for the regc engine"
-  in
   let* () = check (t.lease_interval >= 1) "lease_interval must be >= 1ns" in
   let* () = check (t.max_threads >= 1) "max_threads must be >= 1" in
   let* () =
@@ -178,121 +175,88 @@ let validate t =
       ((not t.home_migration) || t.model = Regc)
       "home_migration is only modeled for the regc engine"
   in
-  let* () =
-    match t.crash_shard with
-    | None -> Ok ()
-    | Some (shard, at) ->
-      let* () =
-        check (t.manager_shards >= 2)
-          "crash_shard requires manager_shards >= 2 (a surviving shard must \
-           take over)"
-      in
-      let* () =
-        check
-          (shard >= 1 && shard < t.manager_shards)
-          "crash_shard index out of range (shard 0 hosts allocation and is \
-           not killable)"
-      in
-      let* () = check (at >= 0) "crash_shard instant must be >= 0" in
-      let* () =
-        check (t.crash_server = None)
-          "crash_shard and crash_server are mutually exclusive \
-           (single-failure model)"
-      in
-      check (t.model = Regc) "crash_shard is only modeled for the regc engine"
-  in
-  let* () =
-    match t.partition_server with
-    | None -> Ok ()
-    | Some (srv, _, start, heal) ->
-      let* () =
-        check
-          (srv >= 0 && srv < t.memory_servers)
-          "partition_server index out of range"
-      in
-      let* () =
-        check
-          (0 <= start && start < heal)
-          "partition_server window must satisfy 0 <= start < heal"
-      in
-      let* () =
-        check (t.model = Regc)
-          "partition_server is only modeled for the regc engine"
-      in
-      let* () =
-        check (t.replication = 1)
-          "partition_server requires replication = 1 (promotion under a \
-           false suspicion needs a backup to promote)"
-      in
-      check
-        (t.crash_server = None && t.crash_shard = None)
-        "partition_server and crash injection are mutually exclusive \
-         (single-failure model)"
-  in
-  match t.stall_server with
+  match t.fault with
   | None -> Ok ()
-  | Some (srv, start, heal) ->
-    let* () =
+  | Some f ->
+    let name = fault_name f in
+    let server_in_range server =
       check
-        (srv >= 0 && srv < t.memory_servers)
-        "stall_server index out of range"
+        (server >= 0 && server < t.memory_servers)
+        (name ^ " index out of range")
     in
-    let* () =
+    let window start heal =
       check
         (0 <= start && start < heal)
-        "stall_server window must satisfy 0 <= start < heal"
+        (name ^ " window must satisfy 0 <= start < heal")
     in
-    check (t.model = Regc) "stall_server is only modeled for the regc engine"
+    let* () =
+      match f with
+      | Crash_server { server; at_ns } ->
+        let* () = server_in_range server in
+        check (at_ns >= 0) "crash_server instant must be >= 0"
+      | Crash_shard { shard; at_ns } ->
+        let* () =
+          check (t.manager_shards >= 2)
+            "crash_shard requires manager_shards >= 2 (a surviving shard \
+             must take over)"
+        in
+        let* () =
+          check
+            (shard >= 1 && shard < t.manager_shards)
+            "crash_shard index out of range (shard 0 hosts allocation and \
+             is not killable)"
+        in
+        check (at_ns >= 0) "crash_shard instant must be >= 0"
+      | Partition_server { server; start_ns; heal_ns; _ }
+      | Stall_server { server; start_ns; heal_ns } ->
+        let* () = server_in_range server in
+        window start_ns heal_ns
+    in
+    let* () =
+      check (t.model = Regc) (name ^ " is only modeled for the regc engine")
+    in
+    match f with
+    | Partition_server _ ->
+      check (t.replication = 1)
+        "partition_server requires replication = 1 (promotion under a \
+         false suspicion needs a backup to promote)"
+    | Crash_server _ | Crash_shard _ | Stall_server _ -> Ok ()
 
 let model_name = function Regc -> "regc" | Sc_invalidate -> "sc-invalidate"
 
 let scope_name = function Isolate -> "isolate" | Control -> "control"
 
-let scope_of_string = function
-  | "isolate" | "iso" -> Ok Isolate
-  | "control" | "ctl" -> Ok Control
-  | s -> Error (Printf.sprintf "unknown partition scope %S" s)
+let fault_to_string = function
+  | None -> "none"
+  | Some (Crash_server { server; at_ns }) ->
+    Printf.sprintf "crash:server%d@%dns" server at_ns
+  | Some (Crash_shard { shard; at_ns }) ->
+    Printf.sprintf "crash:shard%d@%dns" shard at_ns
+  | Some (Partition_server { server; scope; start_ns; heal_ns }) ->
+    Printf.sprintf "partition:server%d/%s@[%dns,%dns)" server
+      (scope_name scope) start_ns heal_ns
+  | Some (Stall_server { server; start_ns; heal_ns }) ->
+    Printf.sprintf "stall:server%d@[%dns,%dns)" server start_ns heal_ns
 
 let pp ppf t =
   Format.fprintf ppf
     "@[<v>model=%s page=%dB line=%dpages cache=%dlines prefetch=%b dirty-first=%b sanitize=%b@ \
      torture: faults=%s shuffle=%b seed=%d@ \
      alloc: small<=%d large>%d arena=%d stripe=%d@ \
-     regc: history=%d bypass=%b coalesce=%b@ \
+     regc: history=%d bypass=%b@ \
      cost: mem=%.2fns flop=%.2fns server=%a manager=%a diff=%.3fns/B@ \
      layout: %d server(s), %d threads/node, %s@ \
-     ft: replication=%d crash=%s lease=%a@ \
-     ctl: shards=%d max-threads=%d migrate=%b crash-shard=%s"
+     ft: replication=%d lease=%a fault=%s@ \
+     ctl: shards=%d max-threads=%d migrate=%b@]"
     (model_name t.model)
     t.page_bytes t.pages_per_line t.cache_lines t.prefetch
     t.evict_dirty_first t.sanitize
     (Fabric.Faults.level_name t.fault_level)
     t.shuffle t.seed t.small_threshold t.large_threshold
     t.arena_chunk_bytes t.stripe_lines t.update_log_history t.manager_bypass
-    t.coalesce_updates
     t.t_mem t.t_flop Desim.Time.pp_span t.server_service Desim.Time.pp_span
     t.manager_service t.diff_apply_ns_per_byte t.memory_servers
     t.threads_per_node t.fabric.Fabric.Profile.name
-    t.replication
-    (match t.crash_server with
-     | None -> "none"
-     | Some (srv, at) -> Printf.sprintf "server%d@%dns" srv at)
-    Desim.Time.pp_span t.lease_interval
+    t.replication Desim.Time.pp_span t.lease_interval
+    (fault_to_string t.fault)
     t.manager_shards t.max_threads t.home_migration
-    (match t.crash_shard with
-     | None -> "none"
-     | Some (shard, at) -> Printf.sprintf "shard%d@%dns" shard at);
-  (* Only gray-failure runs mention partitions/stalls, keeping every other
-     report byte-identical. *)
-  if t.partition_server <> None || t.stall_server <> None then
-    Format.fprintf ppf "@ gray: partition=%s stall=%s"
-      (match t.partition_server with
-       | None -> "none"
-       | Some (srv, scope, start, heal) ->
-         Printf.sprintf "server%d/%s@[%dns,%dns)" srv (scope_name scope)
-           start heal)
-      (match t.stall_server with
-       | None -> "none"
-       | Some (srv, start, heal) ->
-         Printf.sprintf "server%d@[%dns,%dns)" srv start heal);
-  Format.fprintf ppf "@]"

@@ -25,6 +25,38 @@ type partition_scope =
           reach it while its lease expires — the zombie-primary scenario
           the epoch fence exists for. *)
 
+(** The run's one injected failure: a run holds at most one, which is
+    the single-failure model. Every injection is [Regc]-only; times are
+    simulated nanoseconds. *)
+type fault =
+  | Crash_server of { server : int; at_ns : int }
+      (** Fail-stop: memory server [server] (its fabric node) is dead
+          from [at_ns] on. Survivable only with [replication = 1]. *)
+  | Crash_shard of { shard : int; at_ns : int }
+      (** Fail-stop for the control plane: manager shard [shard] is dead
+          from [at_ns] on and its ring successor takes over its slice.
+          Requires [manager_shards >= 2] and [shard >= 1] (shard 0 hosts
+          allocation). *)
+  | Partition_server of {
+      server : int;
+      scope : partition_scope;
+      start_ns : int;
+      heal_ns : int;
+    }
+      (** Gray failure: [server]'s node is unreachable (per [scope])
+          inside [\[start_ns, heal_ns)], then heals. Unlike a crash the
+          victim keeps executing — its lease expires ({e false}
+          suspicion), the backup is promoted under a new epoch, stale
+          traffic to/from the zombie is fenced, and after the heal it
+          rejoins as the backup via an epoch-stamped resync. Requires
+          [replication = 1]. *)
+  | Stall_server of { server : int; start_ns : int; heal_ns : int }
+      (** Every delivery touching [server]'s node inside the window pays
+          a constant multi-RTT penalty ({!Fabric.Faults.stall_penalty_ns}),
+          then heals. The detector counts lost attempts, not lateness, so
+          a stall perturbs latency without expiring the lease — "slow"
+          stays distinguishable from "gone". *)
+
 type t = {
   model : model;
   (* Address-space geometry *)
@@ -54,14 +86,6 @@ type t = {
   manager_bypass : bool;
       (** Paper §V (future work): on a single compute node, synchronize
           locally instead of a manager round trip. *)
-  coalesce_updates : bool;
-      (** Merge a consistency-region store into the head of the region log
-          when it exactly overwrites it or extends it contiguously (e.g. a
-          counter updated in place, adjacent fields written in order).
-          Replayed oldest-first the log yields the same memory, but fewer
-          records travel at release — so wire bytes and simulated service
-          times shift. Off by default to keep figure outputs identical to
-          the seed build. *)
   (* Cost model, nanoseconds *)
   t_mem : float;  (** Per cached (hit) memory access. *)
   t_flop : float;  (** Per floating-point operation. *)
@@ -97,12 +121,6 @@ type t = {
           synchronously mirrored to the next server, charging fabric and
           service time). Requires [memory_servers >= 2] and the [Regc]
           model. *)
-  crash_server : (int * int) option;
-      (** Fail-stop crash injection: [(server, instant_ns)] kills memory
-          server [server] (its fabric node) from that simulated instant
-          on. Survivable only with [replication = 1]; [Regc] model only.
-          [None] (default) leaves the fabric byte-exact with the seed
-          build when [fault_level] is also [Off]. *)
   lease_interval : Desim.Time.span;
       (** Heartbeat period of the manager's lease-based failure detector
           (only active when [replication >= 1]). A server that fails to
@@ -128,34 +146,11 @@ type t = {
   migration_window : int;
       (** Writes observed per line between home-migration decisions
           (default 32). *)
-  crash_shard : (int * int) option;
-      (** Fail-stop crash injection for the control plane:
-          [(shard, instant_ns)] kills manager shard [shard] (its fabric
-          node) from that simulated instant on. Requires
-          [manager_shards >= 2] and [shard >= 1] (shard 0 hosts
-          allocation); mutually exclusive with [crash_server]
-          (single-failure model). The ring successor takes over the dead
-          shard's slice. *)
-  (* Gray failures *)
-  partition_server : (int * partition_scope * int * int) option;
-      (** Gray-failure injection: [(server, scope, start_ns, heal_ns)]
-          makes memory server [server]'s node unreachable (per [scope])
-          inside the window [\[start_ns, heal_ns)], then heals. Unlike
-          [crash_server] the victim keeps executing — its lease expires
-          ({e false} suspicion), the backup is promoted under a new
-          epoch, stale traffic to/from the zombie is fenced, and after
-          the heal it rejoins as the backup via an epoch-stamped resync.
-          Requires [replication = 1] and the [Regc] model; mutually
-          exclusive with crash injection (single-failure model). [None]
-          (default) keeps every output byte-identical to the seed
-          build. *)
-  stall_server : (int * int * int) option;
-      (** [(server, start_ns, heal_ns)]: every delivery touching the
-          server's node inside the window pays a constant multi-RTT
-          penalty ({!Fabric.Faults.stall_penalty_ns}), then heals. The
-          detector counts lost attempts, not lateness, so a stall
-          perturbs latency without expiring the lease — "slow" stays
-          distinguishable from "gone". [Regc] model only. *)
+  (* Failure injection *)
+  fault : fault option;
+      (** The injected failure, if any. [None] (default) leaves the
+          fabric byte-exact with the seed build when [fault_level] is
+          also [Off]. *)
 }
 
 val default : t
@@ -171,6 +166,5 @@ val line_shift : t -> int
 val model_name : model -> string
 
 val scope_name : partition_scope -> string
-val scope_of_string : string -> (partition_scope, string) result
 
 val pp : Format.formatter -> t -> unit

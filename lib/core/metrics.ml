@@ -91,11 +91,12 @@ type replication = {
 
 let replication_of_system sys =
   let cfg = System.config sys in
-  if
-    cfg.Config.replication = 0
-    && cfg.Config.crash_server = None
-    && cfg.Config.crash_shard = None
-  then None
+  let crashes =
+    match cfg.Config.fault with
+    | Some (Config.Crash_server _ | Config.Crash_shard _) -> true
+    | Some (Config.Partition_server _ | Config.Stall_server _) | None -> false
+  in
+  if cfg.Config.replication = 0 && not crashes then None
   else
     let servers = System.servers sys in
     let cp = System.control_plane sys in
@@ -130,16 +131,15 @@ type detection = {
    (partition/stall injection), so crash-run and healthy reports stay
    byte-identical with the seed build. *)
 let detection_of_system sys =
-  let cfg = System.config sys in
-  if cfg.Config.partition_server = None && cfg.Config.stall_server = None
-  then None
-  else
+  match (System.config sys).Config.fault with
+  | Some (Config.Partition_server _ | Config.Stall_server _) ->
     let dir = System.directory sys in
     Some
       { suspicions = Directory.suspicions dir;
         false_suspicions = Directory.false_suspicions dir;
         fenced_messages = Directory.fenced dir;
         rejoins = Directory.rejoins dir }
+  | Some (Config.Crash_server _ | Config.Crash_shard _) | None -> None
 
 type control = {
   shards : int;

@@ -68,8 +68,8 @@ type replication = {
 
 val replication_of_system : System.t -> replication option
 (** [None] when the run had neither replication nor an injected crash
-    ([Config.replication = 0], [Config.crash_server = None] and
-    [Config.crash_shard = None]). *)
+    ([Config.replication = 0] and [Config.fault] is not [Crash_server] or
+    [Crash_shard]). *)
 
 val pp_replication : Format.formatter -> replication -> unit
 
@@ -88,7 +88,7 @@ type detection = {
 
 val detection_of_system : System.t -> detection option
 (** [None] unless the run injected a gray failure
-    ([Config.partition_server] or [Config.stall_server]), so crash-run
+    ([Config.fault] is [Partition_server] or [Stall_server]), so crash-run
     and healthy reports stay byte-identical with the seed build. *)
 
 val pp_detection : Format.formatter -> detection -> unit

@@ -117,43 +117,42 @@ let spawn_lease_monitor t ~shard:si ~subset =
              simulated time passes); the first probe whose round trip
              completes is the zombie answering after the heal, and it
              rejoins as a backup via the epoch-stamped resync. *)
-          if
-            t.cfg.Config.partition_server <> None
-            || t.cfg.Config.stall_server <> None
-          then
-            List.iter
-              (fun i ->
-                 if
-                   !alive
-                   && Directory.failed t.dir i
-                   && not (Directory.rejoined t.dir)
-                 then begin
-                   let snode =
-                     Fabric.Scl.node (Memory_server.endpoint t.servers.(i))
-                   in
-                   try
-                     let arrival =
-                       Fabric.Scl.reliable_transfer net
-                         ~now:(Desim.Engine.now t.engine)
-                         ~src:mgr_node ~dst:snode
-                         ~bytes:Manager_shard.heartbeat_wire
-                     in
-                     let ack =
-                       Fabric.Scl.reliable_transfer net ~now:arrival
-                         ~src:snode ~dst:mgr_node
-                         ~bytes:Manager_shard.ack_wire
-                     in
-                     if Desim.Time.( < ) (Desim.Engine.now t.engine) ack then
-                       Desim.Engine.delay
-                         (Desim.Time.diff ack (Desim.Engine.now t.engine));
-                     ignore
-                       (Control_plane.rejoin_server t.cp ~dir:t.dir
-                          ~servers:t.servers ~zombie:i ~probe:t.probe
+          (match t.cfg.Config.fault with
+           | Some (Config.Partition_server _ | Config.Stall_server _) ->
+             List.iter
+               (fun i ->
+                  if
+                    !alive
+                    && Directory.failed t.dir i
+                    && not (Directory.rejoined t.dir)
+                  then begin
+                    let snode =
+                      Fabric.Scl.node (Memory_server.endpoint t.servers.(i))
+                    in
+                    try
+                      let arrival =
+                        Fabric.Scl.reliable_transfer net
                           ~now:(Desim.Engine.now t.engine)
-                        : int * int)
-                   with Fabric.Scl.Node_dead _ -> ()
-                 end)
-              subset;
+                          ~src:mgr_node ~dst:snode
+                          ~bytes:Manager_shard.heartbeat_wire
+                      in
+                      let ack =
+                        Fabric.Scl.reliable_transfer net ~now:arrival
+                          ~src:snode ~dst:mgr_node
+                          ~bytes:Manager_shard.ack_wire
+                      in
+                      if Desim.Time.( < ) (Desim.Engine.now t.engine) ack then
+                        Desim.Engine.delay
+                          (Desim.Time.diff ack (Desim.Engine.now t.engine));
+                      ignore
+                        (Control_plane.rejoin_server t.cp ~dir:t.dir
+                           ~servers:t.servers ~zombie:i ~probe:t.probe
+                           ~now:(Desim.Engine.now t.engine)
+                         : int * int)
+                    with Fabric.Scl.Node_dead _ -> ()
+                  end)
+               subset
+           | _ -> ());
           if !alive then loop ()
         end
       in
@@ -284,44 +283,42 @@ let create ?(trace = Desim.Trace.null) ?(config = Config.default) ~threads () =
       if config.Config.manager_bypass then first_compute_node else 0
     else 1 + ms + compute_nodes + (s - 1)
   in
-  (* Crash spec: memory server [srv] lives on fabric node [1 + srv];
-     manager shard [s] lives on [shard_node s]. A fault policy is
-     attached exactly when the level is on or a crash / gray failure is
-     injected, so the default configuration's fabric stays byte-exact
-     with the seed build. *)
-  let crash =
-    match (config.Config.crash_server, config.Config.crash_shard) with
-    | Some (srv, at), _ -> Some (1 + srv, Desim.Time.of_ns at)
-    | None, Some (s, at) -> Some (shard_node s, Desim.Time.of_ns at)
-    | None, None -> None
-  in
-  (* Gray-failure specs, in fabric-node terms. Isolate cuts the victim
-     off from every peer; Control cuts only the manager-shard nodes, so
-     clients keep reaching the deposed primary — the zombie scenario. *)
-  let partition =
-    match config.Config.partition_server with
-    | None -> None
-    | Some (srv, scope, start, heal) ->
-      let peers =
-        match scope with
-        | Config.Isolate -> []
-        | Config.Control -> Array.to_list (Array.init nshards shard_node)
-      in
-      Some (1 + srv, peers, Desim.Time.of_ns start, Desim.Time.of_ns heal)
-  in
-  let stall =
-    match config.Config.stall_server with
-    | None -> None
-    | Some (srv, start, heal) ->
-      Some (1 + srv, Desim.Time.of_ns start, Desim.Time.of_ns heal)
+  (* The injected failure in fabric-node terms: memory server [srv]
+     lives on node [1 + srv], manager shard [s] on [shard_node s].
+     Partition scope Isolate cuts the victim off from every peer; Control
+     cuts only the manager-shard nodes, so clients keep reaching the
+     deposed primary — the zombie scenario. A fault policy is attached
+     exactly when the level is on or a failure is injected, so the
+     default configuration's fabric stays byte-exact with the seed
+     build. *)
+  let injection =
+    let ns = Desim.Time.of_ns in
+    Option.map
+      (function
+        | Config.Crash_server { server; at_ns } ->
+          Fabric.Faults.Crash { node = 1 + server; at = ns at_ns }
+        | Config.Crash_shard { shard; at_ns } ->
+          Fabric.Faults.Crash { node = shard_node shard; at = ns at_ns }
+        | Config.Partition_server { server; scope; start_ns; heal_ns } ->
+          let peers =
+            match scope with
+            | Config.Isolate -> []
+            | Config.Control -> List.init nshards shard_node
+          in
+          Fabric.Faults.Partition
+            { victim = 1 + server; peers; start = ns start_ns;
+              heal = ns heal_ns }
+        | Config.Stall_server { server; start_ns; heal_ns } ->
+          Fabric.Faults.Stall
+            { victim = 1 + server; start = ns start_ns; heal = ns heal_ns })
+      config.Config.fault
   in
   let faults =
-    match (config.Config.fault_level, crash, partition, stall) with
-    | Fabric.Faults.Off, None, None, None -> None
-    | level, _, _, _ ->
+    match (config.Config.fault_level, injection) with
+    | Fabric.Faults.Off, None -> None
+    | level, _ ->
       Some
-        (Fabric.Faults.create ?crash ?partition ?stall
-           ~seed:config.Config.seed ~level ())
+        (Fabric.Faults.create ?injection ~seed:config.Config.seed ~level ())
   in
   let network =
     Fabric.Network.create ?faults engine ~profile:config.Config.fabric
@@ -389,8 +386,8 @@ let create ?(trace = Desim.Trace.null) ?(config = Config.default) ~threads () =
      (every attempt of an escalated transfer was in-window), so one
      drain at the heal instant suffices; when recovery already drained
      the list this finds it empty. *)
-  (match config.Config.partition_server with
-   | Some (_, _, _, heal) ->
+  (match config.Config.fault with
+   | Some (Config.Partition_server { heal_ns = heal; _ }) ->
      Desim.Engine.spawn engine ~name:"heal-wake" (fun () ->
          Desim.Engine.delay
            (Desim.Time.diff (Desim.Time.of_ns heal)
@@ -399,7 +396,7 @@ let create ?(trace = Desim.Trace.null) ?(config = Config.default) ~threads () =
          List.iter
            (fun wake -> Desim.Engine.schedule_at engine now wake)
            (Directory.take_waiters dir))
-   | None -> ());
+   | _ -> ());
   t
 
 let config t = t.cfg

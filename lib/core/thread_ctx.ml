@@ -894,9 +894,7 @@ let write_i64 t addr v =
           it can never be picked up a second time by this thread's
           ordinary-region diff — that stale re-flush would overwrite
           later holders' updates at the home. *)
-       log :=
-         Update.append ~coalesce:t.e.cfg.Config.coalesce_updates !log
-           ~addr (Update.i64_data v);
+       log := Update.of_i64 ~addr v :: !log;
        (match entry.Cache.twin with
         | Some twin -> Bytes.set_int64_le twin off v
         | None -> ())
@@ -937,9 +935,7 @@ let write_bytes t addr src =
       charge_extra_words t seg;
       (match t.held with
        | (_, log) :: _ ->
-         log :=
-           Update.append ~coalesce:t.e.cfg.Config.coalesce_updates !log
-             ~addr:a (Bytes.sub src !pos seg);
+         log := { Update.addr = a; data = Bytes.sub src !pos seg } :: !log;
          (match entry.Cache.twin with
           | Some twin -> Bytes.blit src !pos twin off seg
           | None -> ())

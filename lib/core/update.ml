@@ -7,29 +7,6 @@ let of_i64 ~addr v =
   Bytes.set_int64_le data 0 v;
   { addr; data }
 
-let i64_data v =
-  let data = Bytes.create 8 in
-  Bytes.set_int64_le data 0 v;
-  data
-
-(* Append a store to a region log (newest record first). With [coalesce]
-   the new store merges into the head record when it overwrites it exactly
-   or extends it contiguously upward — the two shapes the region-local
-   store patterns produce (a variable updated repeatedly; adjacent fields
-   written in order). Merging only ever touches the head, so the log's
-   oldest-first replay semantics are unchanged: the merged record carries
-   the same final bytes the two records would have produced. *)
-let append ~coalesce log ~addr data =
-  match log with
-  | prev :: rest when coalesce ->
-    let plen = Bytes.length prev.data in
-    if addr = prev.addr && Bytes.length data = plen then
-      { addr; data } :: rest
-    else if addr = prev.addr + plen then
-      { addr = prev.addr; data = Bytes.cat prev.data data } :: rest
-    else { addr; data } :: log
-  | _ -> { addr; data } :: log
-
 let wire_bytes t = framing + Bytes.length t.data
 
 let log_wire_bytes log =

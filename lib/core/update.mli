@@ -10,16 +10,6 @@ type t = { addr : int; data : bytes }
 
 val of_i64 : addr:int -> int64 -> t
 
-val i64_data : int64 -> bytes
-(** The 8-byte little-endian image of a value (an update's [data]). *)
-
-val append : coalesce:bool -> t list -> addr:int -> bytes -> t list
-(** Prepend a store to a region log (newest first). With [coalesce:true]
-    the store merges into the head record when it exactly overwrites it or
-    extends it contiguously upward; replayed oldest-first, the merged log
-    produces byte-for-byte the memory the unmerged one would. With
-    [coalesce:false] this is a plain cons. *)
-
 val wire_bytes : t -> int
 val log_wire_bytes : t list -> int
 

@@ -49,22 +49,28 @@ let stall_penalty_ns = 25_000
 (* Ring capacity of the in-memory fault trace (see trace_tail). *)
 let trace_cap = 64
 
+(* The run's one node-level failure (single-failure model). A crashed
+   node is dead from [at] on. A partition makes (victim, peer) pairs
+   unreachable inside [start, heal): peers = [] isolates the victim from
+   everyone, a non-empty list blocks only those pairs. A stall adds
+   stall_penalty_ns to every delivery touching the victim inside its
+   window. Unlike a crash, the victim keeps executing throughout and both
+   windows heal. *)
+type injection =
+  | Crash of { node : int; at : Desim.Time.t }
+  | Partition of {
+      victim : int;
+      peers : int list;
+      start : Desim.Time.t;
+      heal : Desim.Time.t;
+    }
+  | Stall of { victim : int; start : Desim.Time.t; heal : Desim.Time.t }
+
 type t = {
-  level : level;
   p : params;
   seed : int;
   rng : Desim.Rng.t;
-  (* Fail-stop crash spec: this node is dead from the given instant on.
-     At most one node crashes per run (single-failure model). *)
-  crash : (int * Desim.Time.t) option;
-  (* Gray-failure specs. A partition makes (victim, peer) pairs
-     unreachable inside [start, heal): peers = [] isolates the victim
-     from everyone, a non-empty list blocks only those pairs. A stall
-     adds stall_penalty_ns to every delivery touching the victim inside
-     its window. Unlike crash, the victim keeps executing throughout and
-     both windows heal. *)
-  partition : (int * int list * Desim.Time.t * Desim.Time.t) option;
-  stall : (int * Desim.Time.t * Desim.Time.t) option;
+  injection : injection option;
   (* Delivery-order floor per (src,dst): the fabric reorders traffic only
      across distinct pairs (differential jitter); within one pair it
      delivers in order, like a reliable-connection QP. *)
@@ -76,7 +82,6 @@ type t = {
   mutable dropped : int;
   mutable retried : int;
   mutable dead_sends : int;
-  mutable unreachable_sends : int;
   (* Bounded ring of injected events with instants, for failing-seed
      artifacts: a failure is diagnosable from the log alone. *)
   trace : string option array;
@@ -84,14 +89,11 @@ type t = {
   mutable trace_total : int;
 }
 
-let create ?crash ?partition ?stall ~seed ~level () =
-  { level;
-    p = params_of_level level;
+let create ?injection ~seed ~level () =
+  { p = params_of_level level;
     seed;
     rng = Desim.Rng.create ~seed;
-    crash;
-    partition;
-    stall;
+    injection;
     last_arrival = Hashtbl.create 64;
     drops_in_row = Hashtbl.create 64;
     delayed = 0;
@@ -99,15 +101,9 @@ let create ?crash ?partition ?stall ~seed ~level () =
     dropped = 0;
     retried = 0;
     dead_sends = 0;
-    unreachable_sends = 0;
     trace = Array.make trace_cap None;
     trace_next = 0;
     trace_total = 0 }
-
-let level t = t.level
-let crash t = t.crash
-let partition t = t.partition
-let stall t = t.stall
 
 let record t ev =
   t.trace.(t.trace_next) <- Some ev;
@@ -133,9 +129,10 @@ let trace_tail t =
    timing chains are computed eagerly at future instants, so callers need
    to ask "is this node dead at instant T?" for arbitrary T. *)
 let node_dead t ~node ~at =
-  match t.crash with
-  | Some (n, since) -> n = node && Desim.Time.( <= ) since at
-  | None -> false
+  match t.injection with
+  | Some (Crash { node = n; at = since }) ->
+    n = node && Desim.Time.( <= ) since at
+  | _ -> false
 
 let in_window ~start ~heal ~at =
   Desim.Time.( <= ) start at && Desim.Time.( < ) at heal
@@ -146,8 +143,8 @@ let in_window ~start ~heal ~at =
    matter which leg of a round trip hit the wall. Pure in time, like
    node_dead, for the same eager-timing reason. *)
 let unreachable_peer t ~src ~dst ~at =
-  match t.partition with
-  | Some (victim, peers, start, heal)
+  match t.injection with
+  | Some (Partition { victim; peers; start; heal })
     when in_window ~start ~heal ~at
          && (src = victim || dst = victim)
          && (peers = [] || List.mem (if src = victim then dst else src) peers)
@@ -155,7 +152,6 @@ let unreachable_peer t ~src ~dst ~at =
   | _ -> None
 
 let note_unreachable t ~src ~dst ~at =
-  t.unreachable_sends <- t.unreachable_sends + 1;
   record t
     (Printf.sprintf "t=%dns unreachable %d->%d (partition)"
        (Desim.Time.to_ns at) src dst)
@@ -201,8 +197,8 @@ let perturb t ~src ~dst ~arrival =
   end;
   (* Stall penalty is a constant (no RNG draw, so attaching a stall spec
      does not shift the jitter/reorder/drop stream of the same seed). *)
-  (match t.stall with
-   | Some (victim, start, heal)
+  (match t.injection with
+   | Some (Stall { victim; start; heal })
      when (src = victim || dst = victim)
           && in_window ~start ~heal ~at:arrival ->
      extra := !extra + stall_penalty_ns
@@ -238,27 +234,3 @@ let messages_reordered t = t.reordered
 let messages_dropped t = t.dropped
 let messages_retried t = t.retried
 let messages_dead t = t.dead_sends
-let messages_unreachable t = t.unreachable_sends
-
-let pp ppf t =
-  Format.fprintf ppf "faults=%s delayed=%d reordered=%d dropped=%d retried=%d"
-    (level_name t.level) t.delayed t.reordered t.dropped t.retried;
-  (match t.crash with
-   | None -> ()
-   | Some (n, at) ->
-     Format.fprintf ppf " crash=node%d@%a dead-sends=%d" n Desim.Time.pp at
-       t.dead_sends);
-  (match t.partition with
-   | None -> ()
-   | Some (n, peers, start, heal) ->
-     Format.fprintf ppf " partition=node%d%s@[%a,%a) unreachable=%d" n
-       (match peers with
-        | [] -> ""
-        | ps ->
-          "/" ^ String.concat "," (List.map string_of_int ps))
-       Desim.Time.pp start Desim.Time.pp heal t.unreachable_sends);
-  match t.stall with
-  | None -> ()
-  | Some (n, start, heal) ->
-    Format.fprintf ppf " stall=node%d@[%a,%a)" n Desim.Time.pp start
-      Desim.Time.pp heal

@@ -30,32 +30,26 @@ val level_of_string : string -> (level, string) result
 
 type t
 
-val create :
-  ?crash:int * Desim.Time.t ->
-  ?partition:int * int list * Desim.Time.t * Desim.Time.t ->
-  ?stall:int * Desim.Time.t * Desim.Time.t ->
-  seed:int ->
-  level:level ->
-  unit ->
-  t
-(** [crash] is a fail-stop spec [(node, instant)]: the node is dead from
-    that instant on (it neither sends nor receives; see {!node_dead}). At
-    most one node crashes per run.
+(** The run's one node-level failure (single-failure model).
+    - [Crash]: fail-stop — [node] is dead from [at] on (it neither sends
+      nor receives; see {!node_dead}).
+    - [Partition]: inside [[start, heal)] every transmission between
+      [victim] and a node in [peers] ([peers = []] meaning {e everyone})
+      fails with [`Unreachable victim]. The victim keeps executing
+      throughout, and the window heals.
+    - [Stall]: deliveries touching [victim] inside [[start, heal)] pay
+      {!stall_penalty_ns} extra. *)
+type injection =
+  | Crash of { node : int; at : Desim.Time.t }
+  | Partition of {
+      victim : int;
+      peers : int list;
+      start : Desim.Time.t;
+      heal : Desim.Time.t;
+    }
+  | Stall of { victim : int; start : Desim.Time.t; heal : Desim.Time.t }
 
-    [partition] is a gray-failure spec [(victim, peers, start, heal)]:
-    inside [[start, heal)] every transmission between [victim] and a node
-    in [peers] ([peers = []] meaning {e everyone}) fails with
-    [`Unreachable victim]. The victim keeps executing throughout, and the
-    window heals. [stall] is [(victim, start, heal)]: deliveries touching
-    [victim] inside the window pay {!stall_penalty_ns} extra. *)
-
-val level : t -> level
-
-val crash : t -> (int * Desim.Time.t) option
-
-val partition : t -> (int * int list * Desim.Time.t * Desim.Time.t) option
-
-val stall : t -> (int * Desim.Time.t * Desim.Time.t) option
+val create : ?injection:injection -> seed:int -> level:level -> unit -> t
 
 val stall_penalty_ns : int
 (** Constant extra one-way latency (ns) on deliveries touching a stalled
@@ -75,7 +69,7 @@ val unreachable_peer : t -> src:int -> dst:int -> at:Desim.Time.t -> int option
 
 val note_unreachable : t -> src:int -> dst:int -> at:Desim.Time.t -> unit
 (** A transmission hit a closed partition at instant [at] (recorded by
-    {!Network.try_transfer}); counts it and appends to the trace. *)
+    {!Network.try_transfer}); appends it to the trace. *)
 
 val note_dead_send : t -> unit
 (** A transmission was addressed to a node that is dead at the send
@@ -115,6 +109,3 @@ val messages_reordered : t -> int
 val messages_dropped : t -> int
 val messages_retried : t -> int
 val messages_dead : t -> int
-val messages_unreachable : t -> int
-
-val pp : Format.formatter -> t -> unit

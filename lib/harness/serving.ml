@@ -41,7 +41,8 @@ let smh_config ~replication ~manager_shards ~crash ~span_ns =
   in
   if crash then
     { base with
-      Samhita.Config.crash_server = Some (0, span_ns / 2);
+      Samhita.Config.fault =
+        Some (Crash_server { server = 0; at_ns = span_ns / 2 });
       lease_interval = Desim.Time.ns 20_000 }
   else base
 

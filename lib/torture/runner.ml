@@ -28,12 +28,27 @@ type outcome = {
   o_fault_trace : string list;
 }
 
+type mode = Plain | Crash | Crash_shard | Partition
+
+let mode_of_flags ~crash ~crash_shard ~partition =
+  match (crash, crash_shard, partition) with
+  | false, false, false -> Ok Plain
+  | true, false, false -> Ok Crash
+  | false, true, false -> Ok Crash_shard
+  | false, false, true -> Ok Partition
+  | _ ->
+    Error
+      "--crash, --crash-shard and --partition are mutually exclusive \
+       (single-failure model)"
+
 (* Seed-derived system geometry for the compute kernels: small lines and
    tiny caches force evictions, multiple servers exercise striping, varied
    history lengths flip acquirers between patch and invalidate paths. The
    racy kernel keeps the default geometry — its per-class defect counts
-   are pinned by a test and must not depend on eviction accidents. *)
-let config_for ~kernel ~level ~crash ~crash_shard ~partition ~seed rng =
+   are pinned by a test and must not depend on eviction accidents. Each
+   fault mode draws its spec after all geometry draws, so it perturbs
+   only its own stream position, never the geometry. *)
+let config_for ~kernel ~level ~mode ~seed rng =
   let base =
     match kernel with
     | Racy ->
@@ -63,78 +78,73 @@ let config_for ~kernel ~level ~crash ~crash_shard ~partition ~seed rng =
         memory_servers = pick [ 1; 2; 3 ];
         threads_per_node = pick [ 1; 2; 4 ] }
   in
-  if crash then begin
-    (* Crash mode: replicated geometry (at least two servers so a backup
-       exists) with one seed-chosen server killed at a seed-chosen
-       instant. The racy kernel keeps its minimal replicated geometry for
-       the same pinned-count reason as above. Draws happen after all
-       geometry draws so crash mode perturbs only the crash spec's own
-       stream position, never the geometry. *)
+  (* Replicated geometry for the server-fault modes: at least two servers
+     so a backup exists, short leases. The racy kernel keeps its minimal
+     replicated geometry for the same pinned-count reason as above. *)
+  let replicated () =
     let ms =
       match kernel with
       | Racy -> 2
       | Micro | Jacobi | Kv -> 2 + Desim.Rng.int rng 2
     in
-    let victim = Desim.Rng.int rng ms in
-    let at = 5_000 + Desim.Rng.int rng 500_000 in
     { base with
       Samhita.Config.memory_servers = ms;
       replication = 1;
-      lease_interval = Desim.Time.ns 20_000;
-      crash_server = Some (victim, at) }
-  end
-  else if crash_shard then begin
-    (* Shard-crash mode: seed-derived sharded control plane (2..4 manager
-       shards) with one seed-chosen non-zero shard killed at a seed-chosen
-       instant; the ring successor must absorb the dead shard's sync
-       objects with no protocol invariant violated. Same stream-position
-       discipline as crash mode: drawn after all geometry draws. *)
+      lease_interval = Desim.Time.ns 20_000 }
+  in
+  match mode with
+  | Plain -> base
+  | Crash ->
+    (* One seed-chosen server killed at a seed-chosen instant. *)
+    let cfg = replicated () in
+    let server = Desim.Rng.int rng cfg.Samhita.Config.memory_servers in
+    let at_ns = 5_000 + Desim.Rng.int rng 500_000 in
+    { cfg with fault = Some (Crash_server { server; at_ns }) }
+  | Crash_shard ->
+    (* Seed-derived sharded control plane (2..4 manager shards) with one
+       seed-chosen non-zero shard killed at a seed-chosen instant; the
+       ring successor must absorb the dead shard's sync objects with no
+       protocol invariant violated. *)
     let shards = 2 + Desim.Rng.int rng 3 in
-    let victim = 1 + Desim.Rng.int rng (shards - 1) in
-    let at = 5_000 + Desim.Rng.int rng 500_000 in
+    let shard = 1 + Desim.Rng.int rng (shards - 1) in
+    let at_ns = 5_000 + Desim.Rng.int rng 500_000 in
     { base with
       Samhita.Config.manager_shards = shards;
-      crash_shard = Some (victim, at) }
-  end
-  else if partition then begin
-    (* Gray-failure mode: replicated geometry with one seed-chosen server
-       partitioned (not crashed) over a seed-chosen window. The window is
-       sized so the 20us lease reliably expires inside it (heartbeat
-       escalation lands ~90-150us after the cut): every seed exercises a
-       false suspicion, the epoch fence, and a post-heal rejoin. The
-       scope coin flip alternates the two gray-failure shapes — [Isolate]
-       (clients blocked too, park-and-retry) and [Control] (zombie
-       primary still reachable by clients, fencing load-bearing). Same
-       stream-position discipline as crash mode: drawn after all geometry
-       draws. *)
-    let ms =
-      match kernel with
-      | Racy -> 2
-      | Micro | Jacobi | Kv -> 2 + Desim.Rng.int rng 2
-    in
+      fault = Some (Crash_shard { shard; at_ns }) }
+  | Partition ->
+    (* Gray failure: one seed-chosen server partitioned (not crashed)
+       over a seed-chosen window, sized so the 20us lease reliably
+       expires inside it (heartbeat escalation lands ~90-150us after the
+       cut): every seed exercises a false suspicion, the epoch fence, and
+       a post-heal rejoin. The scope coin flip alternates the two
+       gray-failure shapes — [Isolate] (clients blocked too,
+       park-and-retry) and [Control] (zombie primary still reachable by
+       clients, fencing load-bearing). *)
+    let cfg = replicated () in
     let scope =
       if Desim.Rng.bool rng then Samhita.Config.Control
       else Samhita.Config.Isolate
     in
-    let victim = Desim.Rng.int rng ms in
-    let start = 5_000 + Desim.Rng.int rng 100_000 in
+    let server = Desim.Rng.int rng cfg.Samhita.Config.memory_servers in
+    let start_ns = 5_000 + Desim.Rng.int rng 100_000 in
     let dur = 200_000 + Desim.Rng.int rng 300_001 in
-    { base with
-      Samhita.Config.memory_servers = ms;
-      replication = 1;
-      lease_interval = Desim.Time.ns 20_000;
-      partition_server = Some (victim, scope, start, start + dur) }
-  end
-  else base
+    { cfg with
+      fault =
+        Some
+          (Partition_server
+             { server; scope; start_ns; heal_ns = start_ns + dur }) }
 
 let run_one ?(crash = false) ?(crash_shard = false) ?(partition = false)
     ~kernel ~level ~seed () =
+  let mode =
+    match mode_of_flags ~crash ~crash_shard ~partition with
+    | Ok mode -> mode
+    | Error e -> invalid_arg ("Torture.Runner.run_one: " ^ e)
+  in
   (* All scenario draws come from a stream independent of the system's own
      seeded streams (engine tie-break, fault policy). *)
   let rng = Desim.Rng.create ~seed:(Desim.Rng.hash3 seed 0x746f72 1) in
-  let config =
-    config_for ~kernel ~level ~crash ~crash_shard ~partition ~seed rng
-  in
+  let config = config_for ~kernel ~level ~mode ~seed rng in
   let oracle = Oracle.create ~config () in
   let captured = ref None in
   let on_create sys =

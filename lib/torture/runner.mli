@@ -17,6 +17,26 @@ type kernel = Micro | Jacobi | Kv | Racy
 val kernel_name : kernel -> string
 val kernel_of_string : string -> (kernel, string) result
 
+(** The one injected failure a seed derives (single-failure model):
+    - [Crash]: a replicated geometry (primary-backup, short leases) and a
+      fail-stop crash of one seed-chosen memory server at a seed-chosen
+      instant; the oracle also checks the post-recovery invariants.
+    - [Crash_shard]: a sharded control plane (2..4 manager shards) and a
+      fail-stop crash of one seed-chosen non-zero shard; the ring
+      successor absorbs the dead shard's sync objects mid-run and every
+      oracle invariant must hold across the takeover.
+    - [Partition]: a replicated geometry and a {e gray failure} — one
+      server partitioned over a bounded window (scope seed-chosen between
+      [Isolate] and [Control]), long enough that its lease falsely
+      expires; the oracle also checks the fencing invariants (no
+      split-brain, no lost acked write across the false suspicion, rejoin
+      convergence). *)
+type mode = Plain | Crash | Crash_shard | Partition
+
+val mode_of_flags :
+  crash:bool -> crash_shard:bool -> partition:bool -> (mode, string) result
+(** The mode the public flags name; an error when more than one is set. *)
+
 type outcome = {
   o_seed : int;
   o_wall_ns : int;
@@ -44,22 +64,9 @@ val run_one :
   ?partition:bool ->
   kernel:kernel -> level:Fabric.Faults.level -> seed:int -> unit -> outcome
 (** One deterministic torture run. Deadlock ([Desim.Engine.Stalled]) and
-    kernel crashes are reported as violations, never raised. With [crash]
-    (default off) the seed additionally derives a replicated geometry
-    (primary-backup, short leases) and a fail-stop crash of one
-    seed-chosen memory server at a seed-chosen instant; the oracle then
-    also checks the post-recovery invariants ({!Oracle}). With
-    [crash_shard] (default off, mutually exclusive with [crash]) the seed
-    instead derives a sharded control plane (2..4 manager shards) and a
-    fail-stop crash of one seed-chosen non-zero shard; the ring successor
-    absorbs the dead shard's sync objects mid-run and every oracle
-    invariant must hold across the takeover. With [partition] (default
-    off, mutually exclusive with both) the seed derives a replicated
-    geometry and a {e gray failure}: one server partitioned over a
-    bounded window (scope seed-chosen between [Isolate] and [Control]),
-    long enough that its lease falsely expires — the oracle then also
-    checks the fencing invariants (no split-brain, no lost acked write
-    across the false suspicion, rejoin convergence). *)
+    kernel crashes are reported as violations, never raised. The flags
+    (all default off) select the {!mode} via {!mode_of_flags}; setting
+    more than one raises [Invalid_argument]. *)
 
 type summary = {
   s_kernel : kernel;

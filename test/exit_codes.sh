@@ -53,6 +53,8 @@ expect 2 "torture rejects crash-shard on racy" torture --kernel racy --seeds 1 -
 expect 0 "clean partition torture sweep" torture --kernel micro --seeds 2 --faults off --partition
 expect 2 "torture rejects crash + partition" torture --kernel micro --seeds 1 --crash --partition
 expect 2 "torture rejects partition on racy" torture --kernel racy --seeds 1 --partition
+expect 2 "torture rejects crash-shard + partition" torture --kernel micro --seeds 1 --crash-shard --partition
+expect 2 "torture rejects all three fault modes" torture --kernel micro --seeds 1 --crash --crash-shard --partition
 
 # check gray model: fenced runs clean (0), replay/crash are usage errors.
 expect 0 "gray fence model holds" check --kernel gray

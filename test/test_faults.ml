@@ -166,7 +166,9 @@ let test_backoff_cap_boundary () =
 let test_crash_deadness_is_time_based () =
   let since = Desim.Time.of_ns 10_000 in
   let f =
-    Fabric.Faults.create ~crash:(2, since) ~seed:1 ~level:Fabric.Faults.Off ()
+    Fabric.Faults.create
+      ~injection:(Crash { node = 2; at = since })
+      ~seed:1 ~level:Fabric.Faults.Off ()
   in
   Alcotest.(check bool) "alive before the crash instant" false
     (Fabric.Faults.node_dead f ~node:2 ~at:(Desim.Time.of_ns 9_999));
@@ -183,7 +185,9 @@ let test_dead_dst_escalates_after_budget () =
      [dead_retry_budget] retransmissions — each counted once by
      [note_retry] — the sender gives up with [Node_dead]. *)
   let faults =
-    Fabric.Faults.create ~crash:(1, t0) ~seed:5 ~level:Fabric.Faults.Off ()
+    Fabric.Faults.create
+      ~injection:(Crash { node = 1; at = t0 })
+      ~seed:5 ~level:Fabric.Faults.Off ()
   in
   let _, net = mk_net ~faults () in
   let raised =
@@ -226,7 +230,9 @@ let test_dead_src_sends_nothing () =
      dead-send counted), but the caller still pays the retry schedule
      before concluding the peer — itself — is gone. *)
   let faults =
-    Fabric.Faults.create ~crash:(0, t0) ~seed:5 ~level:Fabric.Faults.Off ()
+    Fabric.Faults.create
+      ~injection:(Crash { node = 0; at = t0 })
+      ~seed:5 ~level:Fabric.Faults.Off ()
   in
   let _, net = mk_net ~faults () in
   Alcotest.check_raises "escalates" (Failure "Node_dead") (fun () ->
@@ -241,8 +247,9 @@ let test_dead_src_sends_nothing () =
 let test_delivery_before_crash_instant () =
   (* Sends completing before the crash instant behave normally. *)
   let faults =
-    Fabric.Faults.create ~crash:(1, Desim.Time.of_ns 1_000_000) ~seed:5
-      ~level:Fabric.Faults.Off ()
+    Fabric.Faults.create
+      ~injection:(Crash { node = 1; at = Desim.Time.of_ns 1_000_000 })
+      ~seed:5 ~level:Fabric.Faults.Off ()
   in
   let _, net1 = mk_net ~faults () in
   let _, net2 = mk_net () in

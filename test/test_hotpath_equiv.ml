@@ -292,69 +292,9 @@ let prop_heap_matches_boxed =
        in
        drain ())
 
-(* ------------------------------------------------------------------ *)
-(* Region-log coalescing: same final memory, never more wire bytes     *)
-
-let region = 256
-
-let gen_stores =
-  QCheck.Gen.(
-    list_size (int_range 1 40)
-      (int_range 0 1 >>= fun k ->
-       if k = 0 then
-         (* 8-aligned i64 store *)
-         map
-           (fun (slot, v) -> (slot * 8, Int64.of_int v))
-           (pair (int_bound ((region / 8) - 1)) (int_bound 10_000))
-       else
-         map
-           (fun (off, len) -> (off, Int64.of_int len))
-           (pair (int_bound (region - 25)) (int_range 1 24))))
-
-let replay log buf =
-  (* Oldest-first, as grant patches and home application do. *)
-  List.iter
-    (fun (u : Samhita.Update.t) ->
-       Bytes.blit u.Samhita.Update.data 0 buf u.Samhita.Update.addr
-         (Bytes.length u.Samhita.Update.data))
-    (List.rev log)
-
-let prop_coalesced_log_equivalent =
-  QCheck.Test.make
-    ~name:"coalesced region log: same memory, wire bytes never larger"
-    ~count:500
-    (QCheck.make gen_stores)
-    (fun stores ->
-       let plain = ref [] and coal = ref [] in
-       List.iteri
-         (fun i (off, v) ->
-            (* Even entries: i64 stores; odd entries reuse v as a length
-               for a run of bytes — both shapes the runtime logs. *)
-            let data =
-              if i land 1 = 0 && off land 7 = 0 then Samhita.Update.i64_data v
-              else
-                Bytes.make
-                  (min (Int64.to_int v mod 24 + 1) (region - off))
-                  (Char.chr (i land 0xFF))
-            in
-            plain :=
-              Samhita.Update.append ~coalesce:false !plain ~addr:off data;
-            coal :=
-              Samhita.Update.append ~coalesce:true !coal ~addr:off data)
-         stores;
-       let m1 = Bytes.make region '\000' in
-       let m2 = Bytes.make region '\000' in
-       replay !plain m1;
-       replay !coal m2;
-       Bytes.equal m1 m2
-       && Samhita.Update.log_wire_bytes !coal
-          <= Samhita.Update.log_wire_bytes !plain
-       && List.length !coal <= List.length !plain)
-
 let tests =
   [ QCheck_alcotest.to_alcotest prop_diff_matches_reference;
     QCheck_alcotest.to_alcotest prop_victims_match_scan;
-    QCheck_alcotest.to_alcotest prop_heap_matches_boxed;
-    QCheck_alcotest.to_alcotest prop_coalesced_log_equivalent ]
+    QCheck_alcotest.to_alcotest prop_heap_matches_boxed ]
 
 let () = Alcotest.run "hotpath-equiv" [ ("equivalence", tests) ]

@@ -18,13 +18,18 @@ let contains hay needle =
 
 (* A replicated two-server geometry with a short lease so the detector
    fires inside the partition window at test scale. *)
-let gray_config ?partition_server ?stall_server () =
+let gray_config ?fault () =
   { cfg with
     memory_servers = 2;
     replication = 1;
     lease_interval = Desim.Time.ns 20_000;
-    partition_server;
-    stall_server }
+    fault }
+
+let partition scope server start_ns heal_ns =
+  Samhita.Config.Partition_server { server; scope; start_ns; heal_ns }
+
+let stall server start_ns heal_ns =
+  Samhita.Config.Stall_server { server; start_ns; heal_ns }
 
 (* ---------------- configuration validation ---------------- *)
 
@@ -34,34 +39,21 @@ let test_config_validation () =
   in
   let iso = Samhita.Config.Isolate in
   Alcotest.(check bool) "victim out of range" true
-    (bad (gray_config ~partition_server:(2, iso, 0, 1000) ()));
+    (bad (gray_config ~fault:(partition iso 2 0 1000) ()));
   Alcotest.(check bool) "empty window rejected" true
-    (bad (gray_config ~partition_server:(0, iso, 1000, 1000) ()));
+    (bad (gray_config ~fault:(partition iso 0 1000 1000) ()));
   Alcotest.(check bool) "negative start rejected" true
-    (bad (gray_config ~partition_server:(0, iso, -1, 1000) ()));
+    (bad (gray_config ~fault:(partition iso 0 (-1) 1000) ()));
   Alcotest.(check bool) "partition requires replication" true
     (bad
-       { (gray_config ~partition_server:(0, iso, 0, 1000) ()) with
+       { (gray_config ~fault:(partition iso 0 0 1000) ()) with
          replication = 0 });
-  Alcotest.(check bool) "partition excludes crash" true
-    (bad
-       { (gray_config ~partition_server:(0, iso, 0, 1000) ()) with
-         crash_server = Some (1, 5000) });
   Alcotest.(check bool) "stall victim out of range" true
-    (bad (gray_config ~stall_server:(2, 0, 1000) ()));
+    (bad (gray_config ~fault:(stall 2 0 1000) ()));
   Alcotest.(check bool) "valid partition accepted" false
-    (bad (gray_config ~partition_server:(0, iso, 5_000, 300_000) ()));
+    (bad (gray_config ~fault:(partition iso 0 5_000 300_000) ()));
   Alcotest.(check bool) "valid stall accepted" false
-    (bad (gray_config ~stall_server:(0, 5_000, 300_000) ()));
-  (match Samhita.Config.scope_of_string "control" with
-   | Ok Samhita.Config.Control -> ()
-   | _ -> Alcotest.fail "scope_of_string control");
-  (match Samhita.Config.scope_of_string "iso" with
-   | Ok Samhita.Config.Isolate -> ()
-   | _ -> Alcotest.fail "scope_of_string iso");
-  match Samhita.Config.scope_of_string "sideways" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "unknown scope accepted"
+    (bad (gray_config ~fault:(stall 0 5_000 300_000) ()))
 
 (* ---------------- retry jitter (decorrelated backoff) ---------------- *)
 
@@ -101,8 +93,9 @@ let test_partition_window () =
   let t0 = Desim.Time.of_ns 10_000 and t1 = Desim.Time.of_ns 20_000 in
   (* Isolate: empty peer list means everyone is blocked. *)
   let f =
-    Fabric.Faults.create ~partition:(2, [], t0, t1) ~seed:7
-      ~level:Fabric.Faults.Off ()
+    Fabric.Faults.create
+      ~injection:(Partition { victim = 2; peers = []; start = t0; heal = t1 })
+      ~seed:7 ~level:Fabric.Faults.Off ()
   in
   let at ns = Desim.Time.of_ns ns in
   Alcotest.(check (option int)) "closed before the window" None
@@ -117,8 +110,10 @@ let test_partition_window () =
     (Fabric.Faults.unreachable_peer f ~src:0 ~dst:1 ~at:(at 15_000));
   (* Control: only the listed peers are cut off from the victim. *)
   let g =
-    Fabric.Faults.create ~partition:(2, [ 5 ], t0, t1) ~seed:7
-      ~level:Fabric.Faults.Off ()
+    Fabric.Faults.create
+      ~injection:
+        (Partition { victim = 2; peers = [ 5 ]; start = t0; heal = t1 })
+      ~seed:7 ~level:Fabric.Faults.Off ()
   in
   Alcotest.(check (option int)) "listed peer blocked" (Some 2)
     (Fabric.Faults.unreachable_peer g ~src:5 ~dst:2 ~at:(at 15_000));
@@ -186,8 +181,8 @@ let test_oracle_split_brain () =
    and — when the window is long enough for the lease to expire — the
    detector's false suspicion must end in a fenced epoch bump and a
    post-heal rejoin. *)
-let partition_run ?stall_server ?partition_server ~threads ~iters () =
-  let config = gray_config ?partition_server ?stall_server () in
+let partition_run ?fault ~threads ~iters () =
+  let config = gray_config ?fault () in
   let addr = ref 0 in
   let final = ref nan in
   let sys = Samhita.System.create ~config ~threads () in
@@ -226,7 +221,7 @@ let test_partition_isolate_survives () =
   let threads = 4 and iters = 25 in
   let sys, final =
     partition_run
-      ~partition_server:(0, Samhita.Config.Isolate, 5_000, 400_000)
+      ~fault:(partition Samhita.Config.Isolate 0 5_000 400_000)
       ~threads ~iters ()
   in
   Alcotest.(check (float 0.)) "all acked increments survive the partition"
@@ -246,7 +241,7 @@ let test_partition_control_zombie_fenced () =
   let threads = 4 and iters = 25 in
   let sys, final =
     partition_run
-      ~partition_server:(0, Samhita.Config.Control, 5_000, 400_000)
+      ~fault:(partition Samhita.Config.Control 0 5_000 400_000)
       ~threads ~iters ()
   in
   Alcotest.(check (float 0.)) "no increment lost or doubled via the zombie"
@@ -268,7 +263,7 @@ let test_lease_expiry_at_heal_boundary () =
     (fun heal ->
        let sys, final =
          partition_run
-           ~partition_server:(0, Samhita.Config.Isolate, 5_000, heal)
+           ~fault:(partition Samhita.Config.Isolate 0 5_000 heal)
            ~threads ~iters ()
        in
        Alcotest.(check (float 0.))
@@ -292,7 +287,7 @@ let test_lease_expiry_at_heal_boundary () =
 let test_stall_is_not_suspected () =
   let threads = 2 and iters = 15 in
   let sys, final =
-    partition_run ~stall_server:(0, 5_000, 300_000) ~threads ~iters ()
+    partition_run ~fault:(stall 0 5_000 300_000) ~threads ~iters ()
   in
   Alcotest.(check (float 0.)) "stalled run completes exactly"
     (float_of_int (threads * iters))
@@ -305,7 +300,7 @@ let test_partition_run_deterministic () =
   let run () =
     let sys, final =
       partition_run
-        ~partition_server:(1, Samhita.Config.Control, 10_000, 350_000)
+        ~fault:(partition Samhita.Config.Control 1 10_000 350_000)
         ~threads:3 ~iters:15 ()
     in
     let d = detection sys in
@@ -337,16 +332,17 @@ let test_suspicion_during_inflight_write () =
        let r = Check.Gray.explore ~scope ~writes:2 () in
        Alcotest.(check int)
          (Printf.sprintf "scope %s: no violations with the fence"
-            (Check.Gray.scope_name scope))
+            (Samhita.Config.scope_name scope))
          0
          (List.length r.Check.Gray.g_defects);
        Alcotest.(check bool) "interleavings explored" true
          (r.Check.Gray.g_states > 10);
        Alcotest.(check bool) "some deliveries were fenced" true
          (r.Check.Gray.g_fenced > 0))
-    [ Check.Gray.Isolate; Check.Gray.Control ];
+    [ Samhita.Config.Isolate; Samhita.Config.Control ];
   let neg =
-    Check.Gray.explore ~fence:false ~scope:Check.Gray.Control ~writes:2 ()
+    Check.Gray.explore ~fence:false ~scope:Samhita.Config.Control ~writes:2
+      ()
   in
   Alcotest.(check bool) "fence disabled: split-brain found" true
     (List.exists
@@ -368,13 +364,13 @@ let test_detection_gated () =
    | None -> ()
    | Some _ -> Alcotest.fail "healthy run must not report detection");
   let pp = Format.asprintf "%a" Samhita.Config.pp cfg in
-  Alcotest.(check bool) "default config pp has no gray line" false
-    (contains pp "gray:")
+  Alcotest.(check bool) "default config pp names no fault" true
+    (contains pp "fault=none")
 
 let test_report_shows_detection_line () =
   let sys, _ =
     partition_run
-      ~partition_server:(0, Samhita.Config.Isolate, 5_000, 400_000)
+      ~fault:(partition Samhita.Config.Isolate 0 5_000 400_000)
       ~threads:2 ~iters:10 ()
   in
   let report =

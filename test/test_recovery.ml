@@ -13,12 +13,12 @@ let line_bytes = Samhita.Config.line_bytes cfg
 
 (* A replicated two-server geometry with a short lease so the detector
    fires promptly at test scale. *)
-let ft_config ?crash_server () =
+let ft_config ?fault () =
   { cfg with
     memory_servers = 2;
     replication = 1;
     lease_interval = Desim.Time.ns 20_000;
-    crash_server }
+    fault }
 
 (* ---------------- configuration validation ---------------- *)
 
@@ -31,11 +31,45 @@ let test_config_validation () =
   Alcotest.(check bool) "replication needs 2 servers" true
     (bad { cfg with memory_servers = 1; replication = 1 });
   Alcotest.(check bool) "crash index out of range" true
-    (bad { cfg with memory_servers = 2; crash_server = Some (2, 1000) });
+    (bad
+       { cfg with
+         memory_servers = 2;
+         fault = Some (Crash_server { server = 2; at_ns = 1000 }) });
   Alcotest.(check bool) "negative crash instant" true
-    (bad { cfg with memory_servers = 2; crash_server = Some (0, -1) });
+    (bad
+       { cfg with
+         memory_servers = 2;
+         fault = Some (Crash_server { server = 0; at_ns = -1 }) });
   Alcotest.(check bool) "valid ft config accepted" false
-    (bad (ft_config ~crash_server:(0, 50_000) ()))
+    (bad
+       (ft_config ~fault:(Crash_server { server = 0; at_ns = 50_000 }) ()))
+
+(* Every injected failure is regc-only, and each is accepted on a
+   geometry that can survive it: two servers, two manager shards,
+   primary-backup replication (SC rejects replication on its own, so its
+   geometry leaves it off). *)
+let test_fault_constructors () =
+  let valid =
+    { cfg with memory_servers = 2; manager_shards = 2; replication = 1 }
+  in
+  let sc =
+    { valid with model = Samhita.Config.Sc_invalidate; replication = 0 }
+  in
+  List.iter
+    (fun (name, fault) ->
+       Alcotest.(check (result unit string))
+         (name ^ " rejected under sc-invalidate")
+         (Error (name ^ " is only modeled for the regc engine"))
+         (Samhita.Config.validate { sc with fault = Some fault });
+       Alcotest.(check (result unit string)) (name ^ " accepted") (Ok ())
+         (Samhita.Config.validate { valid with fault = Some fault }))
+    [ ("crash_server", Samhita.Config.Crash_server { server = 1; at_ns = 0 });
+      ("crash_shard", Crash_shard { shard = 1; at_ns = 0 });
+      ( "partition_server",
+        Partition_server
+          { server = 0; scope = Control; start_ns = 0; heal_ns = 1 } );
+      ("stall_server", Stall_server { server = 1; start_ns = 0; heal_ns = 1 })
+    ]
 
 (* ---------------- replication without a crash ---------------- *)
 
@@ -74,8 +108,8 @@ let test_mirror_on_healthy_run () =
    one server dies mid-run. The run must complete (no [Engine.Stalled]),
    exactly one promotion must happen, and all acked increments must
    survive on the promoted replica. *)
-let crash_run ~crash_server ~threads ~iters =
-  let config = ft_config ~crash_server () in
+let crash_run ~crash:(server, at_ns) ~threads ~iters =
+  let config = ft_config ~fault:(Crash_server { server; at_ns }) () in
   let addr = ref 0 in
   let final = ref nan in
   let sys = Samhita.System.create ~config ~threads () in
@@ -107,7 +141,7 @@ let crash_run ~crash_server ~threads ~iters =
 
 let test_crash_mid_run_completes () =
   let threads = 4 and iters = 25 in
-  let sys, final = crash_run ~crash_server:(0, 400_000) ~threads ~iters in
+  let sys, final = crash_run ~crash:(0, 400_000) ~threads ~iters in
   Alcotest.(check (float 0.)) "all acked increments survive failover"
     (float_of_int (threads * iters))
     final;
@@ -120,7 +154,7 @@ let test_crash_mid_run_completes () =
 
 let test_crash_other_server () =
   let threads = 4 and iters = 25 in
-  let sys, final = crash_run ~crash_server:(1, 400_000) ~threads ~iters in
+  let sys, final = crash_run ~crash:(1, 400_000) ~threads ~iters in
   Alcotest.(check (float 0.)) "server 1 crash also survives"
     (float_of_int (threads * iters))
     final;
@@ -132,7 +166,7 @@ let test_crash_other_server () =
    node, exercising the park-until-recovery path from a cold start. *)
 let test_crash_at_time_zero () =
   let threads = 2 and iters = 10 in
-  let sys, final = crash_run ~crash_server:(0, 0) ~threads ~iters in
+  let sys, final = crash_run ~crash:(0, 0) ~threads ~iters in
   Alcotest.(check (float 0.)) "cold-start crash survives"
     (float_of_int (threads * iters))
     final;
@@ -144,7 +178,7 @@ let test_crash_at_time_zero () =
    and counters. *)
 let test_crash_run_deterministic () =
   let run () =
-    let sys, final = crash_run ~crash_server:(0, 300_000) ~threads:3 ~iters:15 in
+    let sys, final = crash_run ~crash:(0, 300_000) ~threads:3 ~iters:15 in
     let r =
       match Samhita.Metrics.replication_of_system sys with
       | Some r -> r
@@ -168,7 +202,7 @@ let test_crash_run_deterministic () =
    unreplicated and count them. Crash server 1 (= backup of 0) and keep
    writing to stripes homed on 0 after the crash. *)
 let test_degraded_writes_counted () =
-  let sys, final = crash_run ~crash_server:(1, 100_000) ~threads:4 ~iters:40 in
+  let sys, final = crash_run ~crash:(1, 100_000) ~threads:4 ~iters:40 in
   Alcotest.(check (float 0.)) "degraded run correct" (float_of_int (4 * 40))
     final;
   match Samhita.Metrics.replication_of_system sys with
@@ -180,7 +214,7 @@ let test_degraded_writes_counted () =
 (* Report integration: the fault-tolerance line shows up exactly when
    replication is configured. *)
 let test_report_shows_ft_line () =
-  let sys, _ = crash_run ~crash_server:(0, 300_000) ~threads:2 ~iters:10 in
+  let sys, _ = crash_run ~crash:(0, 300_000) ~threads:2 ~iters:10 in
   let report = Format.asprintf "%a" Harness.Report.pp
       (Harness.Report.of_system sys) in
   let contains hay needle =
@@ -194,6 +228,8 @@ let test_report_shows_ft_line () =
 
 let tests =
   [ Alcotest.test_case "config validation" `Quick test_config_validation;
+    Alcotest.test_case "fault constructors are regc-only" `Quick
+      test_fault_constructors;
     Alcotest.test_case "healthy replicated run" `Quick
       test_mirror_on_healthy_run;
     Alcotest.test_case "crash mid-run completes" `Quick

@@ -202,19 +202,20 @@ let test_config_bounds () =
   rejects
     "crash_shard requires manager_shards >= 2 (a surviving shard must \
      take over)"
-    { d with Samhita.Config.crash_shard = Some (1, 100) };
+    { d with
+      Samhita.Config.fault = Some (Crash_shard { shard = 1; at_ns = 100 }) };
   rejects
     "crash_shard index out of range (shard 0 hosts allocation and is \
      not killable)"
     { d with
       Samhita.Config.manager_shards = 3;
-      crash_shard = Some (0, 100) };
+      fault = Some (Crash_shard { shard = 0; at_ns = 100 }) };
   rejects
     "crash_shard index out of range (shard 0 hosts allocation and is \
      not killable)"
     { d with
       Samhita.Config.manager_shards = 3;
-      crash_shard = Some (3, 100) };
+      fault = Some (Crash_shard { shard = 3; at_ns = 100 }) };
   Alcotest.(check bool) "valid sharded config accepted" true
     (Samhita.Config.validate
        { d with Samhita.Config.manager_shards = 4; home_migration = true }

@@ -196,7 +196,7 @@ let crash_then_finalize ~zero_first ~tamper =
       Samhita.Config.memory_servers = 2;
       replication = 1;
       lease_interval = Desim.Time.ns 20_000;
-      crash_server = Some (0, 200_000) }
+      fault = Some (Crash_server { server = 0; at_ns = 200_000 }) }
   in
   let oracle = Torture.Oracle.create ~config () in
   let sys = Samhita.System.create ~config ~threads:1 () in
