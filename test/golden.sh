@@ -28,6 +28,12 @@ row micro -t 8 -m 4 -s 2
 row jacobi -t 8 -n 64 --iters 3
 row md -t 4 -n 48 --steps 2
 
+# The sanitizer's findings and timestamps: the seeded-bug kernel, a clean
+# kernel under --sanitize, and the torture runner's racy kernel.
+row race
+row jacobi --sanitize -t 4 -n 64 --iters 4
+row torture --kernel racy --seeds 5
+
 row serve --seed 7 -t 8 --clients 8 --requests 2000
 
 for kernel in micro jacobi kv; do
