@@ -144,54 +144,35 @@ let run_once opts ~prefix ~branch_sleep =
     depth := d + 1;
     k
   in
-  let op = Torture.Oracle.probe oracle in
-  let probe =
-    { Samhita.Probe.on_read =
-        (fun ~thread ~time ~addr ~len ~value ->
-           Footprint.add_read !cur ~thread ~addr ~len;
-           op.Samhita.Probe.on_read ~thread ~time ~addr ~len ~value);
-      on_write =
-        (fun ~thread ~time ~addr ~len ~value ->
-           Footprint.add_write !cur ~thread ~addr ~len;
-           op.Samhita.Probe.on_write ~thread ~time ~addr ~len ~value);
-      on_publish = op.Samhita.Probe.on_publish;
-      on_malloc =
-        (fun ~thread ~time ~addr ~bytes ->
-           Footprint.add_thread !cur thread;
-           op.Samhita.Probe.on_malloc ~thread ~time ~addr ~bytes);
-      on_free =
-        (fun ~thread ~time ~addr ~bytes ->
-           Footprint.add_thread !cur thread;
-           op.Samhita.Probe.on_free ~thread ~time ~addr ~bytes);
-      on_barrier =
-        (fun ~thread ~time ~barrier ~epoch ~phase ->
-           Footprint.add_sync !cur ~thread (Printf.sprintf "bar:%d" barrier);
-           op.Samhita.Probe.on_barrier ~thread ~time ~barrier ~epoch ~phase);
-      on_sync =
-        (fun ~thread ~time ~op:sync_op ->
-           let name =
-             match sync_op with
-             | Samhita.Probe.Lock_acquired l | Samhita.Probe.Unlock l ->
-               Printf.sprintf "lock:%d" l
-             | Samhita.Probe.Cond_signal c | Samhita.Probe.Cond_wake c ->
-               Printf.sprintf "cond:%d" c
-           in
-           Footprint.add_sync !cur ~thread name;
-           op.Samhita.Probe.on_sync ~thread ~time ~op:sync_op);
-      on_crash =
-        (fun ~time ~node ~server ->
-           Footprint.set_global !cur;
-           op.Samhita.Probe.on_crash ~time ~node ~server);
-      on_recovery =
-        (fun ~time ~failed ~promoted ~replayed ->
-           Footprint.set_global !cur;
-           op.Samhita.Probe.on_recovery ~time ~failed ~promoted ~replayed);
-      on_rejoin =
-        (fun ~time ~zombie ~primary ~copied ->
-           Footprint.set_global !cur;
-           op.Samhita.Probe.on_rejoin ~time ~zombie ~primary ~copied) }
-  in
-  Samhita.System.set_probe sys probe;
+  (* The footprint recorder subscribes next to the oracle. The
+     sanitizer's [Lock_attempt] and [Release] instants add no object the
+     [Lock_acquired]/[Unlock] pair does not already name. *)
+  let sync name ~thread = Footprint.add_sync !cur ~thread name in
+  let global () = Footprint.set_global !cur in
+  Torture.Oracle.attach oracle sys;
+  Samhita.System.add_probe sys
+    { Samhita.Probe.nothing with
+      on_read = (fun ~thread ~time:_ ~addr ~len ~value:_ ->
+          Footprint.add_read !cur ~thread ~addr ~len);
+      on_write = (fun ~thread ~time:_ ~addr ~len ~region:_ ~value:_ ->
+          Footprint.add_write !cur ~thread ~addr ~len);
+      on_malloc = (fun ~thread ~time:_ ~addr:_ ~bytes:_ ->
+          Footprint.add_thread !cur thread);
+      on_free = (fun ~thread ~time:_ ~addr:_ ~bytes:_ ->
+          Footprint.add_thread !cur thread);
+      on_barrier = (fun ~thread ~time:_ ~barrier ~epoch:_ ~phase:_ ->
+          sync (Printf.sprintf "bar:%d" barrier) ~thread);
+      on_sync = (fun ~thread ~time:_ ~op ~id ->
+          match op with
+          | Samhita.Probe.Lock_attempt | Samhita.Probe.Release -> ()
+          | Samhita.Probe.Lock_acquired | Samhita.Probe.Unlock ->
+            sync (Printf.sprintf "lock:%d" id) ~thread
+          | Samhita.Probe.Cond_signal | Samhita.Probe.Cond_wake ->
+            sync (Printf.sprintf "cond:%d" id) ~thread);
+      on_crash = (fun ~time:_ ~node:_ ~server:_ -> global ());
+      on_recovery = (fun ~time:_ ~failed:_ ~promoted:_ ~replayed:_ ->
+          global ());
+      on_rejoin = (fun ~time:_ ~zombie:_ ~primary:_ ~copied:_ -> global ()) };
   Desim.Engine.set_chooser engine (Some chooser);
   let check_sum =
     Kernels.build opts.kernel sys ~threads:opts.threads ~pages:opts.pages

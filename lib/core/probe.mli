@@ -1,24 +1,34 @@
-(** A protocol-event observer attachable to a running system
-    ({!System.set_probe}).
+(** The protocol-event stream: the one observer mechanism of a running
+    system ({!System.add_probe}).
 
-    The torture harness's linearizable-memory oracle subscribes through
-    this record: the runtime reports every global-memory access (with the
-    value for 8-byte word accesses), every {e publication} — a home-side
-    merge of a flushed diff or update log, the instant a value becomes
-    RegC-visible to other threads — every allocation event, every barrier
-    episode and every lock/condvar edge.
+    The runtime reports every global-memory access (with the value for
+    8-byte word accesses), every {e publication} — a home-side merge of a
+    flushed diff or update log, the instant a value becomes RegC-visible
+    to other threads — every allocation event, every barrier episode and
+    every lock/condvar edge. Three subscribers read it:
+    - the RegCSan sanitizer ({!Analysis.Regcsan}), attached by
+      {!System.create} when [Config.sanitize] is set;
+    - the torture harness's linearizable-memory oracle;
+    - RegCCheck's per-interval footprint recorder, next to the oracle.
 
     Callbacks run synchronously inside the emitting thread's process, in
     deterministic simulation order, so an event stream is replayable and
     hashable. [data] buffers passed to [on_publish] are {e borrowed} (the
     home's live line) — copy before retaining. With no probe attached the
-    runtime pays one branch per event site. *)
+    runtime pays one branch per event site and builds no argument. *)
 
+(** A lock or condvar edge. Constant constructors, with the object id
+    passed beside them, so an edge event allocates nothing. *)
 type sync_op =
-  | Lock_acquired of int
-  | Unlock of int
-  | Cond_signal of int
-  | Cond_wake of int
+  | Lock_attempt
+      (** Before the acquire request leaves, and before any blocking. *)
+  | Lock_acquired
+  | Release
+      (** Unlock entry: the release's happens-before instant, before the
+          update log is flushed. *)
+  | Unlock  (** The release was acknowledged by the manager. *)
+  | Cond_signal
+  | Cond_wake
 
 type t = {
   on_read :
@@ -27,8 +37,11 @@ type t = {
       (** [value] is [Some] for aligned 8-byte accesses, [None] for bulk
           or sub-word reads. *)
   on_write :
-    thread:int -> time:Desim.Time.t -> addr:int -> len:int ->
+    thread:int -> time:Desim.Time.t -> addr:int -> len:int -> region:int ->
     value:int64 option -> unit;
+      (** [region] is the innermost lock the writer holds — the
+          consistency region the store belongs to — or [-1] for an
+          ordinary write. *)
   on_publish :
     thread:int -> time:Desim.Time.t -> server:int -> line:int ->
     version:int -> data:bytes -> unit;
@@ -40,7 +53,11 @@ type t = {
   on_barrier :
     thread:int -> time:Desim.Time.t -> barrier:int -> epoch:int ->
     phase:[ `Arrive | `Depart ] -> unit;
-  on_sync : thread:int -> time:Desim.Time.t -> op:sync_op -> unit;
+      (** [epoch] is captured before arriving, so every participant of
+          one episode names the same epoch. *)
+  on_sync : thread:int -> time:Desim.Time.t -> op:sync_op -> id:int -> unit;
+      (** [id] is the lock for the four lock ops, the condvar for the
+          two condvar ops. *)
   on_crash : time:Desim.Time.t -> node:int -> server:int -> unit;
       (** The lease monitor detected that fabric node [node] (hosting
           memory server [server]) is fail-stop dead. [time] is the
@@ -60,3 +77,6 @@ type t = {
 
 val nothing : t
 (** Every callback a no-op; build probes with [{ nothing with ... }]. *)
+
+val both : t -> t -> t
+(** [both a b] delivers every event to [a], then to [b]. *)

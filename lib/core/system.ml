@@ -251,7 +251,32 @@ let migrator t ~line ~target =
     end
   end
 
-let create ?(trace = Desim.Trace.null) ?(config = Config.default) ~threads () =
+(* RegCSan as a probe subscriber. [Release] (unlock entry) is the
+   sanitizer's happens-before release instant; the post-ack [Unlock] and
+   every non-access event carry nothing it needs. *)
+let sanitizer_probe s =
+  let module R = Analysis.Regcsan in
+  { Probe.nothing with
+    on_read = (fun ~thread ~time ~addr ~len ~value:_ ->
+        R.on_read s ~thread ~time ~addr ~len);
+    on_write = (fun ~thread ~time ~addr ~len ~region ~value:_ ->
+        R.on_write s ~thread ~time ~addr ~len ~lock:region);
+    on_malloc = R.on_malloc s;
+    on_free = R.on_free s;
+    on_barrier = (fun ~thread ~time:_ ~barrier ~epoch ~phase ->
+        match phase with
+        | `Arrive -> R.on_barrier_arrive s ~thread ~barrier ~epoch
+        | `Depart -> R.on_barrier_depart s ~thread ~barrier ~epoch);
+    on_sync = (fun ~thread ~time ~op ~id ->
+        match op with
+        | Probe.Lock_attempt -> R.on_lock_attempt s ~thread ~time ~lock:id
+        | Probe.Lock_acquired -> R.on_lock_acquired s ~thread ~time ~lock:id
+        | Probe.Release -> R.on_unlock s ~thread ~time ~lock:id
+        | Probe.Unlock -> ()
+        | Probe.Cond_signal -> R.on_cond_signal s ~thread ~cond:id
+        | Probe.Cond_wake -> R.on_cond_wake s ~thread ~cond:id) }
+
+let create ?(config = Config.default) ~threads () =
   (match Config.validate config with
    | Ok () -> ()
    | Error msg -> invalid_arg ("System.create: " ^ msg));
@@ -267,7 +292,7 @@ let create ?(trace = Desim.Trace.null) ?(config = Config.default) ~threads () =
       Some (Desim.Engine.shuffle_tie_break ~seed:config.Config.seed)
     else None
   in
-  let engine = Desim.Engine.create ~trace ?tie_break () in
+  let engine = Desim.Engine.create ?tie_break () in
   let ms = config.Config.memory_servers in
   let tpn = config.Config.threads_per_node in
   let nshards = config.Config.manager_shards in
@@ -343,6 +368,12 @@ let create ?(trace = Desim.Trace.null) ?(config = Config.default) ~threads () =
       (fun i srv ->
          Memory_server.set_backup srv servers.(Directory.backup_of dir i))
       servers;
+  let san =
+    if config.Config.sanitize then
+      Some
+        (Analysis.Regcsan.create ~threads ~page_bytes:config.Config.page_bytes)
+    else None
+  in
   let t =
     { cfg = config;
       layout;
@@ -352,18 +383,13 @@ let create ?(trace = Desim.Trace.null) ?(config = Config.default) ~threads () =
       dir;
       cp;
       sc = Coherence_sc.create ~max_threads:config.Config.max_threads ();
-      san =
-        (if config.Config.sanitize then
-           Some
-             (Analysis.Regcsan.create ~threads
-                ~page_bytes:config.Config.page_bytes)
-         else None);
+      san;
       total_threads = threads;
       first_compute_node;
       threads_rev = [];
       next_thread = 0;
       finished = 0;
-      probe = None }
+      probe = Option.map sanitizer_probe san }
   in
   if config.Config.home_migration then
     Array.iter (fun sh -> Manager_shard.set_migrator sh (migrator t)) shards;
@@ -410,12 +436,10 @@ let directory t = t.dir
 let total_threads t = t.total_threads
 let sanitizer t = t.san
 
-let set_probe t probe =
+let add_probe t p =
   if t.next_thread > 0 then
-    invalid_arg "System.set_probe: attach the probe before spawning threads";
-  t.probe <- Some probe
-
-let probe t = t.probe
+    invalid_arg "System.add_probe: attach probes before spawning threads";
+  t.probe <- Some (match t.probe with None -> p | Some q -> Probe.both q p)
 
 let mutex t = Control_plane.mutex_create t.cp
 let barrier t ~parties = Control_plane.barrier_create t.cp ~parties
@@ -430,7 +454,6 @@ let env t : Thread_ctx.env =
     dir = t.dir;
     cp = t.cp;
     sc = t.sc;
-    san = t.san;
     probe = t.probe }
 
 let spawn t body =

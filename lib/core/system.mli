@@ -13,8 +13,7 @@
 
 type t
 
-val create :
-  ?trace:Desim.Trace.t -> ?config:Config.t -> threads:int -> unit -> t
+val create : ?config:Config.t -> threads:int -> unit -> t
 (** Build a system able to host [threads] compute threads. Raises
     [Invalid_argument] if the configuration fails {!Config.validate} or if
     [threads] exceeds the configuration's [max_threads] field. *)
@@ -40,14 +39,15 @@ val total_threads : t -> int
 
 val sanitizer : t -> Analysis.Regcsan.t option
 (** The RegCSan instance observing this system, when
-    [Config.sanitize] is set. Query it after {!run} for findings. *)
+    [Config.sanitize] is set; {!create} subscribes it to the probe stream.
+    Query it after {!run} for findings. *)
 
-val set_probe : t -> Probe.t -> unit
-(** Attach a protocol-event observer ({!Probe.t}); the torture oracle
-    subscribes through this. Must be called before the first {!spawn}
-    (raises [Invalid_argument] otherwise) so every thread sees it. *)
-
-val probe : t -> Probe.t option
+val add_probe : t -> Probe.t -> unit
+(** Subscribe a protocol-event observer ({!Probe.t}); the torture oracle
+    and RegCCheck's footprint recorder subscribe through this. Observers
+    receive each event in attach order, the sanitizer (if any) first.
+    Must be called before the first {!spawn} (raises [Invalid_argument]
+    otherwise) so every thread sees it. *)
 
 val mutex : t -> Manager_shard.lock_id
 (** Create a mutex (setup-time operation; no simulated cost). *)

@@ -8,7 +8,6 @@ type t = {
      blocked rather than just how many. *)
   names : (int, string) Hashtbl.t;
   mutable next_pid : int;
-  trace : Trace.t;
   (* Controlled scheduler (model-checker support): when installed, every
      pop with two or more same-instant candidates asks the chooser which
      one runs, instead of letting the [(prio, seq)] tie order decide. *)
@@ -30,13 +29,12 @@ type _ Effect.t +=
 let shuffle_tie_break ~seed : Heap.tie_break =
  fun ~time ~seq -> Rng.hash3 seed time seq
 
-let create ?(trace = Trace.null) ?tie_break () =
+let create ?tie_break () =
   { now = Time.zero;
     queue = Heap.create ?tie_break ();
     live = 0;
     names = Hashtbl.create 16;
     next_pid = 0;
-    trace;
     chooser = None;
     quantum = 0;
     events = 0 }
@@ -49,7 +47,6 @@ let set_quantum t q =
 
 let events t = t.events
 let now t = t.now
-let trace t = t.trace
 
 let schedule_at t at thunk =
   if Time.( < ) at t.now then
@@ -72,7 +69,7 @@ let schedule t ?(delay = 0) thunk =
 (* Run [body] under the effect handler that maps Delay/Suspend onto the
    event queue. Continuations are one-shot; Suspend guards against double
    wake so synchronization primitives may broadcast defensively. *)
-let exec_process t pid name body =
+let exec_process t pid body =
   let open Effect.Deep in
   let finished () =
     t.live <- t.live - 1;
@@ -83,9 +80,6 @@ let exec_process t pid name body =
       exnc =
         (fun exn ->
            finished ();
-           if Trace.enabled t.trace then
-             Trace.emitf t.trace ~time:t.now ~tag:"process"
-               "%s raised %s" name (Printexc.to_string exn);
            raise exn);
       effc =
         (fun (type a) (eff : a Effect.t) ->
@@ -115,7 +109,7 @@ let spawn t ?(delay = 0) ?(name = "process") body =
   t.next_pid <- pid + 1;
   t.live <- t.live + 1;
   Hashtbl.replace t.names pid name;
-  schedule t ~delay (fun () -> exec_process t pid name body)
+  schedule t ~delay (fun () -> exec_process t pid body)
 
 let blocked_names t =
   Hashtbl.fold (fun pid name acc -> (pid, name) :: acc) t.names []

@@ -13,7 +13,7 @@ exception Stalled of string
     wake them (a deadlock in the simulated system). The message names every
     blocked process (their spawn [?name]s) in spawn order. *)
 
-val create : ?trace:Trace.t -> ?tie_break:Heap.tie_break -> unit -> t
+val create : ?tie_break:Heap.tie_break -> unit -> t
 (** [tie_break] installs a same-instant ordering hook on the event queue
     (see {!Heap.tie_break}); omitted, events at one instant run in
     insertion order. *)
@@ -57,8 +57,6 @@ val blocked_names : t -> string list
 
 val now : t -> Time.t
 (** Current simulated time. Callable from anywhere. *)
-
-val trace : t -> Trace.t
 
 val schedule : t -> ?delay:Time.span -> (unit -> unit) -> unit
 (** Enqueue a plain callback to run at [now + delay] (default: now). The

@@ -266,20 +266,25 @@ let on_barrier t ~thread ~time ~barrier ~epoch ~phase =
             "thread %d departed barrier %d (epoch %d) without arriving"
             thread barrier epoch))
 
-let on_sync t ~thread ~time ~op =
-  t.events <- t.events + 1;
-  let tag, id =
+(* The sanitizer's [Lock_attempt] and [Release] instants carry nothing
+   the oracle checks; skipping them keeps the digest and event count. *)
+let on_sync t ~thread ~time ~op ~id =
+  let tag =
     match op with
-    | Samhita.Probe.Lock_acquired l ->
-      record t "t=%d lock-acquired thread=%d lock=%d" time thread l;
-      (10, l)
-    | Samhita.Probe.Unlock l ->
-      record t "t=%d unlock thread=%d lock=%d" time thread l;
-      (11, l)
-    | Samhita.Probe.Cond_signal c -> (12, c)
-    | Samhita.Probe.Cond_wake c -> (13, c)
+    | Samhita.Probe.Lock_attempt | Samhita.Probe.Release -> 0
+    | Samhita.Probe.Lock_acquired ->
+      record t "t=%d lock-acquired thread=%d lock=%d" time thread id;
+      10
+    | Samhita.Probe.Unlock ->
+      record t "t=%d unlock thread=%d lock=%d" time thread id;
+      11
+    | Samhita.Probe.Cond_signal -> 12
+    | Samhita.Probe.Cond_wake -> 13
   in
-  fold t tag (thread lxor (id lsl 8) lxor time)
+  if tag <> 0 then begin
+    t.events <- t.events + 1;
+    fold t tag (thread lxor (id lsl 8) lxor time)
+  end
 
 let on_crash t ~time ~node ~server =
   t.events <- t.events + 1;
@@ -305,7 +310,7 @@ let probe t =
   let ns = Desim.Time.to_ns in
   { Samhita.Probe.on_read = (fun ~thread ~time ~addr ~len ~value ->
         on_read t ~thread ~time:(ns time) ~addr ~len ~value);
-    on_write = (fun ~thread ~time ~addr ~len ~value ->
+    on_write = (fun ~thread ~time ~addr ~len ~region:_ ~value ->
         on_write t ~thread ~time:(ns time) ~addr ~len ~value);
     on_publish = (fun ~thread ~time ~server ~line ~version ~data ->
         on_publish t ~thread ~time:(ns time) ~server ~line ~version ~data);
@@ -315,7 +320,8 @@ let probe t =
         on_free t ~thread ~time:(ns time) ~addr ~bytes);
     on_barrier = (fun ~thread ~time ~barrier ~epoch ~phase ->
         on_barrier t ~thread ~time:(ns time) ~barrier ~epoch ~phase);
-    on_sync = (fun ~thread ~time ~op -> on_sync t ~thread ~time:(ns time) ~op);
+    on_sync = (fun ~thread ~time ~op ~id ->
+        on_sync t ~thread ~time:(ns time) ~op ~id);
     on_crash = (fun ~time ~node ~server ->
         on_crash t ~time:(ns time) ~node ~server);
     on_recovery = (fun ~time ~failed ~promoted ~replayed ->
@@ -323,7 +329,7 @@ let probe t =
     on_rejoin = (fun ~time ~zombie ~primary ~copied ->
         on_rejoin t ~time:(ns time) ~zombie ~primary ~copied) }
 
-let attach t sys = Samhita.System.set_probe sys (probe t)
+let attach t sys = Samhita.System.add_probe sys (probe t)
 
 (* ------------------------------------------------------------------ *)
 (* End-of-run invariants                                               *)

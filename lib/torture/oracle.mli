@@ -39,7 +39,7 @@ val create : config:Samhita.Config.t -> unit -> t
 val probe : t -> Samhita.Probe.t
 
 val attach : t -> Samhita.System.t -> unit
-(** [Samhita.System.set_probe] with this oracle's {!probe}; call from the
+(** [Samhita.System.add_probe] with this oracle's {!probe}; call from the
     backend's [on_create] (before any spawn). *)
 
 val note_violation : t -> v_class:string -> string -> unit

@@ -220,23 +220,6 @@ let test_run_until_quantum () =
   Alcotest.(check int) "empty queue still advances to the horizon" 1000
     (Desim.Time.to_ns (Desim.Engine.now e))
 
-let test_trace_records () =
-  let trace = Desim.Trace.recording () in
-  let e = Desim.Engine.create ~trace () in
-  Desim.Trace.emitf (Desim.Engine.trace e) ~time:(Desim.Engine.now e)
-    ~tag:"test" "hello %d" 1;
-  Alcotest.(check int) "one event" 1 (List.length (Desim.Trace.events trace));
-  let ev = List.hd (Desim.Trace.events trace) in
-  Alcotest.(check string) "message" "hello 1" ev.Desim.Trace.message;
-  Desim.Trace.clear trace;
-  Alcotest.(check int) "cleared" 0 (List.length (Desim.Trace.events trace))
-
-let test_null_trace_silent () =
-  Alcotest.(check bool) "disabled" false (Desim.Trace.enabled Desim.Trace.null);
-  Desim.Trace.emit Desim.Trace.null ~time:Desim.Time.zero ~tag:"x" "y";
-  Alcotest.(check int) "no events" 0
-    (List.length (Desim.Trace.events Desim.Trace.null))
-
 let tests =
   [ Alcotest.test_case "schedule order" `Quick test_schedule_order;
     Alcotest.test_case "same-instant FIFO" `Quick test_same_instant_fifo;
@@ -257,8 +240,6 @@ let tests =
       test_shuffle_engine_deterministic;
     Alcotest.test_case "stalled names blocked processes" `Quick
       test_stalled_names;
-    Alcotest.test_case "trace recording" `Quick test_trace_records;
-    Alcotest.test_case "null trace" `Quick test_null_trace_silent;
     Alcotest.test_case "run_until under quantum" `Quick test_run_until_quantum ]
 
 let () = Alcotest.run "desim.engine" [ ("engine", tests) ]

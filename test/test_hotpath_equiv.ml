@@ -292,9 +292,57 @@ let prop_heap_matches_boxed =
        in
        drain ())
 
+(* ------------------------------------------------------------------ *)
+(* Hit-path allocation with no probe attached                          *)
+
+(* A one-thread system that faulted a line in and dirtied it; afterwards
+   accesses to that line are cache hits that perform no effects, so they
+   can be called outside the simulation. *)
+let warmed_hit_ctx () =
+  let sys = Samhita.System.create ~threads:1 () in
+  let got = ref None in
+  ignore
+    (Samhita.System.spawn sys (fun t ->
+         let a = Samhita.Thread_ctx.malloc t ~bytes:64 in
+         Samhita.Thread_ctx.write_i64 t a 1L;
+         got := Some (t, a))
+     : Samhita.Thread_ctx.t);
+  Samhita.System.run sys;
+  match !got with Some ta -> ta | None -> Alcotest.fail "warmup did not run"
+
+let minor_words_per_call f =
+  let n = 10_000 in
+  f ();
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    f ()
+  done;
+  (Gc.minor_words () -. before) /. float_of_int n
+
+let test_hit_path_allocation () =
+  let t, a = warmed_hit_ctx () in
+  let write =
+    minor_words_per_call (fun () -> Samhita.Thread_ctx.write_i64 t a 2L)
+  in
+  let read =
+    minor_words_per_call (fun () ->
+        ignore (Samhita.Thread_ctx.read_i64 t a : int64))
+  in
+  (* The only allocation a read hit may make is the int64 box it returns
+     (header, custom ops, payload); the per-loop Gc.minor_words float
+     rounds to nothing over 10k calls. *)
+  Alcotest.(check bool)
+    (Printf.sprintf "write_i64 hit allocates nothing (%.2f words)" write)
+    true (write < 0.01);
+  Alcotest.(check bool)
+    (Printf.sprintf "read_i64 hit allocates <= 3 words (%.2f)" read)
+    true (read <= 3.01)
+
 let tests =
   [ QCheck_alcotest.to_alcotest prop_diff_matches_reference;
     QCheck_alcotest.to_alcotest prop_victims_match_scan;
-    QCheck_alcotest.to_alcotest prop_heap_matches_boxed ]
+    QCheck_alcotest.to_alcotest prop_heap_matches_boxed;
+    Alcotest.test_case "no-probe hit path allocation" `Quick
+      test_hit_path_allocation ]
 
 let () = Alcotest.run "hotpath-equiv" [ ("equivalence", tests) ]

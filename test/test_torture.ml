@@ -36,7 +36,7 @@ let test_oracle_own_store_legal () =
   let o = mk_oracle () in
   let p = Torture.Oracle.probe o in
   p.Samhita.Probe.on_write ~thread:2 ~time:(t_ns 1) ~addr:128 ~len:8
-    ~value:(Some 7L);
+    ~region:(-1) ~value:(Some 7L);
   p.Samhita.Probe.on_read ~thread:2 ~time:(t_ns 2) ~addr:128 ~len:8
     ~value:(Some 7L);
   Alcotest.(check (list string)) "own last store is legal" [] (classes o);
@@ -76,7 +76,7 @@ let test_oracle_tainted_words_skipped () =
   (* A sub-word store taints the containing word; word-level legality is
      no longer expressible there, so reads of it are not checked. *)
   p.Samhita.Probe.on_write ~thread:0 ~time:(t_ns 1) ~addr:68 ~len:4
-    ~value:None;
+    ~region:(-1) ~value:None;
   p.Samhita.Probe.on_read ~thread:1 ~time:(t_ns 2) ~addr:64 ~len:8
     ~value:(Some 0xBADL);
   Alcotest.(check (list string)) "tainted word not checked" [] (classes o);
@@ -99,7 +99,7 @@ let test_oracle_digest_order_sensitive () =
     List.iter
       (fun (thread, addr) ->
          p.Samhita.Probe.on_write ~thread ~time:(t_ns 1) ~addr ~len:8
-           ~value:(Some 1L))
+           ~region:(-1) ~value:(Some 1L))
       order;
     Torture.Oracle.digest o
   in
