@@ -3,7 +3,7 @@
     When a controlled run raises {!Desim.Engine.Stalled}, the system is
     frozen mid-deadlock: the manager still knows who holds and who queues
     on every lock, barrier and condition variable. This module rebuilds
-    the thread wait-for graph from that state ({!Samhita.Manager}'s
+    the thread wait-for graph from that state ({!Samhita.Manager_shard}'s
     blocking-state introspection) and extracts the lock cycle if one
     exists — the classic ABBA diagnosis — plus any barrier or condvar
     parking that explains a cycle-free stall. *)

@@ -16,6 +16,18 @@ type t = {
   mutable probe : Probe.t option;
 }
 
+(* One monitor heartbeat: [src] pings [dst] now and [dst] acks. Returns
+   the ack's arrival instant; both legs ride the retrying primitive, so a
+   dead or unreachable peer raises [Fabric.Scl.Node_dead]. *)
+let heartbeat net ~src ~dst =
+  let now = Desim.Engine.now (Fabric.Network.engine net) in
+  let arrival =
+    Fabric.Scl.reliable_transfer net ~now ~src ~dst
+      ~bytes:Manager_shard.heartbeat_wire
+  in
+  Fabric.Scl.reliable_transfer net ~now:arrival ~src:dst ~dst:src
+    ~bytes:Manager_shard.ack_wire
+
 (* The lease-based failure detector (active when replication is on): each
    control-plane shard owns a monitor process that, every
    [lease_interval], runs a heartbeat round trip to each live memory
@@ -55,17 +67,8 @@ let spawn_lease_monitor t ~shard:si ~subset =
                    Fabric.Scl.node (Memory_server.endpoint t.servers.(i))
                  in
                  try
-                   let arrival =
-                     Fabric.Scl.reliable_transfer net
-                       ~now:(Desim.Engine.now t.engine)
-                       ~src:mgr_node ~dst:snode
-                       ~bytes:Manager_shard.heartbeat_wire
-                   in
-                   ignore
-                     (Fabric.Scl.reliable_transfer net ~now:arrival
-                        ~src:snode ~dst:mgr_node
-                        ~bytes:Manager_shard.ack_wire
-                      : Desim.Time.t);
+                   ignore (heartbeat net ~src:mgr_node ~dst:snode
+                           : Desim.Time.t);
                    Manager_shard.note_heartbeat sh
                  with Fabric.Scl.Node_dead (n, give_up) ->
                    (* If our own host shard crashed the transfer blames the
@@ -130,17 +133,7 @@ let spawn_lease_monitor t ~shard:si ~subset =
                       Fabric.Scl.node (Memory_server.endpoint t.servers.(i))
                     in
                     try
-                      let arrival =
-                        Fabric.Scl.reliable_transfer net
-                          ~now:(Desim.Engine.now t.engine)
-                          ~src:mgr_node ~dst:snode
-                          ~bytes:Manager_shard.heartbeat_wire
-                      in
-                      let ack =
-                        Fabric.Scl.reliable_transfer net ~now:arrival
-                          ~src:snode ~dst:mgr_node
-                          ~bytes:Manager_shard.ack_wire
-                      in
+                      let ack = heartbeat net ~src:mgr_node ~dst:snode in
                       if Desim.Time.( < ) (Desim.Engine.now t.engine) ack then
                         Desim.Engine.delay
                           (Desim.Time.diff ack (Desim.Engine.now t.engine));
@@ -184,15 +177,7 @@ let spawn_shard_monitor t =
                   (Manager_shard.endpoint (Control_plane.shard t.cp s))
               in
               try
-                let arrival =
-                  Fabric.Scl.reliable_transfer net
-                    ~now:(Desim.Engine.now t.engine)
-                    ~src:n0 ~dst:snode ~bytes:Manager_shard.heartbeat_wire
-                in
-                ignore
-                  (Fabric.Scl.reliable_transfer net ~now:arrival ~src:snode
-                     ~dst:n0 ~bytes:Manager_shard.ack_wire
-                   : Desim.Time.t);
+                ignore (heartbeat net ~src:n0 ~dst:snode : Desim.Time.t);
                 Control_plane.note_shard_heartbeat t.cp
               with Fabric.Scl.Node_dead (_, give_up) ->
                 dead := Some (s, give_up)

@@ -151,6 +151,9 @@ let idle_until t target =
 let server_of t line =
   t.e.servers.(Directory.server_of_line t.e.dir t.e.cfg ~line)
 
+(* Wire size of a reply carrying one whole line. *)
+let line_reply_wire t = t.e.layout.Layout.line_bytes + fetch_reply_overhead
+
 (* Request/reply legs ride the retrying primitive: under fault injection a
    dropped message costs a timeout + backoff and is resent, so every RPC
    below keeps its exactly-once semantics (state mutates only after the
@@ -166,27 +169,55 @@ let transfer_from t ~src ~at ~bytes =
 let delay_until t instant =
   Desim.Engine.delay (Desim.Time.diff instant (now t))
 
+(* The reply leg of a blocking round trip: [src] answers at [at] and the
+   caller resumes when the reply lands. *)
+let await_reply t ~src ~at ~bytes =
+  delay_until t (transfer_from t ~src ~at ~bytes)
+
+(* The request half of a manager-shard round trip: the request leg to
+   [mgr] and one slot of its service loop. Returns the service instant;
+   the caller runs the shard operation there and takes the reply leg
+   from it. *)
+let shard_request t mgr ~bytes =
+  let arrival = transfer_to t ~dst:(Manager_shard.endpoint mgr) ~bytes in
+  Desim.Resource.reserve (Manager_shard.service mgr) ~now:arrival
+    ~duration:t.e.cfg.Config.manager_service
+
 (* ------------------------------------------------------------------ *)
 (* Crash fault tolerance: failover and primary-backup mirroring        *)
 
-(* Run a memory-server interaction, absorbing a fail-stop crash of the
-   target: wait out the paid retransmission timeouts, park until the
-   manager's recovery protocol repoints the directory (unless it already
-   has), then re-run [f] — which re-resolves its physical server through
-   the directory and lands on the promoted replica. [f] must mutate state
-   only after its full round trip lands (the simulation-wide idiom), so a
-   retry never double-applies. Escalations from non-server nodes (the
-   manager never crashes in this model) propagate. *)
+(* Run a protocol interaction, absorbing a fail-stop crash of its peer:
+   wait out the paid retransmission timeouts, park until recovery
+   repoints the peer (unless it already has), then re-run [f] — which
+   re-resolves its peer and lands on the replacement. The dead node's
+   role names the recovery. A memory server (nodes 1..memory_servers)
+   is replaced by its promoted backup once the lease monitor repoints
+   the directory. A manager shard (never one of those nodes) is absorbed
+   by its ring successor once the shard monitor repoints the shard map.
+   [f] must be safe to re-run: a memory-server interaction mutates state
+   only after its full round trip lands (the simulation-wide idiom), and
+   every shard RPC is idempotent under retry (holder re-grants, release
+   sequence numbers, barrier epoch replay). Escalations from any other
+   node propagate. *)
 let rec with_failover t f =
   try f () with
-  | Fabric.Scl.Node_dead (node, at)
-    when node >= 1 && node <= t.e.cfg.Config.memory_servers ->
+  | Fabric.Scl.Node_dead (node, at) as dead ->
+    let server = node >= 1 && node <= t.e.cfg.Config.memory_servers in
+    let shard =
+      if server then None else Control_plane.shard_node_of t.e.cp node
+    in
+    if (not server) && Option.is_none shard then raise dead;
     t.m_failovers <- t.m_failovers + 1;
     if Desim.Time.( < ) (now t) at then delay_until t at;
-    let phys = node - 1 in
-    if not (Directory.failed t.e.dir phys) then
-      Desim.Engine.suspend ~register:(fun ~wake ->
-          Directory.await_recovery t.e.dir ~wake);
+    (match shard with
+     | None ->
+       if not (Directory.failed t.e.dir (node - 1)) then
+         Desim.Engine.suspend ~register:(fun ~wake ->
+             Directory.await_recovery t.e.dir ~wake)
+     | Some logical ->
+       if not (Control_plane.shard_failed t.e.cp logical) then
+         Desim.Engine.suspend ~register:(fun ~wake ->
+             Control_plane.await_shard_recovery t.e.cp ~wake));
     with_failover t f
   | Directory.Stale_epoch ->
     (* The slot's epoch moved while the round trip was in flight (a
@@ -195,37 +226,6 @@ let rec with_failover t f =
        repointed, so re-running re-resolves and lands on the
        epoch-current replica immediately. *)
     with_failover t f
-
-(* Epoch fence around a memory-server round trip: capture the logical
-   slot's epoch before sending; after the reply lands, reject the whole
-   interaction if the epoch moved mid-flight — before any state mutates.
-   The server's ack is treated as carrying the epoch the requester
-   resolved under; a mismatch is the [Stale_epoch] reply of the
-   protocol. Healthy runs compare 0 = 0 and never allocate or raise. *)
-let fence t ~logical ~epoch =
-  Directory.fence t.e.dir ~logical ~epoch
-
-(* The control-plane analogue: absorb a fail-stop crash of a manager
-   shard. Wait out the paid retransmission timeouts, park until the shard
-   monitor's takeover repoints the shard map (unless it already has), then
-   re-run [f] — which re-resolves its shard through the control plane and
-   lands on the ring successor. Every shard RPC below is idempotent under
-   retry (holder re-grants, release sequence numbers, barrier epoch
-   replay), so a request that executed before the crash is not
-   double-applied. *)
-let rec with_shard_failover t f =
-  try f () with
-  | Fabric.Scl.Node_dead (node, at)
-    when Control_plane.shard_node_of t.e.cp node <> None ->
-    (match Control_plane.shard_node_of t.e.cp node with
-     | None -> assert false
-     | Some logical ->
-       t.m_failovers <- t.m_failovers + 1;
-       if Desim.Time.( < ) (now t) at then delay_until t at;
-       if not (Control_plane.shard_failed t.e.cp logical) then
-         Desim.Engine.suspend ~register:(fun ~wake ->
-             Control_plane.await_shard_recovery t.e.cp ~wake);
-       with_shard_failover t f)
 
 (* Framing of a primary-to-backup mirror message beyond its payload. *)
 let mirror_overhead_wire = 32
@@ -264,6 +264,36 @@ let replicate_ready t srv ~at ~payload_bytes =
        with Fabric.Scl.Node_dead (n, give_up) when n = bnode ->
          Memory_server.note_degraded srv;
          (Desim.Time.max at give_up, false))
+
+(* One memory-server round trip, the single commit point of the data
+   plane. Resolve [logical]'s epoch and physical server, send [request]
+   bytes, occupy the server's service loop for a [payload]-byte job,
+   mirror the payload to the backup first when [mirror] is set, then wait
+   for the [reply]-byte ack and fence it. The epoch fence runs before the
+   caller mutates anything: if a promotion moved the slot while the round
+   trip was in flight, the ack came from a deposed primary (or raced the
+   repointing). That is a [Stale_epoch] reply, not a commit, and the
+   enclosing {!with_failover} re-runs against the epoch-current replica.
+   Healthy runs compare 0 = 0 and never allocate or raise. Returns
+   whether the payload was mirrored; the caller then applies its state
+   (and the mirror's). *)
+let home_rpc t ~logical ~request ~payload ~mirror ~reply =
+  let epoch = Directory.epoch_of t.e.dir ~logical in
+  let srv = t.e.servers.(Directory.physical_of_logical t.e.dir logical) in
+  let sep = Memory_server.endpoint srv in
+  let arrival = transfer_to t ~dst:sep ~bytes:request in
+  let served =
+    Desim.Resource.reserve (Memory_server.service srv) ~now:arrival
+      ~duration:(Memory_server.service_time_for_bytes srv payload)
+  in
+  let ready, mirrored =
+    if mirror then replicate_ready t srv ~at:served ~payload_bytes:payload
+    else (served, false)
+  in
+  await_reply t ~src:sep ~at:ready ~bytes:reply;
+  Directory.fence t.e.dir ~logical ~epoch;
+  if mirrored then Memory_server.note_mirror srv ~bytes:payload;
+  mirrored
 
 (* State side of the mirror, run after the client's round trip lands (ack
    received <=> applied at primary and backup). [Diff.apply] /
@@ -338,181 +368,119 @@ let forget_last t (e : Cache.entry) =
 (* ------------------------------------------------------------------ *)
 (* Flushing (ordinary-region diffs)                                    *)
 
-(* Flush one dirty entry with its own round trip (the eviction path). *)
-let flush_entry t (entry : Cache.entry) =
+(* Group [items] by the logical home of [line_of item]: one batch per
+   home, homes ascending, each batch in input order. [by_home] is what
+   sends one message per home server (paper: synchronization moves only
+   the minimum data required). *)
+let by_home t line_of items =
+  let homes = Hashtbl.create 4 in
+  List.iter
+    (fun x ->
+       let s = Directory.logical_of_line t.e.dir t.e.cfg ~line:(line_of x) in
+       let batch = Option.value (Hashtbl.find_opt homes s) ~default:[] in
+       Hashtbl.replace homes s (x :: batch))
+    items;
+  List.sort
+    (fun (a, _) (b, _) -> Int.compare a b)
+    (Hashtbl.fold (fun s xs acc -> (s, List.rev xs) :: acc) homes [])
+
+(* The entry's diff against its twin, or [None] when there is nothing to
+   ship (an entry whose writes restored the twin's bytes is cleaned). *)
+let diff_of t (entry : Cache.entry) =
   match entry.Cache.twin with
-  | None -> ()
+  | None -> None
   | Some twin ->
     let diff =
       Diff.make t.e.layout ~line:entry.Cache.line ~twin
         ~current:entry.Cache.data ~dirty_pages:entry.Cache.dirty_pages
     in
-    if Diff.is_empty diff then
-      Cache.clean t.cache entry ~version:entry.Cache.version
-    else begin
-      let payload = Diff.payload_bytes diff in
-      let srv, v =
-        with_failover t (fun () ->
-            let logical =
-              Directory.logical_of_line t.e.dir t.e.cfg
-                ~line:entry.Cache.line
-            in
-            let epoch = Directory.epoch_of t.e.dir ~logical in
-            let srv = t.e.servers.(Directory.physical_of_logical t.e.dir
-                                     logical) in
-            let sep = Memory_server.endpoint srv in
-            let arrival =
-              transfer_to t ~dst:sep ~bytes:(Diff.wire_bytes diff)
-            in
-            let served =
-              Desim.Resource.reserve (Memory_server.service srv) ~now:arrival
-                ~duration:(Memory_server.service_time_for_bytes srv payload)
-            in
-            let ready, mirrored =
-              replicate_ready t srv ~at:served ~payload_bytes:payload
-            in
-            let reply =
-              transfer_from t ~src:sep ~at:ready ~bytes:diff_reply_wire
-            in
-            delay_until t reply;
-            (* Epoch fence before anything mutates: if a promotion moved
-               the slot while the round trip was in flight, the ack we
-               just received came from a deposed primary (or raced the
-               repointing) — it is a [Stale_epoch] reply, not a commit.
-               with_failover re-runs against the epoch-current replica. *)
-            fence t ~logical ~epoch;
-            (* Re-resolve at apply time: a home migration may have moved
-               the line while the round trip was in flight; the diff must
-               land at the line's current home or it would be lost in the
-               migration copy. Without migration this is [srv]. *)
-            let srv = server_of t entry.Cache.line in
-            let v = Memory_server.apply_diff srv diff in
-            if mirrored then begin
-              mirror_diff srv diff ~version:v;
-              Memory_server.note_mirror srv ~bytes:payload
-            end;
-            (srv, v))
-      in
-      probe_publish t ~srv ~line:entry.Cache.line ~version:v;
-      Hashtbl.replace t.interval_writes entry.Cache.line ();
-      Cache.clean t.cache entry ~version:v
+    if Diff.is_empty diff then begin
+      Cache.clean t.cache entry ~version:entry.Cache.version;
+      None
     end
+    else Some diff
 
-(* Flush every dirty line, batching one message per home server (paper:
-   synchronization moves only the minimum data required). Returns the
-   (line, new_version) write notices. *)
+(* Ship one home's batch of diffs in a single round trip ([logical] is
+   the home; the physical server is re-resolved on every retry, so a
+   failover lands the whole batch on the promoted replica). *)
+let flush_diffs t ~logical ~reply batch =
+  let wire =
+    List.fold_left (fun acc (_, d) -> acc + Diff.wire_bytes d) 0 batch
+  in
+  let payload =
+    List.fold_left (fun acc (_, d) -> acc + Diff.payload_bytes d) 0 batch
+  in
+  with_failover t (fun () ->
+      let mirrored =
+        home_rpc t ~logical ~request:wire ~payload ~mirror:true ~reply
+      in
+      List.iter
+        (fun ((entry : Cache.entry), diff) ->
+           (* Re-resolve at apply time: a home migration may have moved
+              the line while the round trip was in flight; the diff must
+              land at the line's current home or it would be lost in the
+              migration copy. Without migration this is the home the
+              round trip reached. *)
+           let srv = server_of t entry.Cache.line in
+           let v = Memory_server.apply_diff srv diff in
+           if mirrored then mirror_diff srv diff ~version:v;
+           probe_publish t ~srv ~line:entry.Cache.line ~version:v;
+           Hashtbl.replace t.interval_writes entry.Cache.line ();
+           Cache.clean t.cache entry ~version:v)
+        batch)
+
+(* Flush one dirty entry with its own round trip (the eviction path). *)
+let flush_entry t (entry : Cache.entry) =
+  match diff_of t entry with
+  | None -> ()
+  | Some diff ->
+    let logical =
+      Directory.logical_of_line t.e.dir t.e.cfg ~line:entry.Cache.line
+    in
+    flush_diffs t ~logical ~reply:diff_reply_wire [ (entry, diff) ]
+
+(* Flush every dirty line, one batch per home server. *)
 let flush_dirty_all t =
   let dirty = Cache.dirty_entries t.cache in
-  if dirty = [] then []
-  else begin
-    let by_server = Hashtbl.create 4 in
-    List.iter
-      (fun (entry : Cache.entry) ->
-         match entry.Cache.twin with
-         | None -> ()
-         | Some twin ->
-           let diff =
-             Diff.make t.e.layout ~line:entry.Cache.line ~twin
-               ~current:entry.Cache.data ~dirty_pages:entry.Cache.dirty_pages
-           in
-           if Diff.is_empty diff then
-             Cache.clean t.cache entry ~version:entry.Cache.version
-           else begin
-             let s =
-               Directory.logical_of_line t.e.dir t.e.cfg
-                 ~line:entry.Cache.line
-             in
-             let existing =
-               Option.value (Hashtbl.find_opt by_server s) ~default:[]
-             in
-             Hashtbl.replace by_server s ((entry, diff) :: existing)
-           end)
-      dirty;
-    let servers =
-      List.sort Int.compare (Hashtbl.fold (fun s _ a -> s :: a) by_server [])
-    in
-    List.concat_map
-      (fun s ->
-         (* [s] is the logical home; the physical server is re-resolved
-            inside the retried block so a failover lands the whole batch
-            on the promoted replica. *)
-         let batch = List.rev (Hashtbl.find by_server s) in
-         let wire =
-           List.fold_left (fun acc (_, d) -> acc + Diff.wire_bytes d) 0 batch
-         in
-         let payload =
-           List.fold_left (fun acc (_, d) -> acc + Diff.payload_bytes d) 0
-             batch
-         in
-         with_failover t (fun () ->
-             let epoch = Directory.epoch_of t.e.dir ~logical:s in
-             let srv =
-               t.e.servers.(Directory.physical_of_logical t.e.dir s)
-             in
-             let sep = Memory_server.endpoint srv in
-             let arrival = transfer_to t ~dst:sep ~bytes:wire in
-             let served =
-               Desim.Resource.reserve (Memory_server.service srv) ~now:arrival
-                 ~duration:(Memory_server.service_time_for_bytes srv payload)
-             in
-             let ready, mirrored =
-               replicate_ready t srv ~at:served ~payload_bytes:payload
-             in
-             let reply =
-               transfer_from t ~src:sep ~at:ready
-                 ~bytes:(diff_reply_wire + (12 * List.length batch))
-             in
-             delay_until t reply;
-             (* Epoch fence before the batch mutates anything (see
-                flush_entry): a mid-flight promotion fences the whole
-                batch and with_failover re-runs it on the new primary. *)
-             fence t ~logical:s ~epoch;
-             if mirrored then Memory_server.note_mirror srv ~bytes:payload;
-             List.map
-               (fun ((entry : Cache.entry), diff) ->
-                  (* Per-line re-resolve at apply time: a concurrent home
-                     migration moves the line's home mid-flight; the diff
-                     must land at the current home (equals [srv] when no
-                     migration ran). *)
-                  let srv = server_of t entry.Cache.line in
-                  let v = Memory_server.apply_diff srv diff in
-                  if mirrored then mirror_diff srv diff ~version:v;
-                  probe_publish t ~srv ~line:entry.Cache.line ~version:v;
-                  Hashtbl.replace t.interval_writes entry.Cache.line ();
-                  Cache.clean t.cache entry ~version:v;
-                  (entry.Cache.line, v))
-               batch))
-      servers
-  end
+  if dirty <> [] then
+    List.filter_map
+      (fun entry -> Option.map (fun d -> (entry, d)) (diff_of t entry))
+      dirty
+    |> by_home t (fun ((entry : Cache.entry), _) -> entry.Cache.line)
+    |> List.iter (fun (logical, batch) ->
+        flush_diffs t ~logical
+          ~reply:(diff_reply_wire + (12 * List.length batch))
+          batch)
 
 (* ------------------------------------------------------------------ *)
 (* Sequential-consistency mode (Config.Sc_invalidate): IVY-style single
    writer per line. All protocol work below runs in the requesting
    thread's process context; directory state lives in [t.e.sc]. *)
 
-let sc_server_node t line =
-  Fabric.Scl.node (Memory_server.endpoint (server_of t line))
+(* A directory round trip from [line]'s home to SC peer [p]: a request
+   out at [now], [bytes] back. Returns the reply's arrival at the home. *)
+let sc_peer_round_trip t ~line (p : Coherence_sc.peer) ~now ~bytes =
+  let home = Fabric.Scl.node (Memory_server.endpoint (server_of t line)) in
+  let out =
+    Fabric.Network.transfer t.e.network ~now ~src:home
+      ~dst:p.Coherence_sc.p_node ~bytes:fetch_request_wire
+  in
+  Fabric.Network.transfer t.e.network ~now:out ~src:p.Coherence_sc.p_node
+    ~dst:home ~bytes
 
-(* Ship an exclusively-held line home (eviction of an exclusive copy). *)
+(* Ship an exclusively-held line home (eviction of an exclusive copy).
+   The home copy updates once the ack lands. *)
 let sc_writeback t (entry : Cache.entry) =
   let line = entry.Cache.line in
-  let srv = server_of t line in
-  let sep = Memory_server.endpoint srv in
-  let arrival =
-    transfer_to t ~dst:sep
-      ~bytes:(t.e.layout.Layout.line_bytes + fetch_reply_overhead)
-  in
-  let served =
-    Desim.Resource.reserve (Memory_server.service srv) ~now:arrival
-      ~duration:
-        (Memory_server.service_time_for_bytes srv
-           t.e.layout.Layout.line_bytes)
-  in
-  let reply = transfer_from t ~src:sep ~at:served ~bytes:diff_reply_wire in
-  delay_until t reply;
-  Bytes.blit entry.Cache.data 0
-    (Memory_server.line srv line)
-    0 t.e.layout.Layout.line_bytes;
+  let lb = t.e.layout.Layout.line_bytes in
+  ignore
+    (home_rpc t
+       ~logical:(Directory.logical_of_line t.e.dir t.e.cfg ~line)
+       ~request:(line_reply_wire t) ~payload:lb ~mirror:false
+       ~reply:diff_reply_wire
+     : bool);
+  Bytes.blit entry.Cache.data 0 (Memory_server.line (server_of t line) line)
+    0 lb;
   entry.Cache.excl <- false;
   Coherence_sc.clear_owner t.e.sc ~line
 
@@ -520,22 +488,12 @@ let sc_writeback t (entry : Cache.entry) =
    the owner ships the line back and keeps a shared copy. Runs at [now]
    (the home's service completion); returns when the writeback lands. *)
 let sc_recall t ~line ~owner_tid ~now =
-  let srv = server_of t line in
-  let server_node = sc_server_node t line in
   let p = Coherence_sc.peer t.e.sc owner_tid in
-  let req =
-    Fabric.Network.transfer t.e.network ~now ~src:server_node
-      ~dst:p.Coherence_sc.p_node ~bytes:fetch_request_wire
-  in
-  let back =
-    Fabric.Network.transfer t.e.network ~now:req
-      ~src:p.Coherence_sc.p_node ~dst:server_node
-      ~bytes:(t.e.layout.Layout.line_bytes + fetch_reply_overhead)
-  in
+  let back = sc_peer_round_trip t ~line p ~now ~bytes:(line_reply_wire t) in
   (match p.Coherence_sc.p_peek line with
    | Some data ->
      Bytes.blit data 0
-       (Memory_server.line srv line)
+       (Memory_server.line (server_of t line) line)
        0 t.e.layout.Layout.line_bytes
    | None -> ());  (* owner evicted meanwhile: home already current *)
   p.Coherence_sc.p_downgrade line;
@@ -546,20 +504,13 @@ let sc_recall t ~line ~owner_tid ~now =
 (* Invalidate every sharer except [self]; returns when the last ack is
    back at the home. *)
 let sc_invalidate_sharers t ~line ~now =
-  let server_node = sc_server_node t line in
   List.fold_left
     (fun tmax s ->
        if s = t.id then tmax
        else begin
          let p = Coherence_sc.peer t.e.sc s in
-         let inv =
-           Fabric.Network.transfer t.e.network ~now ~src:server_node
-             ~dst:p.Coherence_sc.p_node ~bytes:fetch_request_wire
-         in
          let ack =
-           Fabric.Network.transfer t.e.network ~now:inv
-             ~src:p.Coherence_sc.p_node ~dst:server_node
-             ~bytes:Manager_shard.ack_wire
+           sc_peer_round_trip t ~line p ~now ~bytes:Manager_shard.ack_wire
          in
          p.Coherence_sc.p_invalidate line;
          Coherence_sc.drop_sharer t.e.sc ~line ~thread:s;
@@ -599,8 +550,7 @@ let maybe_prefetch t line =
         ~service:(Memory_server.service srv)
         ~service_time:(Memory_server.service_time_for_bytes srv 0)
         ~src:t.endpoint ~dst:sep
-        ~bytes:(t.e.layout.Layout.line_bytes + fetch_reply_overhead)
-        ~on_complete:(fun _arrival ->
+        ~bytes:(line_reply_wire t) ~on_complete:(fun _arrival ->
           if Directory.epoch_of t.e.dir ~logical <> epoch then begin
             (* The prefetched reply was assembled under a deposed
                mapping (promotion raced it): fence it instead of
@@ -646,24 +596,14 @@ let rec demand_fetch t line : Cache.entry =
        so the prefetch overlaps the demand fetch. *)
     maybe_prefetch t (line + 1);
     let logical = Directory.logical_of_line t.e.dir t.e.cfg ~line in
-    let epoch = Directory.epoch_of t.e.dir ~logical in
+    ignore
+      (home_rpc t ~logical ~request:fetch_request_wire ~payload:0
+         ~mirror:false ~reply:(line_reply_wire t)
+       : bool);
+    (* The fence passed, so [logical] still maps to the server the round
+       trip reached: a reply assembled by a deposed primary never enters
+       the cache. *)
     let srv = t.e.servers.(Directory.physical_of_logical t.e.dir logical) in
-    let sep = Memory_server.endpoint srv in
-    let arrival = transfer_to t ~dst:sep ~bytes:fetch_request_wire in
-    let served =
-      Desim.Resource.reserve (Memory_server.service srv) ~now:arrival
-        ~duration:(Memory_server.service_time_for_bytes srv 0)
-    in
-    let reply =
-      transfer_from t ~src:sep ~at:served
-        ~bytes:(t.e.layout.Layout.line_bytes + fetch_reply_overhead)
-    in
-    delay_until t reply;
-    (* Epoch fence before installing: a reply assembled by a deposed
-       primary (promotion raced the round trip) must not enter the
-       cache — the caller's failover wrapper re-fetches from the
-       epoch-current replica. *)
-    fence t ~logical ~epoch;
     let data, version = Memory_server.fetch srv line in
     install t ~line ~data ~version
 
@@ -672,33 +612,37 @@ let rec demand_fetch t line : Cache.entry =
    and in the simulator by execution order. Cache room is therefore
    secured first (eviction writebacks may yield), then the state
    transition (recall, invalidations, fetch, install, ownership) runs
-   atomically, and only then the requester pays its latency. *)
+   atomically, and only then the requester pays its latency.
 
-(* SC read miss: fetch from home, recalling an exclusive holder first. *)
-let sc_read_fetch t line : Cache.entry =
+   [sc_request] is the shared request half: secure room, send the request
+   and occupy the home's service loop, then open the transaction by
+   recalling the line from a foreign exclusive owner. Returns the home
+   and the instant it may proceed. *)
+let sc_request t line =
   Cache.ensure_room t.cache ~line ~evict:(evict_victim t);
   let srv = server_of t line in
-  let sep = Memory_server.endpoint srv in
-  let arrival = transfer_to t ~dst:sep ~bytes:fetch_request_wire in
+  let arrival =
+    transfer_to t ~dst:(Memory_server.endpoint srv) ~bytes:fetch_request_wire
+  in
   let served =
     Desim.Resource.reserve (Memory_server.service srv) ~now:arrival
       ~duration:(Memory_server.service_time_for_bytes srv 0)
   in
   (* --- atomic directory transaction (no yields) --- *)
-  let ready =
-    match Coherence_sc.owner t.e.sc ~line with
-    | Some o when o <> t.id -> sc_recall t ~line ~owner_tid:o ~now:served
-    | _ -> served
-  in
+  match Coherence_sc.owner t.e.sc ~line with
+  | Some o when o <> t.id ->
+    (srv, sc_recall t ~line ~owner_tid:o ~now:served)
+  | _ -> (srv, served)
+
+(* SC read miss: fetch from home, recalling an exclusive holder first. *)
+let sc_read_fetch t line : Cache.entry =
+  let srv, ready = sc_request t line in
   let data, version = Memory_server.fetch srv line in
   Coherence_sc.add_sharer t.e.sc ~line ~thread:t.id;
   let entry = install t ~line ~data ~version in
   (* --- end of transaction; pay the latency --- *)
-  let reply =
-    transfer_from t ~src:sep ~at:ready
-      ~bytes:(t.e.layout.Layout.line_bytes + fetch_reply_overhead)
-  in
-  delay_until t reply;
+  await_reply t ~src:(Memory_server.endpoint srv) ~at:ready
+    ~bytes:(line_reply_wire t);
   entry
 
 (* SC write: obtain the line exclusively — invalidate every other sharer
@@ -709,26 +653,13 @@ let sc_read_fetch t line : Cache.entry =
    while this thread pays its latency recalls the already-stored value —
    no lost updates and no grant/steal livelock. *)
 let sc_acquire_exclusive t line ~commit : Cache.entry =
-  Cache.ensure_room t.cache ~line ~evict:(evict_victim t);
-  let srv = server_of t line in
-  let sep = Memory_server.endpoint srv in
-  let arrival = transfer_to t ~dst:sep ~bytes:fetch_request_wire in
-  let served =
-    Desim.Resource.reserve (Memory_server.service srv) ~now:arrival
-      ~duration:(Memory_server.service_time_for_bytes srv 0)
-  in
-  (* --- atomic directory transaction (no yields) --- *)
-  let after_recall =
-    match Coherence_sc.owner t.e.sc ~line with
-    | Some o when o <> t.id -> sc_recall t ~line ~owner_tid:o ~now:served
-    | _ -> served
-  in
+  let srv, after_recall = sc_request t line in
   let ready = sc_invalidate_sharers t ~line ~now:after_recall in
   let cached = Cache.peek t.cache line in
   let reply_bytes =
     match cached with
     | Some _ -> Manager_shard.ack_wire  (* upgrade: data already valid *)
-    | None -> t.e.layout.Layout.line_bytes + fetch_reply_overhead
+    | None -> line_reply_wire t
   in
   let entry =
     match cached with
@@ -742,8 +673,7 @@ let sc_acquire_exclusive t line ~commit : Cache.entry =
   Coherence_sc.set_owner t.e.sc ~line ~thread:t.id;
   commit entry;
   (* --- end of transaction; pay the latency --- *)
-  let reply = transfer_from t ~src:sep ~at:ready ~bytes:reply_bytes in
-  delay_until t reply;
+  await_reply t ~src:(Memory_server.endpoint srv) ~at:ready ~bytes:reply_bytes;
   entry
 
 (* Locate the cache entry for [addr], faulting it in on a miss. The
@@ -974,14 +904,9 @@ let held_locks t = List.map fst t.held
    failover wrapper. *)
 let manager_alloc_rpc t ~kind ~bytes =
   let mgr = Control_plane.alloc_shard t.e.cp in
-  let mep = Manager_shard.endpoint mgr in
-  let arrival = transfer_to t ~dst:mep ~bytes:alloc_request_wire in
-  let served =
-    Desim.Resource.reserve (Manager_shard.service mgr) ~now:arrival
-      ~duration:t.e.cfg.Config.manager_service
-  in
-  let reply = transfer_from t ~src:mep ~at:served ~bytes:alloc_reply_wire in
-  delay_until t reply;
+  let served = shard_request t mgr ~bytes:alloc_request_wire in
+  await_reply t ~src:(Manager_shard.endpoint mgr) ~at:served
+    ~bytes:alloc_reply_wire;
   Manager_shard.alloc mgr ~kind ~bytes
 
 let rec malloc_impl t ~bytes =
@@ -1103,52 +1028,20 @@ let apply_grant t (g : Manager_shard.grant) =
 let flush_update_log t log =
   if log = [] then []
   else begin
-    let by_server = Hashtbl.create 4 in
-    List.iter
-      (fun (u : Update.t) ->
-         let line = List.hd (Update.lines_touched t.e.layout u) in
-         let s = Directory.logical_of_line t.e.dir t.e.cfg ~line in
-         let existing =
-           Option.value (Hashtbl.find_opt by_server s) ~default:[]
-         in
-         Hashtbl.replace by_server s (u :: existing))
-      log;
-    let servers =
-      List.sort Int.compare (Hashtbl.fold (fun s _ a -> s :: a) by_server [])
-    in
     let merged = Hashtbl.create 16 in
     List.iter
-      (fun s ->
-         (* [s] is the logical home; re-resolve the physical server inside
-            the retried block (see {!flush_dirty_all}). *)
-         let batch = List.rev (Hashtbl.find by_server s) in
+      (fun (logical, batch) ->
+         (* The physical server is re-resolved on every retry (see
+            {!flush_diffs}). *)
          let wire = Update.log_wire_bytes batch in
          with_failover t (fun () ->
-             let epoch = Directory.epoch_of t.e.dir ~logical:s in
-             let srv =
-               t.e.servers.(Directory.physical_of_logical t.e.dir s)
+             let mirrored =
+               home_rpc t ~logical ~request:wire ~payload:wire ~mirror:true
+                 ~reply:diff_reply_wire
              in
-             let sep = Memory_server.endpoint srv in
-             let arrival = transfer_to t ~dst:sep ~bytes:wire in
-             let served =
-               Desim.Resource.reserve (Memory_server.service srv) ~now:arrival
-                 ~duration:(Memory_server.service_time_for_bytes srv wire)
-             in
-             let ready, mirrored =
-               replicate_ready t srv ~at:served ~payload_bytes:wire
-             in
-             let reply =
-               transfer_from t ~src:sep ~at:ready ~bytes:diff_reply_wire
-             in
-             delay_until t reply;
-             (* Epoch fence before the log applies (see flush_entry):
-                the ack either commits under the epoch we resolved or
-                the whole batch re-runs — never half-applied. *)
-             fence t ~logical:s ~epoch;
-             if mirrored then Memory_server.note_mirror srv ~bytes:wire;
              List.iter
                (fun u ->
-                  (* Re-resolve at apply time (see {!flush_dirty_all}): a
+                  (* Re-resolve at apply time (see {!flush_diffs}): a
                      concurrent home migration must not strand the update
                      at the old home. *)
                   let srv =
@@ -1169,7 +1062,7 @@ let flush_update_log t log =
                        | None -> ())
                     lvs)
                batch))
-      servers;
+      (by_home t (fun u -> List.hd (Update.lines_touched t.e.layout u)) log);
     (* Note: lines touched here are deliberately NOT added to
        interval_writes. Under RegC, consistency-region data propagates via
        the lock protocol (grant patches); only ordinary-region writes
@@ -1189,9 +1082,8 @@ let mutex_lock t lock =
     Option.value (Hashtbl.find_opt t.lock_seen lock) ~default:0
   in
   let grant =
-    with_shard_failover t (fun () ->
+    with_failover t (fun () ->
         let mgr = Control_plane.shard_for t.e.cp lock in
-        let mep = Manager_shard.endpoint mgr in
         (* The one-shot continuation is threaded through an [Ok]/[Error]
            result: if a transfer leg dies with the shard, the continuation
            is consumed with [Error] at the give-up instant and the crash
@@ -1199,13 +1091,8 @@ let mutex_lock t lock =
         match
           Desim.Engine.suspendv ~register:(fun ~wake ->
               try
-                let arrival =
-                  transfer_to t ~dst:mep
-                    ~bytes:Manager_shard.acquire_request_wire
-                in
                 let served =
-                  Desim.Resource.reserve (Manager_shard.service mgr)
-                    ~now:arrival ~duration:t.e.cfg.Config.manager_service
+                  shard_request t mgr ~bytes:Manager_shard.acquire_request_wire
                 in
                 match
                   Manager_shard.lock_acquire mgr ~now:served ~lock
@@ -1214,8 +1101,8 @@ let mutex_lock t lock =
                 with
                 | `Granted g ->
                   let reply =
-                    transfer_from t ~src:mep ~at:served
-                      ~bytes:g.Manager_shard.wire_bytes
+                    transfer_from t ~src:(Manager_shard.endpoint mgr)
+                      ~at:served ~bytes:g.Manager_shard.wire_bytes
                   in
                   Desim.Engine.schedule_at t.e.engine reply (fun () ->
                       wake (Ok g))
@@ -1251,28 +1138,21 @@ let mutex_unlock t lock =
      retry that already executed is a no-op at the takeover shard. *)
   let seq = 1 + Option.value (Hashtbl.find_opt t.release_seq lock) ~default:0 in
   Hashtbl.replace t.release_seq lock seq;
-  with_shard_failover t (fun () ->
+  with_failover t (fun () ->
       let mgr = Control_plane.shard_for t.e.cp lock in
-      let mep = Manager_shard.endpoint mgr in
-      let arrival = transfer_to t ~dst:mep ~bytes:wire in
-      let served =
-        Desim.Resource.reserve (Manager_shard.service mgr) ~now:arrival
-          ~duration:t.e.cfg.Config.manager_service
-      in
+      let served = shard_request t mgr ~bytes:wire in
       Manager_shard.lock_release mgr ~seq ~now:served ~lock ~thread:t.id ~log
         ~line_versions;
       Hashtbl.replace t.lock_seen lock (Manager_shard.lock_version mgr lock);
-      let reply =
-        transfer_from t ~src:mep ~at:served ~bytes:Manager_shard.ack_wire
-      in
-      delay_until t reply);
+      await_reply t ~src:(Manager_shard.endpoint mgr) ~at:served
+        ~bytes:Manager_shard.ack_wire);
   probe_sync t Probe.Unlock lock;
   t.m_sync <- t.m_sync + Desim.Time.diff (now t) start
 
 let barrier_wait t barrier =
   sync_clock t;
   let start = now t in
-  ignore (flush_dirty_all t : (int * int) list);
+  flush_dirty_all t;
   let lines = Hashtbl.fold (fun l () acc -> l :: acc) t.interval_writes [] in
   Hashtbl.reset t.interval_writes;
   let wire = barrier_arrive_overhead + (8 * List.length lines) in
@@ -1287,17 +1167,12 @@ let barrier_wait t barrier =
   in
   probe_barrier t ~barrier ~epoch `Arrive;
   let all, _reply_wire =
-    with_shard_failover t (fun () ->
+    with_failover t (fun () ->
         let mgr = Control_plane.shard_for t.e.cp barrier in
-        let mep = Manager_shard.endpoint mgr in
         match
           Desim.Engine.suspendv ~register:(fun ~wake ->
               try
-                let arrival = transfer_to t ~dst:mep ~bytes:wire in
-                let served =
-                  Desim.Resource.reserve (Manager_shard.service mgr)
-                    ~now:arrival ~duration:t.e.cfg.Config.manager_service
-                in
+                let served = shard_request t mgr ~bytes:wire in
                 match
                   Manager_shard.barrier_arrive mgr ~epoch ~now:served
                     ~barrier ~thread:t.id ~lines ~endpoint:t.endpoint
@@ -1305,7 +1180,8 @@ let barrier_wait t barrier =
                 with
                 | `Released (all, reply_wire) ->
                   let reply =
-                    transfer_from t ~src:mep ~at:served ~bytes:reply_wire
+                    transfer_from t ~src:(Manager_shard.endpoint mgr)
+                      ~at:served ~bytes:reply_wire
                   in
                   Desim.Engine.schedule_at t.e.engine reply (fun () ->
                       wake (Ok (all, reply_wire)))
@@ -1324,7 +1200,6 @@ let barrier_wait t barrier =
 
 let cond_wait t cond lock =
   let mgr = Control_plane.shard_for t.e.cp cond in
-  let mep = Manager_shard.endpoint mgr in
   (* POSIX requires releasing the mutex and starting the wait to be one
      atomic step, so the waiter registers with the shard before the
      release. Registering after the release's ack round trip (as an
@@ -1350,12 +1225,7 @@ let cond_wait t cond lock =
             path stays intact: the registration travels with the absorbed
             state and a signal on the takeover shard fires it. *)
          (try
-            let arrival = transfer_to t ~dst:mep ~bytes:cond_request_wire in
-            let served =
-              Desim.Resource.reserve (Manager_shard.service mgr) ~now:arrival
-                ~duration:t.e.cfg.Config.manager_service
-            in
-            ignore (served : Desim.Time.t)
+            ignore (shard_request t mgr ~bytes:cond_request_wire : Desim.Time.t)
           with Fabric.Scl.Node_dead _ -> ());
          state := `Suspended wake));
   probe_sync t Probe.Cond_wake cond;
@@ -1369,23 +1239,16 @@ let cond_wake_op t cond ~broadcast =
   (* A shard-crash retry whose first attempt already signalled can wake a
      second waiter — a spurious wakeup, benign under the pthreads
      contract (waiters re-check their predicate in a loop). *)
-  with_shard_failover t (fun () ->
+  with_failover t (fun () ->
       let mgr = Control_plane.shard_for t.e.cp cond in
-      let mep = Manager_shard.endpoint mgr in
-      let arrival = transfer_to t ~dst:mep ~bytes:cond_request_wire in
-      let served =
-        Desim.Resource.reserve (Manager_shard.service mgr) ~now:arrival
-          ~duration:t.e.cfg.Config.manager_service
-      in
+      let served = shard_request t mgr ~bytes:cond_request_wire in
       let woken =
         if broadcast then Manager_shard.cond_broadcast mgr ~now:served ~cond
         else Manager_shard.cond_signal mgr ~now:served ~cond
       in
       ignore (woken : int);
-      let reply =
-        transfer_from t ~src:mep ~at:served ~bytes:Manager_shard.ack_wire
-      in
-      delay_until t reply);
+      await_reply t ~src:(Manager_shard.endpoint mgr) ~at:served
+        ~bytes:Manager_shard.ack_wire);
   t.m_sync <- t.m_sync + Desim.Time.diff (now t) start
 
 let cond_signal t cond = cond_wake_op t cond ~broadcast:false

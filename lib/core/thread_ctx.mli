@@ -123,8 +123,8 @@ val in_consistency_region : t -> bool
 
 val held_locks : t -> Manager_shard.lock_id list
 (** Locks the thread currently holds, innermost first. RegCCheck's
-    deadlock detector combines this with {!Manager}'s waiter introspection
-    to build the wait-for graph of a stalled branch. *)
+    deadlock detector combines this with {!Manager_shard}'s waiter
+    introspection to build the wait-for graph of a stalled branch. *)
 
 (** {2 Lifecycle and accounting} *)
 

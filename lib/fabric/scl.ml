@@ -8,10 +8,6 @@ let request_bytes = 32
 
 let engine e = Network.engine e.net
 
-let block_until e t =
-  let now = Desim.Engine.now (engine e) in
-  Desim.Engine.delay (Desim.Time.diff t now)
-
 (* Retransmission policy: the timeout starts at roughly one uncontended
    round trip for the message size and doubles per attempt (capped), the
    classic go-back retry. Faults bound consecutive drops per (src,dst)
@@ -62,48 +58,23 @@ let reliable_transfer net ~now ~src ~dst ~bytes =
     in
     go 0 now
 
-(* Arrival time of a one-way transfer initiated now. *)
-let one_way ~src ~dst ~bytes =
-  let now = Desim.Engine.now (engine src) in
-  reliable_transfer src.net ~now ~src:src.node ~dst:dst.node ~bytes
-
 let serve ?service ?(service_time = 0) ~at () =
   match service with
   | None -> Desim.Time.add at service_time
   | Some r -> Desim.Resource.reserve r ~now:at ~duration:service_time
 
-(* Completion time of a round trip whose request enters the fabric now.
-   Either leg may be dropped by the fault policy; the requester cannot
-   tell which, so a loss of the reply re-runs the request leg too (the
-   modeled operations are idempotent — their state mutation happens once,
-   after the round trip completes). *)
-let round_trip ?service ?service_time ~src ~dst ~request_bytes:req
-    ~reply_bytes () =
+(* A read round trip whose request enters the fabric now; [on_complete]
+   fires at the payload's arrival. Each leg rides [reliable_transfer], so
+   a dropped request or reply costs a timeout and a resend. *)
+let async_read ?service ?service_time ~src ~dst ~bytes ~on_complete () =
   let now = Desim.Engine.now (engine src) in
   let at_dst =
-    reliable_transfer src.net ~now ~src:src.node ~dst:dst.node ~bytes:req
+    reliable_transfer src.net ~now ~src:src.node ~dst:dst.node
+      ~bytes:request_bytes
   in
   let served = serve ?service ?service_time ~at:at_dst () in
-  reliable_transfer src.net ~now:served ~src:dst.node ~dst:src.node
-    ~bytes:reply_bytes
-
-let rdma_write ~src ~dst ~bytes =
-  block_until src (one_way ~src ~dst ~bytes)
-
-let rdma_read ?service ?service_time ~src ~dst ~bytes () =
-  block_until src
-    (round_trip ?service ?service_time ~src ~dst ~request_bytes
-       ~reply_bytes:bytes ())
-
-let rpc ?service ?service_time ~src ~dst ~request_bytes:req ~reply_bytes () =
-  block_until src
-    (round_trip ?service ?service_time ~src ~dst ~request_bytes:req
-       ~reply_bytes ())
-
-let async_read ?service ?service_time ~src ~dst ~bytes ~on_complete () =
   let arrival =
-    round_trip ?service ?service_time ~src ~dst ~request_bytes
-      ~reply_bytes:bytes ()
+    reliable_transfer src.net ~now:served ~src:dst.node ~dst:src.node ~bytes
   in
   Desim.Engine.schedule_at (engine src) arrival (fun () ->
       on_complete arrival)

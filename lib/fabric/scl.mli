@@ -3,13 +3,15 @@
     The paper abstracts the interconnect behind SCL, a direct-memory-access
     style interface (mapping naturally onto InfiniBand verbs). This module
     is that interface for the simulated fabric: endpoints are (network,
-    node) pairs; operations either block the calling process until the
-    transfer completes or fire a completion callback (the asynchronous path
-    used for prefetching).
+    node) pairs. Its core is {!reliable_transfer}, a pure timing
+    computation of one retransmitted message; the protocol layers compose
+    their blocking round trips from it. {!async_read} is the one
+    ready-made operation: a round trip that fires a completion callback
+    (the prefetch path).
 
     Remote service time is modeled with an optional per-target
-    {!Desim.Resource}: requests serialize through the target's service loop,
-    capturing hot-spot contention at memory servers and the manager. *)
+    {!Desim.Resource}: requests serialize through the target's service
+    loop, capturing hot-spot contention at memory servers. *)
 
 type endpoint
 
@@ -17,32 +19,17 @@ val endpoint : Network.t -> Network.node -> endpoint
 val node : endpoint -> Network.node
 val network : endpoint -> Network.t
 
-(** {2 Blocking operations (call from a process)} *)
-
-val rdma_write : src:endpoint -> dst:endpoint -> bytes:int -> unit
-(** One-way bulk transfer; returns when the last byte arrives at [dst]. *)
-
-val rdma_read :
-  ?service:Desim.Resource.t -> ?service_time:Desim.Time.span ->
-  src:endpoint -> dst:endpoint -> bytes:int -> unit -> unit
-(** Read [bytes] from [dst]'s memory: a small request travels to [dst],
-    optionally waits for / occupies [service] for [service_time], then the
-    payload travels back. Returns when the payload arrives at [src]. *)
-
-val rpc :
-  ?service:Desim.Resource.t -> ?service_time:Desim.Time.span ->
-  src:endpoint -> dst:endpoint -> request_bytes:int -> reply_bytes:int ->
-  unit -> unit
-(** General request/reply round trip. *)
-
 (** {2 Asynchronous operations} *)
 
 val async_read :
   ?service:Desim.Resource.t -> ?service_time:Desim.Time.span ->
   src:endpoint -> dst:endpoint -> bytes:int ->
   on_complete:(Desim.Time.t -> unit) -> unit -> unit
-(** Like {!rdma_read} but returns immediately; [on_complete] runs (as a
-    scheduled event) at the arrival instant. *)
+(** Read [bytes] from [dst]'s memory without blocking: a small request
+    travels to [dst], optionally waits for / occupies [service] for
+    [service_time], then the payload travels back. Returns immediately;
+    [on_complete] runs (as a scheduled event) at the payload's arrival
+    instant. *)
 
 val request_bytes : int
 (** Size of a bare control/request message on the wire. *)
@@ -78,8 +65,8 @@ val reliable_transfer :
     and retries. With no fault policy this is exactly {!Network.transfer}.
     Pure timing computation — callable outside a process, like
     [Network.transfer]. The protocol layers ({!Samhita.Thread_ctx},
-    {!Samhita.Manager}) route every protocol message through this, which
-    is what makes RegC survive transient loss.
+    {!Samhita.Manager_shard}) route every protocol message through this,
+    which is what makes RegC survive transient loss.
 
     @raise Node_dead when an endpoint is fail-stop dead and the retry
     budget is exhausted. *)

@@ -107,40 +107,17 @@ let test_network_counters () =
 
 (* ---------------- SCL ---------------- *)
 
-let test_scl_rdma_read_blocks () =
-  let e, net = mk_net () in
-  let src = Fabric.Scl.endpoint net 0 and dst = Fabric.Scl.endpoint net 1 in
-  let finished = ref (-1) in
-  Desim.Engine.spawn e (fun () ->
-      Fabric.Scl.rdma_read ~src ~dst ~bytes:1000 ();
-      finished := Desim.Time.to_ns (Desim.Engine.now e));
-  Desim.Engine.run e;
-  (* Request: 50+32+100+32+100 = 314; reply: 50+1000+100+1000+100 = 2250;
-     total 2564. *)
-  Alcotest.(check int) "round trip" 2564 !finished
-
-let test_scl_rdma_write_blocks () =
-  let e, net = mk_net () in
-  let src = Fabric.Scl.endpoint net 0 and dst = Fabric.Scl.endpoint net 1 in
-  let finished = ref (-1) in
-  Desim.Engine.spawn e (fun () ->
-      Fabric.Scl.rdma_write ~src ~dst ~bytes:1000;
-      finished := Desim.Time.to_ns (Desim.Engine.now e));
-  Desim.Engine.run e;
-  Alcotest.(check int) "one way" 2250 !finished
-
 let test_scl_service_resource () =
   let e, net = mk_net () in
   let src = Fabric.Scl.endpoint net 0 and dst = Fabric.Scl.endpoint net 1 in
   let service = Desim.Resource.create ~name:"srv" () in
-  let finished = ref (-1) in
-  Desim.Engine.spawn e (fun () ->
-      Fabric.Scl.rpc ~service ~service_time:(ns 500) ~src ~dst
-        ~request_bytes:0 ~reply_bytes:0 ();
-      finished := Desim.Time.to_ns (Desim.Engine.now e));
+  let completed_at = ref (-1) in
+  Fabric.Scl.async_read ~service ~service_time:(ns 500) ~src ~dst ~bytes:0
+    ~on_complete:(fun t -> completed_at := Desim.Time.to_ns t)
+    ();
   Desim.Engine.run e;
-  (* 250 each way + 500 service. *)
-  Alcotest.(check int) "rpc with service" 1000 !finished;
+  (* Request: 50+32+100+32+100 = 314; 500 service; empty reply 250. *)
+  Alcotest.(check int) "read with service" 1064 !completed_at;
   Alcotest.(check int) "service job recorded" 1 (Desim.Resource.jobs service)
 
 let test_scl_async_read () =
@@ -203,8 +180,6 @@ let tests =
       test_network_contention_at_receiver;
     Alcotest.test_case "bad node" `Quick test_network_bad_node;
     Alcotest.test_case "counters" `Quick test_network_counters;
-    Alcotest.test_case "scl rdma_read" `Quick test_scl_rdma_read_blocks;
-    Alcotest.test_case "scl rdma_write" `Quick test_scl_rdma_write_blocks;
     Alcotest.test_case "scl service resource" `Quick
       test_scl_service_resource;
     Alcotest.test_case "scl async_read" `Quick test_scl_async_read;

@@ -338,11 +338,50 @@ let test_hit_path_allocation () =
     (Printf.sprintf "read_i64 hit allocates <= 3 words (%.2f)" read)
     true (read <= 3.01)
 
+(* ------------------------------------------------------------------ *)
+(* Lock-path allocation                                                *)
+
+(* Minor words per uncontended mutex_lock + mutex_unlock pair with an
+   empty consistency region. The pair suspends, so it is measured inside
+   the simulation and the count includes the engine's own work for it. *)
+let lock_pair_words () =
+  let sys = Samhita.System.create ~threads:1 () in
+  let lock = Samhita.System.mutex sys in
+  let words = ref Float.nan in
+  ignore
+    (Samhita.System.spawn sys (fun t ->
+         let pair () =
+           Samhita.Thread_ctx.mutex_lock t lock;
+           Samhita.Thread_ctx.mutex_unlock t lock
+         in
+         pair ();
+         let n = 1_000 in
+         let before = Gc.minor_words () in
+         for _ = 1 to n do
+           pair ()
+         done;
+         words := (Gc.minor_words () -. before) /. float_of_int n)
+     : Samhita.Thread_ctx.t);
+  Samhita.System.run sys;
+  !words
+
+(* Pinned at 339.59 words, measured (OCaml 5.1, no flambda) before the
+   memory-server and manager-shard round trips each moved into one
+   helper. The 2-word slack absorbs runtime differences; one closure
+   added to the lock path costs about 5 words per pair and fails this. *)
+let test_lock_pair_allocation () =
+  let words = lock_pair_words () in
+  Alcotest.(check bool)
+    (Printf.sprintf "lock+unlock pair allocates <= 341.6 words (%.2f)" words)
+    true (words <= 341.6)
+
 let tests =
   [ QCheck_alcotest.to_alcotest prop_diff_matches_reference;
     QCheck_alcotest.to_alcotest prop_victims_match_scan;
     QCheck_alcotest.to_alcotest prop_heap_matches_boxed;
     Alcotest.test_case "no-probe hit path allocation" `Quick
-      test_hit_path_allocation ]
+      test_hit_path_allocation;
+    Alcotest.test_case "uncontended lock pair allocation" `Quick
+      test_lock_pair_allocation ]
 
 let () = Alcotest.run "hotpath-equiv" [ ("equivalence", tests) ]
