@@ -217,59 +217,6 @@ let md_cmd =
 
 (* ---------------- serve ---------------- *)
 
-(* BENCH.json is written whole by bench/main.exe; the serve block is
-   always its last field, so appending is textual: drop an existing
-   serve block (or just the closing brace) and re-emit. No JSON parser
-   in the repo, and none needed. *)
-let serve_json_marker = "  \"serve\": "
-
-let find_substring hay needle =
-  let nh = String.length hay and nn = String.length needle in
-  let rec go i =
-    if i + nn > nh then None
-    else if String.sub hay i nn = needle then Some i
-    else go (i + 1)
-  in
-  go 0
-
-let trim_end s =
-  let n = ref (String.length s) in
-  while
-    !n > 0
-    && (match s.[!n - 1] with '\n' | '\r' | ' ' | '\t' -> true | _ -> false)
-  do
-    decr n
-  done;
-  String.sub s 0 !n
-
-let append_serve_json sweep =
-  let block = Harness.Serving.to_json sweep in
-  let fresh () = "{\n" ^ serve_json_marker ^ block ^ "\n}\n" in
-  let content =
-    if Sys.file_exists "BENCH.json" then begin
-      let ic = open_in_bin "BENCH.json" in
-      let s = really_input_string ic (in_channel_length ic) in
-      close_in ic;
-      match find_substring s serve_json_marker with
-      | Some i ->
-        (* Replace the existing block: what precedes it already ends
-           with '{' (serve-only file) or ',' (after bench's fields). *)
-        trim_end (String.sub s 0 i) ^ "\n" ^ serve_json_marker ^ block
-        ^ "\n}\n"
-      | None ->
-        (match String.rindex_opt s '}' with
-         | Some i ->
-           trim_end (String.sub s 0 i) ^ ",\n" ^ serve_json_marker ^ block
-           ^ "\n}\n"
-         | None -> fresh ())
-    end
-    else fresh ()
-  in
-  let oc = open_out_bin "BENCH.json" in
-  output_string oc content;
-  close_out oc;
-  Printf.printf "wrote serve block to BENCH.json\n%!"
-
 let serve_cmd =
   let keys_t =
     Arg.(value & opt int 256 & info [ "keys" ] ~docv:"N" ~doc:"Key count.")
@@ -337,8 +284,7 @@ let serve_cmd =
       value & flag
       & info [ "json" ]
           ~doc:
-            "Also write the sweep as the $(b,serve) block of BENCH.json \
-             in the current directory.")
+            "Print the sweep as one JSON object instead of the table.")
   in
   let run backend threads keys shards manager_shards clients requests zipf
       read_fraction seed replication crash load json =
@@ -393,8 +339,8 @@ let serve_cmd =
       Harness.Serving.run ~fractions ~backend:kind ~threads ~replication
         ~manager_shards ~crash kv
     in
-    Format.printf "%a@?" Harness.Serving.pp sweep;
-    if json then append_serve_json sweep;
+    if json then print_endline (Harness.Serving.to_json sweep)
+    else Format.printf "%a@?" Harness.Serving.pp sweep;
     let lost =
       List.fold_left
         (fun a p -> a + p.Harness.Serving.lost_writes)

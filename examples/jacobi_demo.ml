@@ -34,5 +34,5 @@ let () =
     "\"exact\" means the DSM run reproduced the sequential grid bit for\n\
      bit: every page fetch, diff merge and write notice preserved the data.\n\
      At this demo size synchronization dominates the DSM runs; the\n\
-     paper-scale grid (dune exec bench/main.exe -- fig12) shows Samhita\n\
-     scaling to 16 cores."
+     paper-scale grid (dune exec bin/samhita_sim.exe -- fig fig12)\n\
+     shows Samhita scaling to 16 cores."

@@ -175,31 +175,31 @@ let pp ppf t =
     t.points
 
 (* ------------------------------------------------------------------ *)
-(* JSON (hand-rolled like bench/main.ml: no parser dependency) *)
+(* JSON (hand-rolled: no parser dependency) *)
 
 let to_json t =
   let b = Buffer.create 1024 in
   let tp = t.kv.Workload.Kv.traffic in
   Buffer.add_string b "{\n";
-  Printf.bprintf b "    \"backend\": \"%s\",\n" t.backend;
-  Printf.bprintf b "    \"threads\": %d,\n" t.threads;
-  Printf.bprintf b "    \"replication\": %d,\n" t.replication;
-  Printf.bprintf b "    \"manager_shards\": %d,\n" t.manager_shards;
-  Printf.bprintf b "    \"crash\": %b,\n" t.crash;
-  Printf.bprintf b "    \"keys\": %d,\n" tp.Workload.Traffic.keys;
-  Printf.bprintf b "    \"shards\": %d,\n" t.kv.Workload.Kv.shards;
-  Printf.bprintf b "    \"clients\": %d,\n" tp.Workload.Traffic.clients;
-  Printf.bprintf b "    \"requests\": %d,\n" tp.Workload.Traffic.requests;
-  Printf.bprintf b "    \"zipf_s\": %g,\n" tp.Workload.Traffic.zipf_s;
-  Printf.bprintf b "    \"read_fraction\": %g,\n"
+  Printf.bprintf b "  \"backend\": \"%s\",\n" t.backend;
+  Printf.bprintf b "  \"threads\": %d,\n" t.threads;
+  Printf.bprintf b "  \"replication\": %d,\n" t.replication;
+  Printf.bprintf b "  \"manager_shards\": %d,\n" t.manager_shards;
+  Printf.bprintf b "  \"crash\": %b,\n" t.crash;
+  Printf.bprintf b "  \"keys\": %d,\n" tp.Workload.Traffic.keys;
+  Printf.bprintf b "  \"shards\": %d,\n" t.kv.Workload.Kv.shards;
+  Printf.bprintf b "  \"clients\": %d,\n" tp.Workload.Traffic.clients;
+  Printf.bprintf b "  \"requests\": %d,\n" tp.Workload.Traffic.requests;
+  Printf.bprintf b "  \"zipf_s\": %g,\n" tp.Workload.Traffic.zipf_s;
+  Printf.bprintf b "  \"read_fraction\": %g,\n"
     tp.Workload.Traffic.read_fraction;
-  Printf.bprintf b "    \"seed\": %d,\n" tp.Workload.Traffic.seed;
-  Printf.bprintf b "    \"capacity_rps\": %.1f,\n" t.capacity_rps;
-  Buffer.add_string b "    \"points\": [";
+  Printf.bprintf b "  \"seed\": %d,\n" tp.Workload.Traffic.seed;
+  Printf.bprintf b "  \"capacity_rps\": %.1f,\n" t.capacity_rps;
+  Buffer.add_string b "  \"points\": [";
   List.iteri
     (fun i p ->
        if i > 0 then Buffer.add_char b ',';
-       Buffer.add_string b "\n      {";
+       Buffer.add_string b "\n    {";
        Printf.bprintf b "\"fraction\": %g, " p.fraction;
        Printf.bprintf b "\"rate_rps\": %.1f, " p.rate_rps;
        Printf.bprintf b "\"achieved_rps\": %.1f, " p.achieved_rps;
@@ -212,5 +212,5 @@ let to_json t =
        Printf.bprintf b "\"wall_ns\": %d, " p.wall_ns;
        Printf.bprintf b "\"lost_writes\": %d}" p.lost_writes)
     t.points;
-  Buffer.add_string b "\n    ]\n  }";
+  Buffer.add_string b "\n  ]\n}";
   Buffer.contents b

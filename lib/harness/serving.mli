@@ -63,6 +63,5 @@ val pp : Format.formatter -> t -> unit
 (** Human-readable capacity line plus one row per sweep point. *)
 
 val to_json : t -> string
-(** The sweep as a JSON object (hand-rolled, schema pinned by
-    [test/exit_codes.sh]); the [serve] CLI appends it to BENCH.json
-    under the ["serve"] key. *)
+(** The sweep as one JSON object (hand-rolled, schema pinned by
+    [test/exit_codes.sh]); [serve --json] prints it to stdout. *)

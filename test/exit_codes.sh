@@ -93,29 +93,35 @@ case "$shape" in
     ;;
 esac
 
-# serve --json: the BENCH.json serve block's schema is a CI consumer
-# contract. Written in a scratch dir so the repo root stays untouched,
-# then appended again to prove the block replaces itself idempotently.
+# serve --json: the printed object's schema is a CI consumer contract.
+# Run in a scratch dir to prove serve writes nothing to the cwd.
 scratch="$(mktemp -d)"
 (
   cd "$scratch" || exit 1
-  "$bin" serve "${serve_quick[@]}" --json >/dev/null 2>&1
-  "$bin" serve "${serve_quick[@]}" --json >/dev/null 2>&1
+  "$bin" serve "${serve_quick[@]}" --json >serve.json 2>/dev/null
 )
 json_fail=0
-for field in '"serve":' '"backend": "pth"' '"threads": 2' '"replication": 0' \
+for field in '"backend": "pth"' '"threads": 2' '"replication": 0' \
   '"crash": false' '"capacity_rps":' '"points":' '"fraction":' \
   '"rate_rps":' '"achieved_rps":' '"served":' '"p50_ns":' '"p99_ns":' \
   '"p999_ns":' '"mean_ns":' '"max_ns":' '"wall_ns":' '"lost_writes":'; do
-  if ! grep -qF -- "$field" "$scratch/BENCH.json"; then
+  if ! grep -qF -- "$field" "$scratch/serve.json"; then
     echo "exit_codes: serve --json schema: missing $field" >&2
     json_fail=1
   fi
 done
-if [ "$(grep -cF '"serve":' "$scratch/BENCH.json")" -ne 1 ]; then
-  echo "exit_codes: serve --json: re-append duplicated the serve block" >&2
+if [ "$(ls -A "$scratch")" != "serve.json" ]; then
+  echo "exit_codes: serve --json wrote files to the cwd" >&2
   json_fail=1
 fi
+json_text="$(tr -d '[:space:]' <"$scratch/serve.json")"
+case "$json_text" in
+  "{"*"}") : ;;
+  *)
+    echo "exit_codes: serve --json: stdout is not one JSON object" >&2
+    json_fail=1
+    ;;
+esac
 if [ "$json_fail" -ne 0 ]; then
   fails=$((fails + 1))
 fi

@@ -102,6 +102,39 @@ let test_mirror_on_healthy_run () =
     Alcotest.(check int) "no lease expired" 0 r.leases_expired;
     Alcotest.(check int) "no promotion" 0 r.promotions
 
+(* ---------------- replication cost ---------------- *)
+
+(* What primary-backup costs a real kernel: quick Jacobi on two memory
+   servers, without and with replication, same seed and shape. The
+   makespans and mirror counters are the figures EXPERIMENTS.md quotes
+   (777.7 us -> 1000.0 us, 1.29x); a protocol change that moves them
+   must update both. *)
+let test_replication_cost () =
+  let run replication =
+    let config = { cfg with memory_servers = 2; replication } in
+    let captured = ref None in
+    let b =
+      Workload.Samhita_backend.make ~config
+        ~on_create:(fun sys -> captured := Some sys)
+        ()
+    in
+    let p = { Workload.Jacobi.default_params with n = 32; iters = 4 } in
+    let r = Workload.Jacobi.run b ~threads:4 p in
+    match !captured with
+    | Some sys -> (r.Workload.Jacobi.wall_ns, sys)
+    | None -> Alcotest.fail "system not captured"
+  in
+  let base_ns, _ = run 0 in
+  let repl_ns, sys = run 1 in
+  Alcotest.(check int) "unreplicated makespan" 777_690 base_ns;
+  Alcotest.(check int) "replicated makespan" 1_000_000 repl_ns;
+  match Samhita.Metrics.replication_of_system sys with
+  | None -> Alcotest.fail "replication counters expected"
+  | Some r ->
+    Alcotest.(check int) "mirrored writes" 40 r.mirrored_writes;
+    Alcotest.(check int) "mirror bytes" 3012 r.mirror_bytes;
+    Alcotest.(check int) "no promotion" 0 r.promotions
+
 (* ---------------- crash and recovery ---------------- *)
 
 (* The workhorse: [threads] writers hammer lock-protected counters while
@@ -232,6 +265,8 @@ let tests =
       test_fault_constructors;
     Alcotest.test_case "healthy replicated run" `Quick
       test_mirror_on_healthy_run;
+    Alcotest.test_case "replication cost on jacobi" `Quick
+      test_replication_cost;
     Alcotest.test_case "crash mid-run completes" `Quick
       test_crash_mid_run_completes;
     Alcotest.test_case "crash other server" `Quick test_crash_other_server;
