@@ -138,16 +138,6 @@ let servers_t =
           "Memory servers the global address space is striped across. \
            Samhita backend only.")
 
-let migrate_t =
-  Arg.(
-    value & flag
-    & info [ "migrate" ]
-        ~doc:
-          "Enable home-page migration: each shard periodically re-homes \
-           its hottest write-shared line next to the dominant writer \
-           (decisions are a pure function of the seed). Samhita backend \
-           only.")
-
 (* ---------------- validators ---------------- *)
 
 (* The thread cap is a config field, not a compile-time constant; errors
@@ -180,15 +170,14 @@ let check_smh_only ~cmd ~backend flags =
 (* Kernel config for the smh backend: Config.default with only the
    flag-selected fields overridden, so a run with every new flag at its
    default is byte-identical to the pre-sharding driver. *)
-let kernel_config ~cmd ~threads ~shards ~servers ~migrate ~sanitize =
+let kernel_config ~cmd ~threads ~shards ~servers ~sanitize =
   check_shards ~cmd ~flag:"--shards" shards;
   if servers < 1 then usage ~cmd "--servers must be >= 1";
   let config =
     { Samhita.Config.default with
       Samhita.Config.sanitize;
       memory_servers = servers;
-      manager_shards = shards;
-      home_migration = migrate }
+      manager_shards = shards }
   in
   check_threads ~cmd ~config threads;
   config
@@ -200,19 +189,16 @@ let smh_backend ~config ~captured =
     ~on_create:(fun sys -> captured := Some sys)
     ()
 
-let kernel_backend ~cmd ~backend ~threads ~shards ~servers ~migrate
-    ~sanitize ~captured =
+let kernel_backend ~cmd ~backend ~threads ~shards ~servers ~sanitize
+    ~captured =
   match backend with
   | `Smh ->
-    let config =
-      kernel_config ~cmd ~threads ~shards ~servers ~migrate ~sanitize
-    in
+    let config = kernel_config ~cmd ~threads ~shards ~servers ~sanitize in
     smh_backend ~config ~captured
   | `Pth ->
     check_smh_only ~cmd ~backend
       [ ("--shards", shards > 1);
-        ("--servers", servers <> Samhita.Config.default.Samhita.Config.memory_servers);
-        ("--migrate", migrate) ];
+        ("--servers", servers <> Samhita.Config.default.Samhita.Config.memory_servers) ];
     check_threads ~cmd threads;
     Workload.Smp_backend.default
 

@@ -11,8 +11,8 @@
 
    Shared flags, converters, validators and the usage-error shape live in
    {!Cli}; `micro`, `jacobi` and `md` accept --sanitize to attach the
-   RegCSan analyzer, and --shards / --migrate to shard the control plane
-   and enable home-page migration. *)
+   RegCSan analyzer, and --shards / --servers to shard the control plane
+   and stripe the address space over more memory servers. *)
 
 open Cmdliner
 
@@ -85,14 +85,14 @@ let micro_cmd =
   let s_t =
     Arg.(value & opt int 2 & info [ "s" ] ~docv:"S" ~doc:"Rows per thread.")
   in
-  let run backend threads alloc m s shards servers migrate report sanitize =
+  let run backend threads alloc m s shards servers report sanitize =
     let p =
       { Workload.Microbench.default_params with alloc; m_inner = m; s_rows = s }
     in
     let captured = ref None in
     let b =
       Cli.kernel_backend ~cmd:"micro" ~backend ~threads ~shards ~servers
-        ~migrate ~sanitize ~captured
+        ~sanitize ~captured
     in
     let r = Workload.Microbench.run b ~threads p in
     Printf.printf
@@ -127,7 +127,7 @@ let micro_cmd =
     (Cmd.info "micro" ~doc:"Run the paper's Figure-2 micro-benchmark once")
     Term.(
       const run $ backend_t $ threads_t $ alloc_t $ m_t $ s_t $ Cli.shards_t
-      $ Cli.servers_t $ Cli.migrate_t $ report_t $ sanitize_t)
+      $ Cli.servers_t $ report_t $ sanitize_t)
 
 (* ---------------- jacobi ---------------- *)
 
@@ -138,12 +138,12 @@ let jacobi_cmd =
   let iters_t =
     Arg.(value & opt int 20 & info [ "iters" ] ~docv:"K" ~doc:"Sweeps.")
   in
-  let run backend threads n iters shards servers migrate sanitize =
+  let run backend threads n iters shards servers sanitize =
     let p = { Workload.Jacobi.default_params with n; iters } in
     let captured = ref None in
     let b =
       Cli.kernel_backend ~cmd:"jacobi" ~backend ~threads ~shards ~servers
-        ~migrate ~sanitize ~captured
+        ~sanitize ~captured
     in
     let r = Workload.Jacobi.run b ~threads p in
     let ref_sum, ref_res = Workload.Jacobi.reference p in
@@ -169,7 +169,7 @@ let jacobi_cmd =
     (Cmd.info "jacobi" ~doc:"Run the Jacobi application kernel once")
     Term.(
       const run $ backend_t $ threads_t $ n_t $ iters_t $ Cli.shards_t
-      $ Cli.servers_t $ Cli.migrate_t $ sanitize_t)
+      $ Cli.servers_t $ sanitize_t)
 
 (* ---------------- md ---------------- *)
 
@@ -180,12 +180,12 @@ let md_cmd =
   let steps_t =
     Arg.(value & opt int 10 & info [ "steps" ] ~docv:"K" ~doc:"Time steps.")
   in
-  let run backend threads n steps shards servers migrate sanitize =
+  let run backend threads n steps shards servers sanitize =
     let p = { Workload.Md.default_params with n; steps } in
     let captured = ref None in
     let b =
       Cli.kernel_backend ~cmd:"md" ~backend ~threads ~shards ~servers
-        ~migrate ~sanitize ~captured
+        ~sanitize ~captured
     in
     let r = Workload.Md.run b ~threads p in
     let ref_sum, _ = Workload.Md.reference p in
@@ -213,7 +213,7 @@ let md_cmd =
     (Cmd.info "md" ~doc:"Run the molecular-dynamics kernel once")
     Term.(
       const run $ backend_t $ threads_t $ n_t $ steps_t $ Cli.shards_t
-      $ Cli.servers_t $ Cli.migrate_t $ sanitize_t)
+      $ Cli.servers_t $ sanitize_t)
 
 (* ---------------- serve ---------------- *)
 

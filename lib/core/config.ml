@@ -52,8 +52,6 @@ type t = {
   lease_interval : Desim.Time.span;
   max_threads : int;
   manager_shards : int;
-  home_migration : bool;
-  migration_window : int;
   fault : fault option;
 }
 
@@ -86,8 +84,6 @@ let default =
     lease_interval = Desim.Time.ns 100_000;
     max_threads = 512;
     manager_shards = 1;
-    home_migration = false;
-    migration_window = 32;
     fault = None }
 
 let is_pow2 n = n > 0 && n land (n - 1) = 0
@@ -167,14 +163,6 @@ let validate t =
       "manager_bypass requires manager_shards = 1 (bypass is a \
        single-compute-node optimization)"
   in
-  let* () =
-    check (t.migration_window >= 2) "migration_window must be >= 2"
-  in
-  let* () =
-    check
-      ((not t.home_migration) || t.model = Regc)
-      "home_migration is only modeled for the regc engine"
-  in
   match t.fault with
   | None -> Ok ()
   | Some f ->
@@ -247,7 +235,7 @@ let pp ppf t =
      cost: mem=%.2fns flop=%.2fns server=%a manager=%a diff=%.3fns/B@ \
      layout: %d server(s), %d threads/node, %s@ \
      ft: replication=%d lease=%a fault=%s@ \
-     ctl: shards=%d max-threads=%d migrate=%b@]"
+     ctl: shards=%d max-threads=%d@]"
     (model_name t.model)
     t.page_bytes t.pages_per_line t.cache_lines t.prefetch
     t.evict_dirty_first t.sanitize
@@ -259,4 +247,4 @@ let pp ppf t =
     t.threads_per_node t.fabric.Fabric.Profile.name
     t.replication Desim.Time.pp_span t.lease_interval
     (fault_to_string t.fault)
-    t.manager_shards t.max_threads t.home_migration
+    t.manager_shards t.max_threads

@@ -139,13 +139,6 @@ type t = {
           consistent-hash ring ({!Hash_ring}); each shard owns its slice of
           lock state, update logs and lease monitoring. Shard 0 also owns
           the global address-space allocator. *)
-  home_migration : bool;
-      (** Migrate a page's home server toward its dominant writer, decided
-          seed-deterministically from per-shard write counters (default
-          off). [Regc] model only. *)
-  migration_window : int;
-      (** Writes observed per line between home-migration decisions
-          (default 32). *)
   (* Failure injection *)
   fault : fault option;
       (** The injected failure, if any. [None] (default) leaves the

@@ -128,9 +128,8 @@ let recover_shard t ~dead ~now =
 (* Memory-server recovery, composed across shards                      *)
 
 (* Promote once, then replay every shard's surviving logs in (shard,
-   lock id) order, then wake the parked threads once. With one shard
-   this is exactly Manager_shard.recover. [detecting] is the shard whose
-   lease monitor expired the lease. *)
+   lock id) order, then wake the parked threads once. [detecting] is the
+   shard whose lease monitor expired the lease. *)
 let recover_server t ~dir ~servers ~dead ~probe ~now ~detecting =
   (* The detecting shard's lease expiry bumps its configuration epoch;
      promotion stamps the directory slots and the promoted replica with
@@ -147,7 +146,7 @@ let recover_server t ~dir ~servers ~dead ~probe ~now ~detecting =
     (fun sh ->
        replayed :=
          !replayed
-         + Manager_shard.replay sh ~dir ~servers ~dead ~promoted ~probe ~now)
+         + Manager_shard.replay sh ~servers ~dead ~promoted ~probe ~now)
     t.shards;
   List.iter
     (fun wake -> Desim.Engine.schedule_at t.engine now wake)
@@ -158,8 +157,7 @@ let recover_server t ~dir ~servers ~dead ~probe ~now ~detecting =
    healed: resync it back in as the backup of whichever primary it maps
    to now. The resync is an epoch-stamped diff against the new primary's
    versions — only lines the primary currently serves where the zombie
-   is behind are copied — modeled like the home-migration blit as a
-   zero-latency background copy (the lease monitor's probe round trip
+   is behind are copied — modeled as a zero-latency background copy (the lease monitor's probe round trip
    already charged the detection latency). Writes the zombie absorbed as
    a Control-scope zombie primary before the promotion were
    synchronously mirrored to exactly the server that got promoted, so
@@ -226,11 +224,6 @@ let sum f t = Array.fold_left (fun acc sh -> acc + f sh) 0 t.shards
 let heartbeats t = sum Manager_shard.heartbeats t
 let leases_expired t = sum Manager_shard.leases_expired t
 let replayed_updates t = sum Manager_shard.replayed_updates t
-let migrations t = sum Manager_shard.migrations t
-
-let migration_log t =
-  Array.to_list t.shards |> List.concat_map Manager_shard.migration_log
-
 let shard_heartbeats t = t.shard_heartbeats
 let takeovers t = t.takeovers
 let absorbed_objects t = t.absorbed_objects

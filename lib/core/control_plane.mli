@@ -82,8 +82,8 @@ val rejoin_server :
     the current epoch and resync it back in as the backup it already
     ring-wires to — an epoch-stamped diff against the live primary's
     versions (only lines that primary currently serves, only where the
-    zombie is behind), modeled as a zero-latency background copy like
-    the home-migration blit. Returns [(primary_backed, lines_copied)]
+    zombie is behind), modeled as a zero-latency background copy.
+    Returns [(primary_backed, lines_copied)]
     and fires [Probe.on_rejoin]. *)
 
 (** {2 Aggregated introspection} *)
@@ -102,11 +102,6 @@ val gas_used : t -> int
 val heartbeats : t -> int
 val leases_expired : t -> int
 val replayed_updates : t -> int
-val migrations : t -> int
-
-val migration_log : t -> (int * int) list
-(** Per-shard decision logs concatenated in shard order. *)
-
 val shard_heartbeats : t -> int
 val takeovers : t -> int
 val absorbed_objects : t -> int

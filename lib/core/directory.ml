@@ -15,10 +15,6 @@ type t = {
   mutable dead : int option;
   mutable waiters : (unit -> unit) list;
   mutable promotions : int;
-  (* Home-migration overrides: line -> logical server, consulted before
-     the striped default. Empty (and never probed beyond one Hashtbl
-     lookup on a 0-entry table) unless home migration ran. *)
-  rehome : (int, int) Hashtbl.t;
   (* Configuration epoch, monotonically increasing: bumped on every lease
      expiry (promotion). epochs.(logical) is the epoch under which that
      slot's current mapping was installed — clients stamp requests with
@@ -43,7 +39,6 @@ let create (cfg : Config.t) =
     dead = None;
     waiters = [];
     promotions = 0;
-    rehome = Hashtbl.create 64;
     cur_epoch = 0;
     epochs = Array.make cfg.Config.memory_servers 0;
     rejoined = false;
@@ -57,19 +52,7 @@ let physical_of_logical t logical =
     invalid_arg "Directory.physical_of_logical: bad logical server";
   t.physical.(logical)
 
-let logical_of_line t cfg ~line =
-  match Hashtbl.find_opt t.rehome line with
-  | Some logical -> logical
-  | None -> Home.server_of_line cfg ~line
-
-let server_of_line t cfg ~line = t.physical.(logical_of_line t cfg ~line)
-
-let set_home t ~line ~logical =
-  if logical < 0 || logical >= t.memory_servers then
-    invalid_arg "Directory.set_home: bad logical server";
-  Hashtbl.replace t.rehome line logical
-
-let rehomed t = Hashtbl.length t.rehome
+let server_of_line t cfg ~line = t.physical.(Home.server_of_line cfg ~line)
 
 (* Primary-backup placement: the backup of server [i] is its ring
    successor. With replication on, [memory_servers >= 2] guarantees the

@@ -21,18 +21,8 @@ val create : Config.t -> t
 val physical_of_logical : t -> int -> int
 (** Physical server index currently serving a logical stripe slot. *)
 
-val logical_of_line : t -> Config.t -> line:int -> int
-(** Logical home of a line: the home-migration override if one exists,
-    otherwise the striped default {!Home.server_of_line}. *)
-
 val server_of_line : t -> Config.t -> line:int -> int
-(** [physical_of_logical] composed with {!logical_of_line}. *)
-
-val set_home : t -> line:int -> logical:int -> unit
-(** Record a home migration: [line]'s logical home becomes [logical]. *)
-
-val rehomed : t -> int
-(** Number of lines whose home has migrated off the striped default. *)
+(** [physical_of_logical] composed with {!Home.server_of_line}. *)
 
 val backup_of : t -> int -> int
 (** Primary-backup placement: the backup of server [i] is [(i + 1) mod

@@ -12,6 +12,7 @@ val server_of_line : Config.t -> line:int -> int
 val stripe_bytes : Config.t -> int
 (** Bytes per stripe ([stripe_lines] lines). *)
 
-val group_lines_by_server : Config.t -> int list -> (int * int list) list
-(** Partition line ids by home server; servers ascending, each with its
-    lines in input order. *)
+val group_by_server :
+  Config.t -> ('a -> int) -> 'a list -> (int * 'a list) list
+(** Partition [items] by the home server of [line_of item]; servers
+    ascending, each with its items in input order. *)

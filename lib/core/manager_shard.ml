@@ -104,13 +104,6 @@ type t = {
   mutable cfg_epoch : int;
   mutable replayed : int;
   mutable orphans : orphan list;  (* newest first *)
-  (* Home-page migration: per-line write counters over this shard's sync
-     traffic, and the migration callback System installs (it owns the
-     servers and the directory). *)
-  write_counts : (int, (int, int) Hashtbl.t) Hashtbl.t;
-  mutable migrate : (line:int -> target:int -> bool) option;
-  mutable migrations : int;
-  mutable migration_log : (int * int) list;  (* (line, target), newest first *)
 }
 
 let acquire_request_wire = 48
@@ -138,11 +131,7 @@ let create cfg layout ~engine ~endpoint =
     leases_expired = 0;
     cfg_epoch = 0;
     replayed = 0;
-    orphans = [];
-    write_counts = Hashtbl.create 64;
-    migrate = None;
-    migrations = 0;
-    migration_log = [] }
+    orphans = [] }
 
 let endpoint t = t.endpoint
 let service t = t.service
@@ -169,59 +158,6 @@ let push t ~now ~dst ~bytes fire =
   with Fabric.Scl.Node_dead _ ->
     t.orphans <- { o_endpoint = dst; o_bytes = bytes; o_fire = fire }
                  :: t.orphans
-
-(* ------------------------------------------------------------------ *)
-(* Home-page migration                                                 *)
-
-let server_for_thread cfg thread =
-  (thread / cfg.Config.threads_per_node) mod cfg.Config.memory_servers
-
-(* Count each thread's flushed writes per line; every [migration_window]
-   observations of a line, migrate its home to the dominant writer's
-   nearest server when that writer produced at least half the window.
-   Pure function of the (deterministic) request sequence, so decisions
-   replay bit-for-bit. *)
-let note_writes t ~thread lines =
-  if t.cfg.Config.home_migration && t.migrate <> None then
-    List.iter
-      (fun line ->
-         let per =
-           match Hashtbl.find_opt t.write_counts line with
-           | Some h -> h
-           | None ->
-             let h = Hashtbl.create 8 in
-             Hashtbl.replace t.write_counts line h;
-             h
-         in
-         Hashtbl.replace per thread
-           (1 + Option.value (Hashtbl.find_opt per thread) ~default:0);
-         let total = Hashtbl.fold (fun _ c acc -> acc + c) per 0 in
-         if total >= t.cfg.Config.migration_window then begin
-           (* Order-independent arg-max: strictly more writes wins, ties
-              go to the lowest thread id. *)
-           let dom, dom_c =
-             Hashtbl.fold
-               (fun th c (bt, bc) ->
-                  if c > bc || (c = bc && th < bt) then (th, c) else (bt, bc))
-               per (max_int, 0)
-           in
-           Hashtbl.remove t.write_counts line;
-           if 2 * dom_c >= total then begin
-             let target = server_for_thread t.cfg dom in
-             match t.migrate with
-             | Some f ->
-               if f ~line ~target then begin
-                 t.migrations <- t.migrations + 1;
-                 t.migration_log <- (line, target) :: t.migration_log
-               end
-             | None -> ()
-           end
-         end)
-      lines
-
-let set_migrator t f = t.migrate <- Some f
-let migrations t = t.migrations
-let migration_log t = List.rev t.migration_log
 
 (* ------------------------------------------------------------------ *)
 (* Allocation                                                          *)
@@ -367,7 +303,6 @@ let lock_release ?seq t ~now ~lock ~thread ~log ~line_versions =
      if List.length st.history > keep then
        st.history <- List.filteri (fun i _ -> i < keep) st.history);
     List.iter (fun (l, v) -> Hashtbl.replace st.touched l v) line_versions;
-    note_writes t ~thread (List.map fst line_versions);
     match Queue.take_opt st.waiters with
     | None -> st.holder <- None
     | Some w ->
@@ -459,7 +394,6 @@ let barrier_arrive ?epoch t ~now ~barrier ~thread ~lines ~endpoint ~wake =
          in
          Tset.add set thread)
       lines;
-    note_writes t ~thread lines;
     Tset.add st.parts thread;
     st.arrived <- st.arrived + 1;
     if st.arrived < st.parties then begin
@@ -567,7 +501,7 @@ let epoch t = t.cfg_epoch
    replica is behind is patched forward from the log, oldest release
    first. With synchronous mirroring the replica is normally already
    current and replay is a no-op safety net. *)
-let replay t ~dir ~servers ~dead ~promoted ~probe ~now =
+let replay t ~servers ~dead ~promoted ~probe ~now =
   let psrv = servers.(promoted) in
   let replayed_here = ref 0 in
   let locks =
@@ -580,7 +514,7 @@ let replay t ~dir ~servers ~dead ~promoted ~probe ~now =
          (fun h ->
             List.iter
               (fun (line, v) ->
-                 if Directory.logical_of_line dir t.cfg ~line = dead
+                 if Home.server_of_line t.cfg ~line = dead
                     && Memory_server.version psrv line < v
                  then begin
                    List.iter
@@ -604,20 +538,6 @@ let replay t ~dir ~servers ~dead ~promoted ~probe ~now =
     locks;
   t.replayed <- t.replayed + !replayed_here;
   !replayed_here
-
-(* Single-shard recovery (the classic path; the sharded facade composes
-   [replay] across shards instead): promote the backup, replay, wake
-   parked threads. *)
-let recover t ~dir ~servers ~dead ~probe ~now =
-  t.leases_expired <- t.leases_expired + 1;
-  t.cfg_epoch <- t.cfg_epoch + 1;
-  let promoted = Directory.promote ~epoch:t.cfg_epoch dir ~dead in
-  Memory_server.set_epoch servers.(promoted) (Directory.epoch dir);
-  let replayed_here = replay t ~dir ~servers ~dead ~promoted ~probe ~now in
-  List.iter
-    (fun wake -> Desim.Engine.schedule_at t.engine now wake)
-    (Directory.take_waiters dir);
-  (promoted, replayed_here)
 
 (* ------------------------------------------------------------------ *)
 (* Shard takeover (control-plane crash): the ring successor absorbs the

@@ -165,19 +165,6 @@ val cond_signal : t -> now:Desim.Time.t -> cond:cond_id -> int
 
 val cond_broadcast : t -> now:Desim.Time.t -> cond:cond_id -> int
 
-(** {2 Home-page migration} *)
-
-val set_migrator : t -> (line:int -> target:int -> bool) -> unit
-(** Install the migration executor ({!System} owns the servers and the
-    directory). Called once at system creation when
-    {!Config.t.home_migration} is on; the callback returns whether the
-    line actually moved. *)
-
-val migrations : t -> int
-val migration_log : t -> (int * int) list
-(** [(line, target_logical_server)] decisions in decision order — pinned
-    by the seed-determinism test. *)
-
 (** {2 Crash recovery}
 
     The control plane owns the lease-based failure detector (the monitor
@@ -198,20 +185,12 @@ val epoch : t -> int
     ({!Directory.Stale_epoch}). *)
 
 val replay :
-  t -> dir:Directory.t -> servers:Memory_server.t array -> dead:int ->
+  t -> servers:Memory_server.t array -> dead:int ->
   promoted:int -> probe:Probe.t option -> now:Desim.Time.t -> int
 (** Replay this shard's surviving update-log entries onto promoted server
-    [promoted] for any line logically homed on [dead] whose replica is
+    [promoted] for any line homed on logical server [dead] whose replica is
     behind its published version (publishing each replayed line through
     [probe] with thread [-1]). Returns the number of replayed entries. *)
-
-val recover :
-  t -> dir:Directory.t -> servers:Memory_server.t array -> dead:int ->
-  probe:Probe.t option -> now:Desim.Time.t -> int * int
-(** Single-shard recovery for failed physical server [dead]: expire its
-    lease, {!Directory.promote} its backup, {!replay}, and reschedule
-    threads parked in {!Directory.await_recovery}. Returns
-    [(promoted, replayed_entries)]. *)
 
 val absorb : t -> from:t -> now:Desim.Time.t -> int * int
 (** Shard takeover: move every sync object of dead shard [from] into this

@@ -147,16 +147,14 @@ type control = {
   takeovers : int;  (** Shard failures absorbed (at most 1 per run). *)
   absorbed_objects : int;  (** Sync objects moved to the takeover shard. *)
   redriven_pushes : int;  (** Stranded reply pushes re-driven at takeover. *)
-  migrations : int;  (** Home-page migrations executed. *)
-  rehomed_lines : int;  (** Lines living off their striped default home. *)
 }
 
 (* Control-plane counters are reported only when the run actually sharded
-   the control plane or migrated pages, so single-shard reports stay
-   byte-identical with the unsharded build. *)
+   the control plane, so single-shard reports stay byte-identical with the
+   unsharded build. *)
 let control_of_system sys =
   let cfg = System.config sys in
-  if cfg.Config.manager_shards = 1 && not cfg.Config.home_migration then None
+  if cfg.Config.manager_shards = 1 then None
   else
     let cp = System.control_plane sys in
     Some
@@ -164,16 +162,14 @@ let control_of_system sys =
         shard_heartbeats = Control_plane.shard_heartbeats cp;
         takeovers = Control_plane.takeovers cp;
         absorbed_objects = Control_plane.absorbed_objects cp;
-        redriven_pushes = Control_plane.redriven_pushes cp;
-        migrations = Control_plane.migrations cp;
-        rehomed_lines = Directory.rehomed (System.directory sys) }
+        redriven_pushes = Control_plane.redriven_pushes cp }
 
 let pp_control ppf c =
   Format.fprintf ppf
     "control: shards=%d shard-heartbeats=%d takeovers=%d absorbed=%d \
-     redriven=%d migrations=%d rehomed=%d"
+     redriven=%d"
     c.shards c.shard_heartbeats c.takeovers c.absorbed_objects
-    c.redriven_pushes c.migrations c.rehomed_lines
+    c.redriven_pushes
 
 let pp_replication ppf r =
   Format.fprintf ppf

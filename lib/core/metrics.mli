@@ -93,22 +93,19 @@ val detection_of_system : System.t -> detection option
 
 val pp_detection : Format.formatter -> detection -> unit
 
-(** Sharded-control-plane counters: inter-shard failure detection, shard
-    takeover, and home-page migration. *)
+(** Sharded-control-plane counters: inter-shard failure detection and
+    shard takeover. *)
 type control = {
   shards : int;
   shard_heartbeats : int;  (** Inter-shard lease renewals completed. *)
   takeovers : int;  (** Shard failures absorbed (at most 1 per run). *)
   absorbed_objects : int;  (** Sync objects moved to the takeover shard. *)
   redriven_pushes : int;  (** Stranded reply pushes re-driven at takeover. *)
-  migrations : int;  (** Home-page migrations executed. *)
-  rehomed_lines : int;  (** Lines living off their striped default home. *)
 }
 
 val control_of_system : System.t -> control option
-(** [None] when the control plane is unsharded and migration is off
-    ([manager_shards = 1] and [home_migration = false]), so classic runs
-    report byte-identically. *)
+(** [None] when the control plane is unsharded ([manager_shards = 1]), so
+    classic runs report byte-identically. *)
 
 val pp_control : Format.formatter -> control -> unit
 

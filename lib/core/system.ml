@@ -198,44 +198,6 @@ let spawn_shard_monitor t =
       in
       loop ())
 
-(* Home-page migration executor: copy the line's current bytes and
-   version from the old home to the new one (and its mirror), repoint the
-   directory, and publish the unchanged version at the new home so a
-   probe's last-snapshot map follows the move. The copy is modeled as a
-   background transfer with no client-visible latency; what the
-   simulation measures is the locality change on subsequent fetches. *)
-let migrator t ~line ~target =
-  let cur = Directory.logical_of_line t.dir t.cfg ~line in
-  if cur = target then false
-  else begin
-    let src = t.servers.(Directory.physical_of_logical t.dir cur) in
-    let v = Memory_server.version src line in
-    if v = 0 then false (* never flushed: nothing to move *)
-    else begin
-      let dst_phys = Directory.physical_of_logical t.dir target in
-      let dst = t.servers.(dst_phys) in
-      let bytes = Config.line_bytes t.cfg in
-      Bytes.blit (Memory_server.line src line) 0
-        (Memory_server.line dst line) 0 bytes;
-      Memory_server.force_version dst line v;
-      (match Memory_server.backup dst with
-       | Some b ->
-         Bytes.blit (Memory_server.line src line) 0
-           (Memory_server.line b line) 0 bytes;
-         Memory_server.force_version b line v
-       | None -> ());
-      Directory.set_home t.dir ~line ~logical:target;
-      (match t.probe with
-       | Some p ->
-         p.Probe.on_publish ~thread:(-1)
-           ~time:(Desim.Engine.now t.engine)
-           ~server:dst_phys ~line ~version:v
-           ~data:(Memory_server.line dst line)
-       | None -> ());
-      true
-    end
-  end
-
 (* RegCSan as a probe subscriber. [Release] (unlock entry) is the
    sanitizer's happens-before release instant; the post-ack [Unlock] and
    every non-access event carry nothing it needs. *)
@@ -376,8 +338,6 @@ let create ?(config = Config.default) ~threads () =
       finished = 0;
       probe = Option.map sanitizer_probe san }
   in
-  if config.Config.home_migration then
-    Array.iter (fun sh -> Manager_shard.set_migrator sh (migrator t)) shards;
   if config.Config.replication >= 1 then
     (* Servers are partitioned round-robin across shards; every shard
        with a non-empty slice runs its own lease monitor. With one shard

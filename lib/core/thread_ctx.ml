@@ -368,22 +368,6 @@ let forget_last t (e : Cache.entry) =
 (* ------------------------------------------------------------------ *)
 (* Flushing (ordinary-region diffs)                                    *)
 
-(* Group [items] by the logical home of [line_of item]: one batch per
-   home, homes ascending, each batch in input order. [by_home] is what
-   sends one message per home server (paper: synchronization moves only
-   the minimum data required). *)
-let by_home t line_of items =
-  let homes = Hashtbl.create 4 in
-  List.iter
-    (fun x ->
-       let s = Directory.logical_of_line t.e.dir t.e.cfg ~line:(line_of x) in
-       let batch = Option.value (Hashtbl.find_opt homes s) ~default:[] in
-       Hashtbl.replace homes s (x :: batch))
-    items;
-  List.sort
-    (fun (a, _) (b, _) -> Int.compare a b)
-    (Hashtbl.fold (fun s xs acc -> (s, List.rev xs) :: acc) homes [])
-
 (* The entry's diff against its twin, or [None] when there is nothing to
    ship (an entry whose writes restored the twin's bytes is cleaned). *)
 let diff_of t (entry : Cache.entry) =
@@ -416,11 +400,6 @@ let flush_diffs t ~logical ~reply batch =
       in
       List.iter
         (fun ((entry : Cache.entry), diff) ->
-           (* Re-resolve at apply time: a home migration may have moved
-              the line while the round trip was in flight; the diff must
-              land at the line's current home or it would be lost in the
-              migration copy. Without migration this is the home the
-              round trip reached. *)
            let srv = server_of t entry.Cache.line in
            let v = Memory_server.apply_diff srv diff in
            if mirrored then mirror_diff srv diff ~version:v;
@@ -434,19 +413,19 @@ let flush_entry t (entry : Cache.entry) =
   match diff_of t entry with
   | None -> ()
   | Some diff ->
-    let logical =
-      Directory.logical_of_line t.e.dir t.e.cfg ~line:entry.Cache.line
-    in
+    let logical = Home.server_of_line t.e.cfg ~line:entry.Cache.line in
     flush_diffs t ~logical ~reply:diff_reply_wire [ (entry, diff) ]
 
-(* Flush every dirty line, one batch per home server. *)
+(* Flush every dirty line, one batch per home server (paper:
+   synchronization moves only the minimum data required). *)
 let flush_dirty_all t =
   let dirty = Cache.dirty_entries t.cache in
   if dirty <> [] then
     List.filter_map
       (fun entry -> Option.map (fun d -> (entry, d)) (diff_of t entry))
       dirty
-    |> by_home t (fun ((entry : Cache.entry), _) -> entry.Cache.line)
+    |> Home.group_by_server t.e.cfg (fun ((entry : Cache.entry), _) ->
+        entry.Cache.line)
     |> List.iter (fun (logical, batch) ->
         flush_diffs t ~logical
           ~reply:(diff_reply_wire + (12 * List.length batch))
@@ -475,7 +454,7 @@ let sc_writeback t (entry : Cache.entry) =
   let lb = t.e.layout.Layout.line_bytes in
   ignore
     (home_rpc t
-       ~logical:(Directory.logical_of_line t.e.dir t.e.cfg ~line)
+       ~logical:(Home.server_of_line t.e.cfg ~line)
        ~request:(line_reply_wire t) ~payload:lb ~mirror:false
        ~reply:diff_reply_wire
      : bool);
@@ -541,7 +520,7 @@ let maybe_prefetch t line =
      && Option.is_none (Cache.peek t.cache line)
      && Cache.pending_start t.cache line
   then begin
-    let logical = Directory.logical_of_line t.e.dir t.e.cfg ~line in
+    let logical = Home.server_of_line t.e.cfg ~line in
     let epoch = Directory.epoch_of t.e.dir ~logical in
     let srv = t.e.servers.(Directory.physical_of_logical t.e.dir logical) in
     let sep = Memory_server.endpoint srv in
@@ -595,7 +574,7 @@ let rec demand_fetch t line : Cache.entry =
        the asynchronous request for the adjacent line are placed together,
        so the prefetch overlaps the demand fetch. *)
     maybe_prefetch t (line + 1);
-    let logical = Directory.logical_of_line t.e.dir t.e.cfg ~line in
+    let logical = Home.server_of_line t.e.cfg ~line in
     ignore
       (home_rpc t ~logical ~request:fetch_request_wire ~payload:0
          ~mirror:false ~reply:(line_reply_wire t)
@@ -1041,9 +1020,6 @@ let flush_update_log t log =
              in
              List.iter
                (fun u ->
-                  (* Re-resolve at apply time (see {!flush_diffs}): a
-                     concurrent home migration must not strand the update
-                     at the old home. *)
                   let srv =
                     server_of t (List.hd (Update.lines_touched t.e.layout u))
                   in
@@ -1062,7 +1038,9 @@ let flush_update_log t log =
                        | None -> ())
                     lvs)
                batch))
-      (by_home t (fun u -> List.hd (Update.lines_touched t.e.layout u)) log);
+      (Home.group_by_server t.e.cfg
+         (fun u -> List.hd (Update.lines_touched t.e.layout u))
+         log);
     (* Note: lines touched here are deliberately NOT added to
        interval_writes. Under RegC, consistency-region data propagates via
        the lock protocol (grant patches); only ordinary-region writes

@@ -66,7 +66,6 @@ expect 0 "sharded micro run" micro -t 4 --shards 2
 expect 2 "micro rejects zero shards" micro -t 4 --shards 0
 expect 2 "micro rejects zero servers" micro --servers 0
 expect 2 "micro rejects shards on pth" micro --backend pth --shards 2
-expect 2 "micro rejects migrate on pth" micro --backend pth --migrate
 expect 2 "micro rejects over-cap threads" micro -t 1000
 
 # serve: 0 on a clean sweep, 2 on usage errors.

@@ -1,7 +1,7 @@
 (* The sharded control plane: consistent-hash placement (balance and
-   minimal-disruption stability), seed-deterministic home-page
-   migration, shard-crash takeover under the torture oracle, and the
-   config bounds guarding the new geometry fields. *)
+   minimal-disruption stability), the control-metrics gate, shard-crash
+   takeover under the torture oracle, and the config bounds guarding the
+   new geometry fields. *)
 
 (* ---------------- hash ring ---------------- *)
 
@@ -63,76 +63,39 @@ let test_ring_pure () =
   Alcotest.(check bool) "rebuilt ring identical" true
     (owners ~shards:4 = owners ~shards:4)
 
-(* ---------------- home-page migration ---------------- *)
+(* ---------------- control metrics gate ---------------- *)
 
-(* One dominant writer hammering 8 distinct lines of a large (striped)
-   allocation under a lock: with 2 memory servers about half those lines
-   start on the remote server, and after [migration_window] observations
-   each must be re-homed next to the writer. *)
-let migration_run () =
+(* Control-plane counters appear only when the control plane is sharded,
+   so unsharded reports stay byte-identical with the classic build. *)
+let control_after_run ~shards =
   let config =
-    { Samhita.Config.default with
-      Samhita.Config.memory_servers = 2;
-      home_migration = true;
-      migration_window = 8 }
+    { Samhita.Config.default with Samhita.Config.manager_shards = shards }
   in
-  let stride = Samhita.Config.line_bytes config in
   let sys = Samhita.System.create ~config ~threads:2 () in
   let l = Samhita.System.mutex sys in
-  let final = Array.make 8 nan in
-  ignore
-    (Samhita.System.spawn sys (fun t ->
-         let a = Samhita.Thread_ctx.malloc t ~bytes:(8 * 1024 * 1024) in
-         for i = 0 to 19 do
+  for _ = 1 to 2 do
+    ignore
+      (Samhita.System.spawn sys (fun t ->
            Samhita.Thread_ctx.mutex_lock t l;
-           for k = 0 to 7 do
-             Samhita.Thread_ctx.write_f64 t
-               (a + (k * stride))
-               (float_of_int (i + k))
-           done;
-           Samhita.Thread_ctx.mutex_unlock t l
-         done;
-         Samhita.Thread_ctx.mutex_lock t l;
-         for k = 0 to 7 do
-           final.(k) <- Samhita.Thread_ctx.read_f64 t (a + (k * stride))
-         done;
-         Samhita.Thread_ctx.mutex_unlock t l)
-      : Samhita.Thread_ctx.t);
-  ignore
-    (Samhita.System.spawn sys (fun t -> Samhita.Thread_ctx.charge t 1.0)
-      : Samhita.Thread_ctx.t);
+           Samhita.Thread_ctx.mutex_unlock t l)
+        : Samhita.Thread_ctx.t)
+  done;
   Samhita.System.run sys;
-  let cp = Samhita.System.control_plane sys in
-  ( Samhita.Control_plane.migrations cp,
-    Samhita.Directory.rehomed (Samhita.System.directory sys),
-    Samhita.Control_plane.migration_log cp,
-    Array.to_list final )
+  Samhita.Metrics.control_of_system sys
 
-let test_migration_fires () =
-  let migrations, rehomed, _, final = migration_run () in
-  Alcotest.(check bool)
-    (Printf.sprintf "migrations fired (%d)" migrations)
-    true (migrations > 0);
-  Alcotest.(check int) "directory re-homed as many lines" migrations
-    rehomed;
-  (* Re-homing must not corrupt the data: reads after the last migration
-     still see the final write of every line. *)
-  List.iteri
-    (fun k v ->
-       Alcotest.(check (float 0.0))
-         (Printf.sprintf "line %d survives re-homing" k)
-         (float_of_int (19 + k))
-         v)
-    final
-
-let test_migration_deterministic () =
-  (* Migration decisions are a pure function of the seed: two identical
-     runs produce the same decision log, line for line. *)
-  let _, _, log_a, _ = migration_run () in
-  let _, _, log_b, _ = migration_run () in
-  Alcotest.(check bool) "non-empty decision log" true (log_a <> []);
-  Alcotest.(check (list (pair int int))) "identical decision logs" log_a
-    log_b
+let test_control_gate () =
+  Alcotest.(check bool) "unsharded run reports no control block" true
+    (control_after_run ~shards:1 = None);
+  List.iter
+    (fun shards ->
+       match control_after_run ~shards with
+       | None ->
+         Alcotest.failf "%d-shard run must report control metrics" shards
+       | Some c ->
+         Alcotest.(check int)
+           (Printf.sprintf "%d-shard control block counts its shards" shards)
+           shards c.Samhita.Metrics.shards)
+    [ 2; 4 ]
 
 (* ---------------- shard-crash takeover ---------------- *)
 
@@ -193,8 +156,6 @@ let test_config_bounds () =
     { d with Samhita.Config.max_threads = 0 };
   rejects "manager_shards must be >= 1"
     { d with Samhita.Config.manager_shards = 0 };
-  rejects "migration_window must be >= 2"
-    { d with Samhita.Config.migration_window = 1 };
   rejects
     "manager_bypass requires manager_shards = 1 (bypass is a \
      single-compute-node optimization)"
@@ -218,7 +179,7 @@ let test_config_bounds () =
       fault = Some (Crash_shard { shard = 3; at_ns = 100 }) };
   Alcotest.(check bool) "valid sharded config accepted" true
     (Samhita.Config.validate
-       { d with Samhita.Config.manager_shards = 4; home_migration = true }
+       { d with Samhita.Config.manager_shards = 4 }
      = Ok ())
 
 let test_config_accepts_max_threads () =
@@ -237,10 +198,8 @@ let tests =
     Alcotest.test_case "ring: stability under growth" `Quick
       test_ring_stability;
     Alcotest.test_case "ring: pure placement" `Quick test_ring_pure;
-    Alcotest.test_case "migration: fires and preserves data" `Quick
-      test_migration_fires;
-    Alcotest.test_case "migration: seed-deterministic" `Quick
-      test_migration_deterministic;
+    Alcotest.test_case "metrics: control block gated on sharding" `Quick
+      test_control_gate;
     Alcotest.test_case "shard crash: takeover clean" `Quick
       test_shard_crash_takeover;
     Alcotest.test_case "shard crash: deterministic" `Quick

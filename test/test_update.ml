@@ -97,11 +97,19 @@ let test_stripe_bytes () =
 
 let test_group_lines () =
   let cfg2 = { cfg with memory_servers = 2; stripe_lines = 1 } in
-  let groups = Samhita.Home.group_lines_by_server cfg2 [ 0; 1; 2; 3; 4 ] in
+  let groups = Samhita.Home.group_by_server cfg2 Fun.id [ 0; 1; 2; 3; 4 ] in
   Alcotest.(check (list (pair int (list int))))
     "partitioned"
     [ (0, [ 0; 2; 4 ]); (1, [ 1; 3 ]) ]
-    groups
+    groups;
+  (* Items group by the home of their projected line: homes ascending,
+     input order kept inside each group, whatever order homes first
+     appear in. *)
+  let items = [ (3, "a"); (0, "b"); (5, "c"); (2, "d"); (1, "e") ] in
+  Alcotest.(check (list (pair int (list (pair int string)))))
+    "projected, input order within each home"
+    [ (0, [ (0, "b"); (2, "d") ]); (1, [ (3, "a"); (5, "c"); (1, "e") ]) ]
+    (Samhita.Home.group_by_server cfg2 fst items)
 
 let prop_large_alloc_spans_servers =
   QCheck.Test.make ~name:"any stripe-aligned multi-stripe range hits all \
