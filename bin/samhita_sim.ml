@@ -112,10 +112,9 @@ let micro_cmd =
       (if r.gsum = r.expected_gsum then "OK" else "MISMATCH");
     match !captured with
     | Some sys ->
-      (* The harness report already embeds the sanitizer section when the
+      (* The run report already embeds the sanitizer section when the
          analyzer is attached, so print it standalone only without --report. *)
-      if report then
-        Format.printf "%a@." Harness.Report.pp (Harness.Report.of_system sys)
+      if report then Format.printf "%a@." Samhita.Metrics.pp_report sys
       else if sanitize then print_sanitizer sys
     | None ->
       if report || sanitize then

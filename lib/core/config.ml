@@ -10,8 +10,7 @@ type partition_scope = Isolate | Control
 
 (* The run's one injected failure (single-failure model): a crash is
    fail-stop from at_ns on; a partition cuts the server's node off per
-   scope inside [start_ns, heal_ns) while it keeps executing; a stall adds
-   a constant multi-RTT penalty to its traffic inside the window. *)
+   scope inside [start_ns, heal_ns) while it keeps executing. *)
 type fault =
   | Crash_server of { server : int; at_ns : int }
   | Crash_shard of { shard : int; at_ns : int }
@@ -21,7 +20,6 @@ type fault =
       start_ns : int;
       heal_ns : int;
     }
-  | Stall_server of { server : int; start_ns : int; heal_ns : int }
 
 type t = {
   model : model;
@@ -99,7 +97,6 @@ let fault_name = function
   | Crash_server _ -> "crash_server"
   | Crash_shard _ -> "crash_shard"
   | Partition_server _ -> "partition_server"
-  | Stall_server _ -> "stall_server"
 
 let validate t =
   let check cond msg = if cond then Ok () else Error msg in
@@ -195,8 +192,7 @@ let validate t =
              is not killable)"
         in
         check (at_ns >= 0) "crash_shard instant must be >= 0"
-      | Partition_server { server; start_ns; heal_ns; _ }
-      | Stall_server { server; start_ns; heal_ns } ->
+      | Partition_server { server; start_ns; heal_ns; _ } ->
         let* () = server_in_range server in
         window start_ns heal_ns
     in
@@ -208,7 +204,7 @@ let validate t =
       check (t.replication = 1)
         "partition_server requires replication = 1 (promotion under a \
          false suspicion needs a backup to promote)"
-    | Crash_server _ | Crash_shard _ | Stall_server _ -> Ok ()
+    | Crash_server _ | Crash_shard _ -> Ok ()
 
 let model_name = function Regc -> "regc" | Sc_invalidate -> "sc-invalidate"
 
@@ -223,8 +219,6 @@ let fault_to_string = function
   | Some (Partition_server { server; scope; start_ns; heal_ns }) ->
     Printf.sprintf "partition:server%d/%s@[%dns,%dns)" server
       (scope_name scope) start_ns heal_ns
-  | Some (Stall_server { server; start_ns; heal_ns }) ->
-    Printf.sprintf "stall:server%d@[%dns,%dns)" server start_ns heal_ns
 
 let pp ppf t =
   Format.fprintf ppf

@@ -50,12 +50,6 @@ type fault =
           traffic to/from the zombie is fenced, and after the heal it
           rejoins as the backup via an epoch-stamped resync. Requires
           [replication = 1]. *)
-  | Stall_server of { server : int; start_ns : int; heal_ns : int }
-      (** Every delivery touching [server]'s node inside the window pays
-          a constant multi-RTT penalty ({!Fabric.Faults.stall_penalty_ns}),
-          then heals. The detector counts lost attempts, not lateness, so
-          a stall perturbs latency without expiring the lease — "slow"
-          stays distinguishable from "gone". *)
 
 type t = {
   model : model;

@@ -52,8 +52,6 @@ let shards t = t.shards
 (* The shard currently serving sync object [id]. *)
 let shard_for t id = t.shards.(t.physical.(Hash_ring.lookup t.ring id))
 
-let logical_shard_for t id = Hash_ring.lookup t.ring id
-
 (* Allocation is pinned to shard 0 so the bump pointer — and therefore
    every GAS address — matches the unsharded build exactly. Shard 0 is
    never killable (Config.validate). *)
@@ -199,23 +197,7 @@ let rejoin_server t ~dir ~servers ~zombie ~probe ~now =
   (!primary, !copied)
 
 (* ------------------------------------------------------------------ *)
-(* Aggregated introspection (deadlock analysis, metrics, reports)      *)
-
-let concat_sorted f t =
-  List.sort_uniq Int.compare
-    (Array.fold_left (fun acc sh -> f sh @ acc) [] t.shards)
-
-let lock_ids t = concat_sorted Manager_shard.lock_ids t
-let barrier_ids t = concat_sorted Manager_shard.barrier_ids t
-let cond_ids t = concat_sorted Manager_shard.cond_ids t
-
-let lock_holder t lock = Manager_shard.lock_holder (shard_for t lock) lock
-let lock_version t lock = Manager_shard.lock_version (shard_for t lock) lock
-let lock_waiters t lock = Manager_shard.lock_waiters (shard_for t lock) lock
-
-let barrier_parties t b = Manager_shard.barrier_parties (shard_for t b) b
-let barrier_blocked t b = Manager_shard.barrier_blocked (shard_for t b) b
-let cond_blocked t c = Manager_shard.cond_blocked (shard_for t c) c
+(* Aggregated counters (metrics, reports)                              *)
 
 let gas_used t = Manager_shard.gas_used (alloc_shard t)
 

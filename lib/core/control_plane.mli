@@ -25,8 +25,6 @@ val shard_for : t -> int -> Manager_shard.t
 (** The shard {e currently} serving sync object [id] (ring lookup, then
     the logical-to-physical map). *)
 
-val logical_shard_for : t -> int -> int
-
 val alloc_shard : t -> Manager_shard.t
 (** The shard owning the GAS bump pointer (shard 0, or its takeover). *)
 
@@ -86,17 +84,7 @@ val rejoin_server :
     Returns [(primary_backed, lines_copied)]
     and fires [Probe.on_rejoin]. *)
 
-(** {2 Aggregated introspection} *)
-
-val lock_ids : t -> Manager_shard.lock_id list
-val lock_holder : t -> Manager_shard.lock_id -> int option
-val lock_version : t -> Manager_shard.lock_id -> int
-val lock_waiters : t -> Manager_shard.lock_id -> int list
-val barrier_ids : t -> Manager_shard.barrier_id list
-val barrier_parties : t -> Manager_shard.barrier_id -> int
-val barrier_blocked : t -> Manager_shard.barrier_id -> int list
-val cond_ids : t -> Manager_shard.cond_id list
-val cond_blocked : t -> Manager_shard.cond_id -> int list
+(** {2 Aggregated counters} *)
 
 val gas_used : t -> int
 val heartbeats : t -> int

@@ -94,7 +94,6 @@ type t = {
   locks : (lock_id, lock_state) Hashtbl.t;
   barriers : (barrier_id, barrier_state) Hashtbl.t;
   conds : (cond_id, cond_state) Hashtbl.t;
-  mutable next_id : int;
   (* Lease-based failure detection / recovery bookkeeping. The shard's
      configuration epoch advances with every lease it expires; recovery
      stamps the directory and the promoted replica with it, fencing the
@@ -126,7 +125,6 @@ let create cfg layout ~engine ~endpoint =
     locks = Hashtbl.create 64;
     barriers = Hashtbl.create 16;
     conds = Hashtbl.create 16;
-    next_id = 1;
     heartbeats = 0;
     leases_expired = 0;
     cfg_epoch = 0;
@@ -135,11 +133,6 @@ let create cfg layout ~engine ~endpoint =
 
 let endpoint t = t.endpoint
 let service t = t.service
-
-let fresh_id t =
-  let id = t.next_id in
-  t.next_id <- t.next_id + 1;
-  id
 
 (* Reply pushes ride the retrying primitive: a dropped push would strand
    the recipient forever. A push whose source node is already dead (this
@@ -194,11 +187,6 @@ let lock_register t ~id =
       history = [];
       touched = Hashtbl.create 16;
       release_seen = Hashtbl.create 8 }
-
-let lock_create t =
-  let id = fresh_id t in
-  lock_register t ~id;
-  id
 
 (* Build the consistency action bringing a thread from [last_seen] up to
    the lock's current version. *)
@@ -350,12 +338,6 @@ let barrier_register t ~id ~parties =
       last_all = [];
       last_wire = 0 }
 
-let barrier_create t ~parties =
-  if parties <= 0 then invalid_arg "Manager_shard.barrier_create: parties";
-  let id = fresh_id t in
-  barrier_register t ~id ~parties;
-  id
-
 let barrier_arrive ?epoch t ~now ~barrier ~thread ~lines ~endpoint ~wake =
   if thread < 0 then
     invalid_arg "Manager_shard.barrier_arrive: negative thread id";
@@ -443,11 +425,6 @@ let cond_state t cond =
 
 let cond_register t ~id =
   Hashtbl.replace t.conds id { cwaiters = Queue.create () }
-
-let cond_create t =
-  let id = fresh_id t in
-  cond_register t ~id;
-  id
 
 let cond_wait t ~cond ~thread ~endpoint ~wake =
   let st = cond_state t cond in

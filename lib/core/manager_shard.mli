@@ -71,9 +71,6 @@ val gas_used : t -> int
 
 (** {2 Mutual exclusion} *)
 
-val lock_create : t -> lock_id
-(** Create with a shard-local id (standalone / single-shard use). *)
-
 val lock_register : t -> id:lock_id -> unit
 (** Create lock state under a facade-assigned id. *)
 
@@ -127,7 +124,6 @@ val cond_blocked : t -> cond_id -> int list
 
 (** {2 Barriers} *)
 
-val barrier_create : t -> parties:int -> barrier_id
 val barrier_register : t -> id:barrier_id -> parties:int -> unit
 
 val barrier_arrive :
@@ -151,7 +147,6 @@ val barrier_epoch : t -> barrier_id -> int
 
 (** {2 Condition variables} *)
 
-val cond_create : t -> cond_id
 val cond_register : t -> id:cond_id -> unit
 
 val cond_wait :

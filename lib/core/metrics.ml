@@ -69,13 +69,12 @@ type faults = {
 
 let faults_of_system sys =
   match Fabric.Network.faults (System.network sys) with
-  | None -> None
+  | None -> { delayed = 0; reordered = 0; dropped = 0; retried = 0 }
   | Some f ->
-    Some
-      { delayed = Fabric.Faults.messages_delayed f;
-        reordered = Fabric.Faults.messages_reordered f;
-        dropped = Fabric.Faults.messages_dropped f;
-        retried = Fabric.Faults.messages_retried f }
+    { delayed = Fabric.Faults.messages_delayed f;
+      reordered = Fabric.Faults.messages_reordered f;
+      dropped = Fabric.Faults.messages_dropped f;
+      retried = Fabric.Faults.messages_retried f }
 
 type replication = {
   mirrored_writes : int;
@@ -90,33 +89,24 @@ type replication = {
 }
 
 let replication_of_system sys =
-  let cfg = System.config sys in
-  let crashes =
-    match cfg.Config.fault with
-    | Some (Config.Crash_server _ | Config.Crash_shard _) -> true
-    | Some (Config.Partition_server _ | Config.Stall_server _) | None -> false
-  in
-  if cfg.Config.replication = 0 && not crashes then None
-  else
-    let servers = System.servers sys in
-    let cp = System.control_plane sys in
-    let sum f = Array.fold_left (fun a s -> a + f s) 0 servers in
-    Some
-      { mirrored_writes = sum Memory_server.mirrors;
-        mirror_bytes = sum Memory_server.mirror_bytes;
-        degraded_writes = sum Memory_server.degraded_writes;
-        dead_sends =
-          (match Fabric.Network.faults (System.network sys) with
-           | None -> 0
-           | Some f -> Fabric.Faults.messages_dead f);
-        heartbeats = Control_plane.heartbeats cp;
-        leases_expired = Control_plane.leases_expired cp;
-        promotions = Directory.promotions (System.directory sys);
-        replayed_updates = Control_plane.replayed_updates cp;
-        failover_waits =
-          List.fold_left
-            (fun a t -> a + Thread_ctx.failover_waits t)
-            0 (System.threads sys) }
+  let servers = System.servers sys in
+  let cp = System.control_plane sys in
+  let sum f = Array.fold_left (fun a s -> a + f s) 0 servers in
+  { mirrored_writes = sum Memory_server.mirrors;
+    mirror_bytes = sum Memory_server.mirror_bytes;
+    degraded_writes = sum Memory_server.degraded_writes;
+    dead_sends =
+      (match Fabric.Network.faults (System.network sys) with
+       | None -> 0
+       | Some f -> Fabric.Faults.messages_dead f);
+    heartbeats = Control_plane.heartbeats cp;
+    leases_expired = Control_plane.leases_expired cp;
+    promotions = Directory.promotions (System.directory sys);
+    replayed_updates = Control_plane.replayed_updates cp;
+    failover_waits =
+      List.fold_left
+        (fun a t -> a + Thread_ctx.failover_waits t)
+        0 (System.threads sys) }
 
 type detection = {
   suspicions : int;  (** Lease expiries: servers the detector suspected. *)
@@ -127,19 +117,18 @@ type detection = {
   rejoins : int;  (** Falsely suspected servers resynced back in. *)
 }
 
-(* Failure-detection counters are reported only for gray-failure runs
-   (partition/stall injection), so crash-run and healthy reports stay
-   byte-identical with the seed build. *)
 let detection_of_system sys =
-  match (System.config sys).Config.fault with
-  | Some (Config.Partition_server _ | Config.Stall_server _) ->
-    let dir = System.directory sys in
-    Some
-      { suspicions = Directory.suspicions dir;
-        false_suspicions = Directory.false_suspicions dir;
-        fenced_messages = Directory.fenced dir;
-        rejoins = Directory.rejoins dir }
-  | Some (Config.Crash_server _ | Config.Crash_shard _) | None -> None
+  let dir = System.directory sys in
+  { suspicions = Directory.suspicions dir;
+    false_suspicions = Directory.false_suspicions dir;
+    fenced_messages = Directory.fenced dir;
+    rejoins = Directory.rejoins dir }
+
+let add_detection a b =
+  { suspicions = a.suspicions + b.suspicions;
+    false_suspicions = a.false_suspicions + b.false_suspicions;
+    fenced_messages = a.fenced_messages + b.fenced_messages;
+    rejoins = a.rejoins + b.rejoins }
 
 type control = {
   shards : int;
@@ -149,20 +138,13 @@ type control = {
   redriven_pushes : int;  (** Stranded reply pushes re-driven at takeover. *)
 }
 
-(* Control-plane counters are reported only when the run actually sharded
-   the control plane, so single-shard reports stay byte-identical with the
-   unsharded build. *)
 let control_of_system sys =
-  let cfg = System.config sys in
-  if cfg.Config.manager_shards = 1 then None
-  else
-    let cp = System.control_plane sys in
-    Some
-      { shards = Control_plane.shard_count cp;
-        shard_heartbeats = Control_plane.shard_heartbeats cp;
-        takeovers = Control_plane.takeovers cp;
-        absorbed_objects = Control_plane.absorbed_objects cp;
-        redriven_pushes = Control_plane.redriven_pushes cp }
+  let cp = System.control_plane sys in
+  { shards = Control_plane.shard_count cp;
+    shard_heartbeats = Control_plane.shard_heartbeats cp;
+    takeovers = Control_plane.takeovers cp;
+    absorbed_objects = Control_plane.absorbed_objects cp;
+    redriven_pushes = Control_plane.redriven_pushes cp }
 
 let pp_control ppf c =
   Format.fprintf ppf
@@ -215,3 +197,74 @@ let pp_aggregate ppf a =
     (Desim.Time.of_ns a.max_sync_ns)
     a.total_misses a.total_invalidations Desim.Time.pp
     (Desim.Time.of_ns a.wall_ns)
+
+(* The one place that decides which counter lines a run prints: each
+   section appears only when its feature is configured, so healthy,
+   unreplicated and unsharded reports stay byte-identical with the seed
+   build. The counters themselves are always collected. *)
+let pp_report ppf sys =
+  let cfg = System.config sys in
+  let wall = System.elapsed sys in
+  let net = System.network sys in
+  let cp = System.control_plane sys in
+  let crash, gray =
+    match cfg.Config.fault with
+    | Some (Config.Crash_server _ | Config.Crash_shard _) -> (true, false)
+    | Some (Config.Partition_server _) -> (false, true)
+    | None -> (false, false)
+  in
+  let threads = System.threads sys in
+  let metrics = List.map of_ctx threads in
+  let hits = List.fold_left (fun a t -> a + t.hits) 0 metrics in
+  let misses = List.fold_left (fun a t -> a + t.misses) 0 metrics in
+  Format.fprintf ppf "@[<v>== run report ==@,";
+  Format.fprintf ppf "makespan            %a@," Desim.Time.pp wall;
+  Format.fprintf ppf "fabric              %d messages, %d bytes (%.2f MB)@,"
+    (Fabric.Network.messages net)
+    (Fabric.Network.bytes_carried net)
+    (float_of_int (Fabric.Network.bytes_carried net) /. 1e6);
+  Format.fprintf ppf "global addr space   %d bytes reserved@,"
+    (Control_plane.gas_used cp);
+  Format.fprintf ppf "manager             %d requests, %.1f%% utilized@,"
+    (Control_plane.service_jobs cp)
+    (100. *. Control_plane.service_utilization cp ~horizon:wall);
+  Array.iter
+    (fun srv ->
+       Format.fprintf ppf
+         "memory server %d     %d fetches, %d diffs, %d updates, %d lines \
+          resident, %.1f%% utilized@,"
+         (Memory_server.id srv) (Memory_server.fetches srv)
+         (Memory_server.diffs_applied srv)
+         (Memory_server.updates_applied srv)
+         (Memory_server.lines_resident srv)
+         (100.
+          *. Desim.Resource.utilization (Memory_server.service srv)
+               ~horizon:wall))
+    (System.servers sys);
+  if Option.is_some (Fabric.Network.faults net) then
+    Format.fprintf ppf "fault injection     %a@," pp_faults
+      (faults_of_system sys);
+  if cfg.Config.replication > 0 || crash then
+    Format.fprintf ppf "fault tolerance     %a@," pp_replication
+      (replication_of_system sys);
+  if gray then
+    Format.fprintf ppf "failure detection   %a@," pp_detection
+      (detection_of_system sys);
+  if cfg.Config.manager_shards > 1 then
+    Format.fprintf ppf "control plane       %a@," pp_control
+      (control_of_system sys);
+  Format.fprintf ppf "cache hit rate      %.4f (%d hits / %d misses)@,"
+    (if hits + misses = 0 then 1.0
+     else float_of_int hits /. float_of_int (hits + misses))
+    hits misses;
+  List.iter2
+    (fun ctx m ->
+       let cache = Thread_ctx.cache ctx in
+       Format.fprintf ppf "  %a prefetch-installs=%d dirty-evicts=%d@,"
+         pp_thread m (Cache.prefetch_installs cache)
+         (Cache.dirty_evictions cache))
+    threads metrics;
+  Option.iter
+    (Format.fprintf ppf "%a@," Analysis.Regcsan.pp_report)
+    (System.sanitizer sys);
+  Format.fprintf ppf "@]"

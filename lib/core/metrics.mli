@@ -36,6 +36,11 @@ val aggregate : wall_ns:int -> thread list -> aggregate
 val of_system : System.t -> aggregate
 (** Convenience: collect every spawned thread after {!System.run}. *)
 
+(** The counter records below are always collected: each
+    [*_of_system] is total, and a feature the run did not configure
+    leaves its counters at zero (an unsharded run reports [shards = 1]).
+    Which of them a report prints is decided by {!pp_report} alone. *)
+
 (** Fabric fault-injection counters ({!Fabric.Faults}): messages the
     policy perturbed, and retransmissions the SCL retry layer issued. *)
 type faults = {
@@ -45,9 +50,8 @@ type faults = {
   retried : int;  (** Retransmissions issued by {!Fabric.Scl}. *)
 }
 
-val faults_of_system : System.t -> faults option
-(** [None] when the run had no fault policy attached
-    ([Config.fault_level = Off]). *)
+val faults_of_system : System.t -> faults
+(** Zeros when the run had no fault policy attached. *)
 
 (** Crash-fault-tolerance counters: primary-backup mirroring, the lease
     monitor's failure detection, and the recovery protocol's work. *)
@@ -66,17 +70,13 @@ type replication = {
       (** Thread interactions that hit a dead server and re-ran. *)
 }
 
-val replication_of_system : System.t -> replication option
-(** [None] when the run had neither replication nor an injected crash
-    ([Config.replication = 0] and [Config.fault] is not [Crash_server] or
-    [Crash_shard]). *)
+val replication_of_system : System.t -> replication
 
-val pp_replication : Format.formatter -> replication -> unit
-
-(** Failure-detection quality counters for gray-failure runs: how often
-    the lease detector fired, how often it was wrong, how much stale
-    traffic the epoch fence rejected, and whether the falsely suspected
-    server made it back in. *)
+(** Failure-detection quality counters, meaningful for gray-failure
+    runs: how often the lease detector fired, how often it was wrong, how
+    much stale traffic the epoch fence rejected, and whether the falsely
+    suspected server made it back in. A crash run counts its lease
+    expiry as a (true) suspicion. *)
 type detection = {
   suspicions : int;  (** Lease expiries: servers the detector suspected. *)
   false_suspicions : int;
@@ -86,12 +86,10 @@ type detection = {
   rejoins : int;  (** Falsely suspected servers resynced back in. *)
 }
 
-val detection_of_system : System.t -> detection option
-(** [None] unless the run injected a gray failure
-    ([Config.fault] is [Partition_server] or [Stall_server]), so crash-run
-    and healthy reports stay byte-identical with the seed build. *)
+val detection_of_system : System.t -> detection
 
-val pp_detection : Format.formatter -> detection -> unit
+val add_detection : detection -> detection -> detection
+(** Field-wise sum, for totals over several runs. *)
 
 (** Sharded-control-plane counters: inter-shard failure detection and
     shard takeover. *)
@@ -103,12 +101,19 @@ type control = {
   redriven_pushes : int;  (** Stranded reply pushes re-driven at takeover. *)
 }
 
-val control_of_system : System.t -> control option
-(** [None] when the control plane is unsharded ([manager_shards = 1]), so
-    classic runs report byte-identically. *)
-
-val pp_control : Format.formatter -> control -> unit
+val control_of_system : System.t -> control
 
 val pp_thread : Format.formatter -> thread -> unit
 val pp_aggregate : Format.formatter -> aggregate -> unit
 val pp_faults : Format.formatter -> faults -> unit
+
+val pp_report : Format.formatter -> System.t -> unit
+(** Post-run report of a finished run: makespan, fabric traffic, address
+    space, manager and per-server activity and utilisation, the counter
+    lines of the features the run configured, cache hit rate, per-thread
+    time split and cache behaviour, and the RegCSan findings when the
+    sanitizer was attached. A counter line prints exactly when its
+    feature is on: [fault injection] with a fault policy ([fault_level]
+    on or a failure injected), [fault tolerance] with replication or an
+    injected crash, [failure detection] with a partition, and
+    [control plane] with more than one manager shard. *)

@@ -89,7 +89,7 @@ let spawn_lease_monitor t ~shard:si ~subset =
                Desim.Engine.delay
                  (Desim.Time.diff give_up (Desim.Engine.now t.engine));
              let now = Desim.Engine.now t.engine in
-             (* Classify the suspicion: a partitioned (or stalled) victim
+             (* Classify the suspicion: a partitioned victim
                 is alive — the detector cannot tell, but the run's ground
                 truth can, and the metrics report the false-positive
                 rate. Recovery proceeds identically either way; only the
@@ -121,7 +121,7 @@ let spawn_lease_monitor t ~shard:si ~subset =
              completes is the zombie answering after the heal, and it
              rejoins as a backup via the epoch-stamped resync. *)
           (match t.cfg.Config.fault with
-           | Some (Config.Partition_server _ | Config.Stall_server _) ->
+           | Some (Config.Partition_server _) ->
              List.iter
                (fun i ->
                   if
@@ -279,10 +279,7 @@ let create ?(config = Config.default) ~threads () =
           in
           Fabric.Faults.Partition
             { victim = 1 + server; peers; start = ns start_ns;
-              heal = ns heal_ns }
-        | Config.Stall_server { server; start_ns; heal_ns } ->
-          Fabric.Faults.Stall
-            { victim = 1 + server; start = ns start_ns; heal = ns heal_ns })
+              heal = ns heal_ns })
       config.Config.fault
   in
   let faults =

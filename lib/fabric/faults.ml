@@ -40,22 +40,14 @@ let params_of_level = function
     { jitter_p = 0.8; jitter_max = 4_000; reorder_p = 0.2;
       reorder_max = 30_000; drop_p = 0.08; max_consecutive_drops = 3 }
 
-(* Extra one-way latency on every message touching a stalled node while
-   its stall window is open. Several RTTs on the modeled fabrics: enough
-   to blow retry timeouts (and, if the window outlives the backoff
-   budget, to trigger a false suspicion) without stopping traffic. *)
-let stall_penalty_ns = 25_000
-
 (* Ring capacity of the in-memory fault trace (see trace_tail). *)
 let trace_cap = 64
 
 (* The run's one node-level failure (single-failure model). A crashed
    node is dead from [at] on. A partition makes (victim, peer) pairs
    unreachable inside [start, heal): peers = [] isolates the victim from
-   everyone, a non-empty list blocks only those pairs. A stall adds
-   stall_penalty_ns to every delivery touching the victim inside its
-   window. Unlike a crash, the victim keeps executing throughout and both
-   windows heal. *)
+   everyone, a non-empty list blocks only those pairs. Unlike a crash,
+   the victim keeps executing throughout and the window heals. *)
 type injection =
   | Crash of { node : int; at : Desim.Time.t }
   | Partition of {
@@ -64,7 +56,6 @@ type injection =
       start : Desim.Time.t;
       heal : Desim.Time.t;
     }
-  | Stall of { victim : int; start : Desim.Time.t; heal : Desim.Time.t }
 
 type t = {
   p : params;
@@ -195,14 +186,6 @@ let perturb t ~src ~dst ~arrival =
       (Printf.sprintf "t=%dns reorder %d->%d (+%dns)"
          (Desim.Time.to_ns arrival) src dst d)
   end;
-  (* Stall penalty is a constant (no RNG draw, so attaching a stall spec
-     does not shift the jitter/reorder/drop stream of the same seed). *)
-  (match t.injection with
-   | Some (Stall { victim; start; heal })
-     when (src = victim || dst = victim)
-          && in_window ~start ~heal ~at:arrival ->
-     extra := !extra + stall_penalty_ns
-   | _ -> ());
   let arrival = Desim.Time.add arrival !extra in
   let arrival =
     match Hashtbl.find_opt t.last_arrival key with

@@ -15,12 +15,10 @@
       terminates;
     - {b partition} (gray failure): a victim node is unreachable from a
       peer set for a bounded window, then heals. Unlike [crash], the
-      victim keeps executing — it can be falsely suspected and fenced;
-    - {b stall} (gray failure): every delivery touching the victim pays a
-      constant multi-RTT penalty inside the window, then heals.
+      victim keeps executing — it can be falsely suspected and fenced.
 
-    Counters record what was injected; {!Samhita.Metrics} and
-    [Harness.Report] surface them, and {!trace_tail} yields a bounded
+    Counters record what was injected; {!Samhita.Metrics} and its run
+    report surface them, and {!trace_tail} yields a bounded
     event trace with instants for failing-seed artifacts. *)
 
 type level = Off | Low | Medium | High
@@ -36,9 +34,7 @@ type t
     - [Partition]: inside [[start, heal)] every transmission between
       [victim] and a node in [peers] ([peers = []] meaning {e everyone})
       fails with [`Unreachable victim]. The victim keeps executing
-      throughout, and the window heals.
-    - [Stall]: deliveries touching [victim] inside [[start, heal)] pay
-      {!stall_penalty_ns} extra. *)
+      throughout, and the window heals. *)
 type injection =
   | Crash of { node : int; at : Desim.Time.t }
   | Partition of {
@@ -47,13 +43,8 @@ type injection =
       start : Desim.Time.t;
       heal : Desim.Time.t;
     }
-  | Stall of { victim : int; start : Desim.Time.t; heal : Desim.Time.t }
 
 val create : ?injection:injection -> seed:int -> level:level -> unit -> t
-
-val stall_penalty_ns : int
-(** Constant extra one-way latency (ns) on deliveries touching a stalled
-    node while its window is open. *)
 
 val node_dead : t -> node:int -> at:Desim.Time.t -> bool
 (** Whether the crash spec has [node] dead at instant [at]. Pure in time —
@@ -82,11 +73,9 @@ val should_drop : ?at:Desim.Time.t -> t -> src:int -> dst:int -> bool
     entry; it never affects the decision. *)
 
 val perturb : t -> src:int -> dst:int -> arrival:Desim.Time.t -> Desim.Time.t
-(** Jitter/reorder a delivered message's arrival instant, add the stall
-    penalty when a stall window is open, and clamp to the pair's
-    delivery-order floor. Also resets the pair's consecutive-drop
-    budget. The stall penalty is draw-free: attaching a stall spec does
-    not shift the seed's jitter/reorder/drop stream. *)
+(** Jitter/reorder a delivered message's arrival instant and clamp to
+    the pair's delivery-order floor. Also resets the pair's
+    consecutive-drop budget. *)
 
 val note_retry : t -> unit
 (** A sender retransmitted after a timeout (called by

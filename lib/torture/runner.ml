@@ -21,10 +21,10 @@ type outcome = {
   o_digest : int;
   o_violations : Oracle.violation list;
   o_trace : string list;
-  o_faults : Samhita.Metrics.faults option;
-  o_repl : Samhita.Metrics.replication option;
-  o_detect : Samhita.Metrics.detection option;
-  o_ctl : Samhita.Metrics.control option;
+  o_faults : Samhita.Metrics.faults;
+  o_promotions : int;
+  o_takeovers : int;
+  o_detect : Samhita.Metrics.detection;
   o_fault_trace : string list;
 }
 
@@ -133,6 +133,12 @@ let config_for ~kernel ~level ~mode ~seed rng =
         Some
           (Partition_server
              { server; scope; start_ns; heal_ns = start_ns + dur }) }
+
+let no_detection =
+  { Samhita.Metrics.suspicions = 0;
+    false_suspicions = 0;
+    fenced_messages = 0;
+    rejoins = 0 }
 
 let run_one ?(crash = false) ?(crash_shard = false) ?(partition = false)
     ~kernel ~level ~seed () =
@@ -258,39 +264,34 @@ let run_one ?(crash = false) ?(crash_shard = false) ?(partition = false)
   (match (!finished, !captured) with
    | true, Some sys -> Oracle.finalize oracle sys
    | _ -> ());
-  { o_seed = seed;
-    o_wall_ns =
-      (match !captured with
-       | Some sys -> Desim.Time.to_ns (Samhita.System.elapsed sys)
-       | None -> 0);
-    o_events = Oracle.events oracle;
-    o_reads_checked = Oracle.reads_checked oracle;
-    o_digest = Oracle.digest oracle;
-    o_violations = Oracle.violations oracle;
-    o_trace = Oracle.trace_tail oracle;
-    o_faults =
-      (match !captured with
-       | Some sys -> Samhita.Metrics.faults_of_system sys
-       | None -> None);
-    o_repl =
-      (match !captured with
-       | Some sys -> Samhita.Metrics.replication_of_system sys
-       | None -> None);
-    o_detect =
-      (match !captured with
-       | Some sys -> Samhita.Metrics.detection_of_system sys
-       | None -> None);
-    o_ctl =
-      (match !captured with
-       | Some sys -> Samhita.Metrics.control_of_system sys
-       | None -> None);
-    o_fault_trace =
-      (match !captured with
-       | Some sys ->
-         (match Fabric.Network.faults (Samhita.System.network sys) with
-          | Some f -> Fabric.Faults.trace_tail f
-          | None -> [])
-       | None -> []) }
+  let outcome =
+    { o_seed = seed;
+      o_wall_ns = 0;
+      o_events = Oracle.events oracle;
+      o_reads_checked = Oracle.reads_checked oracle;
+      o_digest = Oracle.digest oracle;
+      o_violations = Oracle.violations oracle;
+      o_trace = Oracle.trace_tail oracle;
+      o_faults = { delayed = 0; reordered = 0; dropped = 0; retried = 0 };
+      o_promotions = 0;
+      o_takeovers = 0;
+      o_detect = no_detection;
+      o_fault_trace = [] }
+  in
+  match !captured with
+  | None -> outcome
+  | Some sys ->
+    { outcome with
+      o_wall_ns = Desim.Time.to_ns (Samhita.System.elapsed sys);
+      o_faults = Samhita.Metrics.faults_of_system sys;
+      o_promotions =
+        (Samhita.Metrics.replication_of_system sys).promotions;
+      o_takeovers = (Samhita.Metrics.control_of_system sys).takeovers;
+      o_detect = Samhita.Metrics.detection_of_system sys;
+      o_fault_trace =
+        (match Fabric.Network.faults (Samhita.System.network sys) with
+         | Some f -> Fabric.Faults.trace_tail f
+         | None -> []) }
 
 type summary = {
   s_kernel : kernel;
@@ -312,7 +313,7 @@ let run ?(replay_check = true) ?(crash = false) ?(crash_shard = false)
   let events = ref 0 and reads = ref 0 in
   let fd = ref 0 and fr = ref 0 and fo = ref 0 and ft = ref 0 in
   let promotions = ref 0 and takeovers = ref 0 in
-  let detect = ref None in
+  let detect = ref no_detection in
   for i = 0 to seeds - 1 do
     let seed = base_seed + i in
     let o = run_one ~crash ~crash_shard ~partition ~kernel ~level ~seed () in
@@ -342,43 +343,13 @@ let run ?(replay_check = true) ?(crash = false) ?(crash_shard = false)
     in
     events := !events + o.o_events;
     reads := !reads + o.o_reads_checked;
-    (match o.o_faults with
-     | Some f ->
-       fd := !fd + f.Samhita.Metrics.delayed;
-       fo := !fo + f.Samhita.Metrics.reordered;
-       fr := !fr + f.Samhita.Metrics.dropped;
-       ft := !ft + f.Samhita.Metrics.retried
-     | None -> ());
-    (match o.o_repl with
-     | Some r -> promotions := !promotions + r.Samhita.Metrics.promotions
-     | None -> ());
-    (match o.o_ctl with
-     | Some c -> takeovers := !takeovers + c.Samhita.Metrics.takeovers
-     | None -> ());
-    (match o.o_detect with
-     | Some d ->
-       let acc =
-         match !detect with
-         | Some a -> a
-         | None ->
-           { Samhita.Metrics.suspicions = 0;
-             false_suspicions = 0;
-             fenced_messages = 0;
-             rejoins = 0 }
-       in
-       detect :=
-         Some
-           { Samhita.Metrics.suspicions =
-               acc.Samhita.Metrics.suspicions + d.Samhita.Metrics.suspicions;
-             false_suspicions =
-               acc.Samhita.Metrics.false_suspicions
-               + d.Samhita.Metrics.false_suspicions;
-             fenced_messages =
-               acc.Samhita.Metrics.fenced_messages
-               + d.Samhita.Metrics.fenced_messages;
-             rejoins =
-               acc.Samhita.Metrics.rejoins + d.Samhita.Metrics.rejoins }
-     | None -> ());
+    fd := !fd + o.o_faults.delayed;
+    fo := !fo + o.o_faults.reordered;
+    fr := !fr + o.o_faults.dropped;
+    ft := !ft + o.o_faults.retried;
+    promotions := !promotions + o.o_promotions;
+    takeovers := !takeovers + o.o_takeovers;
+    detect := Samhita.Metrics.add_detection !detect o.o_detect;
     if o.o_violations <> [] then failures := o :: !failures
   done;
   { s_kernel = kernel;
@@ -393,7 +364,7 @@ let run ?(replay_check = true) ?(crash = false) ?(crash_shard = false)
         retried = !ft };
     s_promotions = !promotions;
     s_takeovers = !takeovers;
-    s_detect = !detect;
+    s_detect = (if partition then Some !detect else None);
     s_failures = List.rev !failures }
 
 let pp_outcome ppf o =

@@ -45,13 +45,12 @@ type outcome = {
   o_digest : int;
   o_violations : Oracle.violation list;
   o_trace : string list;  (** Oracle trace tail, oldest first. *)
-  o_faults : Samhita.Metrics.faults option;
-  o_repl : Samhita.Metrics.replication option;
-      (** Crash-fault-tolerance counters; [None] outside crash mode. *)
-  o_detect : Samhita.Metrics.detection option;
-      (** Failure-detection counters; [None] outside partition mode. *)
-  o_ctl : Samhita.Metrics.control option;
-      (** Control-plane counters; [None] outside shard-crash mode. *)
+  o_faults : Samhita.Metrics.faults;
+  o_promotions : int;  (** Backup promotions (crash and partition modes). *)
+  o_takeovers : int;  (** Shard takeovers (shard-crash mode). *)
+  o_detect : Samhita.Metrics.detection;
+      (** Failure-detection counters (false suspicions are partition
+          mode's). *)
   o_fault_trace : string list;
       (** The fabric fault policy's event ring (drops, reorders,
           partition blocks — each with its instant), oldest first; the

@@ -1,7 +1,7 @@
 (** {!Backend_sig.S} over the Samhita DSM runtime. *)
 
 (* [on_create] lets callers capture the concrete systems a kernel builds
-   (e.g. to print a Harness.Report after the run). *)
+   (e.g. to print a Metrics.pp_report after the run). *)
 let make ?(on_create = fun (_ : Samhita.System.t) -> ())
     ?(config = Samhita.Config.default) () : Backend_sig.backend =
   (module struct

@@ -25,7 +25,7 @@ for id in $("$bin" list); do
 done
 
 row micro -t 8 -m 4 -s 2
-# The harness report of a sharded run, including its control: line.
+# The run report (Metrics.pp_report) of a sharded run, including its control: line.
 row micro -t 8 -m 4 -s 2 --shards 2 --servers 2 --report
 row jacobi -t 8 -n 64 --iters 3
 row md -t 4 -n 48 --steps 2

@@ -150,6 +150,8 @@ let test_bulk_in_region_propagates () =
 
 (* ---------------- run report ---------------- *)
 
+let report sys = Format.asprintf "%a" Samhita.Metrics.pp_report sys
+
 let test_report_contents () =
   let sys =
     run_threads ~threads:2 (fun sys tid t ->
@@ -158,29 +160,63 @@ let test_report_contents () =
         T.write_f64 t a (float_of_int tid);
         ignore (T.read_f64 t (a + line_bytes)))
   in
-  let r = Harness.Report.of_system sys in
+  let net = Samhita.System.network sys in
   Alcotest.(check bool) "fabric carried traffic" true
-    (Harness.Report.fabric_bytes r > 0
-     && Harness.Report.fabric_messages r > 0);
+    (Fabric.Network.bytes_carried net > 0 && Fabric.Network.messages net > 0);
   Alcotest.(check bool) "misses happened" true
-    (Harness.Report.total_misses r > 0);
-  Alcotest.(check bool) "hit rate within [0;1]" true
-    (Harness.Report.hit_rate r >= 0. && Harness.Report.hit_rate r <= 1.);
-  Alcotest.(check bool) "server utilization sane" true
-    (Harness.Report.server_utilization r 0 >= 0.
-     && Harness.Report.server_utilization r 0 <= 1.);
-  Alcotest.(check bool) "manager utilization sane" true
-    (Harness.Report.manager_utilization r >= 0.
-     && Harness.Report.manager_utilization r <= 1.);
-  let text = Format.asprintf "%a" Harness.Report.pp r in
-  Alcotest.(check bool) "report renders" true (String.length text > 200)
+    ((Samhita.Metrics.of_system sys).total_misses > 0);
+  let text = report sys in
+  List.iter
+    (fun section ->
+       Alcotest.(check bool) (section ^ " section present") true
+         (List.exists
+            (String.starts_with ~prefix:section)
+            (String.split_on_char '\n' text)))
+    [ "== run report =="; "makespan"; "fabric"; "manager";
+      "memory server 0"; "cache hit rate"; "  t0:"; "  t1:" ]
 
-let test_report_unknown_server () =
-  let sys = run_threads ~threads:1 (fun _ _ t -> ignore (T.malloc t ~bytes:8)) in
-  let r = Harness.Report.of_system sys in
-  Alcotest.check_raises "unknown server"
-    (Invalid_argument "Report.server_utilization: unknown server") (fun () ->
-      ignore (Harness.Report.server_utilization r 9))
+(* Exactly one function decides which counter lines a report prints:
+   each configured feature adds its own line and a healthy run none. *)
+let test_report_counter_lines () =
+  let ft =
+    { cfg with
+      memory_servers = 2;
+      replication = 1;
+      lease_interval = Desim.Time.ns 20_000 }
+  in
+  let labels =
+    [ "fault injection"; "fault tolerance"; "failure detection";
+      "control plane" ]
+  in
+  List.iter
+    (fun (name, config, want) ->
+       let sys =
+         run_threads ~config ~threads:2 (fun _ tid t ->
+             let a = T.malloc t ~bytes:line_bytes in
+             T.write_f64 t a (float_of_int tid);
+             ignore (T.read_f64 t a))
+       in
+       let lines = String.split_on_char '\n' (report sys) in
+       Alcotest.(check (list string)) name want
+         (List.filter
+            (fun l -> List.exists (String.starts_with ~prefix:l) lines)
+            labels))
+    [ ("healthy", cfg, []);
+      ( "fault level low",
+        { cfg with fault_level = Fabric.Faults.Low },
+        [ "fault injection" ] );
+      ( "replicated crash",
+        { ft with fault = Some (Crash_server { server = 0; at_ns = 5_000 }) },
+        [ "fault injection"; "fault tolerance" ] );
+      ( "partition",
+        { ft with
+          fault =
+            Some
+              (Partition_server
+                 { server = 0; scope = Isolate; start_ns = 5_000;
+                   heal_ns = 400_000 }) },
+        [ "fault injection"; "fault tolerance"; "failure detection" ] );
+      ("two shards", { cfg with manager_shards = 2 }, [ "control plane" ]) ]
 
 let tests =
   [ Alcotest.test_case "u8 roundtrip" `Quick test_u8_roundtrip;
@@ -197,8 +233,8 @@ let tests =
     Alcotest.test_case "bulk region propagation" `Quick
       test_bulk_in_region_propagates;
     Alcotest.test_case "report contents" `Quick test_report_contents;
-    Alcotest.test_case "report unknown server" `Quick
-      test_report_unknown_server ]
+    Alcotest.test_case "report counter lines" `Quick
+      test_report_counter_lines ]
 
 (* Randomized byte-granularity property: random byte offsets partitioned
    over the threads, written per round, compared against a byte-array

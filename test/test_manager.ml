@@ -55,7 +55,8 @@ let test_alloc_invalid () =
 
 let test_lock_grant_free () =
   let _, net, m = mk () in
-  let l = Samhita.Manager_shard.lock_create m in
+  let l = 1 in
+  Samhita.Manager_shard.lock_register m ~id:l;
   Alcotest.(check (option int)) "free" None (Samhita.Manager_shard.lock_holder m l);
   match
     Samhita.Manager_shard.lock_acquire m ~now:t0 ~lock:l ~thread:1 ~last_seen:0
@@ -70,7 +71,8 @@ let test_lock_grant_free () =
 
 let test_lock_queue_and_handoff () =
   let e, net, m = mk () in
-  let l = Samhita.Manager_shard.lock_create m in
+  let l = 1 in
+  Samhita.Manager_shard.lock_register m ~id:l;
   ignore
     (Samhita.Manager_shard.lock_acquire m ~now:t0 ~lock:l ~thread:1 ~last_seen:0
        ~endpoint:(ep net 2) ~wake:(fun _ -> ()));
@@ -102,7 +104,8 @@ let test_lock_queue_and_handoff () =
 
 let test_lock_release_not_holder () =
   let _, net, m = mk () in
-  let l = Samhita.Manager_shard.lock_create m in
+  let l = 1 in
+  Samhita.Manager_shard.lock_register m ~id:l;
   ignore
     (Samhita.Manager_shard.lock_acquire m ~now:t0 ~lock:l ~thread:1 ~last_seen:0
        ~endpoint:(ep net 2) ~wake:(fun _ -> ()));
@@ -118,7 +121,8 @@ let test_lock_release_error_mutates_nothing () =
      the queued waiter is still handed the lock by the legitimate
      release afterwards. *)
   let e, net, m = mk () in
-  let l = Samhita.Manager_shard.lock_create m in
+  let l = 1 in
+  Samhita.Manager_shard.lock_register m ~id:l;
   (match
      Samhita.Manager_shard.lock_acquire m ~now:t0 ~lock:l ~thread:1 ~last_seen:0
        ~endpoint:(ep net 2) ~wake:(fun _ -> ())
@@ -170,7 +174,8 @@ let test_lock_release_free_lock () =
   (* Releasing a never-acquired lock is the same misuse: raises, and the
      lock stays free at version 0. *)
   let _, _, m = mk () in
-  let l = Samhita.Manager_shard.lock_create m in
+  let l = 1 in
+  Samhita.Manager_shard.lock_register m ~id:l;
   Alcotest.check_raises "free lock rejected"
     (Invalid_argument "Manager_shard.lock_release: thread does not hold the lock")
     (fun () ->
@@ -183,7 +188,8 @@ let test_lock_release_free_lock () =
 
 let test_lock_patch_aggregates_history () =
   let _, net, m = mk () in
-  let l = Samhita.Manager_shard.lock_create m in
+  let l = 1 in
+  Samhita.Manager_shard.lock_register m ~id:l;
   (* Three acquire/release rounds by thread 1. *)
   for i = 1 to 3 do
     (match
@@ -215,7 +221,8 @@ let test_lock_notices_fallback () =
   (* History depth 1: a two-version gap cannot be patched. *)
   let cfg' = { cfg with update_log_history = 1 } in
   let _, net, m = mk_with cfg' in
-  let l = Samhita.Manager_shard.lock_create m in
+  let l = 1 in
+  Samhita.Manager_shard.lock_register m ~id:l;
   for i = 1 to 3 do
     (match
        Samhita.Manager_shard.lock_acquire m ~now:t0 ~lock:l ~thread:1
@@ -240,7 +247,8 @@ let test_lock_notices_fallback () =
 
 let test_lock_grant_wire_grows_with_payload () =
   let _, net, m = mk () in
-  let l = Samhita.Manager_shard.lock_create m in
+  let l = 1 in
+  Samhita.Manager_shard.lock_register m ~id:l;
   (match
      Samhita.Manager_shard.lock_acquire m ~now:t0 ~lock:l ~thread:1 ~last_seen:0
        ~endpoint:(ep net 2) ~wake:(fun _ -> ())
@@ -263,7 +271,8 @@ let test_lock_grant_wire_grows_with_payload () =
 
 let test_barrier_release_and_masks () =
   let e, net, m = mk () in
-  let b = Samhita.Manager_shard.barrier_create m ~parties:3 in
+  let b = 1 in
+  Samhita.Manager_shard.barrier_register m ~id:b ~parties:3;
   let woken = ref [] in
   let arrive thread lines =
     Samhita.Manager_shard.barrier_arrive m ~now:t0 ~barrier:b ~thread ~lines
@@ -290,7 +299,8 @@ let test_barrier_release_and_masks () =
 
 let test_barrier_reusable () =
   let e, net, m = mk () in
-  let b = Samhita.Manager_shard.barrier_create m ~parties:2 in
+  let b = 1 in
+  Samhita.Manager_shard.barrier_register m ~id:b ~parties:2;
   for epoch = 0 to 2 do
     ignore
       (Samhita.Manager_shard.barrier_arrive m ~now:t0 ~barrier:b ~thread:0
@@ -311,7 +321,8 @@ let test_barrier_reusable () =
 
 let test_barrier_thread_id_range () =
   let e, net, m = mk () in
-  let b = Samhita.Manager_shard.barrier_create m ~parties:1 in
+  let b = 1 in
+  Samhita.Manager_shard.barrier_register m ~id:b ~parties:1;
   (* Thread ids beyond the old 62-entry mask limit are legal now that
      writer sets are bitsets; only negative ids are rejected. *)
   (match
@@ -336,13 +347,14 @@ let test_barrier_invalid_parties () =
   let _, _, m = mk () in
   Alcotest.check_raises "parties"
     (Invalid_argument "Manager_shard.barrier_create: parties") (fun () ->
-      ignore (Samhita.Manager_shard.barrier_create m ~parties:0))
+      Samhita.Manager_shard.barrier_register m ~id:1 ~parties:0)
 
 (* ---------------- condition variables ---------------- *)
 
 let test_cond_signal_fifo () =
   let e, net, m = mk () in
-  let c = Samhita.Manager_shard.cond_create m in
+  let c = 1 in
+  Samhita.Manager_shard.cond_register m ~id:c;
   let woken = ref [] in
   for i = 1 to 3 do
     Samhita.Manager_shard.cond_wait m ~cond:c ~thread:i ~endpoint:(ep net 2)

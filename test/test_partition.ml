@@ -28,9 +28,6 @@ let gray_config ?fault () =
 let partition scope server start_ns heal_ns =
   Samhita.Config.Partition_server { server; scope; start_ns; heal_ns }
 
-let stall server start_ns heal_ns =
-  Samhita.Config.Stall_server { server; start_ns; heal_ns }
-
 (* ---------------- configuration validation ---------------- *)
 
 let test_config_validation () =
@@ -48,12 +45,8 @@ let test_config_validation () =
     (bad
        { (gray_config ~fault:(partition iso 0 0 1000) ()) with
          replication = 0 });
-  Alcotest.(check bool) "stall victim out of range" true
-    (bad (gray_config ~fault:(stall 2 0 1000) ()));
   Alcotest.(check bool) "valid partition accepted" false
-    (bad (gray_config ~fault:(partition iso 0 5_000 300_000) ()));
-  Alcotest.(check bool) "valid stall accepted" false
-    (bad (gray_config ~fault:(stall 0 5_000 300_000) ()))
+    (bad (gray_config ~fault:(partition iso 0 5_000 300_000) ()))
 
 (* ---------------- retry jitter (decorrelated backoff) ---------------- *)
 
@@ -212,11 +205,6 @@ let partition_run ?fault ~threads ~iters () =
   Samhita.System.run sys;
   (sys, !final)
 
-let detection sys =
-  match Samhita.Metrics.detection_of_system sys with
-  | Some d -> d
-  | None -> Alcotest.fail "detection counters expected"
-
 let test_partition_isolate_survives () =
   let threads = 4 and iters = 25 in
   let sys, final =
@@ -227,7 +215,7 @@ let test_partition_isolate_survives () =
   Alcotest.(check (float 0.)) "all acked increments survive the partition"
     (float_of_int (threads * iters))
     final;
-  let d = detection sys in
+  let d = Samhita.Metrics.detection_of_system sys in
   Alcotest.(check bool) "lease falsely expired" true (d.suspicions >= 1);
   Alcotest.(check int) "suspicion was false" d.suspicions d.false_suspicions;
   Alcotest.(check int) "zombie rejoined after the heal" 1 d.rejoins;
@@ -247,7 +235,7 @@ let test_partition_control_zombie_fenced () =
   Alcotest.(check (float 0.)) "no increment lost or doubled via the zombie"
     (float_of_int (threads * iters))
     final;
-  let d = detection sys in
+  let d = Samhita.Metrics.detection_of_system sys in
   Alcotest.(check bool) "lease falsely expired" true (d.suspicions >= 1);
   Alcotest.(check int) "zombie rejoined" 1 d.rejoins
 
@@ -270,7 +258,7 @@ let test_lease_expiry_at_heal_boundary () =
          (Printf.sprintf "heal=%dns completes exactly" heal)
          (float_of_int (threads * iters))
          final;
-       let d = detection sys in
+       let d = Samhita.Metrics.detection_of_system sys in
        if d.suspicions = 0 then saw_quiet := true
        else begin
          saw_promoted := true;
@@ -282,20 +270,6 @@ let test_lease_expiry_at_heal_boundary () =
   Alcotest.(check bool) "sweep crosses the expiry boundary" true
     (!saw_quiet && !saw_promoted)
 
-(* A stall is latency, not loss: the victim answers late but heartbeats
-   still complete, so the detector must NOT fire. *)
-let test_stall_is_not_suspected () =
-  let threads = 2 and iters = 15 in
-  let sys, final =
-    partition_run ~fault:(stall 0 5_000 300_000) ~threads ~iters ()
-  in
-  Alcotest.(check (float 0.)) "stalled run completes exactly"
-    (float_of_int (threads * iters))
-    final;
-  let d = detection sys in
-  Alcotest.(check int) "slow is not dead: no suspicion" 0 d.suspicions;
-  Alcotest.(check int) "no rejoin needed" 0 d.rejoins
-
 let test_partition_run_deterministic () =
   let run () =
     let sys, final =
@@ -303,7 +277,7 @@ let test_partition_run_deterministic () =
         ~fault:(partition Samhita.Config.Control 1 10_000 350_000)
         ~threads:3 ~iters:15 ()
     in
-    let d = detection sys in
+    let d = Samhita.Metrics.detection_of_system sys in
     ( Desim.Time.to_ns (Samhita.System.elapsed sys),
       final,
       d.suspicions,
@@ -351,35 +325,12 @@ let test_suspicion_during_inflight_write () =
 
 (* ---------------- reporting gates ---------------- *)
 
-(* Healthy and crash-only runs must not grow a detection section: the
-   counters are gated on gray-failure injection so the seed build's
-   reports stay byte-identical. *)
+(* The default configuration injects no failure. Which report lines a
+   gray-failure run adds is pinned by the accessors suite's table. *)
 let test_detection_gated () =
-  let sys = Samhita.System.create ~config:cfg ~threads:1 () in
-  ignore
-    (Samhita.System.spawn sys (fun t -> ignore (T.malloc t ~bytes:64 : int))
-      : T.t);
-  Samhita.System.run sys;
-  (match Samhita.Metrics.detection_of_system sys with
-   | None -> ()
-   | Some _ -> Alcotest.fail "healthy run must not report detection");
   let pp = Format.asprintf "%a" Samhita.Config.pp cfg in
   Alcotest.(check bool) "default config pp names no fault" true
     (contains pp "fault=none")
-
-let test_report_shows_detection_line () =
-  let sys, _ =
-    partition_run
-      ~fault:(partition Samhita.Config.Isolate 0 5_000 400_000)
-      ~threads:2 ~iters:10 ()
-  in
-  let report =
-    Format.asprintf "%a" Harness.Report.pp (Harness.Report.of_system sys)
-  in
-  Alcotest.(check bool) "failure detection section present" true
-    (contains report "failure detection");
-  Alcotest.(check bool) "fault tolerance section present too" true
-    (contains report "fault tolerance")
 
 (* ---------------- torture integration ---------------- *)
 
@@ -392,11 +343,9 @@ let test_torture_partition_seed () =
       ~level:Fabric.Faults.Off ~seed:10 ()
   in
   Alcotest.(check int) "seed 10 clean" 0 (List.length o.Torture.Runner.o_violations);
-  (match o.Torture.Runner.o_detect with
-   | None -> Alcotest.fail "detection counters expected"
-   | Some d ->
-     Alcotest.(check bool) "suspicion recorded" true (d.suspicions >= 1);
-     Alcotest.(check int) "rejoin recorded" 1 d.rejoins);
+  let d = o.Torture.Runner.o_detect in
+  Alcotest.(check bool) "suspicion recorded" true (d.suspicions >= 1);
+  Alcotest.(check int) "rejoin recorded" 1 d.rejoins;
   Alcotest.(check bool) "fault trace captured partition events" true
     (List.exists
        (fun l -> contains l "partition")
@@ -417,16 +366,12 @@ let tests =
       test_partition_control_zombie_fenced;
     Alcotest.test_case "lease expiry at heal boundary" `Quick
       test_lease_expiry_at_heal_boundary;
-    Alcotest.test_case "stall is not suspected" `Quick
-      test_stall_is_not_suspected;
     Alcotest.test_case "partition run deterministic" `Quick
       test_partition_run_deterministic;
     Alcotest.test_case "suspicion during in-flight write" `Quick
       test_suspicion_during_inflight_write;
     Alcotest.test_case "detection gated off by default" `Quick
       test_detection_gated;
-    Alcotest.test_case "report shows detection line" `Quick
-      test_report_shows_detection_line;
     Alcotest.test_case "torture partition seed" `Quick
       test_torture_partition_seed ]
 

@@ -67,9 +67,7 @@ let test_fault_constructors () =
       ("crash_shard", Crash_shard { shard = 1; at_ns = 0 });
       ( "partition_server",
         Partition_server
-          { server = 0; scope = Control; start_ns = 0; heal_ns = 1 } );
-      ("stall_server", Stall_server { server = 1; start_ns = 0; heal_ns = 1 })
-    ]
+          { server = 0; scope = Control; start_ns = 0; heal_ns = 1 } ) ]
 
 (* ---------------- replication without a crash ---------------- *)
 
@@ -92,15 +90,13 @@ let test_mirror_on_healthy_run () =
         : T.t)
   done;
   Samhita.System.run sys;
-  match Samhita.Metrics.replication_of_system sys with
-  | None -> Alcotest.fail "replication counters expected"
-  | Some r ->
-    Alcotest.(check bool) "writes mirrored" true (r.mirrored_writes > 0);
-    Alcotest.(check bool) "mirror bytes counted" true (r.mirror_bytes > 0);
-    Alcotest.(check int) "no degraded writes" 0 r.degraded_writes;
-    Alcotest.(check bool) "heartbeats ran" true (r.heartbeats > 0);
-    Alcotest.(check int) "no lease expired" 0 r.leases_expired;
-    Alcotest.(check int) "no promotion" 0 r.promotions
+  let r = Samhita.Metrics.replication_of_system sys in
+  Alcotest.(check bool) "writes mirrored" true (r.mirrored_writes > 0);
+  Alcotest.(check bool) "mirror bytes counted" true (r.mirror_bytes > 0);
+  Alcotest.(check int) "no degraded writes" 0 r.degraded_writes;
+  Alcotest.(check bool) "heartbeats ran" true (r.heartbeats > 0);
+  Alcotest.(check int) "no lease expired" 0 r.leases_expired;
+  Alcotest.(check int) "no promotion" 0 r.promotions
 
 (* ---------------- replication cost ---------------- *)
 
@@ -128,12 +124,10 @@ let test_replication_cost () =
   let repl_ns, sys = run 1 in
   Alcotest.(check int) "unreplicated makespan" 777_690 base_ns;
   Alcotest.(check int) "replicated makespan" 1_000_000 repl_ns;
-  match Samhita.Metrics.replication_of_system sys with
-  | None -> Alcotest.fail "replication counters expected"
-  | Some r ->
-    Alcotest.(check int) "mirrored writes" 40 r.mirrored_writes;
-    Alcotest.(check int) "mirror bytes" 3012 r.mirror_bytes;
-    Alcotest.(check int) "no promotion" 0 r.promotions
+  let r = Samhita.Metrics.replication_of_system sys in
+  Alcotest.(check int) "mirrored writes" 40 r.mirrored_writes;
+  Alcotest.(check int) "mirror bytes" 3012 r.mirror_bytes;
+  Alcotest.(check int) "no promotion" 0 r.promotions
 
 (* ---------------- crash and recovery ---------------- *)
 
@@ -178,12 +172,10 @@ let test_crash_mid_run_completes () =
   Alcotest.(check (float 0.)) "all acked increments survive failover"
     (float_of_int (threads * iters))
     final;
-  match Samhita.Metrics.replication_of_system sys with
-  | None -> Alcotest.fail "replication counters expected"
-  | Some r ->
-    Alcotest.(check int) "one lease expired" 1 r.leases_expired;
-    Alcotest.(check int) "one promotion" 1 r.promotions;
-    Alcotest.(check bool) "dead sends observed" true (r.dead_sends > 0)
+  let r = Samhita.Metrics.replication_of_system sys in
+  Alcotest.(check int) "one lease expired" 1 r.leases_expired;
+  Alcotest.(check int) "one promotion" 1 r.promotions;
+  Alcotest.(check bool) "dead sends observed" true (r.dead_sends > 0)
 
 let test_crash_other_server () =
   let threads = 4 and iters = 25 in
@@ -191,9 +183,8 @@ let test_crash_other_server () =
   Alcotest.(check (float 0.)) "server 1 crash also survives"
     (float_of_int (threads * iters))
     final;
-  match Samhita.Metrics.replication_of_system sys with
-  | None -> Alcotest.fail "replication counters expected"
-  | Some r -> Alcotest.(check int) "one promotion" 1 r.promotions
+  let r = Samhita.Metrics.replication_of_system sys in
+  Alcotest.(check int) "one promotion" 1 r.promotions
 
 (* A crash at t=0: the very first server interaction already faces a dead
    node, exercising the park-until-recovery path from a cold start. *)
@@ -203,20 +194,15 @@ let test_crash_at_time_zero () =
   Alcotest.(check (float 0.)) "cold-start crash survives"
     (float_of_int (threads * iters))
     final;
-  match Samhita.Metrics.replication_of_system sys with
-  | None -> Alcotest.fail "replication counters expected"
-  | Some r -> Alcotest.(check int) "one promotion" 1 r.promotions
+  let r = Samhita.Metrics.replication_of_system sys in
+  Alcotest.(check int) "one promotion" 1 r.promotions
 
 (* Determinism: the same crash spec twice gives bit-identical makespan
    and counters. *)
 let test_crash_run_deterministic () =
   let run () =
     let sys, final = crash_run ~crash:(0, 300_000) ~threads:3 ~iters:15 in
-    let r =
-      match Samhita.Metrics.replication_of_system sys with
-      | Some r -> r
-      | None -> Alcotest.fail "replication counters expected"
-    in
+    let r = Samhita.Metrics.replication_of_system sys in
     ( Desim.Time.to_ns (Samhita.System.elapsed sys),
       final,
       r.mirrored_writes,
@@ -238,26 +224,9 @@ let test_degraded_writes_counted () =
   let sys, final = crash_run ~crash:(1, 100_000) ~threads:4 ~iters:40 in
   Alcotest.(check (float 0.)) "degraded run correct" (float_of_int (4 * 40))
     final;
-  match Samhita.Metrics.replication_of_system sys with
-  | None -> Alcotest.fail "replication counters expected"
-  | Some r ->
-    Alcotest.(check bool) "degraded writes counted" true
-      (r.degraded_writes > 0)
-
-(* Report integration: the fault-tolerance line shows up exactly when
-   replication is configured. *)
-let test_report_shows_ft_line () =
-  let sys, _ = crash_run ~crash:(0, 300_000) ~threads:2 ~iters:10 in
-  let report = Format.asprintf "%a" Harness.Report.pp
-      (Harness.Report.of_system sys) in
-  let contains hay needle =
-    let nh = String.length hay and nn = String.length needle in
-    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1))
-    in
-    go 0
-  in
-  Alcotest.(check bool) "fault tolerance section present" true
-    (contains report "fault tolerance")
+  let r = Samhita.Metrics.replication_of_system sys in
+  Alcotest.(check bool) "degraded writes counted" true
+    (r.degraded_writes > 0)
 
 let tests =
   [ Alcotest.test_case "config validation" `Quick test_config_validation;
@@ -274,8 +243,6 @@ let tests =
     Alcotest.test_case "crash run deterministic" `Quick
       test_crash_run_deterministic;
     Alcotest.test_case "degraded writes counted" `Quick
-      test_degraded_writes_counted;
-    Alcotest.test_case "report shows ft line" `Quick
-      test_report_shows_ft_line ]
+      test_degraded_writes_counted ]
 
 let () = Alcotest.run "samhita.recovery" [ ("crash-recovery", tests) ]

@@ -63,40 +63,6 @@ let test_ring_pure () =
   Alcotest.(check bool) "rebuilt ring identical" true
     (owners ~shards:4 = owners ~shards:4)
 
-(* ---------------- control metrics gate ---------------- *)
-
-(* Control-plane counters appear only when the control plane is sharded,
-   so unsharded reports stay byte-identical with the classic build. *)
-let control_after_run ~shards =
-  let config =
-    { Samhita.Config.default with Samhita.Config.manager_shards = shards }
-  in
-  let sys = Samhita.System.create ~config ~threads:2 () in
-  let l = Samhita.System.mutex sys in
-  for _ = 1 to 2 do
-    ignore
-      (Samhita.System.spawn sys (fun t ->
-           Samhita.Thread_ctx.mutex_lock t l;
-           Samhita.Thread_ctx.mutex_unlock t l)
-        : Samhita.Thread_ctx.t)
-  done;
-  Samhita.System.run sys;
-  Samhita.Metrics.control_of_system sys
-
-let test_control_gate () =
-  Alcotest.(check bool) "unsharded run reports no control block" true
-    (control_after_run ~shards:1 = None);
-  List.iter
-    (fun shards ->
-       match control_after_run ~shards with
-       | None ->
-         Alcotest.failf "%d-shard run must report control metrics" shards
-       | Some c ->
-         Alcotest.(check int)
-           (Printf.sprintf "%d-shard control block counts its shards" shards)
-           shards c.Samhita.Metrics.shards)
-    [ 2; 4 ]
-
 (* ---------------- shard-crash takeover ---------------- *)
 
 let test_shard_crash_takeover () =
@@ -117,15 +83,11 @@ let test_shard_crash_takeover () =
          (Printf.sprintf "seed %d: no violations" seed)
          0
          (List.length o.Torture.Runner.o_violations);
-       match o.Torture.Runner.o_ctl with
-       | None -> Alcotest.fail "crash-shard run must report control metrics"
-       | Some c ->
-         Alcotest.(check bool)
-           (Printf.sprintf "seed %d: at most one takeover (%d)" seed
-              c.Samhita.Metrics.takeovers)
-           true
-           (c.Samhita.Metrics.takeovers <= 1);
-         fired := !fired + c.Samhita.Metrics.takeovers)
+       let takeovers = o.Torture.Runner.o_takeovers in
+       Alcotest.(check bool)
+         (Printf.sprintf "seed %d: at most one takeover (%d)" seed takeovers)
+         true (takeovers <= 1);
+       fired := !fired + takeovers)
     [ 0; 1; 2 ];
   Alcotest.(check bool)
     (Printf.sprintf "at least one seed crashed a shard (%d)" !fired)
@@ -198,8 +160,6 @@ let tests =
     Alcotest.test_case "ring: stability under growth" `Quick
       test_ring_stability;
     Alcotest.test_case "ring: pure placement" `Quick test_ring_pure;
-    Alcotest.test_case "metrics: control block gated on sharding" `Quick
-      test_control_gate;
     Alcotest.test_case "shard crash: takeover clean" `Quick
       test_shard_crash_takeover;
     Alcotest.test_case "shard crash: deterministic" `Quick
