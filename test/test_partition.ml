@@ -332,6 +332,18 @@ let test_detection_gated () =
   Alcotest.(check bool) "default config pp names no fault" true
     (contains pp "fault=none")
 
+let test_report_shows_detection_line () =
+  let sys, _ =
+    partition_run
+      ~fault:(partition Samhita.Config.Isolate 0 5_000 400_000)
+      ~threads:2 ~iters:10 ()
+  in
+  let report = Format.asprintf "%a" Samhita.Metrics.pp_report sys in
+  Alcotest.(check bool) "failure detection section present" true
+    (contains report "failure detection");
+  Alcotest.(check bool) "fault tolerance section present too" true
+    (contains report "fault tolerance")
+
 (* ---------------- torture integration ---------------- *)
 
 (* One deterministic partition-torture seed end to end: clean oracle,
@@ -372,6 +384,8 @@ let tests =
       test_suspicion_during_inflight_write;
     Alcotest.test_case "detection gated off by default" `Quick
       test_detection_gated;
+    Alcotest.test_case "report shows detection line" `Quick
+      test_report_shows_detection_line;
     Alcotest.test_case "torture partition seed" `Quick
       test_torture_partition_seed ]
 

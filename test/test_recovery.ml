@@ -228,6 +228,20 @@ let test_degraded_writes_counted () =
   Alcotest.(check bool) "degraded writes counted" true
     (r.degraded_writes > 0)
 
+(* Report integration: the fault-tolerance line shows up on a replicated
+   run that injects a crash. *)
+let test_report_shows_ft_line () =
+  let sys, _ = crash_run ~crash:(0, 300_000) ~threads:2 ~iters:10 in
+  let report = Format.asprintf "%a" Samhita.Metrics.pp_report sys in
+  let contains hay needle =
+    let nh = String.length hay and nn = String.length needle in
+    let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1))
+    in
+    go 0
+  in
+  Alcotest.(check bool) "fault tolerance section present" true
+    (contains report "fault tolerance")
+
 let tests =
   [ Alcotest.test_case "config validation" `Quick test_config_validation;
     Alcotest.test_case "fault constructors are regc-only" `Quick
@@ -243,6 +257,8 @@ let tests =
     Alcotest.test_case "crash run deterministic" `Quick
       test_crash_run_deterministic;
     Alcotest.test_case "degraded writes counted" `Quick
-      test_degraded_writes_counted ]
+      test_degraded_writes_counted;
+    Alcotest.test_case "report shows ft line" `Quick
+      test_report_shows_ft_line ]
 
 let () = Alcotest.run "samhita.recovery" [ ("crash-recovery", tests) ]

@@ -63,6 +63,51 @@ let test_ring_pure () =
   Alcotest.(check bool) "rebuilt ring identical" true
     (owners ~shards:4 = owners ~shards:4)
 
+(* ---------------- control metrics gate ---------------- *)
+
+(* The control-plane report line appears only when the control plane is
+   sharded, so unsharded reports stay byte-identical with the classic
+   build; the counters themselves are always present. *)
+let control_after_run ~shards =
+  let config =
+    { Samhita.Config.default with Samhita.Config.manager_shards = shards }
+  in
+  let sys = Samhita.System.create ~config ~threads:2 () in
+  let l = Samhita.System.mutex sys in
+  for _ = 1 to 2 do
+    ignore
+      (Samhita.System.spawn sys (fun t ->
+           Samhita.Thread_ctx.mutex_lock t l;
+           Samhita.Thread_ctx.mutex_unlock t l)
+        : Samhita.Thread_ctx.t)
+  done;
+  Samhita.System.run sys;
+  ( Samhita.Metrics.control_of_system sys,
+    Format.asprintf "%a" Samhita.Metrics.pp_report sys )
+
+let contains hay needle =
+  let nh = String.length hay and nn = String.length needle in
+  let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
+  go 0
+
+let test_control_gate () =
+  let c, report = control_after_run ~shards:1 in
+  Alcotest.(check int) "unsharded run counts one shard" 1
+    c.Samhita.Metrics.shards;
+  Alcotest.(check bool) "unsharded run reports no control block" false
+    (contains report "control plane");
+  List.iter
+    (fun shards ->
+       let c, report = control_after_run ~shards in
+       Alcotest.(check int)
+         (Printf.sprintf "%d-shard control block counts its shards" shards)
+         shards c.Samhita.Metrics.shards;
+       Alcotest.(check bool)
+         (Printf.sprintf "%d-shard run reports its control block" shards)
+         true
+         (contains report (Printf.sprintf "control: shards=%d " shards)))
+    [ 2; 4 ]
+
 (* ---------------- shard-crash takeover ---------------- *)
 
 let test_shard_crash_takeover () =
@@ -160,6 +205,8 @@ let tests =
     Alcotest.test_case "ring: stability under growth" `Quick
       test_ring_stability;
     Alcotest.test_case "ring: pure placement" `Quick test_ring_pure;
+    Alcotest.test_case "metrics: control block gated on sharding" `Quick
+      test_control_gate;
     Alcotest.test_case "shard crash: takeover clean" `Quick
       test_shard_crash_takeover;
     Alcotest.test_case "shard crash: deterministic" `Quick
