@@ -12,7 +12,7 @@
    Flags that several subcommands share (backend, threads, control-plane
    shards, sanitizer, ...) are defined here as cmdliner terms; the
    validators re-check semantic bounds that cmdliner's converters cannot
-   express (threads against the config's max_threads field, shard counts,
+   express (threads against Config.max_threads, shard counts,
    backend/flag compatibility). *)
 
 open Cmdliner
@@ -140,15 +140,12 @@ let servers_t =
 
 (* ---------------- validators ---------------- *)
 
-(* The thread cap is a config field, not a compile-time constant; errors
-   name the violated bound so the fix (raise max_threads) is evident. *)
-let check_threads ~cmd ?(config = Samhita.Config.default) threads =
+(* Errors name the violated bound. *)
+let check_threads ~cmd threads =
   if threads <= 0 then usage ~cmd "--threads must be positive";
-  if threads > config.Samhita.Config.max_threads then
-    usage ~cmd
-      "--threads %d exceeds the config's max_threads = %d (raise the \
-       max_threads field to run larger systems)"
-      threads config.Samhita.Config.max_threads
+  if threads > Samhita.Config.max_threads then
+    usage ~cmd "--threads %d exceeds the thread cap (Config.max_threads = %d)"
+      threads Samhita.Config.max_threads
 
 let check_shards ~cmd ~flag shards =
   if shards < 1 then usage ~cmd "%s must be >= 1" flag
@@ -179,7 +176,7 @@ let kernel_config ~cmd ~threads ~shards ~servers ~sanitize =
       memory_servers = servers;
       manager_shards = shards }
   in
-  check_threads ~cmd ~config threads;
+  check_threads ~cmd threads;
   config
 
 (* The smh backend for a kernel run, capturing the concrete system so

@@ -500,8 +500,6 @@ let on_cond_wake t ~thread ~cond =
 
 let findings t = List.rev t.findings_rev
 let findings_count t = t.n_findings
-let words_shadowed t = Hashtbl.length t.shadow
-let accesses_checked t = t.n_accesses
 let lock_order_warnings t = t.n_lock_order
 let thread_clock t ~thread = Vclock.copy (ts t thread).vc
 

@@ -97,8 +97,6 @@ val findings : t -> finding list
 (** Deduplicated findings in (deterministic) detection order. *)
 
 val findings_count : t -> int
-val words_shadowed : t -> int
-val accesses_checked : t -> int
 
 val lock_order_warnings : t -> int
 (** Number of ABBA-inconsistent lock pairs reported (each counted once). *)

@@ -10,15 +10,13 @@ type dirent = { mutable owner : int option; sharers : Tset.t }
 type t = {
   peers : (int, peer) Hashtbl.t;
   dir : (int, dirent) Hashtbl.t;
-  cap : int;
 }
 
-let create ?(max_threads = Config.default.Config.max_threads) () =
-  { peers = Hashtbl.create 64; dir = Hashtbl.create 1024; cap = max_threads }
+let create () = { peers = Hashtbl.create 64; dir = Hashtbl.create 1024 }
 
 let register t ~thread peer =
   (* System.create validates the count up front; this guards direct use. *)
-  if thread < 0 || thread >= t.cap then
+  if thread < 0 || thread >= Config.max_threads then
     invalid_arg "Coherence_sc.register: thread id out of range (max_threads)";
   Hashtbl.replace t.peers thread peer
 

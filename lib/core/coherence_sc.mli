@@ -23,13 +23,11 @@ type peer = {
   p_downgrade : int -> unit;  (** Exclusive -> shared. *)
 }
 
-val create : ?max_threads:int -> unit -> t
-(** [max_threads] bounds acceptable thread ids (defaults to
-    {!Config.default}'s cap). *)
+val create : unit -> t
 
 val register : t -> thread:int -> peer -> unit
-(** Threads register themselves at creation. Thread ids must be below the
-    [max_threads] the directory was created with. *)
+(** Threads register themselves at creation. Thread ids must be below
+    {!Config.max_threads}. *)
 
 val peer : t -> int -> peer
 

@@ -48,10 +48,11 @@ type t = {
   shuffle : bool;
   replication : int;
   lease_interval : Desim.Time.span;
-  max_threads : int;
   manager_shards : int;
   fault : fault option;
 }
+
+let max_threads = 512
 
 let default =
   { model = Regc;
@@ -80,7 +81,6 @@ let default =
     shuffle = false;
     replication = 0;
     lease_interval = Desim.Time.ns 100_000;
-    max_threads = 512;
     manager_shards = 1;
     fault = None }
 
@@ -150,7 +150,6 @@ let validate t =
       "replication is only modeled for the regc engine"
   in
   let* () = check (t.lease_interval >= 1) "lease_interval must be >= 1ns" in
-  let* () = check (t.max_threads >= 1) "max_threads must be >= 1" in
   let* () =
     check (t.manager_shards >= 1) "manager_shards must be >= 1"
   in
@@ -241,4 +240,4 @@ let pp ppf t =
     t.threads_per_node t.fabric.Fabric.Profile.name
     t.replication Desim.Time.pp_span t.lease_interval
     (fault_to_string t.fault)
-    t.manager_shards t.max_threads
+    t.manager_shards max_threads

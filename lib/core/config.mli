@@ -116,29 +116,30 @@ type t = {
           service time). Requires [memory_servers >= 2] and the [Regc]
           model. *)
   lease_interval : Desim.Time.span;
-      (** Heartbeat period of the manager's lease-based failure detector
-          (only active when [replication >= 1]). A server that fails to
-          answer a heartbeat within {!Fabric.Scl.dead_retry_budget}
+      (** Heartbeat period of the lease-based failure detector, one
+          monitor on shard 0's node (active when [replication >= 1] or
+          [manager_shards >= 2]). A server or shard that fails to answer
+          a heartbeat within {!Fabric.Scl.dead_retry_budget}
           retransmissions has its lease expired and recovery begins. *)
   (* Control plane *)
-  max_threads : int;
-      (** Validated cap on compute threads per system (default 512).
-          Sharer/writer sets are {!Tset} bitmaps, so the cap is a resource
-          bound, not a representation limit; {!System.create} enforces
-          it. *)
   manager_shards : int;
       (** Number of control-plane shards (default 1 — the classic single
           manager, byte-identical to the unsharded build). Locks, barriers,
           condition variables and pages are assigned to shards by the
           consistent-hash ring ({!Hash_ring}); each shard owns its slice of
-          lock state, update logs and lease monitoring. Shard 0 also owns
-          the global address-space allocator. *)
+          lock state and update logs. Shard 0 also owns the global
+          address-space allocator and hosts the failure detector. *)
   (* Failure injection *)
   fault : fault option;
       (** The injected failure, if any. [None] (default) leaves the
           fabric byte-exact with the seed build when [fault_level] is
           also [Off]. *)
 }
+
+val max_threads : int
+(** Cap on compute threads per system (512). Sharer/writer sets are
+    {!Tset} bitmaps, so the cap is a resource bound, not a representation
+    limit; {!System.create} enforces it. *)
 
 val default : t
 

@@ -19,7 +19,10 @@ type t = {
   nodes : int array;  (* fabric node of each (logical) shard, pre-crash *)
   mutable next_id : int;
   mutable dead_shard : int option;
-  mutable shard_waiters : (unit -> unit) list;
+  (* Wake callbacks of requesters blocked on a dead peer (memory server
+     or shard), newest first; recovery or the partition heal drains it. *)
+  mutable parked : (unit -> unit) list;
+  mutable heartbeats : int;
   mutable shard_heartbeats : int;
   mutable takeovers : int;
   mutable absorbed_objects : int;
@@ -37,7 +40,8 @@ let create cfg ~engine ~shards ~nodes =
     nodes;
     next_id = 1;
     dead_shard = None;
-    shard_waiters = [];
+    parked = [];
+    heartbeats = 0;
     shard_heartbeats = 0;
     takeovers = 0;
     absorbed_objects = 0;
@@ -90,10 +94,17 @@ let shard_node_of t node =
   Array.iteri (fun i n -> if n = node then found := Some i) t.nodes;
   !found
 
-let await_shard_recovery t ~wake =
-  t.shard_waiters <- wake :: t.shard_waiters
+let park t ~wake = t.parked <- wake :: t.parked
 
+let wake_parked t ~now =
+  let ws = List.rev t.parked in
+  t.parked <- [];
+  List.iter (fun wake -> Desim.Engine.schedule_at t.engine now wake) ws
+
+let note_heartbeat t = t.heartbeats <- t.heartbeats + 1
 let note_shard_heartbeat t = t.shard_heartbeats <- t.shard_heartbeats + 1
+
+let sum f t = Array.fold_left (fun acc sh -> acc + f sh) 0 t.shards
 
 (* The ring successor absorbs the dead shard's slice. Mirrors
    Directory.promote for memory servers: single-failure model, the map
@@ -117,53 +128,38 @@ let recover_shard t ~dead ~now =
   in
   t.absorbed_objects <- t.absorbed_objects + moved;
   t.redriven_pushes <- t.redriven_pushes + redriven;
-  let ws = List.rev t.shard_waiters in
-  t.shard_waiters <- [];
-  List.iter (fun wake -> Desim.Engine.schedule_at t.engine now wake) ws;
+  wake_parked t ~now;
   (takeover, moved, redriven)
 
 (* ------------------------------------------------------------------ *)
 (* Memory-server recovery, composed across shards                      *)
 
 (* Promote once, then replay every shard's surviving logs in (shard,
-   lock id) order, then wake the parked threads once. [detecting] is the
-   shard whose lease monitor expired the lease. *)
-let recover_server t ~dir ~servers ~dead ~probe ~now ~detecting =
-  (* The detecting shard's lease expiry bumps its configuration epoch;
-     promotion stamps the directory slots and the promoted replica with
-     it. The suspected server keeps its old epoch — if it is merely
-     partitioned (not dead), its in-flight round trips now fence. *)
-  Manager_shard.note_lease_expired t.shards.(detecting);
-  let promoted =
-    Directory.promote ~epoch:(Manager_shard.epoch t.shards.(detecting)) dir
-      ~dead
+   lock id) order, then wake the parked threads once. A round trip
+   resolved against the suspected server before the promotion carries
+   the old slot epoch, so if the server is merely partitioned (not
+   dead) its in-flight traffic now fences. *)
+let recover_server t ~dir ~servers ~dead ~probe ~now =
+  let promoted = Directory.promote dir ~dead in
+  let replayed =
+    sum (fun sh -> Manager_shard.replay sh ~servers ~dead ~promoted ~probe ~now)
+      t
   in
-  Memory_server.set_epoch servers.(promoted) (Directory.epoch dir);
-  let replayed = ref 0 in
-  Array.iter
-    (fun sh ->
-       replayed :=
-         !replayed
-         + Manager_shard.replay sh ~servers ~dead ~promoted ~probe ~now)
-    t.shards;
-  List.iter
-    (fun wake -> Desim.Engine.schedule_at t.engine now wake)
-    (Directory.take_waiters dir);
-  (promoted, !replayed)
+  wake_parked t ~now;
+  (promoted, replayed)
 
 (* A falsely suspected server answered a probe after its partition
    healed: resync it back in as the backup of whichever primary it maps
-   to now. The resync is an epoch-stamped diff against the new primary's
-   versions — only lines the primary currently serves where the zombie
-   is behind are copied — modeled as a zero-latency background copy (the lease monitor's probe round trip
-   already charged the detection latency). Writes the zombie absorbed as
-   a Control-scope zombie primary before the promotion were
-   synchronously mirrored to exactly the server that got promoted, so
-   nothing it holds is newer than the primary; stale lines are simply
-   overwritten. *)
+   to now. The resync is a diff against the new primary's versions —
+   only lines the primary currently serves where the zombie is behind
+   are copied — modeled as a zero-latency background copy (the monitor's
+   probe round trip already charged the detection latency). Writes the
+   zombie absorbed as a Control-scope zombie primary before the
+   promotion were synchronously mirrored to exactly the server that got
+   promoted, so nothing it holds is newer than the primary; stale lines
+   are simply overwritten. *)
 let rejoin_server t ~dir ~servers ~zombie ~probe ~now =
   let z = servers.(zombie) in
-  Memory_server.set_epoch z (Directory.epoch dir);
   let copied = ref 0 in
   let primary = ref zombie in
   Array.iteri
@@ -201,10 +197,7 @@ let rejoin_server t ~dir ~servers ~zombie ~probe ~now =
 
 let gas_used t = Manager_shard.gas_used (alloc_shard t)
 
-let sum f t = Array.fold_left (fun acc sh -> acc + f sh) 0 t.shards
-
-let heartbeats t = sum Manager_shard.heartbeats t
-let leases_expired t = sum Manager_shard.leases_expired t
+let heartbeats t = t.heartbeats
 let replayed_updates t = sum Manager_shard.replayed_updates t
 let shard_heartbeats t = t.shard_heartbeats
 let takeovers t = t.takeovers

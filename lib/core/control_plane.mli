@@ -46,11 +46,25 @@ val shard_node_of : t -> int -> int option
 (** Reverse-map a fabric node to the logical shard hosted there (for
     classifying [Scl.Node_dead]). *)
 
-val await_shard_recovery : t -> wake:(unit -> unit) -> unit
-(** Park a blocked requester's wake callback until shard takeover
-    completes. *)
+(** {2 Failure detection and the park list}
+
+    One monitor process on shard 0's node (spawned by {!System}) watches
+    every memory server and shard. A requester blocked on a dead peer of
+    either kind parks here until recovery repoints the peer. *)
+
+val park : t -> wake:(unit -> unit) -> unit
+(** Park a blocked requester's wake callback until recovery completes. *)
+
+val wake_parked : t -> now:Desim.Time.t -> unit
+(** Reschedule every parked wake callback at [now], oldest first, and
+    empty the list. {!recover_server} and {!recover_shard} call it; so
+    does the partition heal. *)
+
+val note_heartbeat : t -> unit
+(** One lease-renewal round trip to a memory server completed. *)
 
 val note_shard_heartbeat : t -> unit
+(** One lease-renewal round trip to a shard completed. *)
 
 val recover_shard : t -> dead:int -> now:Desim.Time.t -> int * int * int
 (** Declare logical shard [dead] failed: the ring successor absorbs its
@@ -63,23 +77,19 @@ val recover_shard : t -> dead:int -> now:Desim.Time.t -> int * int * int
 
 val recover_server :
   t -> dir:Directory.t -> servers:Memory_server.t array -> dead:int ->
-  probe:Probe.t option -> now:Desim.Time.t -> detecting:int -> int * int
+  probe:Probe.t option -> now:Desim.Time.t -> int * int
 (** The sharded [promote -> replay -> wake] path: promote the backup
-    once, replay every shard's surviving update logs (ascending shard,
-    then lock id), wake the parked threads once. [detecting] is the
-    shard whose lease monitor detected the failure. Returns
-    [(promoted, replayed_entries)]. The detecting shard's lease expiry
-    bumps its configuration epoch; promotion stamps the directory and
-    the promoted replica with it ({!Directory.epoch}), fencing the
-    suspected server's stale traffic. *)
+    once ({!Directory.promote} stamps the repointed slots with a new
+    epoch, fencing the suspected server's stale traffic), replay every
+    shard's surviving update logs (ascending shard, then lock id), wake
+    the parked threads once. Returns [(promoted, replayed_entries)]. *)
 
 val rejoin_server :
   t -> dir:Directory.t -> servers:Memory_server.t array -> zombie:int ->
   probe:Probe.t option -> now:Desim.Time.t -> int * int
-(** A falsely suspected server answered a post-heal probe: stamp it with
-    the current epoch and resync it back in as the backup it already
-    ring-wires to — an epoch-stamped diff against the live primary's
-    versions (only lines that primary currently serves, only where the
+(** A falsely suspected server answered a post-heal probe: resync it
+    back in as the backup it already ring-wires to — a diff against the
+    live primary's versions (only lines that primary currently serves, only where the
     zombie is behind), modeled as a zero-latency background copy.
     Returns [(primary_backed, lines_copied)]
     and fires [Probe.on_rejoin]. *)
@@ -88,7 +98,6 @@ val rejoin_server :
 
 val gas_used : t -> int
 val heartbeats : t -> int
-val leases_expired : t -> int
 val replayed_updates : t -> int
 val shard_heartbeats : t -> int
 val takeovers : t -> int

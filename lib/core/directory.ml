@@ -1,7 +1,6 @@
 (* Logical-to-physical stripe map. Healthy systems have the identity map
    and pay nothing; after a crash the manager's recovery protocol repoints
-   the dead logical server at its promoted backup. Threads that hit a dead
-   physical node park here until recovery wakes them. *)
+   the dead logical server at its promoted backup. *)
 
 type t = {
   memory_servers : int;
@@ -13,7 +12,6 @@ type t = {
      expires; [failed] distinguishes "recovery already ran" from "wait for
      it". *)
   mutable dead : int option;
-  mutable waiters : (unit -> unit) list;
   mutable promotions : int;
   (* Configuration epoch, monotonically increasing: bumped on every lease
      expiry (promotion). epochs.(logical) is the epoch under which that
@@ -37,7 +35,6 @@ let create (cfg : Config.t) =
   { memory_servers = cfg.Config.memory_servers;
     physical = Array.init cfg.Config.memory_servers Fun.id;
     dead = None;
-    waiters = [];
     promotions = 0;
     cur_epoch = 0;
     epochs = Array.make cfg.Config.memory_servers 0;
@@ -61,15 +58,11 @@ let backup_of t i = (i + 1) mod t.memory_servers
 
 let failed t phys = t.dead = Some phys
 
-let promote ?epoch t ~dead =
+let promote t ~dead =
   if t.dead <> None then
     invalid_arg "Directory.promote: a server already failed (single-failure \
                  model)";
-  (* The new epoch comes from the lease-expiring manager shard when one
-     drove the recovery; it can only move the directory epoch forward. *)
-  let e =
-    max (t.cur_epoch + 1) (Option.value epoch ~default:(t.cur_epoch + 1))
-  in
+  let e = t.cur_epoch + 1 in
   t.cur_epoch <- e;
   let promoted = backup_of t dead in
   (* Every logical slot mapped at the dead physical server (the identity
@@ -86,13 +79,6 @@ let promote ?epoch t ~dead =
   t.dead <- Some dead;
   t.promotions <- t.promotions + 1;
   promoted
-
-let await_recovery t ~wake = t.waiters <- wake :: t.waiters
-
-let take_waiters t =
-  let ws = List.rev t.waiters in
-  t.waiters <- [];
-  ws
 
 let promotions t = t.promotions
 

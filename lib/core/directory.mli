@@ -31,22 +31,13 @@ val backup_of : t -> int -> int
 val failed : t -> int -> bool
 (** Whether this physical server has been declared dead {e and} recovery
     has already repointed the map (threads observing [Scl.Node_dead]
-    before that must park via {!await_recovery}). *)
+    before that must park via [Control_plane.park]). *)
 
-val promote : ?epoch:int -> t -> dead:int -> int
+val promote : t -> dead:int -> int
 (** Declare physical server [dead] failed and repoint every logical slot
     it served at its backup, stamping each repointed slot with the new
-    epoch; returns the promoted physical index. [epoch], when given, is
-    the expiring manager shard's epoch — the directory epoch advances to
-    at least [cur_epoch + 1] regardless (monotone). Raises
+    epoch [epoch t + 1]; returns the promoted physical index. Raises
     [Invalid_argument] on a second failure (single-failure model). *)
-
-val await_recovery : t -> wake:(unit -> unit) -> unit
-(** Park a blocked thread's wake callback until recovery completes. *)
-
-val take_waiters : t -> (unit -> unit) list
-(** Drain the parked wake callbacks (called by the recovery protocol),
-    oldest first. *)
 
 val promotions : t -> int
 

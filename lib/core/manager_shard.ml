@@ -94,14 +94,7 @@ type t = {
   locks : (lock_id, lock_state) Hashtbl.t;
   barriers : (barrier_id, barrier_state) Hashtbl.t;
   conds : (cond_id, cond_state) Hashtbl.t;
-  (* Lease-based failure detection / recovery bookkeeping. The shard's
-     configuration epoch advances with every lease it expires; recovery
-     stamps the directory and the promoted replica with it, fencing the
-     suspected server's stale traffic. *)
-  mutable heartbeats : int;
-  mutable leases_expired : int;
-  mutable cfg_epoch : int;
-  mutable replayed : int;
+  mutable replayed : int;  (* update-log entries replayed by recovery *)
   mutable orphans : orphan list;  (* newest first *)
 }
 
@@ -125,9 +118,6 @@ let create cfg layout ~engine ~endpoint =
     locks = Hashtbl.create 64;
     barriers = Hashtbl.create 16;
     conds = Hashtbl.create 16;
-    heartbeats = 0;
-    leases_expired = 0;
-    cfg_epoch = 0;
     replayed = 0;
     orphans = [] }
 
@@ -460,17 +450,6 @@ let cond_blocked t cond =
 
 let heartbeat_wire = 24
 
-let note_heartbeat t = t.heartbeats <- t.heartbeats + 1
-
-(* Every lease expiry bumps the owning shard's configuration epoch, even
-   when the suspicion later turns out false — the epoch numbers
-   configuration changes, not deaths. *)
-let note_lease_expired t =
-  t.leases_expired <- t.leases_expired + 1;
-  t.cfg_epoch <- t.cfg_epoch + 1
-
-let epoch t = t.cfg_epoch
-
 (* Replay this shard's surviving update logs after physical server [dead]
    failed and [promoted] took over its stripes. The shard's retained lock
    histories record, per release, the update log and the home versions it
@@ -552,6 +531,4 @@ let absorb t ~from ~now =
     orphans;
   (!moved, List.length orphans)
 
-let heartbeats t = t.heartbeats
-let leases_expired t = t.leases_expired
 let replayed_updates t = t.replayed

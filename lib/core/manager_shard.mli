@@ -4,8 +4,8 @@
 
     Historically this was the singleton [Manager]; under
     {!Control_plane} it is one of N consistent-hash shards, each owning a
-    slice of the locks/barriers/condvars (and their update-log histories),
-    its own service resource, and its own slice of the lease monitoring.
+    slice of the locks/barriers/condvars (and their update-log histories)
+    and its own service resource.
     With one shard the behavior is byte-identical to the old singleton.
 
     The shard is passive simulation state; requesting threads mutate it
@@ -160,24 +160,7 @@ val cond_signal : t -> now:Desim.Time.t -> cond:cond_id -> int
 
 val cond_broadcast : t -> now:Desim.Time.t -> cond:cond_id -> int
 
-(** {2 Crash recovery}
-
-    The control plane owns the lease-based failure detector (the monitor
-    processes live in {!System}; they call these). *)
-
-val note_heartbeat : t -> unit
-(** One lease-renewal round trip to a memory server completed. *)
-
-val note_lease_expired : t -> unit
-(** A memory server's lease expired at this shard. Also bumps the shard's
-    configuration epoch (see {!epoch}) — the epoch counts configuration
-    changes, so a false suspicion bumps it too. *)
-
-val epoch : t -> int
-(** This shard's configuration epoch: the number of leases it has
-    expired. Recovery stamps the directory slots and the promoted
-    replica with it; traffic resolved under an older epoch is fenced
-    ({!Directory.Stale_epoch}). *)
+(** {2 Crash recovery} *)
 
 val replay :
   t -> servers:Memory_server.t array -> dead:int ->
@@ -192,8 +175,6 @@ val absorb : t -> from:t -> now:Desim.Time.t -> int * int
     shard and re-drive [from]'s stranded reply pushes from this shard's
     endpoint. Returns [(objects_moved, pushes_redriven)]. *)
 
-val heartbeats : t -> int
-val leases_expired : t -> int
 val replayed_updates : t -> int
 
 (** {2 Wire-size helpers} *)

@@ -16,10 +16,6 @@ type t = {
   mutable mirrors : int;
   mutable mirror_bytes : int;
   mutable degraded : int;
-  (* Configuration epoch this server last learned (stamped by recovery
-     and rejoin). A zombie primary keeps its pre-promotion epoch — the
-     visible mark distinguishing it from the epoch-current replica. *)
-  mutable epoch : int;
 }
 
 let create cfg layout ~id ~endpoint =
@@ -36,8 +32,7 @@ let create cfg layout ~id ~endpoint =
     backup = None;
     mirrors = 0;
     mirror_bytes = 0;
-    degraded = 0;
-    epoch = 0 }
+    degraded = 0 }
 
 let id t = t.id
 let endpoint t = t.endpoint
@@ -45,9 +40,6 @@ let service t = t.service
 
 let set_backup t b = t.backup <- Some b
 let backup t = t.backup
-
-let epoch t = t.epoch
-let set_epoch t e = t.epoch <- e
 
 let line t line_id =
   match Hashtbl.find_opt t.store line_id with

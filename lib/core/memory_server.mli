@@ -23,14 +23,6 @@ val set_backup : t -> t -> unit
 
 val backup : t -> t option
 
-val epoch : t -> int
-(** Configuration epoch this server last learned (0 until a recovery or
-    rejoin stamps it). A zombie primary keeps its pre-promotion epoch. *)
-
-val set_epoch : t -> int -> unit
-(** Stamp the server with a configuration epoch (recovery stamps the
-    promoted replica; rejoin stamps the returning zombie). *)
-
 val iter_lines : t -> (int -> bytes -> int -> unit) -> unit
 (** Visit every materialized line as [(line_id, contents, version)], in
     line-id order (deterministic) — the rejoin resync walks the new

@@ -100,7 +100,7 @@ let replication_of_system sys =
        | None -> 0
        | Some f -> Fabric.Faults.messages_dead f);
     heartbeats = Control_plane.heartbeats cp;
-    leases_expired = Control_plane.leases_expired cp;
+    leases_expired = Directory.suspicions (System.directory sys);
     promotions = Directory.promotions (System.directory sys);
     replayed_updates = Control_plane.replayed_updates cp;
     failover_waits =

@@ -28,171 +28,120 @@ let heartbeat net ~src ~dst =
   Fabric.Scl.reliable_transfer net ~now:arrival ~src:dst ~dst:src
     ~bytes:Manager_shard.ack_wire
 
-(* The lease-based failure detector (active when replication is on): each
-   control-plane shard owns a monitor process that, every
-   [lease_interval], runs a heartbeat round trip to each live memory
-   server in its slice (servers are partitioned round-robin across
-   shards; with one shard that is every server, in index order — the
-   classic path). The round trips ride the retrying primitive, so a
-   transient drop only delays renewal; a fail-stop crash exhausts the
-   retry budget and escalates to [Node_dead] — the lease is expired and
-   {!Control_plane.recover_server} promotes the backup, replays the
-   surviving update logs of every shard and wakes parked threads. The
+let delay_until t at =
+  let now = Desim.Engine.now t.engine in
+  if Desim.Time.( < ) now at then Desim.Engine.delay (Desim.Time.diff at now)
+
+let node_of_server t i = Fabric.Scl.node (Memory_server.endpoint t.servers.(i))
+
+let node_of_shard t s =
+  Fabric.Scl.node (Manager_shard.endpoint (Control_plane.shard t.cp s))
+
+(* A memory server's lease expired: the monitor knows at the give-up
+   instant of its last retransmission, and detection, promotion, replay
+   and wakeups all land there (replay cost is charged implicitly via the
+   blocked threads' own re-issued round trips). The suspicion is
+   classified against the run's ground truth: a partitioned victim is
+   alive, which the detector cannot tell but the metrics report as a
+   false positive. Recovery proceeds identically either way; only the
+   epoch fence makes the false case safe. *)
+let expire_server t i ~give_up =
+  delay_until t give_up;
+  let now = Desim.Engine.now t.engine in
+  Directory.note_suspicion t.dir;
+  let truly_dead =
+    match Fabric.Network.faults t.network with
+    | Some f -> Fabric.Faults.node_dead f ~node:(1 + i) ~at:now
+    | None -> false
+  in
+  if not truly_dead then Directory.note_false_suspicion t.dir;
+  (match t.probe with
+   | Some p -> p.Probe.on_crash ~time:now ~node:(1 + i) ~server:i
+   | None -> ());
+  let promoted, replayed =
+    Control_plane.recover_server t.cp ~dir:t.dir ~servers:t.servers ~dead:i
+      ~probe:t.probe ~now
+  in
+  match t.probe with
+  | Some p -> p.Probe.on_recovery ~time:now ~failed:i ~promoted ~replayed
+  | None -> ()
+
+(* The failure detector: one monitor process on shard 0's node (shard 0
+   hosts allocation and is never killable). Every [lease_interval] it
+   1. heartbeats each live memory server, when replication is on;
+   2. probes the suspected server for rejoin, in partition runs only;
+   3. heartbeats shards 1..N-1, while the control plane is sharded and
+      no shard has failed.
+   Heartbeats ride the retrying primitive, so a transient drop only
+   delays renewal; a fail-stop crash exhausts the retry budget and
+   escalates to [Node_dead]. The first server whose lease expires in a
+   round is recovered ({!Control_plane.recover_server}); a dead shard is
+   absorbed by its ring successor ({!Control_plane.recover_shard}). The
    monitor exits once every spawned thread has finished (it must: a
    sleeping process keeps the engine's queue non-empty forever), or when
-   its own host shard dies. *)
-let spawn_lease_monitor t ~shard:si ~subset =
-  let name =
-    if Control_plane.shard_count t.cp = 1 then "lease-monitor"
-    else Printf.sprintf "lease-monitor%d" si
+   nothing is left to watch. A tick builds no lists or closures. *)
+let spawn_monitor t =
+  let net = t.network in
+  let src = node_of_shard t 0 in
+  let leases = t.cfg.Config.replication >= 1 in
+  let partition =
+    match t.cfg.Config.fault with
+    | Some (Config.Partition_server _) -> true
+    | _ -> false
   in
-  Desim.Engine.spawn t.engine ~name (fun () ->
-      let net = t.network in
-      let sh = Control_plane.shard t.cp si in
-      let mgr_node = Fabric.Scl.node (Manager_shard.endpoint sh) in
-      let alive = ref true in
+  let ms = Array.length t.servers in
+  let nshards = Control_plane.shard_count t.cp in
+  let watch_shards () =
+    nshards >= 2 && not (Control_plane.any_shard_failed t.cp)
+  in
+  let rec heartbeat_servers i =
+    if i < ms then
+      if Directory.failed t.dir i then heartbeat_servers (i + 1)
+      else
+        match heartbeat net ~src ~dst:(node_of_server t i) with
+        | _ ->
+          Control_plane.note_heartbeat t.cp;
+          heartbeat_servers (i + 1)
+        | exception Fabric.Scl.Node_dead (_, give_up) ->
+          expire_server t i ~give_up
+  in
+  (* While the partition is open every probe dies at the wall (a pure
+     timing computation — no simulated time passes); the first probe
+     whose round trip completes is the zombie answering after the heal,
+     and it rejoins as a backup. *)
+  let probe_rejoin () =
+    for i = 0 to ms - 1 do
+      if Directory.failed t.dir i && not (Directory.rejoined t.dir) then
+        match heartbeat net ~src ~dst:(node_of_server t i) with
+        | ack ->
+          delay_until t ack;
+          ignore
+            (Control_plane.rejoin_server t.cp ~dir:t.dir ~servers:t.servers
+               ~zombie:i ~probe:t.probe ~now:(Desim.Engine.now t.engine)
+             : int * int)
+        | exception Fabric.Scl.Node_dead _ -> ()
+    done
+  in
+  let rec heartbeat_shards s =
+    if s < nshards then
+      match heartbeat net ~src ~dst:(node_of_shard t s) with
+      | _ ->
+        Control_plane.note_shard_heartbeat t.cp;
+        heartbeat_shards (s + 1)
+      | exception Fabric.Scl.Node_dead (_, give_up) ->
+        delay_until t give_up;
+        ignore
+          (Control_plane.recover_shard t.cp ~dead:s
+             ~now:(Desim.Engine.now t.engine)
+           : int * int * int)
+  in
+  Desim.Engine.spawn t.engine ~name:"monitor" (fun () ->
       let rec loop () =
         Desim.Engine.delay t.cfg.Config.lease_interval;
-        if
-          t.finished < t.next_thread
-          && !alive
-          && not (Control_plane.shard_failed t.cp si)
-        then begin
-          let expired = ref None in
-          List.iter
-            (fun i ->
-               if !expired = None && !alive && not (Directory.failed t.dir i)
-               then begin
-                 let snode =
-                   Fabric.Scl.node (Memory_server.endpoint t.servers.(i))
-                 in
-                 try
-                   ignore (heartbeat net ~src:mgr_node ~dst:snode
-                           : Desim.Time.t);
-                   Manager_shard.note_heartbeat sh
-                 with Fabric.Scl.Node_dead (n, give_up) ->
-                   (* If our own host shard crashed the transfer blames the
-                      source; the shard monitor owns that failure. *)
-                   if n = mgr_node then alive := false
-                   else expired := Some (i, give_up)
-               end)
-            subset;
-          (match !expired with
-           | None -> ()
-           | Some (i, give_up) ->
-             (* The shard knows at the give-up instant of its last
-                retransmission; detection, promotion, replay and wakeups
-                all land there (replay cost is charged to the control
-                plane's service loops implicitly via the blocked threads'
-                own re-issued round trips). *)
-             if Desim.Time.( < ) (Desim.Engine.now t.engine) give_up then
-               Desim.Engine.delay
-                 (Desim.Time.diff give_up (Desim.Engine.now t.engine));
-             let now = Desim.Engine.now t.engine in
-             (* Classify the suspicion: a partitioned victim
-                is alive — the detector cannot tell, but the run's ground
-                truth can, and the metrics report the false-positive
-                rate. Recovery proceeds identically either way; only the
-                epoch fence makes the false case safe. *)
-             Directory.note_suspicion t.dir;
-             let truly_dead =
-               match Fabric.Network.faults t.network with
-               | Some f -> Fabric.Faults.node_dead f ~node:(1 + i) ~at:now
-               | None -> false
-             in
-             if not truly_dead then Directory.note_false_suspicion t.dir;
-             (match t.probe with
-              | Some p ->
-                p.Probe.on_crash ~time:now ~node:(1 + i) ~server:i
-              | None -> ());
-             let promoted, replayed =
-               Control_plane.recover_server t.cp ~dir:t.dir
-                 ~servers:t.servers ~dead:i ~probe:t.probe ~now
-                 ~detecting:si
-             in
-             (match t.probe with
-              | Some p ->
-                p.Probe.on_recovery ~time:now ~failed:i ~promoted ~replayed
-              | None -> ()));
-          (* Gray-failure runs only: probe the suspected server after its
-             lease expired. While the partition is open every probe
-             attempt dies at the wall (a pure timing computation — no
-             simulated time passes); the first probe whose round trip
-             completes is the zombie answering after the heal, and it
-             rejoins as a backup via the epoch-stamped resync. *)
-          (match t.cfg.Config.fault with
-           | Some (Config.Partition_server _) ->
-             List.iter
-               (fun i ->
-                  if
-                    !alive
-                    && Directory.failed t.dir i
-                    && not (Directory.rejoined t.dir)
-                  then begin
-                    let snode =
-                      Fabric.Scl.node (Memory_server.endpoint t.servers.(i))
-                    in
-                    try
-                      let ack = heartbeat net ~src:mgr_node ~dst:snode in
-                      if Desim.Time.( < ) (Desim.Engine.now t.engine) ack then
-                        Desim.Engine.delay
-                          (Desim.Time.diff ack (Desim.Engine.now t.engine));
-                      ignore
-                        (Control_plane.rejoin_server t.cp ~dir:t.dir
-                           ~servers:t.servers ~zombie:i ~probe:t.probe
-                           ~now:(Desim.Engine.now t.engine)
-                         : int * int)
-                    with Fabric.Scl.Node_dead _ -> ()
-                  end)
-               subset
-           | _ -> ());
-          if !alive then loop ()
-        end
-      in
-      loop ())
-
-(* Shard-failure detector (active when the control plane is sharded):
-   shard 0 — which hosts allocation and is never killable — heartbeats
-   its peers every lease interval; a peer that exhausts the retry budget
-   is declared dead and the ring successor absorbs its slice
-   ({!Control_plane.recover_shard}). *)
-let spawn_shard_monitor t =
-  Desim.Engine.spawn t.engine ~name:"shard-monitor" (fun () ->
-      let net = t.network in
-      let n0 =
-        Fabric.Scl.node (Manager_shard.endpoint (Control_plane.shard t.cp 0))
-      in
-      let count = Control_plane.shard_count t.cp in
-      let rec loop () =
-        Desim.Engine.delay t.cfg.Config.lease_interval;
-        if
-          t.finished < t.next_thread
-          && not (Control_plane.any_shard_failed t.cp)
-        then begin
-          let dead = ref None in
-          for s = 1 to count - 1 do
-            if !dead = None then begin
-              let snode =
-                Fabric.Scl.node
-                  (Manager_shard.endpoint (Control_plane.shard t.cp s))
-              in
-              try
-                ignore (heartbeat net ~src:n0 ~dst:snode : Desim.Time.t);
-                Control_plane.note_shard_heartbeat t.cp
-              with Fabric.Scl.Node_dead (_, give_up) ->
-                dead := Some (s, give_up)
-            end
-          done;
-          (match !dead with
-           | None -> ()
-           | Some (s, give_up) ->
-             if Desim.Time.( < ) (Desim.Engine.now t.engine) give_up then
-               Desim.Engine.delay
-                 (Desim.Time.diff give_up (Desim.Engine.now t.engine));
-             let now = Desim.Engine.now t.engine in
-             ignore
-               (Control_plane.recover_shard t.cp ~dead:s ~now
-                : int * int * int));
+        if t.finished < t.next_thread && (leases || watch_shards ()) then begin
+          if leases then heartbeat_servers 0;
+          if partition then probe_rejoin ();
+          if watch_shards () then heartbeat_shards 1;
           loop ()
         end
       in
@@ -228,12 +177,12 @@ let create ?(config = Config.default) ~threads () =
    | Ok () -> ()
    | Error msg -> invalid_arg ("System.create: " ^ msg));
   if threads <= 0 then invalid_arg "System.create: threads must be positive";
-  if threads > config.Config.max_threads then
+  if threads > Config.max_threads then
     invalid_arg
       (Printf.sprintf
-         "System.create: %d threads requested but config.max_threads = %d \
-          (raise the max_threads field to run larger systems)"
-         threads config.Config.max_threads);
+         "System.create: %d threads requested but the cap \
+          (Config.max_threads) is %d"
+         threads Config.max_threads);
   let tie_break =
     if config.Config.shuffle then
       Some (Desim.Engine.shuffle_tie_break ~seed:config.Config.seed)
@@ -326,7 +275,7 @@ let create ?(config = Config.default) ~threads () =
       servers;
       dir;
       cp;
-      sc = Coherence_sc.create ~max_threads:config.Config.max_threads ();
+      sc = Coherence_sc.create ();
       san;
       total_threads = threads;
       first_compute_node;
@@ -335,18 +284,8 @@ let create ?(config = Config.default) ~threads () =
       finished = 0;
       probe = Option.map sanitizer_probe san }
   in
-  if config.Config.replication >= 1 then
-    (* Servers are partitioned round-robin across shards; every shard
-       with a non-empty slice runs its own lease monitor. With one shard
-       that is the single classic monitor over all servers. *)
-    for s = 0 to nshards - 1 do
-      let subset =
-        List.filter (fun i -> i mod nshards = s) (List.init ms Fun.id)
-      in
-      if subset <> [] then spawn_lease_monitor t ~shard:s ~subset
-    done;
-  if nshards > 1 then spawn_shard_monitor t;
-  (* Partition heal-wake: a client can park in await_recovery after
+  if config.Config.replication >= 1 || nshards >= 2 then spawn_monitor t;
+  (* Partition heal-wake: a client can park in the park list after
      escalating against the partitioned victim even though no lease ever
      expires (Isolate windows shorter than the monitor's escalation).
      Recovery would wake it; if recovery never runs, the heal does. All
@@ -360,10 +299,7 @@ let create ?(config = Config.default) ~threads () =
          Desim.Engine.delay
            (Desim.Time.diff (Desim.Time.of_ns heal)
               (Desim.Engine.now engine));
-         let now = Desim.Engine.now engine in
-         List.iter
-           (fun wake -> Desim.Engine.schedule_at engine now wake)
-           (Directory.take_waiters dir))
+         Control_plane.wake_parked cp ~now:(Desim.Engine.now engine))
    | _ -> ());
   t
 

@@ -16,7 +16,7 @@ type t
 val create : ?config:Config.t -> threads:int -> unit -> t
 (** Build a system able to host [threads] compute threads. Raises
     [Invalid_argument] if the configuration fails {!Config.validate} or if
-    [threads] exceeds the configuration's [max_threads] field. *)
+    [threads] exceeds {!Config.max_threads}. *)
 
 val config : t -> Config.t
 val layout : t -> Layout.t

@@ -191,9 +191,9 @@ let shard_request t mgr ~bytes =
    repoints the peer (unless it already has), then re-run [f] — which
    re-resolves its peer and lands on the replacement. The dead node's
    role names the recovery. A memory server (nodes 1..memory_servers)
-   is replaced by its promoted backup once the lease monitor repoints
-   the directory. A manager shard (never one of those nodes) is absorbed
-   by its ring successor once the shard monitor repoints the shard map.
+   is replaced by its promoted backup once the monitor repoints the
+   directory. A manager shard (never one of those nodes) is absorbed by
+   its ring successor once the monitor repoints the shard map.
    [f] must be safe to re-run: a memory-server interaction mutates state
    only after its full round trip lands (the simulation-wide idiom), and
    every shard RPC is idempotent under retry (holder re-grants, release
@@ -209,15 +209,14 @@ let rec with_failover t f =
     if (not server) && Option.is_none shard then raise dead;
     t.m_failovers <- t.m_failovers + 1;
     if Desim.Time.( < ) (now t) at then delay_until t at;
-    (match shard with
-     | None ->
-       if not (Directory.failed t.e.dir (node - 1)) then
-         Desim.Engine.suspend ~register:(fun ~wake ->
-             Directory.await_recovery t.e.dir ~wake)
-     | Some logical ->
-       if not (Control_plane.shard_failed t.e.cp logical) then
-         Desim.Engine.suspend ~register:(fun ~wake ->
-             Control_plane.await_shard_recovery t.e.cp ~wake));
+    let recovered =
+      match shard with
+      | None -> Directory.failed t.e.dir (node - 1)
+      | Some logical -> Control_plane.shard_failed t.e.cp logical
+    in
+    if not recovered then
+      Desim.Engine.suspend ~register:(fun ~wake ->
+          Control_plane.park t.e.cp ~wake);
     with_failover t f
   | Directory.Stale_epoch ->
     (* The slot's epoch moved while the round trip was in flight (a
@@ -870,11 +869,6 @@ let write_i32 t addr v =
 
 let read_f32 t addr = Int32.float_of_bits (read_i32 t addr)
 let write_f32 t addr v = write_i32 t addr (Int32.bits_of_float v)
-
-let in_consistency_region t = t.held <> []
-
-(* Innermost-first, matching acquisition nesting. *)
-let held_locks t = List.map fst t.held
 
 (* ------------------------------------------------------------------ *)
 (* Allocation                                                          *)

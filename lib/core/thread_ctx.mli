@@ -119,13 +119,6 @@ val cond_wait : t -> Manager_shard.cond_id -> Manager_shard.lock_id -> unit
 val cond_signal : t -> Manager_shard.cond_id -> unit
 val cond_broadcast : t -> Manager_shard.cond_id -> unit
 
-val in_consistency_region : t -> bool
-
-val held_locks : t -> Manager_shard.lock_id list
-(** Locks the thread currently holds, innermost first. RegCCheck's
-    deadlock detector combines this with {!Manager_shard}'s waiter
-    introspection to build the wait-for graph of a stalled branch. *)
-
 (** {2 Lifecycle and accounting} *)
 
 val finish : t -> unit

@@ -52,12 +52,6 @@ let copy t = { words = Array.copy t.words }
 
 let clear t = Array.fill t.words 0 (Array.length t.words) 0
 
-let popcount w =
-  let rec go w acc = if w = 0 then acc else go (w land (w - 1)) (acc + 1) in
-  go w 0
-
-let cardinal t = Array.fold_left (fun acc w -> acc + popcount w) 0 t.words
-
 let iter f t =
   Array.iteri
     (fun wi w ->
@@ -90,15 +84,6 @@ let equal a b =
   let word t i = if i < Array.length t.words then t.words.(i) else 0 in
   let rec go i = i >= n || (word a i = word b i && go (i + 1)) in
   go 0
-
-let union_into ~into src =
-  Array.iteri
-    (fun wi w ->
-       if w <> 0 then begin
-         ensure into wi;
-         into.words.(wi) <- into.words.(wi) lor w
-       end)
-    src.words
 
 let pp ppf t =
   Format.fprintf ppf "{%s}"

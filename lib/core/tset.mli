@@ -21,7 +21,6 @@ val add : t -> int -> unit
 val remove : t -> int -> unit
 val mem : t -> int -> bool
 val is_empty : t -> bool
-val cardinal : t -> int
 
 val iter : (int -> unit) -> t -> unit
 (** Ascending thread id. *)
@@ -34,5 +33,4 @@ val exists_other : t -> self:int -> bool
     [self] — the "did anyone else write this line?" test at barriers. *)
 
 val equal : t -> t -> bool
-val union_into : into:t -> t -> unit
 val pp : Format.formatter -> t -> unit

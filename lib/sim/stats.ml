@@ -7,100 +7,3 @@ module Counter = struct
   let value t = t.v
   let reset t = t.v <- 0
 end
-
-module Summary = struct
-  type t = {
-    mutable n : int;
-    mutable mean : float;
-    mutable m2 : float;
-    mutable min : float;
-    mutable max : float;
-    mutable total : float;
-  }
-
-  let create () =
-    { n = 0; mean = 0.; m2 = 0.; min = nan; max = nan; total = 0. }
-
-  let add t x =
-    t.n <- t.n + 1;
-    t.total <- t.total +. x;
-    let delta = x -. t.mean in
-    t.mean <- t.mean +. (delta /. float_of_int t.n);
-    t.m2 <- t.m2 +. (delta *. (x -. t.mean));
-    if t.n = 1 then begin
-      t.min <- x;
-      t.max <- x
-    end else begin
-      if x < t.min then t.min <- x;
-      if x > t.max then t.max <- x
-    end
-
-  let n t = t.n
-  let mean t = if t.n = 0 then 0. else t.mean
-  let variance t = if t.n < 2 then 0. else t.m2 /. float_of_int (t.n - 1)
-  let stddev t = sqrt (variance t)
-  let min t = t.min
-  let max t = t.max
-  let total t = t.total
-
-  let reset t =
-    t.n <- 0;
-    t.mean <- 0.;
-    t.m2 <- 0.;
-    t.min <- nan;
-    t.max <- nan;
-    t.total <- 0.
-
-  let pp ppf t =
-    Format.fprintf ppf "n=%d mean=%.3g sd=%.3g min=%.3g max=%.3g" t.n
-      (mean t) (stddev t) t.min t.max
-end
-
-module Histogram = struct
-  (* Bucket i holds observations v with 2^(i-1) < v <= 2^i; bucket 0 holds
-     v <= 1 (including negatives, clamped). 63 buckets cover all ints. *)
-  let buckets = 63
-
-  type t = { counts : int array; mutable total : int }
-
-  let create () = { counts = Array.make buckets 0; total = 0 }
-
-  let bucket_of v =
-    if v <= 1 then 0
-    else
-      let rec find i bound =
-        if v <= bound || i = buckets - 1 then i else find (i + 1) (bound * 2)
-      in
-      find 1 2
-
-  let add t v =
-    t.counts.(bucket_of v) <- t.counts.(bucket_of v) + 1;
-    t.total <- t.total + 1
-
-  let count t = t.total
-
-  let upper_bound i = if i = 0 then 1 else 1 lsl i
-
-  let bucket_counts t =
-    let acc = ref [] in
-    for i = buckets - 1 downto 0 do
-      if t.counts.(i) > 0 then acc := (upper_bound i, t.counts.(i)) :: !acc
-    done;
-    !acc
-
-  let percentile t p =
-    if t.total = 0 then invalid_arg "Histogram.percentile: empty";
-    if p < 0. || p > 1. then invalid_arg "Histogram.percentile: p not in [0;1]";
-    let target = int_of_float (ceil (p *. float_of_int t.total)) in
-    let target = if target < 1 then 1 else target in
-    let rec walk i seen =
-      let seen = seen + t.counts.(i) in
-      if seen >= target || i = buckets - 1 then upper_bound i
-      else walk (i + 1) seen
-    in
-    walk 0 0
-
-  let reset t =
-    Array.fill t.counts 0 buckets 0;
-    t.total <- 0
-end

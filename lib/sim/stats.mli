@@ -8,42 +8,3 @@ module Counter : sig
   val value : t -> int
   val reset : t -> unit
 end
-
-(** Streaming summary statistics (Welford's online algorithm). *)
-module Summary : sig
-  type t
-  val create : unit -> t
-  val add : t -> float -> unit
-  val n : t -> int
-  val mean : t -> float
-  val variance : t -> float
-  (** Sample variance; 0 for fewer than two observations. *)
-
-  val stddev : t -> float
-  val min : t -> float
-  val max : t -> float
-  (** [min]/[max] are [nan] when empty. *)
-
-  val total : t -> float
-  val reset : t -> unit
-  val pp : Format.formatter -> t -> unit
-end
-
-(** Power-of-two bucketed histogram for latency-style distributions. *)
-module Histogram : sig
-  type t
-  val create : unit -> t
-  val add : t -> int -> unit
-  (** Negative observations count into the zero bucket. *)
-
-  val count : t -> int
-  val bucket_counts : t -> (int * int) list
-  (** [(upper_bound, count)] for every non-empty bucket, ascending. *)
-
-  val percentile : t -> float -> int
-  (** Approximate percentile (upper bound of the containing bucket).
-      [percentile t 0.5] is the median estimate. Raises [Invalid_argument]
-      on an empty histogram or p outside [0;1]. *)
-
-  val reset : t -> unit
-end

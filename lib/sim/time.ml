@@ -19,7 +19,6 @@ let span_of_float_ns f =
   if Stdlib.( <= ) f 0. then 0 else int_of_float (Float.round f)
 
 let to_float_s t = float_of_int t *. 1e-9
-let span_to_float_s d = float_of_int d *. 1e-9
 
 let pp_raw ppf (n : int) =
   if n < 1_000 then Format.fprintf ppf "%dns" n

@@ -34,7 +34,6 @@ val span_of_float_ns : float -> span
     below zero. *)
 
 val to_float_s : t -> float
-val span_to_float_s : span -> float
 
 val pp : Format.formatter -> t -> unit
 (** Human-readable rendering with an adaptive unit (ns/us/ms/s). *)

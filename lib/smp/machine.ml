@@ -53,7 +53,6 @@ let alloc t ~bytes ~align =
   grow t t.used;
   base
 
-let used_bytes t = t.used
 
 let state_of t addr = Hashtbl.find_opt t.lines (addr lsr t.line_shift)
 

@@ -15,8 +15,6 @@ val create : Config.t -> t
 val alloc : t -> bytes:int -> align:int -> int
 (** Bump allocation; grows the store on demand. *)
 
-val used_bytes : t -> int
-
 val read_cost : t -> thread:int -> addr:int -> float
 (** Account a read by [thread] of the line holding [addr]; returns ns. *)
 

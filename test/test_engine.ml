@@ -1,4 +1,5 @@
-(* Tests for the discrete-event engine and its effects-based processes. *)
+(* Tests for the discrete-event engine, its effects-based processes and
+   the Resource facility. *)
 
 let ns = Desim.Time.ns
 
@@ -220,6 +221,35 @@ let test_run_until_quantum () =
   Alcotest.(check int) "empty queue still advances to the horizon" 1000
     (Desim.Time.to_ns (Desim.Engine.now e))
 
+(* ---------------- Resource ---------------- *)
+
+let test_resource_serializes () =
+  let r = Desim.Resource.create ~name:"svc" () in
+  let t1 = Desim.Resource.reserve r ~now:(Desim.Time.of_ns 0) ~duration:100 in
+  Alcotest.(check int) "first completes at 100" 100 (Desim.Time.to_ns t1);
+  (* Arrives at 50 while busy: queues until 100, finishes at 160. *)
+  let t2 = Desim.Resource.reserve r ~now:(Desim.Time.of_ns 50) ~duration:60 in
+  Alcotest.(check int) "queued job" 160 (Desim.Time.to_ns t2);
+  (* Arrives after idle period: starts immediately. *)
+  let t3 = Desim.Resource.reserve r ~now:(Desim.Time.of_ns 500) ~duration:10 in
+  Alcotest.(check int) "idle restart" 510 (Desim.Time.to_ns t3);
+  Alcotest.(check int) "jobs" 3 (Desim.Resource.jobs r);
+  Alcotest.(check int) "busy time" 170 (Desim.Resource.busy_time r)
+
+let test_resource_utilization () =
+  let r = Desim.Resource.create () in
+  ignore (Desim.Resource.reserve r ~now:Desim.Time.zero ~duration:250);
+  Alcotest.(check (float 1e-9)) "25%" 0.25
+    (Desim.Resource.utilization r ~horizon:(Desim.Time.of_ns 1000));
+  Desim.Resource.reset r;
+  Alcotest.(check int) "reset busy" 0 (Desim.Resource.busy_time r);
+  Alcotest.(check int) "reset jobs" 0 (Desim.Resource.jobs r)
+
+let test_resource_negative_duration () =
+  let r = Desim.Resource.create () in
+  let t = Desim.Resource.reserve r ~now:(Desim.Time.of_ns 5) ~duration:(-10) in
+  Alcotest.(check int) "clamped to zero" 5 (Desim.Time.to_ns t)
+
 let tests =
   [ Alcotest.test_case "schedule order" `Quick test_schedule_order;
     Alcotest.test_case "same-instant FIFO" `Quick test_same_instant_fifo;
@@ -240,6 +270,11 @@ let tests =
       test_shuffle_engine_deterministic;
     Alcotest.test_case "stalled names blocked processes" `Quick
       test_stalled_names;
-    Alcotest.test_case "run_until under quantum" `Quick test_run_until_quantum ]
+    Alcotest.test_case "run_until under quantum" `Quick test_run_until_quantum;
+    Alcotest.test_case "resource serializes" `Quick test_resource_serializes;
+    Alcotest.test_case "resource utilization" `Quick
+      test_resource_utilization;
+    Alcotest.test_case "resource negative duration" `Quick
+      test_resource_negative_duration ]
 
 let () = Alcotest.run "desim.engine" [ ("engine", tests) ]

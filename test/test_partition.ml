@@ -125,13 +125,12 @@ let test_directory_epoch_fence () =
   Samhita.Directory.fence dir ~logical:0 ~epoch:0;
   Alcotest.(check int) "passing fence not counted" 0
     (Samhita.Directory.fenced dir);
-  (* Promotion bumps to at least the detector's epoch and stamps the
-     repointed slot. *)
-  let promoted = Samhita.Directory.promote ~epoch:5 dir ~dead:0 in
+  (* Promotion bumps the epoch and stamps the repointed slot. *)
+  let promoted = Samhita.Directory.promote dir ~dead:0 in
   Alcotest.(check int) "backup promoted" 1 promoted;
-  Alcotest.(check int) "epoch takes the detector's stamp" 5
+  Alcotest.(check int) "promotion bumps the epoch" 1
     (Samhita.Directory.epoch dir);
-  Alcotest.(check int) "repointed slot stamped" 5
+  Alcotest.(check int) "repointed slot stamped" 1
     (Samhita.Directory.epoch_of dir ~logical:0);
   (* Traffic resolved under the old epoch is fenced and counted. *)
   (match Samhita.Directory.fence dir ~logical:0 ~epoch:0 with
@@ -140,7 +139,7 @@ let test_directory_epoch_fence () =
   Alcotest.(check int) "fenced message counted" 1
     (Samhita.Directory.fenced dir);
   (* Current-epoch traffic passes. *)
-  Samhita.Directory.fence dir ~logical:0 ~epoch:5
+  Samhita.Directory.fence dir ~logical:0 ~epoch:1
 
 (* ---------------- oracle: split-brain detection ---------------- *)
 

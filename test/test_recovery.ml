@@ -1,7 +1,7 @@
 (* Crash fault tolerance: primary-backup replication, the lease-based
    failure detector and the recovery protocol.
 
-   These tests kill one memory server mid-run (fail-stop, by simulated
+   These tests kill one memory server (or manager shard) mid-run (fail-stop, by simulated
    instant) and check that the run still completes, that the promoted
    backup serves version-consistent data, and that every acked write
    survives the failover. *)
@@ -132,14 +132,11 @@ let test_replication_cost () =
 (* ---------------- crash and recovery ---------------- *)
 
 (* The workhorse: [threads] writers hammer lock-protected counters while
-   one server dies mid-run. The run must complete (no [Engine.Stalled]),
-   exactly one promotion must happen, and all acked increments must
-   survive on the promoted replica. *)
-let crash_run ~crash:(server, at_ns) ~threads ~iters =
-  let config = ft_config ~fault:(Crash_server { server; at_ns }) () in
+   one peer dies mid-run. Returns the cell thread 0 fills with the final
+   count once [sys] has run. *)
+let spawn_counters sys ~threads ~iters =
   let addr = ref 0 in
   let final = ref nan in
-  let sys = Samhita.System.create ~config ~threads () in
   let l = Samhita.System.mutex sys in
   let bar = Samhita.System.barrier sys ~parties:threads in
   for tid = 0 to threads - 1 do
@@ -163,6 +160,15 @@ let crash_run ~crash:(server, at_ns) ~threads ~iters =
            end)
         : T.t)
   done;
+  final
+
+(* One server dies mid-run. The run must complete (no [Engine.Stalled]),
+   exactly one promotion must happen, and all acked increments must
+   survive on the promoted replica. *)
+let crash_run ~crash:(server, at_ns) ~threads ~iters =
+  let config = ft_config ~fault:(Crash_server { server; at_ns }) () in
+  let sys = Samhita.System.create ~config ~threads () in
+  let final = spawn_counters sys ~threads ~iters in
   Samhita.System.run sys;
   (sys, !final)
 
@@ -228,6 +234,52 @@ let test_degraded_writes_counted () =
   Alcotest.(check bool) "degraded writes counted" true
     (r.degraded_writes > 0)
 
+(* Replication combined with a sharded control plane: the one monitor on
+   shard 0 heartbeats both memory servers and shards 1..N-1. A server
+   crash is promoted while the shards stay watched; after a shard
+   takeover the servers' leases keep renewing. *)
+let test_replicated_sharded_detection () =
+  let threads = 4 and iters = 40 in
+  List.iter
+    (fun (name, manager_shards, fault) ->
+       let config = { (ft_config ~fault ()) with manager_shards } in
+       let sys = Samhita.System.create ~config ~threads () in
+       let final = spawn_counters sys ~threads ~iters in
+       let cp = Samhita.System.control_plane sys in
+       let engine = Samhita.System.engine sys in
+       (* Step to the takeover (if any) and read the lease count there. *)
+       while
+         Samhita.Control_plane.takeovers cp = 0
+         && Samhita.System.finished_threads sys < threads
+       do
+         Desim.Engine.run_until engine
+           (Desim.Time.add (Desim.Engine.now engine) (Desim.Time.ns 1_000))
+       done;
+       let heartbeats_at_takeover = Samhita.Control_plane.heartbeats cp in
+       Samhita.System.run sys;
+       Alcotest.(check (float 0.)) (name ^ ": all increments survive")
+         (float_of_int (threads * iters))
+         !final;
+       let r = Samhita.Metrics.replication_of_system sys in
+       let c = Samhita.Metrics.control_of_system sys in
+       Alcotest.(check bool) (name ^ ": server leases renewed") true
+         (r.heartbeats > 0);
+       Alcotest.(check bool) (name ^ ": shard leases renewed") true
+         (c.shard_heartbeats > 0);
+       match fault with
+       | Samhita.Config.Crash_server _ ->
+         Alcotest.(check int) (name ^ ": one promotion") 1 r.promotions;
+         Alcotest.(check int) (name ^ ": no takeover") 0 c.takeovers
+       | _ ->
+         Alcotest.(check int) (name ^ ": one takeover") 1 c.takeovers;
+         Alcotest.(check int) (name ^ ": no promotion") 0 r.promotions;
+         Alcotest.(check bool)
+           (name ^ ": leases renew after the takeover") true
+           (r.heartbeats > heartbeats_at_takeover))
+    [ ("crash server, 2 shards", 2,
+       Samhita.Config.Crash_server { server = 0; at_ns = 300_000 });
+      ("crash shard, 3 shards", 3, Crash_shard { shard = 1; at_ns = 300_000 }) ]
+
 (* Report integration: the fault-tolerance line shows up on a replicated
    run that injects a crash. *)
 let test_report_shows_ft_line () =
@@ -258,6 +310,8 @@ let tests =
       test_crash_run_deterministic;
     Alcotest.test_case "degraded writes counted" `Quick
       test_degraded_writes_counted;
+    Alcotest.test_case "replicated sharded detection" `Quick
+      test_replicated_sharded_detection;
     Alcotest.test_case "report shows ft line" `Quick
       test_report_shows_ft_line ]
 

@@ -159,8 +159,6 @@ let test_config_bounds () =
       Alcotest.(check string) (Printf.sprintf "error names the bound") msg e
   in
   let d = Samhita.Config.default in
-  rejects "max_threads must be >= 1"
-    { d with Samhita.Config.max_threads = 0 };
   rejects "manager_shards must be >= 1"
     { d with Samhita.Config.manager_shards = 0 };
   rejects
@@ -189,16 +187,6 @@ let test_config_bounds () =
        { d with Samhita.Config.manager_shards = 4 }
      = Ok ())
 
-let test_config_accepts_max_threads () =
-  (* The cap is a field, not a constant: raising it admits bigger
-     systems. *)
-  let d = Samhita.Config.default in
-  Alcotest.(check int) "default cap is 512" 512
-    d.Samhita.Config.max_threads;
-  Alcotest.(check bool) "raised cap validates" true
-    (Samhita.Config.validate { d with Samhita.Config.max_threads = 4096 }
-     = Ok ())
-
 let tests =
   [ Alcotest.test_case "ring: single shard" `Quick test_ring_single_shard;
     Alcotest.test_case "ring: balance" `Quick test_ring_balance;
@@ -212,8 +200,6 @@ let tests =
     Alcotest.test_case "shard crash: deterministic" `Quick
       test_shard_crash_deterministic;
     Alcotest.test_case "config: bounds named in errors" `Quick
-      test_config_bounds;
-    Alcotest.test_case "config: max_threads is a field" `Quick
-      test_config_accepts_max_threads ]
+      test_config_bounds ]
 
 let () = Alcotest.run "shard" [ ("shard", tests) ]

@@ -13,103 +13,6 @@ let test_counter () =
   S.Counter.reset c;
   Alcotest.(check int) "reset" 0 (S.Counter.value c)
 
-let test_summary_known () =
-  let s = S.Summary.create () in
-  List.iter (S.Summary.add s) [ 2.0; 4.0; 4.0; 4.0; 5.0; 5.0; 7.0; 9.0 ];
-  Alcotest.(check int) "n" 8 (S.Summary.n s);
-  Alcotest.(check (float 1e-9)) "mean" 5.0 (S.Summary.mean s);
-  (* Sample variance of this classic data set is 32/7. *)
-  Alcotest.(check (float 1e-9)) "variance" (32.0 /. 7.0)
-    (S.Summary.variance s);
-  Alcotest.(check (float 1e-9)) "min" 2.0 (S.Summary.min s);
-  Alcotest.(check (float 1e-9)) "max" 9.0 (S.Summary.max s);
-  Alcotest.(check (float 1e-9)) "total" 40.0 (S.Summary.total s)
-
-let test_summary_empty_and_single () =
-  let s = S.Summary.create () in
-  Alcotest.(check (float 0.)) "empty mean" 0.0 (S.Summary.mean s);
-  Alcotest.(check (float 0.)) "empty variance" 0.0 (S.Summary.variance s);
-  Alcotest.(check bool) "empty min is nan" true
-    (Float.is_nan (S.Summary.min s));
-  S.Summary.add s 3.5;
-  Alcotest.(check (float 1e-12)) "single mean" 3.5 (S.Summary.mean s);
-  Alcotest.(check (float 0.)) "single variance" 0.0 (S.Summary.variance s);
-  S.Summary.reset s;
-  Alcotest.(check int) "reset n" 0 (S.Summary.n s)
-
-let prop_welford_matches_naive =
-  QCheck.Test.make ~name:"Welford mean/variance match naive computation"
-    ~count:200
-    QCheck.(list_of_size Gen.(int_range 2 50) (float_bound_exclusive 1000.))
-    (fun xs ->
-       let s = S.Summary.create () in
-       List.iter (S.Summary.add s) xs;
-       let n = float_of_int (List.length xs) in
-       let mean = List.fold_left ( +. ) 0. xs /. n in
-       let var =
-         List.fold_left (fun a x -> a +. ((x -. mean) ** 2.)) 0. xs
-         /. (n -. 1.)
-       in
-       Float.abs (S.Summary.mean s -. mean) < 1e-6
-       && Float.abs (S.Summary.variance s -. var) < 1e-4)
-
-let test_histogram_buckets () =
-  let h = S.Histogram.create () in
-  List.iter (S.Histogram.add h) [ 0; 1; 2; 3; 4; 100; -5 ];
-  Alcotest.(check int) "count" 7 (S.Histogram.count h);
-  let buckets = S.Histogram.bucket_counts h in
-  (* <=1: {0,1,-5}; <=2: {2}; <=4: {3,4}; <=128: {100} *)
-  Alcotest.(check (list (pair int int)))
-    "buckets"
-    [ (1, 3); (2, 1); (4, 2); (128, 1) ]
-    buckets
-
-let test_histogram_percentile () =
-  let h = S.Histogram.create () in
-  for i = 1 to 1000 do
-    S.Histogram.add h i
-  done;
-  let p50 = S.Histogram.percentile h 0.5 in
-  let p99 = S.Histogram.percentile h 0.99 in
-  Alcotest.(check bool) "median bucket sane" true (p50 >= 500 && p50 <= 512);
-  Alcotest.(check bool) "p99 bucket sane" true (p99 >= 990 && p99 <= 1024);
-  Alcotest.(check int) "p0 is first bucket" 1 (S.Histogram.percentile h 0.)
-
-let test_histogram_errors () =
-  let h = S.Histogram.create () in
-  Alcotest.check_raises "empty" (Invalid_argument "Histogram.percentile: empty")
-    (fun () -> ignore (S.Histogram.percentile h 0.5));
-  S.Histogram.add h 1;
-  Alcotest.check_raises "bad p"
-    (Invalid_argument "Histogram.percentile: p not in [0;1]") (fun () ->
-      ignore (S.Histogram.percentile h 1.5));
-  S.Histogram.reset h;
-  Alcotest.(check int) "reset" 0 (S.Histogram.count h)
-
-let prop_percentile_monotone =
-  QCheck.Test.make ~name:"percentiles are monotone in p" ~count:100
-    QCheck.(list_of_size Gen.(int_range 1 100) (int_bound 10_000))
-    (fun xs ->
-       let h = S.Histogram.create () in
-       List.iter (S.Histogram.add h) xs;
-       let ps = [ 0.1; 0.25; 0.5; 0.75; 0.9; 1.0 ] in
-       let vals = List.map (S.Histogram.percentile h) ps in
-       let rec mono = function
-         | a :: (b :: _ as r) -> a <= b && mono r
-         | _ -> true
-       in
-       mono vals)
-
-let tests =
-  [ Alcotest.test_case "counter" `Quick test_counter;
-    Alcotest.test_case "summary known values" `Quick test_summary_known;
-    Alcotest.test_case "summary edge cases" `Quick
-      test_summary_empty_and_single;
-    QCheck_alcotest.to_alcotest prop_welford_matches_naive;
-    Alcotest.test_case "histogram buckets" `Quick test_histogram_buckets;
-    Alcotest.test_case "histogram percentile" `Quick
-      test_histogram_percentile;
-    Alcotest.test_case "histogram errors" `Quick test_histogram_errors;
-    QCheck_alcotest.to_alcotest prop_percentile_monotone ]
+let tests = [ Alcotest.test_case "counter" `Quick test_counter ]
 
 let () = Alcotest.run "desim.stats" [ ("stats", tests) ]

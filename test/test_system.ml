@@ -43,11 +43,10 @@ let test_invalid_system () =
      | _ -> false)
 
 let test_thread_limit () =
-  (* The cap is a validated config field now (sharer/writer sets are
-     bitsets, not 63-bit masks). The cap itself is fine; one more is
-     rejected up front with a message that names both the request and the
-     limit. *)
-  let cap = Samhita.Config.default.Samhita.Config.max_threads in
+  (* Sharer/writer sets are bitsets, not 63-bit masks. The cap itself is
+     fine; one more is rejected up front with a message that names both
+     the request and the limit. *)
+  let cap = Samhita.Config.max_threads in
   ignore (Samhita.System.create ~threads:cap () : Samhita.System.t);
   match Samhita.System.create ~threads:(cap + 1) () with
   | exception Invalid_argument msg ->
