@@ -20,10 +20,9 @@ type waiter = {
   w_wake : grant -> unit;
 }
 
-(* One retained release: the lock version it produced, the fine-grained
-   update log, and the home versions of the lines the log touched. *)
+(* One retained release: the fine-grained update log and the home
+   versions of the lines the log touched. *)
 type history_entry = {
-  h_version : int;
   h_log : Update.t list;
   h_line_versions : (int * int) list;
 }
@@ -32,12 +31,17 @@ type lock_state = {
   mutable holder : int option;
   mutable waiters : waiter Queue.t;
   mutable version : int;
-  mutable history : history_entry list;  (* newest first *)
+  (* Oldest first, at most [update_log_history] entries. Every recorded
+     release bumps [version] and pushes one entry, so the history always
+     holds exactly the versions (version - length, version]. *)
+  history : history_entry Queue.t;
   touched : (int, int) Hashtbl.t;  (* line -> latest version under lock *)
-  (* Highest release sequence number completed per thread: a shard-crash
-     retry whose original release mutated state but lost its ack must be
-     a no-op, not a double release. *)
-  release_seen : (int, int) Hashtbl.t;
+  (* Per thread, the highest release sequence number completed and the
+     lock version that release produced: a shard-crash retry whose
+     original release mutated state but lost its ack must be a no-op, not
+     a double release, and must answer with its own version, not the
+     lock's current one. *)
+  release_seen : (int, int * int) Hashtbl.t;
 }
 
 type barrier_waiter = {
@@ -174,39 +178,58 @@ let lock_register t ~id =
     { holder = None;
       waiters = Queue.create ();
       version = 0;
-      history = [];
+      history = Queue.create ();
       touched = Hashtbl.create 16;
       release_seen = Hashtbl.create 8 }
+
+(* The patch bringing a thread across the newest [gap] releases, all of
+   them retained: their logs concatenated and their line versions merged,
+   oldest first so later stores and versions overwrite earlier ones. *)
+let patch_of_history st ~gap =
+  let skip = ref (Queue.length st.history - gap) in
+  let logs = ref [] in  (* newest first *)
+  let lv = ref None in
+  Queue.iter
+    (fun h ->
+       if !skip > 0 then decr skip
+       else begin
+         (match h.h_log with [] -> () | log -> logs := log :: !logs);
+         match h.h_line_versions with
+         | [] -> ()
+         | lvs ->
+           let tbl =
+             match !lv with
+             | Some tbl -> tbl
+             | None ->
+               let tbl = Hashtbl.create 16 in
+               lv := Some tbl;
+               tbl
+           in
+           List.iter (fun (l, v) -> Hashtbl.replace tbl l v) lvs
+       end)
+    st.history;
+  let log =
+    List.fold_left
+      (fun later log -> match later with [] -> log | _ -> log @ later)
+      [] !logs
+  in
+  let lvs =
+    match !lv with
+    | None -> []
+    | Some tbl -> Hashtbl.fold (fun l v acc -> (l, v) :: acc) tbl []
+  in
+  Patch (log, lvs)
 
 (* Build the consistency action bringing a thread from [last_seen] up to
    the lock's current version. *)
 let grant_for t st ~last_seen =
+  let gap = st.version - last_seen in
   let action =
-    if last_seen >= st.version then Fresh
-    else begin
-      (* History covers the gap iff it reaches back to last_seen + 1. *)
-      let covering =
-        List.filter (fun h -> h.h_version > last_seen) st.history
-      in
-      let covered =
-        List.length covering = st.version - last_seen
-        && t.cfg.Config.update_log_history > 0
-      in
-      if covered then begin
-        (* Oldest first so later stores overwrite earlier ones. *)
-        let ordered = List.rev covering in
-        let log = List.concat_map (fun h -> h.h_log) ordered in
-        let lv = Hashtbl.create 16 in
-        List.iter
-          (fun h ->
-             List.iter (fun (l, v) -> Hashtbl.replace lv l v)
-               h.h_line_versions)
-          ordered;
-        Patch (log, Hashtbl.fold (fun l v acc -> (l, v) :: acc) lv [])
-      end
-      else
-        Notices (Hashtbl.fold (fun l v acc -> (l, v) :: acc) st.touched [])
-    end
+    if gap <= 0 then Fresh
+    else if t.cfg.Config.update_log_history > 0
+         && gap <= Queue.length st.history
+    then patch_of_history st ~gap
+    else Notices (Hashtbl.fold (fun l v acc -> (l, v) :: acc) st.touched [])
   in
   let wire =
     grant_framing
@@ -256,38 +279,30 @@ let lock_acquire t ~now:_ ~lock ~thread ~last_seen ~endpoint ~wake =
 
 let lock_release ?seq t ~now ~lock ~thread ~log ~line_versions =
   let st = lock_state t lock in
-  let duplicate =
-    match seq with
-    | Some s ->
-      (match Hashtbl.find_opt st.release_seen thread with
-       | Some s' -> s' >= s
-       | None -> false)
-    | None -> false
-  in
-  if not duplicate then begin
+  match (seq, Hashtbl.find_opt st.release_seen thread) with
+  | Some s, Some (s', v) when s' >= s -> v
+  | _ ->
     (match st.holder with
      | Some h when h = thread -> ()
      | _ ->
        invalid_arg
          "Manager_shard.lock_release: thread does not hold the lock");
-    (match seq with
-     | Some s -> Hashtbl.replace st.release_seen thread s
-     | None -> ());
     st.version <- st.version + 1;
-    st.history <-
-      { h_version = st.version; h_log = log; h_line_versions = line_versions }
-      :: st.history;
-    (let keep = t.cfg.Config.update_log_history in
-     if List.length st.history > keep then
-       st.history <- List.filteri (fun i _ -> i < keep) st.history);
+    (match seq with
+     | Some s -> Hashtbl.replace st.release_seen thread (s, st.version)
+     | None -> ());
+    Queue.push { h_log = log; h_line_versions = line_versions } st.history;
+    if Queue.length st.history > t.cfg.Config.update_log_history then
+      ignore (Queue.take st.history : history_entry);
     List.iter (fun (l, v) -> Hashtbl.replace st.touched l v) line_versions;
-    match Queue.take_opt st.waiters with
-    | None -> st.holder <- None
-    | Some w ->
-      st.holder <- Some w.w_thread;
-      let g = grant_for t st ~last_seen:w.w_last_seen in
-      push t ~now ~dst:w.w_endpoint ~bytes:g.wire_bytes (fun () -> w.w_wake g)
-  end
+    (match Queue.take_opt st.waiters with
+     | None -> st.holder <- None
+     | Some w ->
+       st.holder <- Some w.w_thread;
+       let g = grant_for t st ~last_seen:w.w_last_seen in
+       push t ~now ~dst:w.w_endpoint ~bytes:g.wire_bytes (fun () ->
+           w.w_wake g));
+    st.version
 
 let lock_holder t lock = (lock_state t lock).holder
 let lock_version t lock = (lock_state t lock).version
@@ -466,7 +481,7 @@ let replay t ~servers ~dead ~promoted ~probe ~now =
   in
   List.iter
     (fun (_, st) ->
-       List.iter
+       Queue.iter
          (fun h ->
             List.iter
               (fun (line, v) ->
@@ -490,7 +505,7 @@ let replay t ~servers ~dead ~promoted ~probe ~now =
                    | None -> ()
                  end)
               h.h_line_versions)
-         (List.rev st.history))
+         st.history)
     locks;
   t.replayed <- t.replayed + !replayed_here;
   !replayed_here

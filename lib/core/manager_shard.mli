@@ -38,8 +38,11 @@ type cond_id = int
 type grant_action =
   | Fresh  (** Acquirer already saw every release. *)
   | Patch of Update.t list * (int * int) list
-      (** Apply these fine-grained updates to cached lines, then set the
-          cached versions per the [(line, version)] list. *)
+      (** Apply these fine-grained updates, oldest first, to cached lines.
+          The [(line, version)] list is the newest home version of each
+          line the updates touched; it only sizes the reply on the wire.
+          The acquirer leaves its cached versions alone, because a patch
+          refreshes this lock's bytes, not whole lines. *)
   | Notices of (int * int) list
       (** History insufficient: invalidate any cached line older than its
           [(line, version)] entry. *)
@@ -87,14 +90,18 @@ val lock_acquire :
 val lock_release :
   ?seq:int ->
   t -> now:Desim.Time.t -> lock:lock_id -> thread:int ->
-  log:Update.t list -> line_versions:(int * int) list -> unit
+  log:Update.t list -> line_versions:(int * int) list -> int
 (** Record the release: bumps the lock version, retains the release log
     (bounded history) for future acquirers, merges [line_versions] into the
     lock's notice map, and hands the lock to the next waiter if any.
+    Returns the lock version this release produced, which is the version
+    the releaser has seen.
     [?seq] is the releaser's per-lock release sequence number: a retry
     carrying an already-recorded [seq] is a no-op (shard-crash
-    idempotence). Raises [Invalid_argument] if [thread] does not hold the
-    lock. *)
+    idempotence) and returns the version the recorded release produced,
+    not the lock's current version, which later releases by other
+    threads may have advanced. Raises [Invalid_argument] if [thread] does
+    not hold the lock. *)
 
 val lock_holder : t -> lock_id -> int option
 val lock_version : t -> lock_id -> int

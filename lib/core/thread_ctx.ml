@@ -998,6 +998,9 @@ let apply_grant t (g : Manager_shard.grant) =
 (* ------------------------------------------------------------------ *)
 (* Fine-grained update flush (release path)                            *)
 
+(* The line an update is homed by: the one holding its first byte. *)
+let home_line t (u : Update.t) = u.Update.addr lsr t.e.layout.Layout.line_shift
+
 let flush_update_log t log =
   if log = [] then []
   else begin
@@ -1014,9 +1017,7 @@ let flush_update_log t log =
              in
              List.iter
                (fun u ->
-                  let srv =
-                    server_of t (List.hd (Update.lines_touched t.e.layout u))
-                  in
+                  let srv = server_of t (home_line t u) in
                   let lvs = Memory_server.apply_update srv u in
                   if mirrored then
                     mirror_update t srv u ~line_versions:lvs;
@@ -1032,9 +1033,7 @@ let flush_update_log t log =
                        | None -> ())
                     lvs)
                batch))
-      (Home.group_by_server t.e.cfg
-         (fun u -> List.hd (Update.lines_touched t.e.layout u))
-         log);
+      (Home.group_by_server t.e.cfg (home_line t) log);
     (* Note: lines touched here are deliberately NOT added to
        interval_writes. Under RegC, consistency-region data propagates via
        the lock protocol (grant patches); only ordinary-region writes
@@ -1113,9 +1112,14 @@ let mutex_unlock t lock =
   with_failover t (fun () ->
       let mgr = Control_plane.shard_for t.e.cp lock in
       let served = shard_request t mgr ~bytes:wire in
-      Manager_shard.lock_release mgr ~seq ~now:served ~lock ~thread:t.id ~log
-        ~line_versions;
-      Hashtbl.replace t.lock_seen lock (Manager_shard.lock_version mgr lock);
+      (* The version this thread's own release produced: a duplicate
+         retry after a takeover must not claim releases other threads
+         made in between. *)
+      let version =
+        Manager_shard.lock_release mgr ~seq ~now:served ~lock ~thread:t.id
+          ~log ~line_versions
+      in
+      Hashtbl.replace t.lock_seen lock version;
       await_reply t ~src:(Manager_shard.endpoint mgr) ~at:served
         ~bytes:Manager_shard.ack_wire);
   probe_sync t Probe.Unlock lock;

@@ -86,8 +86,9 @@ let test_lock_queue_and_handoff () =
    | `Granted _ -> Alcotest.fail "expected queue");
   (* Holder releases with a log; waiter gets the lock and a Patch. *)
   let u = Samhita.Update.of_i64 ~addr:0 5L in
-  Samhita.Manager_shard.lock_release m ~now:t0 ~lock:l ~thread:1 ~log:[ u ]
-    ~line_versions:[ (0, 1) ];
+  Alcotest.(check int) "release produced version 1" 1
+    (Samhita.Manager_shard.lock_release m ~now:t0 ~lock:l ~thread:1
+       ~log:[ u ] ~line_versions:[ (0, 1) ]);
   Alcotest.(check (option int)) "handed off" (Some 2)
     (Samhita.Manager_shard.lock_holder m l);
   Alcotest.(check bool) "wake is a scheduled fabric event" true
@@ -112,8 +113,10 @@ let test_lock_release_not_holder () =
   Alcotest.check_raises "wrong thread"
     (Invalid_argument "Manager_shard.lock_release: thread does not hold the lock")
     (fun () ->
-       Samhita.Manager_shard.lock_release m ~now:t0 ~lock:l ~thread:9 ~log:[]
-         ~line_versions:[])
+       ignore
+         (Samhita.Manager_shard.lock_release m ~now:t0 ~lock:l ~thread:9
+            ~log:[] ~line_versions:[]
+          : int))
 
 let test_lock_release_error_mutates_nothing () =
   (* An erroneous release (wrong thread) must leave the lock state
@@ -129,9 +132,11 @@ let test_lock_release_error_mutates_nothing () =
    with
    | `Granted _ -> ()
    | `Queued -> Alcotest.fail "free lock");
-  Samhita.Manager_shard.lock_release m ~now:t0 ~lock:l ~thread:1
-    ~log:[ Samhita.Update.of_i64 ~addr:0 1L ]
-    ~line_versions:[ (0, 1) ];
+  ignore
+    (Samhita.Manager_shard.lock_release m ~now:t0 ~lock:l ~thread:1
+       ~log:[ Samhita.Update.of_i64 ~addr:0 1L ]
+       ~line_versions:[ (0, 1) ]
+     : int);
   (match
      Samhita.Manager_shard.lock_acquire m ~now:t0 ~lock:l ~thread:1 ~last_seen:1
        ~endpoint:(ep net 2) ~wake:(fun _ -> ())
@@ -149,18 +154,21 @@ let test_lock_release_error_mutates_nothing () =
   Alcotest.check_raises "wrong thread rejected"
     (Invalid_argument "Manager_shard.lock_release: thread does not hold the lock")
     (fun () ->
-       Samhita.Manager_shard.lock_release m ~now:t0 ~lock:l ~thread:2
-         ~log:[ Samhita.Update.of_i64 ~addr:8 9L ]
-         ~line_versions:[ (0, 9) ]);
+       ignore
+         (Samhita.Manager_shard.lock_release m ~now:t0 ~lock:l ~thread:2
+            ~log:[ Samhita.Update.of_i64 ~addr:8 9L ]
+            ~line_versions:[ (0, 9) ]
+          : int));
   Alcotest.(check (option int)) "holder unchanged" (Some 1)
     (Samhita.Manager_shard.lock_holder m l);
   Alcotest.(check int) "version unchanged" version_before
     (Samhita.Manager_shard.lock_version m l);
   Alcotest.(check bool) "waiter not woken by the error" true (!woken = None);
   (* The legitimate release still finds the waiter queued. *)
-  Samhita.Manager_shard.lock_release m ~now:t0 ~lock:l ~thread:1
-    ~log:[ Samhita.Update.of_i64 ~addr:8 2L ]
-    ~line_versions:[ (0, 2) ];
+  Alcotest.(check int) "legitimate release produced version 2" 2
+    (Samhita.Manager_shard.lock_release m ~now:t0 ~lock:l ~thread:1
+       ~log:[ Samhita.Update.of_i64 ~addr:8 2L ]
+       ~line_versions:[ (0, 2) ]);
   Alcotest.(check (option int)) "handed off to the intact waiter" (Some 2)
     (Samhita.Manager_shard.lock_holder m l);
   Desim.Engine.run e;
@@ -179,9 +187,11 @@ let test_lock_release_free_lock () =
   Alcotest.check_raises "free lock rejected"
     (Invalid_argument "Manager_shard.lock_release: thread does not hold the lock")
     (fun () ->
-       Samhita.Manager_shard.lock_release m ~now:t0 ~lock:l ~thread:1
-         ~log:[ Samhita.Update.of_i64 ~addr:0 1L ]
-         ~line_versions:[ (0, 1) ]);
+       ignore
+         (Samhita.Manager_shard.lock_release m ~now:t0 ~lock:l ~thread:1
+            ~log:[ Samhita.Update.of_i64 ~addr:0 1L ]
+            ~line_versions:[ (0, 1) ]
+          : int));
   Alcotest.(check (option int)) "still free" None
     (Samhita.Manager_shard.lock_holder m l);
   Alcotest.(check int) "version still 0" 0 (Samhita.Manager_shard.lock_version m l)
@@ -198,9 +208,10 @@ let test_lock_patch_aggregates_history () =
      with
      | `Granted _ -> ()
      | `Queued -> Alcotest.fail "free lock");
-    Samhita.Manager_shard.lock_release m ~now:t0 ~lock:l ~thread:1
-      ~log:[ Samhita.Update.of_i64 ~addr:(i * 8) (Int64.of_int i) ]
-      ~line_versions:[ (0, i) ]
+    Alcotest.(check int) "release returns its version" i
+      (Samhita.Manager_shard.lock_release m ~now:t0 ~lock:l ~thread:1
+         ~log:[ Samhita.Update.of_i64 ~addr:(i * 8) (Int64.of_int i) ]
+         ~line_versions:[ (0, i) ])
   done;
   (* A thread that last saw version 1 gets updates 2 and 3, aggregated. *)
   match
@@ -217,6 +228,45 @@ let test_lock_patch_aggregates_history () =
   | `Granted _ -> Alcotest.fail "expected Patch"
   | `Queued -> Alcotest.fail "lock should be free"
 
+let test_lock_duplicate_release_keeps_its_version () =
+  (* A shard-crash retry of a release that already executed is a no-op
+     and answers with the version that release produced, even when
+     another thread has released since. Recording the lock's current
+     version instead would make the retrying thread's next acquire Fresh
+     and skip the other thread's update. *)
+  let _, net, m = mk () in
+  let l = 1 in
+  Samhita.Manager_shard.lock_register m ~id:l;
+  let acquire ~thread ~last_seen =
+    match
+      Samhita.Manager_shard.lock_acquire m ~now:t0 ~lock:l ~thread ~last_seen
+        ~endpoint:(ep net (thread + 1)) ~wake:(fun _ -> ())
+    with
+    | `Granted g -> g
+    | `Queued -> Alcotest.fail "lock should be free"
+  in
+  let release ~thread ~addr ~line_versions =
+    Samhita.Manager_shard.lock_release m ~seq:1 ~now:t0 ~lock:l ~thread
+      ~log:[ Samhita.Update.of_i64 ~addr 7L ] ~line_versions
+  in
+  ignore (acquire ~thread:1 ~last_seen:0 : Samhita.Manager_shard.grant);
+  Alcotest.(check int) "thread 1 releases version 1" 1
+    (release ~thread:1 ~addr:0 ~line_versions:[ (0, 1) ]);
+  ignore (acquire ~thread:2 ~last_seen:0 : Samhita.Manager_shard.grant);
+  Alcotest.(check int) "thread 2 releases version 2" 2
+    (release ~thread:2 ~addr:8 ~line_versions:[ (0, 2) ]);
+  Alcotest.(check int) "the retry returns the original version" 1
+    (release ~thread:1 ~addr:0 ~line_versions:[ (0, 1) ]);
+  Alcotest.(check int) "the retry mutates nothing" 2
+    (Samhita.Manager_shard.lock_version m l);
+  match (acquire ~thread:1 ~last_seen:1).Samhita.Manager_shard.action with
+  | Samhita.Manager_shard.Patch (log, lvs) ->
+    Alcotest.(check (list int)) "patch carries thread 2's update" [ 8 ]
+      (List.map (fun u -> u.Samhita.Update.addr) log);
+    Alcotest.(check (list (pair int int))) "and its line version"
+      [ (0, 2) ] lvs
+  | _ -> Alcotest.fail "expected Patch"
+
 let test_lock_notices_fallback () =
   (* History depth 1: a two-version gap cannot be patched. *)
   let cfg' = { cfg with update_log_history = 1 } in
@@ -230,9 +280,11 @@ let test_lock_notices_fallback () =
      with
      | `Granted _ -> ()
      | `Queued -> Alcotest.fail "free lock");
-    Samhita.Manager_shard.lock_release m ~now:t0 ~lock:l ~thread:1
-      ~log:[ Samhita.Update.of_i64 ~addr:(i * 8) 1L ]
-      ~line_versions:[ (i, i) ]
+    ignore
+      (Samhita.Manager_shard.lock_release m ~now:t0 ~lock:l ~thread:1
+         ~log:[ Samhita.Update.of_i64 ~addr:(i * 8) 1L ]
+         ~line_versions:[ (i, i) ]
+       : int)
   done;
   match
     Samhita.Manager_shard.lock_acquire m ~now:t0 ~lock:l ~thread:2 ~last_seen:0
@@ -254,9 +306,12 @@ let test_lock_grant_wire_grows_with_payload () =
        ~endpoint:(ep net 2) ~wake:(fun _ -> ())
    with
    | `Granted g0 ->
-     Samhita.Manager_shard.lock_release m ~now:t0 ~lock:l ~thread:1
-       ~log:(List.init 10 (fun i -> Samhita.Update.of_i64 ~addr:(i * 8) 0L))
-       ~line_versions:[ (0, 1) ];
+     ignore
+       (Samhita.Manager_shard.lock_release m ~now:t0 ~lock:l ~thread:1
+          ~log:
+            (List.init 10 (fun i -> Samhita.Update.of_i64 ~addr:(i * 8) 0L))
+          ~line_versions:[ (0, 1) ]
+        : int);
      (match
         Samhita.Manager_shard.lock_acquire m ~now:t0 ~lock:l ~thread:2 ~last_seen:0
           ~endpoint:(ep net 3) ~wake:(fun _ -> ())
@@ -397,6 +452,8 @@ let tests =
       test_lock_release_not_holder;
     Alcotest.test_case "patch aggregates history" `Quick
       test_lock_patch_aggregates_history;
+    Alcotest.test_case "duplicate release keeps its version" `Quick
+      test_lock_duplicate_release_keeps_its_version;
     Alcotest.test_case "notices fallback" `Quick test_lock_notices_fallback;
     Alcotest.test_case "grant wire size" `Quick
       test_lock_grant_wire_grows_with_payload;

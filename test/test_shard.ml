@@ -149,6 +149,26 @@ let test_shard_crash_deterministic () =
   Alcotest.(check int) "same event count" a.Torture.Runner.o_events
     b.Torture.Runner.o_events
 
+(* A kv release retried after the takeover was a duplicate, and the
+   retrying thread recorded the lock's current version as seen, including
+   a release another thread made in between. Its next acquire was then
+   Fresh and lost that thread's update ([checksum]). *)
+let test_shard_crash_kv_retried_release () =
+  List.iter
+    (fun seed ->
+       let o =
+         Torture.Runner.run_one ~crash_shard:true ~kernel:Torture.Runner.Kv
+           ~level:Fabric.Faults.High ~seed ()
+       in
+       Alcotest.(check (list string))
+         (Printf.sprintf "kv --crash-shard seed %d clean" seed)
+         []
+         (List.map (fun v -> v.Torture.Oracle.v_class) o.o_violations);
+       Alcotest.(check int)
+         (Printf.sprintf "seed %d: the shard was taken over" seed)
+         1 o.Torture.Runner.o_takeovers)
+    [ 2986; 3054 ]
+
 (* ---------------- config bounds ---------------- *)
 
 let test_config_bounds () =
@@ -199,6 +219,8 @@ let tests =
       test_shard_crash_takeover;
     Alcotest.test_case "shard crash: deterministic" `Quick
       test_shard_crash_deterministic;
+    Alcotest.test_case "shard crash: kv retried release keeps its version"
+      `Quick test_shard_crash_kv_retried_release;
     Alcotest.test_case "config: bounds named in errors" `Quick
       test_config_bounds ]
 
