@@ -172,7 +172,9 @@ let run_once opts ~prefix ~branch_sleep =
       on_crash = (fun ~time:_ ~node:_ ~server:_ -> global ());
       on_recovery = (fun ~time:_ ~failed:_ ~promoted:_ ~replayed:_ ->
           global ());
-      on_rejoin = (fun ~time:_ ~zombie:_ ~primary:_ ~copied:_ -> global ()) };
+      on_rejoin = (fun ~time:_ ~zombie:_ ~primary:_ ~copied:_ -> global ());
+      on_takeover =
+        (fun ~time:_ ~dead:_ ~takeover:_ ~moved:_ ~redriven:_ -> global ()) };
   Desim.Engine.set_chooser engine (Some chooser);
   let check_sum =
     Kernels.build opts.kernel sys ~threads:opts.threads ~pages:opts.pages

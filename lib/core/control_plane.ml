@@ -109,7 +109,7 @@ let sum f t = Array.fold_left (fun acc sh -> acc + f sh) 0 t.shards
 (* The ring successor absorbs the dead shard's slice. Mirrors
    Directory.promote for memory servers: single-failure model, the map
    repoints, parked requesters are rescheduled at [now]. *)
-let recover_shard t ~dead ~now =
+let recover_shard t ~dead ~probe ~now =
   if t.dead_shard <> None then
     invalid_arg
       "Control_plane.recover_shard: a shard already failed (single-failure \
@@ -128,6 +128,9 @@ let recover_shard t ~dead ~now =
   in
   t.absorbed_objects <- t.absorbed_objects + moved;
   t.redriven_pushes <- t.redriven_pushes + redriven;
+  (match probe with
+   | Some p -> p.Probe.on_takeover ~time:now ~dead ~takeover ~moved ~redriven
+   | None -> ());
   wake_parked t ~now;
   (takeover, moved, redriven)
 

@@ -66,11 +66,12 @@ val note_heartbeat : t -> unit
 val note_shard_heartbeat : t -> unit
 (** One lease-renewal round trip to a shard completed. *)
 
-val recover_shard : t -> dead:int -> now:Desim.Time.t -> int * int * int
+val recover_shard :
+  t -> dead:int -> probe:Probe.t option -> now:Desim.Time.t -> int * int * int
 (** Declare logical shard [dead] failed: the ring successor absorbs its
-    slice, the map repoints, stranded reply pushes are re-driven and
-    parked requesters rescheduled. Returns
-    [(takeover, objects_moved, pushes_redriven)]. Raises
+    slice, the map repoints, stranded reply pushes are re-driven, the
+    probe sees [Probe.on_takeover] and parked requesters are rescheduled.
+    Returns [(takeover, objects_moved, pushes_redriven)]. Raises
     [Invalid_argument] on a second failure or for shard 0. *)
 
 (** {2 Memory-server recovery} *)

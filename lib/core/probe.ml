@@ -27,6 +27,9 @@ type t = {
     time:Desim.Time.t -> failed:int -> promoted:int -> replayed:int -> unit;
   on_rejoin :
     time:Desim.Time.t -> zombie:int -> primary:int -> copied:int -> unit;
+  on_takeover :
+    time:Desim.Time.t -> dead:int -> takeover:int -> moved:int ->
+    redriven:int -> unit;
 }
 
 let nothing =
@@ -40,7 +43,9 @@ let nothing =
     on_sync = (fun ~thread:_ ~time:_ ~op:_ ~id:_ -> ());
     on_crash = (fun ~time:_ ~node:_ ~server:_ -> ());
     on_recovery = (fun ~time:_ ~failed:_ ~promoted:_ ~replayed:_ -> ());
-    on_rejoin = (fun ~time:_ ~zombie:_ ~primary:_ ~copied:_ -> ()) }
+    on_rejoin = (fun ~time:_ ~zombie:_ ~primary:_ ~copied:_ -> ());
+    on_takeover =
+      (fun ~time:_ ~dead:_ ~takeover:_ ~moved:_ ~redriven:_ -> ()) }
 
 let both a b =
   { on_read =
@@ -82,4 +87,8 @@ let both a b =
     on_rejoin =
       (fun ~time ~zombie ~primary ~copied ->
          a.on_rejoin ~time ~zombie ~primary ~copied;
-         b.on_rejoin ~time ~zombie ~primary ~copied) }
+         b.on_rejoin ~time ~zombie ~primary ~copied);
+    on_takeover =
+      (fun ~time ~dead ~takeover ~moved ~redriven ->
+         a.on_takeover ~time ~dead ~takeover ~moved ~redriven;
+         b.on_takeover ~time ~dead ~takeover ~moved ~redriven) }

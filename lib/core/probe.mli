@@ -73,6 +73,14 @@ type t = {
       (** A falsely suspected server rejoined after its partition healed:
           [zombie] was resynced ([copied] lines) against [primary], the
           live primary it now backs, under the current epoch. *)
+  on_takeover :
+    time:Desim.Time.t -> dead:int -> takeover:int -> moved:int ->
+    redriven:int -> unit;
+      (** The failure detector declared manager shard [dead] failed and
+          its ring successor [takeover] absorbed its slice: [moved] sync
+          objects changed shard and [redriven] stranded reply pushes were
+          re-sent. [time] is the detection instant; parked requesters
+          resume from it. *)
 }
 
 val nothing : t

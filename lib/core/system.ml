@@ -131,7 +131,7 @@ let spawn_monitor t =
       | exception Fabric.Scl.Node_dead (_, give_up) ->
         delay_until t give_up;
         ignore
-          (Control_plane.recover_shard t.cp ~dead:s
+          (Control_plane.recover_shard t.cp ~dead:s ~probe:t.probe
              ~now:(Desim.Engine.now t.engine)
            : int * int * int)
   in

@@ -330,6 +330,8 @@ let probe_read t ~addr ~len =
 (* The consistency region a store belongs to: the innermost held lock. *)
 let region t = match t.held with (l, _) :: _ -> l | [] -> -1
 
+let region_log t = match t.held with (_, log) :: _ -> !log | [] -> []
+
 let probe_write t ~addr ~len =
   match t.e.probe with
   | None -> ()
@@ -707,33 +709,44 @@ let locate t addr : Cache.entry =
 
 let line_off t addr = addr land t.e.layout.Layout.line_mask
 
-(* SC store driver: fast path on an exclusively-held line, else the full
-   acquire transaction with the store committed inside it. [store] writes
-   into the entry at the line offset and must not yield. *)
-let sc_store t addr ~store =
+(* SC store hit: the entry when [addr]'s line is held exclusively, with
+   the access charged and counted; [Not_found] when the line must first
+   be acquired ({!sc_store_miss}). Allocation-free, so a store hit builds
+   no commit closure. *)
+let sc_owned t addr : Cache.entry =
   charge t t.e.cfg.Config.t_mem;
   let line = addr lsr t.e.layout.Layout.line_shift in
-  let off = addr land t.e.layout.Layout.line_mask in
   match t.last with
   | Some e when e.Cache.line = line && e.Cache.excl ->
     Cache.note_hit t.cache;
-    store e off
-  | _ -> (
-      match Cache.find t.cache line with
-      | Some e when e.Cache.excl ->
-        Cache.note_hit t.cache;
-        t.last <- Some e;
-        store e off
-      | _ ->
-        Cache.note_miss t.cache;
-        sync_clock t;
-        let start = now t in
-        let e = sc_acquire_exclusive t line ~commit:(fun e -> store e off) in
-        t.m_compute <- t.m_compute + Desim.Time.diff (now t) start;
-        (* Keep the fast path only if the grant survived the latency. *)
-        (match Cache.peek t.cache line with
-         | Some e' when e' == e && e.Cache.excl -> t.last <- Some e
-         | _ -> t.last <- None))
+    e
+  | _ ->
+    let e = Cache.find_exn t.cache line in
+    if not e.Cache.excl then raise_notrace Not_found;
+    Cache.note_hit t.cache;
+    t.last <- Some e;
+    e
+
+(* SC store miss: the full acquire transaction, with the store committed
+   inside it. [store] writes into the entry at the line offset and must
+   not yield. *)
+let sc_store_miss t addr ~store =
+  let line = addr lsr t.e.layout.Layout.line_shift in
+  let off = line_off t addr in
+  Cache.note_miss t.cache;
+  sync_clock t;
+  let start = now t in
+  let e = sc_acquire_exclusive t line ~commit:(fun e -> store e off) in
+  t.m_compute <- t.m_compute + Desim.Time.diff (now t) start;
+  (* Keep the fast path only if the grant survived the latency. *)
+  match Cache.peek t.cache line with
+  | Some e' when e' == e && e.Cache.excl -> t.last <- Some e
+  | _ -> t.last <- None
+
+let sc_store t addr ~store =
+  match sc_owned t addr with
+  | e -> store e (line_off t addr)
+  | exception Not_found -> sc_store_miss t addr ~store
 
 (* ------------------------------------------------------------------ *)
 (* Typed accessors                                                     *)
@@ -742,7 +755,10 @@ let check_aligned addr =
   if addr land 7 <> 0 then
     invalid_arg "Samhita: 8-byte accesses must be 8-byte aligned"
 
-let read_i64 t addr =
+(* [read_i64] and [write_i64] are inlined so that [read_f64] and
+   [write_f64] below keep the word's bits unboxed: only the probe branch
+   and [write_i64_general] need the boxed int64. *)
+let[@inline] read_i64 t addr =
   check_aligned addr;
   let entry = locate t addr in
   let v = Bytes.get_int64_le entry.Cache.data (line_off t addr) in
@@ -754,17 +770,22 @@ let read_i64 t addr =
      p.Probe.on_read ~thread:t.id ~time:(now t) ~addr ~len:8 ~value:(Some v));
   v
 
-let write_i64 t addr v =
-  check_aligned addr;
+(* Every 8-byte store except the one [write_i64] handles inline. These
+   take [v] boxed: the probe's [Some v], the region log's update and the
+   SC commit closure all hold it. *)
+let write_i64_general t addr v =
   (match t.e.probe with
    | None -> ()
    | Some p ->
      p.Probe.on_write ~thread:t.id ~time:(now t) ~addr ~len:8
        ~region:(region t) ~value:(Some v));
   match t.e.cfg.Config.model with
-  | Config.Sc_invalidate ->
-    sc_store t addr ~store:(fun (e : Cache.entry) off ->
-        Bytes.set_int64_le e.Cache.data off v)
+  | Config.Sc_invalidate -> (
+      match sc_owned t addr with
+      | e -> Bytes.set_int64_le e.Cache.data (line_off t addr) v
+      | exception Not_found ->
+        sc_store_miss t addr ~store:(fun (e : Cache.entry) off ->
+            Bytes.set_int64_le e.Cache.data off v))
   | Config.Regc ->
     let entry = locate t addr in
     let off = line_off t addr in
@@ -784,6 +805,19 @@ let write_i64 t addr v =
         | None -> ())
      | [] -> Cache.mark_written t.cache entry ~offset:off ~len:8);
     Bytes.set_int64_le entry.Cache.data off v
+
+(* The common store — RegC, ordinary region, no probe attached — is
+   handled here with [v] unboxed; [write_i64_general] above serves the
+   rest. *)
+let[@inline] write_i64 t addr v =
+  check_aligned addr;
+  match (t.e.probe, t.e.cfg.Config.model, t.held) with
+  | None, Config.Regc, [] ->
+    let entry = locate t addr in
+    let off = line_off t addr in
+    Cache.mark_written t.cache entry ~offset:off ~len:8;
+    Bytes.set_int64_le entry.Cache.data off v
+  | _ -> write_i64_general t addr v
 
 let read_f64 t addr = Int64.float_of_bits (read_i64 t addr)
 let write_f64 t addr v = write_i64 t addr (Int64.bits_of_float v)

@@ -81,6 +81,11 @@ val write_bytes : t -> int -> bytes -> unit
 (** Bulk store; inside a consistency region the whole range is logged as
     fine-grained updates, otherwise it dirties the touched pages. *)
 
+val region_log : t -> Update.t list
+(** The store log of the innermost consistency region, newest first;
+    [[]] outside a region. Read-only, for tests that compare store
+    paths. *)
+
 val charge : t -> float -> unit
 (** Accumulate [ns] of pure compute cost (the workload's arithmetic). *)
 

@@ -54,17 +54,18 @@ let alloc t ~bytes ~align =
   base
 
 
-let state_of t addr = Hashtbl.find_opt t.lines (addr lsr t.line_shift)
-
+(* The cost functions return a float field of [cfg] as is, and look the
+   line up with [Hashtbl.find] rather than [find_opt], so a hit allocates
+   nothing. *)
 let read_cost t ~thread ~addr =
   let bit = 1 lsl thread in
-  match state_of t addr with
-  | None ->
+  match Hashtbl.find t.lines (addr lsr t.line_shift) with
+  | exception Not_found ->
     Hashtbl.replace t.lines (addr lsr t.line_shift)
       { present = bit; owner = -1 };
     t.cold_misses <- t.cold_misses + 1;
     t.cfg.Config.t_cold_miss
-  | Some st ->
+  | st ->
     if st.present land bit <> 0 && (st.owner = thread || st.owner = -1) then
       t.cfg.Config.t_mem
     else begin
@@ -87,13 +88,13 @@ let read_cost t ~thread ~addr =
 
 let write_cost t ~thread ~addr =
   let bit = 1 lsl thread in
-  match state_of t addr with
-  | None ->
+  match Hashtbl.find t.lines (addr lsr t.line_shift) with
+  | exception Not_found ->
     Hashtbl.replace t.lines (addr lsr t.line_shift)
       { present = bit; owner = thread };
     t.cold_misses <- t.cold_misses + 1;
     t.cfg.Config.t_cold_miss
-  | Some st ->
+  | st ->
     if st.owner = thread then t.cfg.Config.t_mem
     else begin
       (* Upgrade: invalidate every other copy. *)
@@ -116,8 +117,8 @@ let write_cost t ~thread ~addr =
 
 let read_i64 t addr = Bytes.get_int64_le t.data addr
 let write_i64 t addr v = Bytes.set_int64_le t.data addr v
-let read_f64 t addr = Int64.float_of_bits (read_i64 t addr)
-let write_f64 t addr v = write_i64 t addr (Int64.bits_of_float v)
+let read_f64 t addr = Int64.float_of_bits (Bytes.get_int64_le t.data addr)
+let write_f64 t addr v = Bytes.set_int64_le t.data addr (Int64.bits_of_float v)
 
 let coherence_misses t = t.coherence_misses
 let invalidations t = t.invalidations

@@ -128,8 +128,18 @@ let write_i64 t addr v =
   charge t (Machine.write_cost t.sys.machine ~thread:t.id ~addr);
   Machine.write_i64 t.sys.machine addr v
 
-let read_f64 t addr = Int64.float_of_bits (read_i64 t addr)
-let write_f64 t addr v = write_i64 t addr (Int64.bits_of_float v)
+(* Not wrappers over [read_i64]/[write_i64]: an int64 crossing into
+   [Machine] is boxed (dune's dev profile compiles modules opaque, so
+   nothing is inlined across them). Moving the word as a float, a hit
+   allocates only the float [read_f64] returns. *)
+let read_f64 t addr =
+  charge t (Machine.read_cost t.sys.machine ~thread:t.id ~addr);
+  Machine.read_f64 t.sys.machine addr
+
+let write_f64 t addr v =
+  charge t (Machine.write_cost t.sys.machine ~thread:t.id ~addr);
+  Machine.write_f64 t.sys.machine addr v
+
 let charge_flops t n = charge t (float_of_int n *. t.sys.cfg.Config.t_flop)
 
 let lock t m =

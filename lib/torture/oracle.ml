@@ -33,6 +33,7 @@ type t = {
       (* time, failed, promoted, replayed *)
   mutable rejoins_rev : (int * int * int * int) list;
       (* time, zombie, primary, copied *)
+  mutable takeovers : int;
   mutable violations_rev : violation list;
   mutable n_violations : int;
   mutable events : int;
@@ -55,6 +56,7 @@ let create ~config () =
     crashes_rev = [];
     recoveries_rev = [];
     rejoins_rev = [];
+    takeovers = 0;
     violations_rev = [];
     n_violations = 0;
     events = 0;
@@ -67,6 +69,7 @@ let violations t = List.rev t.violations_rev
 let crashes t = List.length t.crashes_rev
 let recoveries t = List.length t.recoveries_rev
 let rejoins t = List.length t.rejoins_rev
+let takeovers t = t.takeovers
 let events t = t.events
 let reads_checked t = t.reads_checked
 let digest t = t.digest
@@ -306,6 +309,14 @@ let on_rejoin t ~time ~zombie ~primary ~copied =
     copied;
   t.rejoins_rev <- (time, zombie, primary, copied) :: t.rejoins_rev
 
+(* Trace tail only: a takeover neither folds into the digest nor counts
+   as an event, because the torture summary prints the event count and
+   the golden table pins it. The run's takeover count reports it. *)
+let on_takeover t ~time ~dead ~takeover ~moved ~redriven =
+  record t "t=%d TAKEOVER dead=%d takeover=%d moved=%d redriven=%d" time dead
+    takeover moved redriven;
+  t.takeovers <- t.takeovers + 1
+
 let probe t =
   let ns = Desim.Time.to_ns in
   { Samhita.Probe.on_read = (fun ~thread ~time ~addr ~len ~value ->
@@ -327,7 +338,9 @@ let probe t =
     on_recovery = (fun ~time ~failed ~promoted ~replayed ->
         on_recovery t ~time:(ns time) ~failed ~promoted ~replayed);
     on_rejoin = (fun ~time ~zombie ~primary ~copied ->
-        on_rejoin t ~time:(ns time) ~zombie ~primary ~copied) }
+        on_rejoin t ~time:(ns time) ~zombie ~primary ~copied);
+    on_takeover = (fun ~time ~dead ~takeover ~moved ~redriven ->
+        on_takeover t ~time:(ns time) ~dead ~takeover ~moved ~redriven) }
 
 let attach t sys = Samhita.System.add_probe sys (probe t)
 

@@ -71,6 +71,10 @@ val recoveries : t -> int
 (** Completed recoveries observed. {!finalize} checks each one for
     version-consistent promotion and no lost acknowledged write. *)
 
+val takeovers : t -> int
+(** Shard takeovers observed (0 or 1). Each is recorded in the trace
+    tail; none changes {!events} or {!digest}. *)
+
 val rejoins : t -> int
 (** Zombie-rejoin events observed (a falsely suspected server resynced
     back in as a backup after its partition healed). {!finalize} checks

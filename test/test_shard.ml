@@ -169,6 +169,54 @@ let test_shard_crash_kv_retried_release () =
          1 o.Torture.Runner.o_takeovers)
     [ 2986; 3054 ]
 
+(* The takeover reaches the probe stream: one kv run with a shard killed
+   mid-run shows the probe exactly one takeover, naming the dead shard
+   and its ring successor, and the oracle records it. *)
+let test_takeover_probe_event () =
+  let config =
+    { Samhita.Config.default with
+      manager_shards = 3;
+      lease_interval = Desim.Time.ns 20_000;
+      fault = Some (Crash_shard { shard = 2; at_ns = 30_000 }) }
+  in
+  let oracle = Torture.Oracle.create ~config () in
+  let seen = ref [] in
+  let captured = ref None in
+  let on_create sys =
+    captured := Some sys;
+    Torture.Oracle.attach oracle sys;
+    Samhita.System.add_probe sys
+      { Samhita.Probe.nothing with
+        on_takeover =
+          (fun ~time:_ ~dead ~takeover ~moved:_ ~redriven:_ ->
+             seen := (dead, takeover) :: !seen) }
+  in
+  let p =
+    { Workload.Kv.traffic =
+        { Workload.Traffic.clients = 6;
+          requests = 400;
+          rate_rps = 400_000.;
+          keys = 24;
+          zipf_s = 0.9;
+          read_fraction = 0.7;
+          seed = 7 };
+      shards = 2;
+      service_flops = 16 }
+  in
+  let backend = Workload.Samhita_backend.make ~on_create ~config () in
+  let r = Workload.Kv.run backend ~threads:3 p in
+  Alcotest.(check int) "no lost writes" 0
+    (List.length (Workload.Kv.lost_writes r));
+  Alcotest.(check (list (pair int int)))
+    "one takeover: shard 2 by its successor 0" [ (2, 0) ] !seen;
+  Alcotest.(check int) "the oracle recorded it" 1
+    (Torture.Oracle.takeovers oracle);
+  match !captured with
+  | Some sys ->
+    Alcotest.(check int) "the control plane counted it" 1
+      (Samhita.Metrics.control_of_system sys).takeovers
+  | None -> Alcotest.fail "no system was built"
+
 (* ---------------- config bounds ---------------- *)
 
 let test_config_bounds () =
@@ -221,6 +269,8 @@ let tests =
       test_shard_crash_deterministic;
     Alcotest.test_case "shard crash: kv retried release keeps its version"
       `Quick test_shard_crash_kv_retried_release;
+    Alcotest.test_case "shard crash: the probe sees one takeover" `Quick
+      test_takeover_probe_event;
     Alcotest.test_case "config: bounds named in errors" `Quick
       test_config_bounds ]
 

@@ -40,7 +40,9 @@ let recorder log =
     on_recovery = (fun ~time ~failed:_ ~promoted:_ ~replayed:_ ->
         add time "recovery" (-1));
     on_rejoin = (fun ~time ~zombie:_ ~primary:_ ~copied:_ ->
-        add time "rejoin" (-1)) }
+        add time "rejoin" (-1));
+    on_takeover = (fun ~time ~dead:_ ~takeover:_ ~moved:_ ~redriven:_ ->
+        add time "takeover" (-1)) }
 
 (* Two threads: a barrier, ordinary writes, one lock hand-off, a second
    barrier, a read. Returns (lock, barrier, system). *)
