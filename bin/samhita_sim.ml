@@ -448,7 +448,7 @@ let torture_cmd =
              its lease falsely expires while it keeps executing; the \
              oracle also checks the epoch-fencing invariants (no \
              split-brain through the zombie primary, no lost acked write \
-             across the false suspicion, post-heal rejoin convergence).")
+             across the false suspicion).")
   in
   let run seeds base_seed level kernel replay crash crash_shard partition =
     let mode =
@@ -564,8 +564,8 @@ let check_cmd =
              $(b,micro) (clean global-sum), $(b,abba) \
              (schedule-dependent lock-order deadlock), or $(b,gray) \
              (explicit-state model of epoch-fenced recovery: every \
-             interleaving of client writes with false suspicion, heal \
-             and rejoin, plus a fence-disabled negative control).")
+             interleaving of client writes with false suspicion and \
+             heal, plus a fence-disabled negative control).")
   in
   let threads_t =
     Arg.(

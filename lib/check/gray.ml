@@ -19,7 +19,6 @@ type state = {
   mapping : int;  (* physical server currently primary: 0 or 1 *)
   partition : bool;  (* the window is still open *)
   promoted : bool;
-  rejoined : bool;
   s0 : store;
   s1 : store;
   writes : wstate list;  (* the client's bounded sequence, in order *)
@@ -124,12 +123,6 @@ let transitions ~scope ~fence s =
       { s with epoch = s.epoch + 1; mapping = 1 - victim; promoted = true };
   (* The window closes. *)
   if s.partition then push "heal" { s with partition = false };
-  (* Post-heal resync: the zombie becomes the promoted primary's backup,
-     bit-identical. *)
-  if s.promoted && (not s.partition) && not s.rejoined then
-    push "rejoin"
-      (let p = store_of (1 - victim) s in
-       with_store victim p { s with rejoined = true });
   !ts
 
 let check_terminal ~writes s =
@@ -142,12 +135,6 @@ let check_terminal ~writes s =
          was acknowledged last"
         s.mapping primary.value writes
       :: !defects;
-  if s.rejoined && s.s0 <> s.s1 then
-    defects :=
-      Printf.sprintf
-        "rejoin divergence: terminal replicas differ (s0=%d/v%d, s1=%d/v%d)"
-        s.s0.value s.s0.version s.s1.value s.s1.version
-      :: !defects;
   List.rev !defects
 
 let explore ?(fence = true) ~scope ~writes () =
@@ -158,7 +145,6 @@ let explore ?(fence = true) ~scope ~writes () =
       mapping = victim;
       partition = true;
       promoted = false;
-      rejoined = false;
       s0 = { value = 0; version = 0 };
       s1 = { value = 0; version = 0 };
       writes = List.init writes (fun _ -> Todo) }

@@ -3,11 +3,12 @@
     A small explicit-state model of the epoch-fenced recovery protocol —
     two memory servers (primary and backup), one client issuing a bounded
     sequence of replicated writes, a lease detector that may falsely
-    suspect the primary while a partition holds, and a post-heal rejoin.
+    suspect the primary while a partition holds, and the heal. A deposed
+    zombie never comes back: after the heal it stays fenced.
     Unlike the simulator-backed {!Checker}, the state here is abstract
     (per-server value/version registers and protocol control bits), so
-    {e every} interleaving of client sends/deliveries with the suspect,
-    heal and rejoin events is explored — including the boundary cases a
+    {e every} interleaving of client sends/deliveries with the suspect
+    and heal events is explored — including the boundary cases a
     seeded sweep only samples: suspicion landing exactly at the heal, a
     write in flight across the promotion, a zombie serving after it was
     deposed.
@@ -16,9 +17,7 @@
     - {e no split-brain}: once recovery deposes the primary, no delivery
       may apply there (the epoch fence must reject it);
     - {e no lost acked write}: at every terminal state the current
-      primary holds the last acknowledged write;
-    - {e rejoin convergence}: after the zombie is resynced, both replicas
-      are identical.
+      primary holds the last acknowledged write.
 
     The model can be explored with the epoch fence disabled
     ([~fence:false]) as a negative control: the same exploration must

@@ -46,10 +46,10 @@ type fault =
       (** Gray failure: [server]'s node is unreachable (per [scope])
           inside [\[start_ns, heal_ns)], then heals. Unlike a crash the
           victim keeps executing — its lease expires ({e false}
-          suspicion), the backup is promoted under a new epoch, stale
-          traffic to/from the zombie is fenced, and after the heal it
-          rejoins as the backup via an epoch-stamped resync. Requires
-          [replication = 1]. *)
+          suspicion), the backup is promoted under a new epoch and stale
+          traffic to/from the zombie is fenced. After the heal the zombie
+          stays failed and fenced for the rest of the run: no slot maps
+          to it again. Requires [replication = 1]. *)
 
 type t = {
   model : model;

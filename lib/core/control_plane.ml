@@ -9,7 +9,6 @@
    everything degenerates to the classic singleton, byte-for-byte. *)
 
 type t = {
-  cfg : Config.t;
   engine : Desim.Engine.t;
   shards : Manager_shard.t array;  (* by logical shard id *)
   ring : Hash_ring.t;
@@ -29,11 +28,10 @@ type t = {
   mutable redriven_pushes : int;
 }
 
-let create cfg ~engine ~shards ~nodes =
+let create ~engine ~shards ~nodes =
   let n = Array.length shards in
   if n < 1 then invalid_arg "Control_plane.create: at least one shard";
-  { cfg;
-    engine;
+  { engine;
     shards;
     ring = Hash_ring.create ~shards:n ();
     physical = Array.init n Fun.id;
@@ -150,50 +148,6 @@ let recover_server t ~dir ~servers ~dead ~probe ~now =
   in
   wake_parked t ~now;
   (promoted, replayed)
-
-(* A falsely suspected server answered a probe after its partition
-   healed: resync it back in as the backup of whichever primary it maps
-   to now. The resync is a diff against the new primary's versions —
-   only lines the primary currently serves where the zombie is behind
-   are copied — modeled as a zero-latency background copy (the monitor's
-   probe round trip already charged the detection latency). Writes the
-   zombie absorbed as a Control-scope zombie primary before the
-   promotion were synchronously mirrored to exactly the server that got
-   promoted, so nothing it holds is newer than the primary; stale lines
-   are simply overwritten. *)
-let rejoin_server t ~dir ~servers ~zombie ~probe ~now =
-  let z = servers.(zombie) in
-  let copied = ref 0 in
-  let primary = ref zombie in
-  Array.iteri
-    (fun pi p ->
-       if pi <> zombie && not (Directory.failed dir pi) then
-         match Memory_server.backup p with
-         | Some b when Memory_server.id b = zombie ->
-           primary := pi;
-           Memory_server.iter_lines p (fun line data v ->
-               (* Version compare alone is not enough: a post-heal mirror
-                  may have applied a diff onto the zombie's stale base and
-                  forced the versions equal while the bytes still differ
-                  (the zombie missed the diffs degraded away during the
-                  partition). The resync must compare content. *)
-               if Directory.server_of_line dir t.cfg ~line = pi
-                  && (Memory_server.version z line < v
-                      || not (Bytes.equal (Memory_server.line z line) data))
-               then begin
-                 let dst = Memory_server.line z line in
-                 Bytes.blit data 0 dst 0 (Bytes.length data);
-                 Memory_server.force_version z line v;
-                 incr copied
-               end)
-         | _ -> ())
-    servers;
-  Directory.note_rejoin dir;
-  (match probe with
-   | Some p ->
-     p.Probe.on_rejoin ~time:now ~zombie ~primary:!primary ~copied:!copied
-   | None -> ());
-  (!primary, !copied)
 
 (* ------------------------------------------------------------------ *)
 (* Aggregated counters (metrics, reports)                              *)

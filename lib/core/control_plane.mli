@@ -13,8 +13,8 @@
 type t
 
 val create :
-  Config.t -> engine:Desim.Engine.t -> shards:Manager_shard.t array ->
-  nodes:int array -> t
+  engine:Desim.Engine.t -> shards:Manager_shard.t array -> nodes:int array ->
+  t
 (** [nodes.(s)] is the fabric node hosting (logical) shard [s]. *)
 
 val shard_count : t -> int
@@ -84,16 +84,6 @@ val recover_server :
     epoch, fencing the suspected server's stale traffic), replay every
     shard's surviving update logs (ascending shard, then lock id), wake
     the parked threads once. Returns [(promoted, replayed_entries)]. *)
-
-val rejoin_server :
-  t -> dir:Directory.t -> servers:Memory_server.t array -> zombie:int ->
-  probe:Probe.t option -> now:Desim.Time.t -> int * int
-(** A falsely suspected server answered a post-heal probe: resync it
-    back in as the backup it already ring-wires to — a diff against the
-    live primary's versions (only lines that primary currently serves, only where the
-    zombie is behind), modeled as a zero-latency background copy.
-    Returns [(primary_backed, lines_copied)]
-    and fires [Probe.on_rejoin]. *)
 
 (** {2 Aggregated counters} *)
 

@@ -20,13 +20,10 @@ type t = {
      until a promotion, so healthy runs never see a fence. *)
   mutable cur_epoch : int;
   epochs : int array;
-  (* Gray-failure bookkeeping. [rejoined] marks that the (falsely)
-     suspected server has been resynced back in as a backup. *)
-  mutable rejoined : bool;
+  (* Gray-failure bookkeeping. *)
   mutable suspicions : int;
   mutable false_suspicions : int;
   mutable fenced : int;
-  mutable rejoins : int;
 }
 
 exception Stale_epoch
@@ -38,11 +35,9 @@ let create (cfg : Config.t) =
     promotions = 0;
     cur_epoch = 0;
     epochs = Array.make cfg.Config.memory_servers 0;
-    rejoined = false;
     suspicions = 0;
     false_suspicions = 0;
-    fenced = 0;
-    rejoins = 0 }
+    fenced = 0 }
 
 let physical_of_logical t logical =
   if logical < 0 || logical >= t.memory_servers then
@@ -97,16 +92,9 @@ let fence t ~logical ~epoch =
     raise Stale_epoch
   end
 
-let rejoined t = t.rejoined
-
 let note_suspicion t = t.suspicions <- t.suspicions + 1
 let note_false_suspicion t = t.false_suspicions <- t.false_suspicions + 1
-
-let note_rejoin t =
-  t.rejoined <- true;
-  t.rejoins <- t.rejoins + 1
 
 let suspicions t = t.suspicions
 let false_suspicions t = t.false_suspicions
 let fenced t = t.fenced
-let rejoins t = t.rejoins

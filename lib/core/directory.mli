@@ -68,10 +68,6 @@ val fence : t -> logical:int -> epoch:int -> unit
     and raise {!Stale_epoch} — the caller must re-resolve and re-run
     before any state mutates. *)
 
-val rejoined : t -> bool
-(** Whether the suspected server has been resynced back in as a backup
-    (see [Control_plane.rejoin_server]). *)
-
 (** {2 Failure-detection accounting} *)
 
 val note_suspicion : t -> unit
@@ -81,10 +77,6 @@ val note_false_suspicion : t -> unit
 (** The suspected server was not crash-dead — a gray failure fooled the
     detector. *)
 
-val note_rejoin : t -> unit
-(** The suspected server rejoined as a backup after the heal. *)
-
 val suspicions : t -> int
 val false_suspicions : t -> int
 val fenced : t -> int
-val rejoins : t -> int

@@ -87,8 +87,8 @@ let note_degraded t = t.degraded <- t.degraded + 1
 let force_version t line_id v =
   if v > version t line_id then Hashtbl.replace t.versions line_id v
 
-(* Resync support: visit every materialized line with its contents and
-   version, in line-id order so callers stay schedule-deterministic. *)
+(* Visit every materialized line with its contents and version, in
+   line-id order so callers stay schedule-deterministic. *)
 let iter_lines t f =
   Hashtbl.fold (fun line_id _ acc -> line_id :: acc) t.store []
   |> List.sort compare

@@ -25,8 +25,8 @@ val backup : t -> t option
 
 val iter_lines : t -> (int -> bytes -> int -> unit) -> unit
 (** Visit every materialized line as [(line_id, contents, version)], in
-    line-id order (deterministic) — the rejoin resync walks the new
-    primary's lines with this. *)
+    line-id order (deterministic), e.g. to compare a server's whole store
+    against a reference. *)
 
 val line : t -> int -> bytes
 (** The live backing buffer for a line (zero-filled on first touch). The

@@ -114,7 +114,7 @@ type detection = {
       (** Suspected servers that were in fact alive (gray failure). *)
   fenced_messages : int;
       (** Round trips rejected by the epoch fence (Stale_epoch). *)
-  rejoins : int;  (** Falsely suspected servers resynced back in. *)
+  rejoins : int;  (** Always 0; see metrics.mli. *)
 }
 
 let detection_of_system sys =
@@ -122,13 +122,13 @@ let detection_of_system sys =
   { suspicions = Directory.suspicions dir;
     false_suspicions = Directory.false_suspicions dir;
     fenced_messages = Directory.fenced dir;
-    rejoins = Directory.rejoins dir }
+    rejoins = 0 }
 
 let add_detection a b =
   { suspicions = a.suspicions + b.suspicions;
     false_suspicions = a.false_suspicions + b.false_suspicions;
     fenced_messages = a.fenced_messages + b.fenced_messages;
-    rejoins = a.rejoins + b.rejoins }
+    rejoins = 0 }
 
 type control = {
   shards : int;
@@ -163,8 +163,8 @@ let pp_replication ppf r =
 
 let pp_detection ppf d =
   Format.fprintf ppf
-    "detection: suspicions=%d false-suspicions=%d fenced=%d rejoins=%d"
-    d.suspicions d.false_suspicions d.fenced_messages d.rejoins
+    "detection: suspicions=%d false-suspicions=%d fenced=%d"
+    d.suspicions d.false_suspicions d.fenced_messages
 
 let pp_faults ppf f =
   Format.fprintf ppf "faults: delayed=%d reordered=%d dropped=%d retried=%d"

@@ -74,16 +74,19 @@ val replication_of_system : System.t -> replication
 
 (** Failure-detection quality counters, meaningful for gray-failure
     runs: how often the lease detector fired, how often it was wrong, how
-    much stale traffic the epoch fence rejected, and whether the falsely
-    suspected server made it back in. A crash run counts its lease
-    expiry as a (true) suspicion. *)
+    much stale traffic the epoch fence rejected. A crash run counts its
+    lease expiry as a (true) suspicion. *)
 type detection = {
   suspicions : int;  (** Lease expiries: servers the detector suspected. *)
   false_suspicions : int;
       (** Suspected servers that were in fact alive (gray failure). *)
   fenced_messages : int;
       (** Round trips rejected by the epoch fence (Stale_epoch). *)
-  rejoins : int;  (** Falsely suspected servers resynced back in. *)
+  rejoins : int;
+      (** Always 0: a suspected server never comes back; a healed zombie
+          stays fenced for the rest of the run. The field stays only
+          because perfbench's [detect.rejoins] metric reads it; drop
+          both together. *)
 }
 
 val detection_of_system : System.t -> detection

@@ -25,8 +25,6 @@ type t = {
   on_crash : time:Desim.Time.t -> node:int -> server:int -> unit;
   on_recovery :
     time:Desim.Time.t -> failed:int -> promoted:int -> replayed:int -> unit;
-  on_rejoin :
-    time:Desim.Time.t -> zombie:int -> primary:int -> copied:int -> unit;
   on_takeover :
     time:Desim.Time.t -> dead:int -> takeover:int -> moved:int ->
     redriven:int -> unit;
@@ -43,7 +41,6 @@ let nothing =
     on_sync = (fun ~thread:_ ~time:_ ~op:_ ~id:_ -> ());
     on_crash = (fun ~time:_ ~node:_ ~server:_ -> ());
     on_recovery = (fun ~time:_ ~failed:_ ~promoted:_ ~replayed:_ -> ());
-    on_rejoin = (fun ~time:_ ~zombie:_ ~primary:_ ~copied:_ -> ());
     on_takeover =
       (fun ~time:_ ~dead:_ ~takeover:_ ~moved:_ ~redriven:_ -> ()) }
 
@@ -84,10 +81,6 @@ let both a b =
       (fun ~time ~failed ~promoted ~replayed ->
          a.on_recovery ~time ~failed ~promoted ~replayed;
          b.on_recovery ~time ~failed ~promoted ~replayed);
-    on_rejoin =
-      (fun ~time ~zombie ~primary ~copied ->
-         a.on_rejoin ~time ~zombie ~primary ~copied;
-         b.on_rejoin ~time ~zombie ~primary ~copied);
     on_takeover =
       (fun ~time ~dead ~takeover ~moved ~redriven ->
          a.on_takeover ~time ~dead ~takeover ~moved ~redriven;

@@ -68,11 +68,6 @@ type t = {
       (** Recovery finished: physical server [failed]'s stripes now live
           on [promoted], after replaying [replayed] surviving update-log
           entries; parked threads resume from [time]. *)
-  on_rejoin :
-    time:Desim.Time.t -> zombie:int -> primary:int -> copied:int -> unit;
-      (** A falsely suspected server rejoined after its partition healed:
-          [zombie] was resynced ([copied] lines) against [primary], the
-          live primary it now backs, under the current epoch. *)
   on_takeover :
     time:Desim.Time.t -> dead:int -> takeover:int -> moved:int ->
     redriven:int -> unit;

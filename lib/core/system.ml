@@ -69,8 +69,7 @@ let expire_server t i ~give_up =
 (* The failure detector: one monitor process on shard 0's node (shard 0
    hosts allocation and is never killable). Every [lease_interval] it
    1. heartbeats each live memory server, when replication is on;
-   2. probes the suspected server for rejoin, in partition runs only;
-   3. heartbeats shards 1..N-1, while the control plane is sharded and
+   2. heartbeats shards 1..N-1, while the control plane is sharded and
       no shard has failed.
    Heartbeats ride the retrying primitive, so a transient drop only
    delays renewal; a fail-stop crash exhausts the retry budget and
@@ -84,11 +83,6 @@ let spawn_monitor t =
   let net = t.network in
   let src = node_of_shard t 0 in
   let leases = t.cfg.Config.replication >= 1 in
-  let partition =
-    match t.cfg.Config.fault with
-    | Some (Config.Partition_server _) -> true
-    | _ -> false
-  in
   let ms = Array.length t.servers in
   let nshards = Control_plane.shard_count t.cp in
   let watch_shards () =
@@ -104,23 +98,6 @@ let spawn_monitor t =
           heartbeat_servers (i + 1)
         | exception Fabric.Scl.Node_dead (_, give_up) ->
           expire_server t i ~give_up
-  in
-  (* While the partition is open every probe dies at the wall (a pure
-     timing computation — no simulated time passes); the first probe
-     whose round trip completes is the zombie answering after the heal,
-     and it rejoins as a backup. *)
-  let probe_rejoin () =
-    for i = 0 to ms - 1 do
-      if Directory.failed t.dir i && not (Directory.rejoined t.dir) then
-        match heartbeat net ~src ~dst:(node_of_server t i) with
-        | ack ->
-          delay_until t ack;
-          ignore
-            (Control_plane.rejoin_server t.cp ~dir:t.dir ~servers:t.servers
-               ~zombie:i ~probe:t.probe ~now:(Desim.Engine.now t.engine)
-             : int * int)
-        | exception Fabric.Scl.Node_dead _ -> ()
-    done
   in
   let rec heartbeat_shards s =
     if s < nshards then
@@ -140,7 +117,6 @@ let spawn_monitor t =
         Desim.Engine.delay t.cfg.Config.lease_interval;
         if t.finished < t.next_thread && (leases || watch_shards ()) then begin
           if leases then heartbeat_servers 0;
-          if partition then probe_rejoin ();
           if watch_shards () then heartbeat_shards 1;
           loop ()
         end
@@ -249,7 +225,7 @@ let create ?(config = Config.default) ~threads () =
         Manager_shard.create config layout ~engine
           ~endpoint:(Fabric.Scl.endpoint network shard_nodes.(s)))
   in
-  let cp = Control_plane.create config ~engine ~shards ~nodes:shard_nodes in
+  let cp = Control_plane.create ~engine ~shards ~nodes:shard_nodes in
   let servers =
     Array.init ms (fun i ->
         Memory_server.create config layout ~id:i

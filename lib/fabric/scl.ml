@@ -49,7 +49,7 @@ let reliable_transfer net ~now ~src ~dst ~bytes =
         (* An unreachable peer is indistinguishable from a dead one on
            the wire: same retry budget, same escalation. The difference
            only shows later — a partitioned victim outlives the window
-           and can be fenced and rejoined. *)
+           and its stale traffic is fenced. *)
         if attempt >= dead_retry_budget then raise (Node_dead (n, now))
         else begin
           Faults.note_retry f;

@@ -31,8 +31,6 @@ type t = {
   mutable crashes_rev : (int * int * int) list;  (* time, node, server *)
   mutable recoveries_rev : (int * int * int * int) list;
       (* time, failed, promoted, replayed *)
-  mutable rejoins_rev : (int * int * int * int) list;
-      (* time, zombie, primary, copied *)
   mutable takeovers : int;
   mutable violations_rev : violation list;
   mutable n_violations : int;
@@ -55,7 +53,6 @@ let create ~config () =
     last_arrive = Hashtbl.create 64;
     crashes_rev = [];
     recoveries_rev = [];
-    rejoins_rev = [];
     takeovers = 0;
     violations_rev = [];
     n_violations = 0;
@@ -68,7 +65,6 @@ let create ~config () =
 let violations t = List.rev t.violations_rev
 let crashes t = List.length t.crashes_rev
 let recoveries t = List.length t.recoveries_rev
-let rejoins t = List.length t.rejoins_rev
 let takeovers t = t.takeovers
 let events t = t.events
 let reads_checked t = t.reads_checked
@@ -302,13 +298,6 @@ let on_recovery t ~time ~failed ~promoted ~replayed =
     promoted replayed;
   t.recoveries_rev <- (time, failed, promoted, replayed) :: t.recoveries_rev
 
-let on_rejoin t ~time ~zombie ~primary ~copied =
-  t.events <- t.events + 1;
-  fold t 16 (zombie lxor (primary lsl 8) lxor (copied lsl 16) lxor time);
-  record t "t=%d REJOIN zombie=%d primary=%d copied=%d" time zombie primary
-    copied;
-  t.rejoins_rev <- (time, zombie, primary, copied) :: t.rejoins_rev
-
 (* Trace tail only: a takeover neither folds into the digest nor counts
    as an event, because the torture summary prints the event count and
    the golden table pins it. The run's takeover count reports it. *)
@@ -337,8 +326,6 @@ let probe t =
         on_crash t ~time:(ns time) ~node ~server);
     on_recovery = (fun ~time ~failed ~promoted ~replayed ->
         on_recovery t ~time:(ns time) ~failed ~promoted ~replayed);
-    on_rejoin = (fun ~time ~zombie ~primary ~copied ->
-        on_rejoin t ~time:(ns time) ~zombie ~primary ~copied);
     on_takeover = (fun ~time ~dead ~takeover ~moved ~redriven ->
         on_takeover t ~time:(ns time) ~dead ~takeover ~moved ~redriven) }
 
@@ -439,48 +426,6 @@ let finalize t sys =
             end)
          t.last_line)
     t.recoveries_rev;
-  (* Rejoin convergence: after a falsely suspected server is resynced
-     back in as a backup, it must end the run bit-identical to the
-     primary it now backs, for every line that primary currently serves —
-     the resync copy plus post-heal mirroring leave no stale residue.
-     Lines are drawn from the publication history (the only lines with
-     observable state) and filtered through the directory so repointed
-     stripes are compared against their current home. *)
-  (let dir = Samhita.System.directory sys in
-   let cfg = Samhita.System.config sys in
-   List.iter
-     (fun (_, zombie, primary, _) ->
-        let zsrv = servers.(zombie) and psrv = servers.(primary) in
-        let checked = Hashtbl.create 64 in
-        Hashtbl.iter
-          (fun (_, line) _ ->
-             if
-               (not (Hashtbl.mem checked line))
-               && Samhita.Directory.server_of_line dir cfg ~line = primary
-             then begin
-               Hashtbl.replace checked line ();
-               let pv = Samhita.Memory_server.version psrv line in
-               let zv = Samhita.Memory_server.version zsrv line in
-               if zv <> pv then
-                 note_violation t ~v_class:"rejoin-divergence"
-                   (Printf.sprintf
-                      "rejoined server %d holds line %d at version %d but \
-                       its primary %d is at version %d"
-                      zombie line zv primary pv)
-               else if
-                 not
-                   (Bytes.equal
-                      (Samhita.Memory_server.line zsrv line)
-                      (Samhita.Memory_server.line psrv line))
-               then
-                 note_violation t ~v_class:"rejoin-divergence"
-                   (Printf.sprintf
-                      "rejoined server %d line %d (version %d) differs \
-                       bytewise from its primary %d"
-                      zombie line zv primary)
-             end)
-          t.last_line)
-     t.rejoins_rev);
   (* Barrier episodes must balance: every released thread departs. *)
   Hashtbl.iter
     (fun (barrier, epoch) (arrivals, departures) ->

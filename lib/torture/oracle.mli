@@ -69,19 +69,13 @@ val crashes : t -> int
 
 val recoveries : t -> int
 (** Completed recoveries observed. {!finalize} checks each one for
-    version-consistent promotion and no lost acknowledged write. *)
+    version-consistent promotion and no lost acknowledged write. A
+    publication routed through a deposed primary after its recovery is
+    flagged as ["split-brain"] as it happens. *)
 
 val takeovers : t -> int
 (** Shard takeovers observed (0 or 1). Each is recorded in the trace
     tail; none changes {!events} or {!digest}. *)
-
-val rejoins : t -> int
-(** Zombie-rejoin events observed (a falsely suspected server resynced
-    back in as a backup after its partition healed). {!finalize} checks
-    each one for convergence: the rejoined replica must end the run
-    bit-identical to the primary it backs. A publication routed through
-    a deposed primary after its recovery is flagged as ["split-brain"]
-    as it happens. *)
 
 val reads_checked : t -> int
 (** Word reads actually checked against the legality set (i.e. excluding

@@ -115,8 +115,9 @@ let config_for ~kernel ~level ~mode ~seed rng =
     (* Gray failure: one seed-chosen server partitioned (not crashed)
        over a seed-chosen window, sized so the 20us lease reliably
        expires inside it (heartbeat escalation lands ~90-150us after the
-       cut): every seed exercises a false suspicion, the epoch fence, and
-       a post-heal rejoin. The scope coin flip alternates the two
+       cut): every seed exercises a false suspicion and the epoch fence;
+       the healed zombie stays fenced for the rest of the run. The scope
+       coin flip alternates the two
        gray-failure shapes — [Isolate] (clients blocked too,
        park-and-retry) and [Control] (zombie primary still reachable by
        clients, fencing load-bearing). *)
@@ -400,10 +401,9 @@ let pp_summary ppf s =
    | None -> ()
    | Some d ->
      Format.fprintf ppf
-       "gray failures: suspicions=%d false-suspicions=%d fenced=%d \
-        rejoins=%d@,"
+       "gray failures: suspicions=%d false-suspicions=%d fenced=%d@,"
        d.Samhita.Metrics.suspicions d.Samhita.Metrics.false_suspicions
-       d.Samhita.Metrics.fenced_messages d.Samhita.Metrics.rejoins);
+       d.Samhita.Metrics.fenced_messages);
   Format.fprintf ppf "%s@]"
     (if s.s_failures = [] then "all seeds clean"
      else Printf.sprintf "%d FAILING seed(s)" (List.length s.s_failures))

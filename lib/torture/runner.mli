@@ -29,8 +29,8 @@ val kernel_of_string : string -> (kernel, string) result
       server partitioned over a bounded window (scope seed-chosen between
       [Isolate] and [Control]), long enough that its lease falsely
       expires; the oracle also checks the fencing invariants (no
-      split-brain, no lost acked write across the false suspicion, rejoin
-      convergence). *)
+      split-brain, no lost acked write across the false suspicion). The
+      healed zombie stays fenced for the rest of the run. *)
 type mode = Plain | Crash | Crash_shard | Partition
 
 val mode_of_flags :

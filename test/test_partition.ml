@@ -1,10 +1,10 @@
-(* Gray failures: partitions, false suspicion, epoch fencing and rejoin.
+(* Gray failures: partitions, false suspicion and epoch fencing.
 
    These tests partition one memory server mid-run — the server keeps
    executing, unlike a crash — and check that the lease detector's false
    suspicion is survivable: the backup is promoted under a new epoch,
-   stale traffic is fenced, no acked write is lost, and the zombie
-   rejoins as a backup after the heal. *)
+   stale traffic is fenced, no acked write is lost, and the zombie stays
+   failed and fenced after the heal. *)
 
 module T = Samhita.Thread_ctx
 
@@ -171,8 +171,8 @@ let test_oracle_split_brain () =
    hammer a lock-protected counter while one server is partitioned over
    a window. The run must complete, every acked increment must survive,
    and — when the window is long enough for the lease to expire — the
-   detector's false suspicion must end in a fenced epoch bump and a
-   post-heal rejoin. *)
+   detector's false suspicion must end in exactly one fenced epoch bump
+   that outlives the heal. *)
 let partition_run ?fault ~threads ~iters () =
   let config = gray_config ?fault () in
   let addr = ref 0 in
@@ -204,6 +204,18 @@ let partition_run ?fault ~threads ~iters () =
   Samhita.System.run sys;
   (sys, !final)
 
+(* What holds at the end of a run whose lease expired: the victim is
+   still failed (the heal does not bring it back), and exactly one
+   promotion bumped the epoch once. *)
+let check_zombie_stays_fenced ?(ctx = "") sys ~victim =
+  let dir = Samhita.System.directory sys in
+  Alcotest.(check bool) (ctx ^ "victim still failed after the heal") true
+    (Samhita.Directory.failed dir victim);
+  Alcotest.(check int) (ctx ^ "epoch exactly 1") 1
+    (Samhita.Directory.epoch dir);
+  Alcotest.(check int) (ctx ^ "one promotion") 1
+    (Samhita.Directory.promotions dir)
+
 let test_partition_isolate_survives () =
   let threads = 4 and iters = 25 in
   let sys, final =
@@ -217,18 +229,20 @@ let test_partition_isolate_survives () =
   let d = Samhita.Metrics.detection_of_system sys in
   Alcotest.(check bool) "lease falsely expired" true (d.suspicions >= 1);
   Alcotest.(check int) "suspicion was false" d.suspicions d.false_suspicions;
-  Alcotest.(check int) "zombie rejoined after the heal" 1 d.rejoins;
-  Alcotest.(check bool) "epoch advanced" true
-    (Samhita.Directory.epoch (Samhita.System.directory sys) >= 1)
+  check_zombie_stays_fenced sys ~victim:0
 
 let test_partition_control_zombie_fenced () =
   (* Control scope: clients can still reach the deposed primary — the
-     epoch fence is what keeps the zombie from serving. Safety is the
-     checkable part: every acked increment must land exactly once. *)
-  let threads = 4 and iters = 25 in
+     epoch fence is what keeps the zombie from serving. With this window
+     and thread count the promotion lands while a memory-server round
+     trip already resolved against the zombie (epoch 0) is in flight; its
+     reply is fenced and the write re-runs at the promoted replica. No
+     prefetch is fenced here, so the count is the round trip's alone.
+     Every acked increment must still land exactly once. *)
+  let threads = 2 and iters = 25 in
   let sys, final =
     partition_run
-      ~fault:(partition Samhita.Config.Control 0 5_000 400_000)
+      ~fault:(partition Samhita.Config.Control 0 85_000 385_000)
       ~threads ~iters ()
   in
   Alcotest.(check (float 0.)) "no increment lost or doubled via the zombie"
@@ -236,13 +250,16 @@ let test_partition_control_zombie_fenced () =
     final;
   let d = Samhita.Metrics.detection_of_system sys in
   Alcotest.(check bool) "lease falsely expired" true (d.suspicions >= 1);
-  Alcotest.(check int) "zombie rejoined" 1 d.rejoins
+  Alcotest.(check bool) "an in-flight round trip was fenced" true
+    (d.fenced_messages >= 1);
+  check_zombie_stays_fenced sys ~victim:0
 
 (* Boundary sweep: the heal instant crosses the lease-expiry instant.
    Short windows heal before the detector fires (no suspicion, no
-   promotion); long windows promote and must rejoin. Every point must
-   complete with the exact counter value — including the race where the
-   expiry lands at the heal instant itself. *)
+   promotion); long windows promote once and the zombie stays failed
+   after the heal. Every point must complete with the exact counter
+   value — including the race where the expiry lands at the heal instant
+   itself. *)
 let test_lease_expiry_at_heal_boundary () =
   let threads = 2 and iters = 15 in
   let saw_quiet = ref false and saw_promoted = ref false in
@@ -261,9 +278,8 @@ let test_lease_expiry_at_heal_boundary () =
        if d.suspicions = 0 then saw_quiet := true
        else begin
          saw_promoted := true;
-         Alcotest.(check int)
-           (Printf.sprintf "heal=%dns: suspicion implies rejoin" heal)
-           1 d.rejoins
+         check_zombie_stays_fenced sys ~victim:0
+           ~ctx:(Printf.sprintf "heal=%dns: " heal)
        end)
     [ 25_000; 60_000; 90_000; 110_000; 130_000; 150_000; 200_000; 300_000 ];
   Alcotest.(check bool) "sweep crosses the expiry boundary" true
@@ -280,21 +296,19 @@ let test_partition_run_deterministic () =
     ( Desim.Time.to_ns (Samhita.System.elapsed sys),
       final,
       d.suspicions,
-      d.fenced_messages,
-      d.rejoins )
+      d.fenced_messages )
   in
-  let w1, f1, s1, fe1, r1 = run () in
-  let w2, f2, s2, fe2, r2 = run () in
+  let w1, f1, s1, fe1 = run () in
+  let w2, f2, s2, fe2 = run () in
   Alcotest.(check int) "same makespan" w1 w2;
   Alcotest.(check (float 0.)) "same result" f1 f2;
   Alcotest.(check int) "same suspicions" s1 s2;
-  Alcotest.(check int) "same fenced" fe1 fe2;
-  Alcotest.(check int) "same rejoins" r1 r2
+  Alcotest.(check int) "same fenced" fe1 fe2
 
 (* ---------------- suspicion vs in-flight write (model) ---------------- *)
 
 (* The gray model exhausts every interleaving of a replicated write with
-   the suspect/heal/rejoin events — including a write resolved before the
+   the suspect/heal events — including a write resolved before the
    promotion and delivered after it: the write either commits under the
    old epoch (delivered before the suspect) or is fenced and re-run,
    never half-applied. The fence-disabled negative control proves the
@@ -346,21 +360,35 @@ let test_report_shows_detection_line () =
 (* ---------------- torture integration ---------------- *)
 
 (* One deterministic partition-torture seed end to end: clean oracle,
-   detection counters populated, and the failing-seed artifact machinery
-   (fault trace ring) captures the partition events. *)
+   one false suspicion ending in exactly one promotion (the epoch bump;
+   the zombie never comes back), and the failing-seed artifact machinery
+   (fault trace ring) captures the partition events. Micro 1236 and
+   jacobi 1893 at [High] are regression seeds (PROTOCOL.md, "Known oracle
+   violations"). At [High] the bounded fault ring fills with drops and
+   reorders, so only the first seed checks it. *)
 let test_torture_partition_seed () =
-  let o =
-    Torture.Runner.run_one ~partition:true ~kernel:Torture.Runner.Jacobi
-      ~level:Fabric.Faults.Off ~seed:10 ()
+  let run kernel level seed =
+    let o = Torture.Runner.run_one ~partition:true ~kernel ~level ~seed () in
+    let ctx =
+      Printf.sprintf "%s seed %d: " (Torture.Runner.kernel_name kernel) seed
+    in
+    Alcotest.(check int) (ctx ^ "clean") 0
+      (List.length o.Torture.Runner.o_violations);
+    Alcotest.(check bool) (ctx ^ "suspicion recorded") true
+      (o.Torture.Runner.o_detect.suspicions >= 1);
+    Alcotest.(check int) (ctx ^ "one promotion") 1
+      o.Torture.Runner.o_promotions;
+    o
   in
-  Alcotest.(check int) "seed 10 clean" 0 (List.length o.Torture.Runner.o_violations);
-  let d = o.Torture.Runner.o_detect in
-  Alcotest.(check bool) "suspicion recorded" true (d.suspicions >= 1);
-  Alcotest.(check int) "rejoin recorded" 1 d.rejoins;
+  let o = run Torture.Runner.Jacobi Fabric.Faults.Off 10 in
   Alcotest.(check bool) "fault trace captured partition events" true
     (List.exists
        (fun l -> contains l "partition")
-       o.Torture.Runner.o_fault_trace)
+       o.Torture.Runner.o_fault_trace);
+  List.iter
+    (fun (kernel, seed) ->
+       ignore (run kernel Fabric.Faults.High seed : Torture.Runner.outcome))
+    [ (Torture.Runner.Micro, 1236); (Torture.Runner.Jacobi, 1893) ]
 
 let tests =
   [ Alcotest.test_case "config validation" `Quick test_config_validation;

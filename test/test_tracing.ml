@@ -39,8 +39,6 @@ let recorder log =
     on_crash = (fun ~time ~node:_ ~server:_ -> add time "crash" (-1));
     on_recovery = (fun ~time ~failed:_ ~promoted:_ ~replayed:_ ->
         add time "recovery" (-1));
-    on_rejoin = (fun ~time ~zombie:_ ~primary:_ ~copied:_ ->
-        add time "rejoin" (-1));
     on_takeover = (fun ~time ~dead:_ ~takeover:_ ~moved:_ ~redriven:_ ->
         add time "takeover" (-1)) }
 
