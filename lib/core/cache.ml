@@ -49,12 +49,12 @@ type t = {
   mutable tick : int;
   lru_clean : entry;  (* sentinel *)
   lru_dirty : entry;  (* sentinel *)
-  c_hits : Desim.Stats.Counter.t;
-  c_misses : Desim.Stats.Counter.t;
-  c_evictions : Desim.Stats.Counter.t;
-  c_dirty_evictions : Desim.Stats.Counter.t;
-  c_invalidations : Desim.Stats.Counter.t;
-  c_prefetch_installs : Desim.Stats.Counter.t;
+  mutable c_hits : int;
+  mutable c_misses : int;
+  mutable c_evictions : int;
+  mutable c_dirty_evictions : int;
+  mutable c_invalidations : int;
+  mutable c_prefetch_installs : int;
 }
 
 let sentinel () =
@@ -74,12 +74,12 @@ let create (cfg : Config.t) layout =
     tick = 0;
     lru_clean = sentinel ();
     lru_dirty = sentinel ();
-    c_hits = Desim.Stats.Counter.create ();
-    c_misses = Desim.Stats.Counter.create ();
-    c_evictions = Desim.Stats.Counter.create ();
-    c_dirty_evictions = Desim.Stats.Counter.create ();
-    c_invalidations = Desim.Stats.Counter.create ();
-    c_prefetch_installs = Desim.Stats.Counter.create () }
+    c_hits = 0;
+    c_misses = 0;
+    c_evictions = 0;
+    c_dirty_evictions = 0;
+    c_invalidations = 0;
+    c_prefetch_installs = 0 }
 
 let capacity t = t.capacity
 let size t = Hashtbl.length t.table
@@ -174,9 +174,9 @@ let insert t ~line ~data ~version ~evict =
       match choose_victim t ~allow_dirty:true with
       | None -> ()
       | Some victim ->
-        Desim.Stats.Counter.incr t.c_evictions;
+        t.c_evictions <- t.c_evictions + 1;
         if is_dirty victim then
-          Desim.Stats.Counter.incr t.c_dirty_evictions;
+          t.c_dirty_evictions <- t.c_dirty_evictions + 1;
         (* [evict] may flush (and yield); re-check afterwards. *)
         evict victim;
         remove t victim
@@ -205,8 +205,8 @@ let ensure_room t ~line ~evict =
       match choose_victim t ~allow_dirty:true with
       | None -> ()
       | Some victim ->
-        Desim.Stats.Counter.incr t.c_evictions;
-        if is_dirty victim then Desim.Stats.Counter.incr t.c_dirty_evictions;
+        t.c_evictions <- t.c_evictions + 1;
+        if is_dirty victim then t.c_dirty_evictions <- t.c_dirty_evictions + 1;
         evict victim;
         remove t victim;
         go ()
@@ -222,7 +222,7 @@ let try_install t ~line ~data ~version =
       else
         match choose_victim t ~allow_dirty:false with
         | Some victim ->
-          Desim.Stats.Counter.incr t.c_evictions;
+          t.c_evictions <- t.c_evictions + 1;
           remove t victim;
           true
         | None -> false
@@ -236,7 +236,7 @@ let try_install t ~line ~data ~version =
       e.tick <- t.tick;
       push t.lru_clean e;
       Hashtbl.replace t.table line e;
-      Desim.Stats.Counter.incr t.c_prefetch_installs
+      t.c_prefetch_installs <- t.c_prefetch_installs + 1
     end;
     have_room
   end
@@ -259,7 +259,7 @@ let mark_written t e ~offset ~len =
 let invalidate t line =
   (match Hashtbl.find_opt t.table line with
    | Some e ->
-     Desim.Stats.Counter.incr t.c_invalidations;
+     t.c_invalidations <- t.c_invalidations + 1;
      remove t e
    | None -> ());
   match Hashtbl.find_opt t.pending line with
@@ -324,11 +324,11 @@ let pending_complete t line ~data ~version =
        (* FIFO wake order: earliest waiter installs, the rest find it. *)
        List.iter (fun wake -> wake result) (List.rev waiters))
 
-let hits t = Desim.Stats.Counter.value t.c_hits
-let misses t = Desim.Stats.Counter.value t.c_misses
-let evictions t = Desim.Stats.Counter.value t.c_evictions
-let dirty_evictions t = Desim.Stats.Counter.value t.c_dirty_evictions
-let invalidations t = Desim.Stats.Counter.value t.c_invalidations
-let prefetch_installs t = Desim.Stats.Counter.value t.c_prefetch_installs
-let note_hit t = Desim.Stats.Counter.incr t.c_hits
-let note_miss t = Desim.Stats.Counter.incr t.c_misses
+let hits t = t.c_hits
+let misses t = t.c_misses
+let evictions t = t.c_evictions
+let dirty_evictions t = t.c_dirty_evictions
+let invalidations t = t.c_invalidations
+let prefetch_installs t = t.c_prefetch_installs
+let note_hit t = t.c_hits <- t.c_hits + 1
+let note_miss t = t.c_misses <- t.c_misses + 1

@@ -6,9 +6,9 @@ type t = {
   store : (int, bytes) Hashtbl.t;
   versions : (int, int) Hashtbl.t;
   service : Desim.Resource.t;
-  fetches : Desim.Stats.Counter.t;
-  diffs : Desim.Stats.Counter.t;
-  updates : Desim.Stats.Counter.t;
+  mutable fetches : int;
+  mutable diffs : int;
+  mutable updates : int;
   (* Primary-backup replication (Config.replication = 1): writes applied
      here are synchronously mirrored into [backup]'s store by the
      requesting thread, after the mirror round trip's time is charged. *)
@@ -26,9 +26,9 @@ let create cfg layout ~id ~endpoint =
     store = Hashtbl.create 1024;
     versions = Hashtbl.create 1024;
     service = Desim.Resource.create ~name:(Printf.sprintf "memsrv%d" id) ();
-    fetches = Desim.Stats.Counter.create ();
-    diffs = Desim.Stats.Counter.create ();
-    updates = Desim.Stats.Counter.create ();
+    fetches = 0;
+    diffs = 0;
+    updates = 0;
     backup = None;
     mirrors = 0;
     mirror_bytes = 0;
@@ -58,16 +58,16 @@ let bump_version t line_id =
   v
 
 let fetch t line_id =
-  Desim.Stats.Counter.incr t.fetches;
+  t.fetches <- t.fetches + 1;
   (Bytes.copy (line t line_id), version t line_id)
 
 let apply_diff t diff =
-  Desim.Stats.Counter.incr t.diffs;
+  t.diffs <- t.diffs + 1;
   Diff.apply diff (line t diff.Diff.line);
   bump_version t diff.Diff.line
 
 let apply_update t (u : Update.t) =
-  Desim.Stats.Counter.incr t.updates;
+  t.updates <- t.updates + 1;
   let touched = Update.lines_touched t.layout u in
   List.map
     (fun l ->
@@ -101,9 +101,9 @@ let service_time_for_bytes t bytes =
       (float_of_int bytes *. t.cfg.Config.diff_apply_ns_per_byte)
 
 let lines_resident t = Hashtbl.length t.store
-let fetches t = Desim.Stats.Counter.value t.fetches
-let diffs_applied t = Desim.Stats.Counter.value t.diffs
-let updates_applied t = Desim.Stats.Counter.value t.updates
+let fetches t = t.fetches
+let diffs_applied t = t.diffs
+let updates_applied t = t.updates
 let mirrors t = t.mirrors
 let mirror_bytes t = t.mirror_bytes
 let degraded_writes t = t.degraded

@@ -264,6 +264,17 @@ let replicate_ready t srv ~at ~payload_bytes =
          Memory_server.note_degraded srv;
          (Desim.Time.max at give_up, false))
 
+(* The request half of every memory-server interaction: the [request]-
+   byte leg to [srv] and a [payload]-byte job on its service loop.
+   Returns the service instant; the caller takes the reply leg from it.
+   This is the one place a request to a memory server is charged. *)
+let home_request t srv ~request ~payload =
+  let arrival =
+    transfer_to t ~dst:(Memory_server.endpoint srv) ~bytes:request
+  in
+  Desim.Resource.reserve (Memory_server.service srv) ~now:arrival
+    ~duration:(Memory_server.service_time_for_bytes srv payload)
+
 (* One memory-server round trip, the single commit point of the data
    plane. Resolve [logical]'s epoch and physical server, send [request]
    bytes, occupy the server's service loop for a [payload]-byte job,
@@ -280,11 +291,7 @@ let home_rpc t ~logical ~request ~payload ~mirror ~reply =
   let epoch = Directory.epoch_of t.e.dir ~logical in
   let srv = t.e.servers.(Directory.physical_of_logical t.e.dir logical) in
   let sep = Memory_server.endpoint srv in
-  let arrival = transfer_to t ~dst:sep ~bytes:request in
-  let served =
-    Desim.Resource.reserve (Memory_server.service srv) ~now:arrival
-      ~duration:(Memory_server.service_time_for_bytes srv payload)
-  in
+  let served = home_request t srv ~request ~payload in
   let ready, mirrored =
     if mirror then replicate_ready t srv ~at:served ~payload_bytes:payload
     else (served, false)
@@ -524,13 +531,13 @@ let maybe_prefetch t line =
     let logical = Home.server_of_line t.e.cfg ~line in
     let epoch = Directory.epoch_of t.e.dir ~logical in
     let srv = t.e.servers.(Directory.physical_of_logical t.e.dir logical) in
-    let sep = Memory_server.endpoint srv in
     match
-      Fabric.Scl.async_read
-        ~service:(Memory_server.service srv)
-        ~service_time:(Memory_server.service_time_for_bytes srv 0)
-        ~src:t.endpoint ~dst:sep
-        ~bytes:(line_reply_wire t) ~on_complete:(fun _arrival ->
+      let served = home_request t srv ~request:fetch_request_wire ~payload:0 in
+      transfer_from t ~src:(Memory_server.endpoint srv) ~at:served
+        ~bytes:(line_reply_wire t)
+    with
+    | arrival ->
+      Desim.Engine.schedule_at t.e.engine arrival (fun () ->
           if Directory.epoch_of t.e.dir ~logical <> epoch then begin
             (* The prefetched reply was assembled under a deposed
                mapping (promotion raced it): fence it instead of
@@ -542,9 +549,6 @@ let maybe_prefetch t line =
             let data, version = Memory_server.fetch srv line in
             Cache.pending_complete t.cache line ~data ~version
           end)
-        ()
-    with
-    | () -> ()
     | exception Fabric.Scl.Node_dead _ ->
       (* The home crashed: this prefetch will never deliver. Drop the
          in-flight slot so a later demand fetch (which retries through
@@ -564,7 +568,7 @@ let rec demand_fetch t line : Cache.entry =
     (* A prefetch of this line is in flight: piggyback on it, chaining the
        prefetch forward immediately so a sequential scan stays pipelined. *)
     maybe_prefetch t (line + 1);
-    (match Desim.Engine.suspendv ~register:(fun ~wake -> register wake) with
+    (match Desim.Engine.suspend ~register:(fun ~wake -> register wake) with
      | Some (data, version) -> (
          match Cache.peek t.cache line with
          | Some entry -> entry  (* an earlier waiter installed it *)
@@ -601,13 +605,7 @@ let rec demand_fetch t line : Cache.entry =
 let sc_request t line =
   Cache.ensure_room t.cache ~line ~evict:(evict_victim t);
   let srv = server_of t line in
-  let arrival =
-    transfer_to t ~dst:(Memory_server.endpoint srv) ~bytes:fetch_request_wire
-  in
-  let served =
-    Desim.Resource.reserve (Memory_server.service srv) ~now:arrival
-      ~duration:(Memory_server.service_time_for_bytes srv 0)
-  in
+  let served = home_request t srv ~request:fetch_request_wire ~payload:0 in
   (* --- atomic directory transaction (no yields) --- *)
   match Coherence_sc.owner t.e.sc ~line with
   | Some o when o <> t.id ->
@@ -1094,7 +1092,7 @@ let mutex_lock t lock =
            is consumed with [Error] at the give-up instant and the crash
            re-raised outside — never leaked, never resumed twice. *)
         match
-          Desim.Engine.suspendv ~register:(fun ~wake ->
+          Desim.Engine.suspend ~register:(fun ~wake ->
               try
                 let served =
                   shard_request t mgr ~bytes:Manager_shard.acquire_request_wire
@@ -1180,7 +1178,7 @@ let barrier_wait t barrier =
     with_failover t (fun () ->
         let mgr = Control_plane.shard_for t.e.cp barrier in
         match
-          Desim.Engine.suspendv ~register:(fun ~wake ->
+          Desim.Engine.suspend ~register:(fun ~wake ->
               try
                 let served = shard_request t mgr ~bytes:wire in
                 match
@@ -1228,7 +1226,7 @@ let cond_wait t cond lock =
   (match !state with
    | `Signalled -> ()
    | _ ->
-     Desim.Engine.suspendv ~register:(fun ~wake ->
+     Desim.Engine.suspend ~register:(fun ~wake ->
          (* The waiter is already registered (the direct call above); this
             round trip only models the wait notification's wire cost. If
             the shard died mid-flight the cost is forfeited but the wake

@@ -4,10 +4,6 @@ let endpoint net node = { net; node }
 let node e = e.node
 let network e = e.net
 
-let request_bytes = 32
-
-let engine e = Network.engine e.net
-
 (* Retransmission policy: the timeout starts at roughly one uncontended
    round trip for the message size and doubles per attempt (capped), the
    classic go-back retry. Faults bound consecutive drops per (src,dst)
@@ -57,24 +53,3 @@ let reliable_transfer net ~now ~src ~dst ~bytes =
         end
     in
     go 0 now
-
-let serve ?service ?(service_time = 0) ~at () =
-  match service with
-  | None -> Desim.Time.add at service_time
-  | Some r -> Desim.Resource.reserve r ~now:at ~duration:service_time
-
-(* A read round trip whose request enters the fabric now; [on_complete]
-   fires at the payload's arrival. Each leg rides [reliable_transfer], so
-   a dropped request or reply costs a timeout and a resend. *)
-let async_read ?service ?service_time ~src ~dst ~bytes ~on_complete () =
-  let now = Desim.Engine.now (engine src) in
-  let at_dst =
-    reliable_transfer src.net ~now ~src:src.node ~dst:dst.node
-      ~bytes:request_bytes
-  in
-  let served = serve ?service ?service_time ~at:at_dst () in
-  let arrival =
-    reliable_transfer src.net ~now:served ~src:dst.node ~dst:src.node ~bytes
-  in
-  Desim.Engine.schedule_at (engine src) arrival (fun () ->
-      on_complete arrival)

@@ -5,34 +5,14 @@
     is that interface for the simulated fabric: endpoints are (network,
     node) pairs. Its core is {!reliable_transfer}, a pure timing
     computation of one retransmitted message; the protocol layers compose
-    their blocking round trips from it. {!async_read} is the one
-    ready-made operation: a round trip that fires a completion callback
-    (the prefetch path).
-
-    Remote service time is modeled with an optional per-target
-    {!Desim.Resource}: requests serialize through the target's service
-    loop, capturing hot-spot contention at memory servers. *)
+    their round trips from it, each charging the target's service loop
+    (a {!Desim.Resource}) between the request and reply legs. *)
 
 type endpoint
 
 val endpoint : Network.t -> Network.node -> endpoint
 val node : endpoint -> Network.node
 val network : endpoint -> Network.t
-
-(** {2 Asynchronous operations} *)
-
-val async_read :
-  ?service:Desim.Resource.t -> ?service_time:Desim.Time.span ->
-  src:endpoint -> dst:endpoint -> bytes:int ->
-  on_complete:(Desim.Time.t -> unit) -> unit -> unit
-(** Read [bytes] from [dst]'s memory without blocking: a small request
-    travels to [dst], optionally waits for / occupies [service] for
-    [service_time], then the payload travels back. Returns immediately;
-    [on_complete] runs (as a scheduled event) at the payload's arrival
-    instant. *)
-
-val request_bytes : int
-(** Size of a bare control/request message on the wire. *)
 
 (** {2 Reliable delivery under fault injection} *)
 

@@ -67,20 +67,28 @@ let run_kv ~kind ~threads ~replication ~manager_shards ~crash
     backend_of ~kind ~replication ~manager_shards ~crash
       ~span_ns:(span_ns_of kv)
   in
-  let r = Workload.Kv.run b ~threads kv in
-  let est = Percentile.create () in
-  Array.iter (fun l -> Percentile.add est l) r.Workload.Kv.latencies_ns;
-  (r, est)
+  Workload.Kv.run b ~threads kv
 
-let point_of ~fraction ~rate_rps (r : Workload.Kv.result) est =
+(* Nearest rank over the exact sorted sample, as perfbench reads kv's
+   tail. *)
+let nearest_rank sorted q =
+  let n = Array.length sorted in
+  let rank = int_of_float (Float.ceil (q *. float_of_int n)) in
+  sorted.(max 0 (min (n - 1) (rank - 1)))
+
+let point_of ~fraction ~rate_rps (r : Workload.Kv.result) =
+  let lat = r.Workload.Kv.latencies_ns in
+  let sorted = Array.copy lat in
+  Array.sort Int.compare sorted;
+  let sum = Array.fold_left (fun s l -> s +. float_of_int l) 0. lat in
   { fraction;
     rate_rps;
     served = r.Workload.Kv.served;
-    p50_ns = Percentile.percentile est 0.5;
-    p99_ns = Percentile.percentile est 0.99;
-    p999_ns = Percentile.percentile est 0.999;
-    mean_ns = Percentile.mean est;
-    max_ns = Percentile.max_value est;
+    p50_ns = nearest_rank sorted 0.5;
+    p99_ns = nearest_rank sorted 0.99;
+    p999_ns = nearest_rank sorted 0.999;
+    mean_ns = sum /. float_of_int (Array.length lat);
+    max_ns = sorted.(Array.length sorted - 1);
     achieved_rps =
       float_of_int r.Workload.Kv.served *. 1e9
       /. float_of_int r.Workload.Kv.wall_ns;
@@ -116,11 +124,10 @@ let run ?(fractions = default_fractions) ?(manager_shards = 1) ~backend:kind
      closed-loop, back to back, and throughput is pure service capacity.
      The probe never crashes (a recovery pause would understate
      capacity and shift every sweep point). *)
-  let probe_r, probe_est =
+  let probe_r =
     run_kv ~kind ~threads ~replication ~manager_shards ~crash:false
       (with_rate kv 1e12)
   in
-  ignore (probe_est : Percentile.t);
   let capacity_rps =
     float_of_int probe_r.Workload.Kv.served *. 1e9
     /. float_of_int probe_r.Workload.Kv.wall_ns
@@ -129,11 +136,9 @@ let run ?(fractions = default_fractions) ?(manager_shards = 1) ~backend:kind
     List.map
       (fun fraction ->
          let rate_rps = fraction *. capacity_rps in
-         let r, est =
-           run_kv ~kind ~threads ~replication ~manager_shards ~crash
-             (with_rate kv rate_rps)
-         in
-         point_of ~fraction ~rate_rps r est)
+         run_kv ~kind ~threads ~replication ~manager_shards ~crash
+           (with_rate kv rate_rps)
+         |> point_of ~fraction ~rate_rps)
       fractions
   in
   { backend = backend_name kind;

@@ -167,6 +167,3 @@ let yield () = Effect.perform (Delay 0)
 
 let suspend ~register =
   Effect.perform (Suspend (fun wake -> register ~wake))
-
-let suspendv ~register =
-  Effect.perform (Suspend (fun wake -> register ~wake))

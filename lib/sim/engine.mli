@@ -90,11 +90,8 @@ val yield : unit -> unit
 (** Re-enqueue this process at the current instant, letting events already
     queued for this instant run first. *)
 
-val suspend : register:(wake:(unit -> unit) -> unit) -> unit
+val suspend : register:(wake:('a -> unit) -> unit) -> 'a
 (** Park this process. [register] is called immediately with a [wake]
-    callback; invoking [wake] (once) re-enqueues the process at the waking
-    instant. Subsequent calls to [wake] are ignored. *)
-
-val suspendv : register:(wake:('a -> unit) -> unit) -> 'a
-(** Like {!suspend} but the waker passes a value through to the suspended
-    process. *)
+    callback; invoking [wake v] (once) re-enqueues the process at the
+    waking instant, and [suspend] returns [v]. Subsequent calls to [wake]
+    are ignored. *)

@@ -78,12 +78,12 @@ let test_suspend_wake () =
   Desim.Engine.run e;
   Alcotest.(check int) "resumed at waker's instant" 70 !resumed_at
 
-let test_suspendv_value () =
+let test_suspend_value () =
   let e = Desim.Engine.create () in
   let wake_ref = ref (fun (_ : int) -> ()) in
   let got = ref 0 in
   Desim.Engine.spawn e (fun () ->
-      got := Desim.Engine.suspendv ~register:(fun ~wake -> wake_ref := wake));
+      got := Desim.Engine.suspend ~register:(fun ~wake -> wake_ref := wake));
   Desim.Engine.schedule e ~delay:(ns 5) (fun () -> !wake_ref 42);
   Desim.Engine.run e;
   Alcotest.(check int) "value passed through" 42 !got
@@ -259,7 +259,7 @@ let tests =
     Alcotest.test_case "two processes interleave" `Quick
       test_two_processes_interleave;
     Alcotest.test_case "suspend/wake" `Quick test_suspend_wake;
-    Alcotest.test_case "suspendv value" `Quick test_suspendv_value;
+    Alcotest.test_case "suspend value" `Quick test_suspend_value;
     Alcotest.test_case "double wake ignored" `Quick test_double_wake_ignored;
     Alcotest.test_case "deadlock detection" `Quick test_deadlock_detection;
     Alcotest.test_case "exception propagates" `Quick

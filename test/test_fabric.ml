@@ -107,30 +107,6 @@ let test_network_counters () =
 
 (* ---------------- SCL ---------------- *)
 
-let test_scl_service_resource () =
-  let e, net = mk_net () in
-  let src = Fabric.Scl.endpoint net 0 and dst = Fabric.Scl.endpoint net 1 in
-  let service = Desim.Resource.create ~name:"srv" () in
-  let completed_at = ref (-1) in
-  Fabric.Scl.async_read ~service ~service_time:(ns 500) ~src ~dst ~bytes:0
-    ~on_complete:(fun t -> completed_at := Desim.Time.to_ns t)
-    ();
-  Desim.Engine.run e;
-  (* Request: 50+32+100+32+100 = 314; 500 service; empty reply 250. *)
-  Alcotest.(check int) "read with service" 1064 !completed_at;
-  Alcotest.(check int) "service job recorded" 1 (Desim.Resource.jobs service)
-
-let test_scl_async_read () =
-  let e, net = mk_net () in
-  let src = Fabric.Scl.endpoint net 0 and dst = Fabric.Scl.endpoint net 1 in
-  let completed_at = ref (-1) in
-  Fabric.Scl.async_read ~src ~dst ~bytes:1000
-    ~on_complete:(fun t -> completed_at := Desim.Time.to_ns t)
-    ();
-  Alcotest.(check int) "not yet" (-1) !completed_at;
-  Desim.Engine.run e;
-  Alcotest.(check int) "completion at arrival" 2564 !completed_at
-
 let test_scl_node_accessors () =
   let _, net = mk_net () in
   let ep = Fabric.Scl.endpoint net 3 in
@@ -180,9 +156,6 @@ let tests =
       test_network_contention_at_receiver;
     Alcotest.test_case "bad node" `Quick test_network_bad_node;
     Alcotest.test_case "counters" `Quick test_network_counters;
-    Alcotest.test_case "scl service resource" `Quick
-      test_scl_service_resource;
-    Alcotest.test_case "scl async_read" `Quick test_scl_async_read;
     Alcotest.test_case "scl endpoints" `Quick test_scl_node_accessors;
     Alcotest.test_case "profiles sane" `Quick test_profiles_sane;
     QCheck_alcotest.to_alcotest prop_transfer_monotone_in_size ]

@@ -1,7 +1,7 @@
-(* The KV serving kernel: exactness on both backends, history session
-   checks (including that the oracle actually rejects tampered
-   histories), and the torture sweeps of ISSUE record — 50 seeds clean,
-   with and without crash injection. *)
+(* The KV serving kernel: exactness on both backends, stream-indexed
+   latencies, history session checks (including that the oracle
+   actually rejects tampered histories), and the torture sweeps of ISSUE
+   record — 50 seeds clean, with and without crash injection. *)
 
 let smh = Workload.Samhita_backend.default
 let pth = Workload.Smp_backend.default
@@ -52,17 +52,28 @@ let test_determinism () =
     (a.Workload.Kv.history = b.Workload.Kv.history);
   Alcotest.(check int) "same wall" a.Workload.Kv.wall_ns b.Workload.Kv.wall_ns
 
-let test_on_latency_feed () =
-  let est = Harness.Percentile.create () in
-  let r =
-    Workload.Kv.run smh ~threads:2 small_p
-      ~on_latency:(fun _ ~latency_ns -> Harness.Percentile.add est latency_ns)
-  in
-  Alcotest.(check int) "one callback per request" r.Workload.Kv.served
-    (Harness.Percentile.count est);
-  Alcotest.(check bool) "p50 <= p999" true
-    (Harness.Percentile.percentile est 0.5
-     <= Harness.Percentile.percentile est 0.999)
+(* [latencies_ns] is indexed like the generated stream: each worker
+   serves its clients' requests in stream order, so along one worker's
+   subsequence the completion instants (arrival + latency) strictly
+   increase. *)
+let test_latencies_indexed_by_stream () =
+  let threads = 2 in
+  let r = Workload.Kv.run smh ~threads small_p in
+  let requests = Workload.Traffic.generate small_p.Workload.Kv.traffic in
+  Alcotest.(check int) "one latency per request" (Array.length requests)
+    (Array.length r.Workload.Kv.latencies_ns);
+  let last = Array.make threads min_int in
+  Array.iteri
+    (fun i (q : Workload.Traffic.request) ->
+       let w = q.Workload.Traffic.client mod threads in
+       let done_ns =
+         q.Workload.Traffic.arrival_ns + r.Workload.Kv.latencies_ns.(i)
+       in
+       Alcotest.(check bool)
+         (Printf.sprintf "request %d completes after its worker's previous" i)
+         true (done_ns > last.(w));
+       last.(w) <- done_ns)
+    requests
 
 (* ---------------- oracle negative tests ---------------- *)
 
@@ -141,7 +152,8 @@ let tests =
   [ Alcotest.test_case "exact on pthreads" `Quick test_exact_pth;
     Alcotest.test_case "exact on samhita" `Quick test_exact_smh;
     Alcotest.test_case "deterministic per seed" `Quick test_determinism;
-    Alcotest.test_case "on_latency feed" `Quick test_on_latency_feed;
+    Alcotest.test_case "latencies indexed by stream" `Quick
+      test_latencies_indexed_by_stream;
     Alcotest.test_case "oracle accepts clean history" `Quick
       test_oracle_accepts_clean;
     Alcotest.test_case "oracle rejects lost own write" `Quick

@@ -305,6 +305,49 @@ let test_partition_run_deterministic () =
   Alcotest.(check int) "same suspicions" s1 s2;
   Alcotest.(check int) "same fenced" fe1 fe2
 
+(* The heal is the only wake for a client parked on an isolated server
+   whose lease never expires: the 5 ms lease outlives the window, so no
+   recovery runs. One thread writes a line homed on the victim and
+   publishes it at a barrier inside the window; its flush escalates,
+   parks, and must resume at the heal. Without the heal-wake the monitor
+   re-arms forever, so the run is bounded by a horizon and the test
+   asserts the thread finished. *)
+let test_partition_heal_wakes_parked_client () =
+  let config =
+    { (gray_config
+         ~fault:(partition Samhita.Config.Isolate 0 1_000 400_000) ())
+      with
+      lease_interval = Desim.Time.ns 5_000_000 }
+  in
+  let sys = Samhita.System.create ~config ~threads:1 () in
+  let bar = Samhita.System.barrier sys ~parties:1 in
+  let value = ref 0L in
+  let t =
+    Samhita.System.spawn sys (fun t ->
+        (* Two stripes span both servers; take the first line homed on
+           server 0. *)
+        let bytes = 2 * Samhita.Home.stripe_bytes config in
+        let base = T.malloc t ~bytes in
+        let rec on_victim addr =
+          let line = addr / line_bytes in
+          if Samhita.Home.server_of_line config ~line = 0 then addr
+          else on_victim (addr + line_bytes)
+        in
+        let addr = on_victim base in
+        T.write_i64 t addr 7L;
+        T.barrier_wait t bar;
+        value := T.read_i64 t addr)
+  in
+  Desim.Engine.run_until
+    (Samhita.System.engine sys)
+    (Desim.Time.of_ns 50_000_000);
+  Alcotest.(check int) "thread finished" 1
+    (Samhita.System.finished_threads sys);
+  Alcotest.(check int64) "value survives the park" 7L !value;
+  Alcotest.(check int) "no promotion" 0
+    (Samhita.Directory.promotions (Samhita.System.directory sys));
+  Alcotest.(check int) "one failover wait" 1 (T.failover_waits t)
+
 (* ---------------- suspicion vs in-flight write (model) ---------------- *)
 
 (* The gray model exhausts every interleaving of a replicated write with
@@ -398,6 +441,8 @@ let tests =
       test_partition_window;
     Alcotest.test_case "directory epoch fence" `Quick
       test_directory_epoch_fence;
+    Alcotest.test_case "heal wakes a parked client" `Quick
+      test_partition_heal_wakes_parked_client;
     Alcotest.test_case "oracle split-brain" `Quick test_oracle_split_brain;
     Alcotest.test_case "isolate partition survives" `Quick
       test_partition_isolate_survives;

@@ -1,6 +1,6 @@
-(* The offered-load sweep harness: percentile ordering, open-loop
-   overload divergence, determinism, and the replication / crash
-   tail-cost comparisons. All runs are simulated and seeded, so every
+(* The offered-load sweep harness: exact percentiles, their ordering,
+   open-loop overload divergence, determinism, and the replication /
+   crash tail-cost comparisons. All runs are simulated and seeded, so every
    assertion is on deterministic numbers. *)
 
 let kv =
@@ -81,6 +81,42 @@ let test_crash_tail_cost () =
       (c.Harness.Serving.p999_ns > q.Harness.Serving.p999_ns)
   | _ -> Alcotest.fail "expected single-point sweeps"
 
+(* Each point's percentiles are the nearest-rank quantiles of the exact
+   latency sample: rerun the same Kv.run (same backend geometry, the
+   point's offered rate) and index its sorted latencies directly. *)
+let test_exact_percentiles () =
+  let threads = 2 in
+  let s = sweep ~fractions:[ 0.5; 0.9; 1.5 ] Harness.Serving.Smh in
+  let backend =
+    Workload.Samhita_backend.make
+      ~config:{ Samhita.Config.default with Samhita.Config.memory_servers = 2 }
+      ()
+  in
+  List.iter
+    (fun (p : Harness.Serving.point) ->
+       let rate = p.Harness.Serving.rate_rps in
+       let r =
+         Workload.Kv.run backend ~threads
+           { kv with
+             Workload.Kv.traffic =
+               { kv.Workload.Kv.traffic with Workload.Traffic.rate_rps = rate }
+           }
+       in
+       let sorted = Array.copy r.Workload.Kv.latencies_ns in
+       Array.sort Int.compare sorted;
+       let n = Array.length sorted in
+       let rank q =
+         sorted.(int_of_float (Float.ceil (q *. float_of_int n)) - 1)
+       in
+       let ctx = Printf.sprintf "load %.1f: " p.Harness.Serving.fraction in
+       Alcotest.(check int) (ctx ^ "p50") (rank 0.5) p.Harness.Serving.p50_ns;
+       Alcotest.(check int) (ctx ^ "p99") (rank 0.99) p.Harness.Serving.p99_ns;
+       Alcotest.(check int) (ctx ^ "p999") (rank 0.999)
+         p.Harness.Serving.p999_ns;
+       Alcotest.(check int) (ctx ^ "max") sorted.(n - 1)
+         p.Harness.Serving.max_ns)
+    s.Harness.Serving.points
+
 let test_json_shape () =
   let s = sweep Harness.Serving.Smh in
   let j = Harness.Serving.to_json s in
@@ -129,6 +165,7 @@ let tests =
     Alcotest.test_case "deterministic" `Quick test_determinism;
     Alcotest.test_case "replication cost" `Quick test_replication_cost;
     Alcotest.test_case "crash tail cost" `Quick test_crash_tail_cost;
+    Alcotest.test_case "exact percentiles" `Quick test_exact_percentiles;
     Alcotest.test_case "json shape" `Quick test_json_shape;
     Alcotest.test_case "validation" `Quick test_validation ]
 
