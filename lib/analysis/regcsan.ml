@@ -223,153 +223,149 @@ let check_visibility t st ~thread ~time ~word (c : cell) =
             region without having acquired lock %d since"
            thread u c.w_lock c.w_lock)
 
-let on_read t ~thread ~time ~addr ~len =
+let on_read t ~thread ~time ~addr =
   let st = ts t thread in
-  let lo, hi = word_range ~addr ~len in
-  t.n_accesses <- t.n_accesses + (hi - lo + 1);
-  for w = lo to hi do
-    let c = cell_of t w Unalloc in
-    (match c.st with
-     | Alloc -> ()
-     | Unalloc ->
-       report t ~kind:Invalid_read ~page:(page_of t w) ~addr:(w lsl 3)
-         ~tid_first:thread ~tid_second:thread ~time_first:time
-         ~time_second:time
-         ~detail:
-           (Printf.sprintf "t%d reads a GAS address that was never allocated"
-              thread)
-     | Freed (ftid, ftime) ->
-       report t ~kind:Invalid_read ~page:(page_of t w) ~addr:(w lsl 3)
-         ~tid_first:ftid ~tid_second:thread ~time_first:ftime
-         ~time_second:time
-         ~detail:
-           (Printf.sprintf "t%d reads a GAS address freed by t%d" thread ftid));
-    if c.w_tid >= 0 && c.w_tid <> thread then begin
-      if c.w_clk > Vclock.get st.vc c.w_tid then
-        report t ~kind:Race ~page:(page_of t w) ~addr:(w lsl 3)
-          ~tid_first:c.w_tid ~tid_second:thread ~time_first:c.w_time
-          ~time_second:time
-          ~detail:
-            (Printf.sprintf
-               "read by t%d races with a write by t%d (no happens-before \
-                ordering)"
-               thread c.w_tid)
-      else check_visibility t st ~thread ~time ~word:w c
-    end;
-    (* Record the read. *)
-    (match c.r_tid with
-     | -1 ->
+  let w = addr asr 3 in
+  t.n_accesses <- t.n_accesses + 1;
+  let c = cell_of t w Unalloc in
+  (match c.st with
+   | Alloc -> ()
+   | Unalloc ->
+     report t ~kind:Invalid_read ~page:(page_of t w) ~addr:(w lsl 3)
+       ~tid_first:thread ~tid_second:thread ~time_first:time
+       ~time_second:time
+       ~detail:
+         (Printf.sprintf "t%d reads a GAS address that was never allocated"
+            thread)
+   | Freed (ftid, ftime) ->
+     report t ~kind:Invalid_read ~page:(page_of t w) ~addr:(w lsl 3)
+       ~tid_first:ftid ~tid_second:thread ~time_first:ftime
+       ~time_second:time
+       ~detail:
+         (Printf.sprintf "t%d reads a GAS address freed by t%d" thread ftid));
+  if c.w_tid >= 0 && c.w_tid <> thread then begin
+    if c.w_clk > Vclock.get st.vc c.w_tid then
+      report t ~kind:Race ~page:(page_of t w) ~addr:(w lsl 3)
+        ~tid_first:c.w_tid ~tid_second:thread ~time_first:c.w_time
+        ~time_second:time
+        ~detail:
+          (Printf.sprintf
+             "read by t%d races with a write by t%d (no happens-before \
+              ordering)"
+             thread c.w_tid)
+    else check_visibility t st ~thread ~time ~word:w c
+  end;
+  (* Record the read. *)
+  (match c.r_tid with
+   | -1 ->
+     c.r_tid <- thread;
+     c.r_clk <- Vclock.get st.vc thread;
+     c.r_time <- time
+   | rt when rt = thread ->
+     c.r_clk <- Vclock.get st.vc thread;
+     c.r_time <- time
+   | -2 ->
+     (match c.r_vc with
+      | Some v -> Vclock.set v thread (Vclock.get st.vc thread)
+      | None -> assert false);
+     c.r_time <- time
+   | rt ->
+     if c.r_clk <= Vclock.get st.vc rt then begin
+       (* Previous reader is ordered before us: keep a single epoch. *)
        c.r_tid <- thread;
        c.r_clk <- Vclock.get st.vc thread;
        c.r_time <- time
-     | rt when rt = thread ->
-       c.r_clk <- Vclock.get st.vc thread;
+     end
+     else begin
+       let v = Vclock.create t.n in
+       Vclock.set v rt c.r_clk;
+       Vclock.set v thread (Vclock.get st.vc thread);
+       c.r_vc <- Some v;
+       c.r_tid <- -2;
        c.r_time <- time
-     | -2 ->
-       (match c.r_vc with
-        | Some v -> Vclock.set v thread (Vclock.get st.vc thread)
-        | None -> assert false);
-       c.r_time <- time
-     | rt ->
-       if c.r_clk <= Vclock.get st.vc rt then begin
-         (* Previous reader is ordered before us: keep a single epoch. *)
-         c.r_tid <- thread;
-         c.r_clk <- Vclock.get st.vc thread;
-         c.r_time <- time
-       end
-       else begin
-         let v = Vclock.create t.n in
-         Vclock.set v rt c.r_clk;
-         Vclock.set v thread (Vclock.get st.vc thread);
-         c.r_vc <- Some v;
-         c.r_tid <- -2;
-         c.r_time <- time
-       end)
-  done
+     end)
 
-let on_write t ~thread ~time ~addr ~len ~lock =
+let on_write t ~thread ~time ~addr ~lock =
   let st = ts t thread in
-  let lo, hi = word_range ~addr ~len in
-  t.n_accesses <- t.n_accesses + (hi - lo + 1);
-  for w = lo to hi do
-    let c = cell_of t w Unalloc in
-    (* Conflicts with the previous write. *)
-    if c.w_tid >= 0 && c.w_tid <> thread then begin
-      let u = c.w_tid in
-      if c.w_clk > Vclock.get st.vc u then
-        report t ~kind:Race ~page:(page_of t w) ~addr:(w lsl 3) ~tid_first:u
-          ~tid_second:thread ~time_first:c.w_time ~time_second:time
+  let w = addr asr 3 in
+  t.n_accesses <- t.n_accesses + 1;
+  let c = cell_of t w Unalloc in
+  (* Conflicts with the previous write. *)
+  if c.w_tid >= 0 && c.w_tid <> thread then begin
+    let u = c.w_tid in
+    if c.w_clk > Vclock.get st.vc u then
+      report t ~kind:Race ~page:(page_of t w) ~addr:(w lsl 3) ~tid_first:u
+        ~tid_second:thread ~time_first:c.w_time ~time_second:time
+        ~detail:
+          (Printf.sprintf
+             "write by t%d races with a write by t%d (no happens-before \
+              ordering)"
+             thread u)
+    else if lock >= 0 && c.w_lock < 0 then begin
+      (* Region write over an ordinary write: until the ordinary writer
+         crosses a barrier its twin still holds the old value, and its
+         later page diff would overwrite this region update at the
+         home. *)
+      if c.w_clk > Vclock.get st.pub u then
+        report t ~kind:Mixed ~page:(page_of t w) ~addr:(w lsl 3)
+          ~tid_first:u ~tid_second:thread ~time_first:c.w_time
+          ~time_second:time
           ~detail:
             (Printf.sprintf
-               "write by t%d races with a write by t%d (no happens-before \
-                ordering)"
-               thread u)
-      else if lock >= 0 && c.w_lock < 0 then begin
-        (* Region write over an ordinary write: until the ordinary writer
-           crosses a barrier its twin still holds the old value, and its
-           later page diff would overwrite this region update at the
-           home. *)
-        if c.w_clk > Vclock.get st.pub u then
-          report t ~kind:Mixed ~page:(page_of t w) ~addr:(w lsl 3)
-            ~tid_first:u ~tid_second:thread ~time_first:c.w_time
-            ~time_second:time
-            ~detail:
-              (Printf.sprintf
-                 "t%d writes under lock %d a word t%d wrote outside any \
-                  region with no barrier in between (mixed region/ordinary \
-                  writes)"
-                 thread lock u)
-      end
-      else if lock < 0 && c.w_lock >= 0 then begin
-        if c.w_clk > seen_clock st ~lock:c.w_lock ~writer:u then
-          report t ~kind:Mixed ~page:(page_of t w) ~addr:(w lsl 3)
-            ~tid_first:u ~tid_second:thread ~time_first:c.w_time
-            ~time_second:time
-            ~detail:
-              (Printf.sprintf
-                 "t%d writes outside any region a word t%d wrote under \
-                  lock %d, without having acquired lock %d (mixed \
-                  region/ordinary writes)"
-                 thread u c.w_lock c.w_lock)
-      end
-    end;
-    (* Conflicts with concurrent reads. *)
-    (match c.r_tid with
-     | -1 -> ()
-     | -2 ->
-       (match c.r_vc with
-        | Some v ->
-          for i = 0 to t.n - 1 do
-            if i <> thread && Vclock.get v i > Vclock.get st.vc i then
-              report t ~kind:Race ~page:(page_of t w) ~addr:(w lsl 3)
-                ~tid_first:i ~tid_second:thread ~time_first:c.r_time
-                ~time_second:time
-                ~detail:
-                  (Printf.sprintf
-                     "write by t%d races with a read by t%d (no \
-                      happens-before ordering)"
-                     thread i)
-          done
-        | None -> assert false)
-     | rt ->
-       if rt <> thread && c.r_clk > Vclock.get st.vc rt then
-         report t ~kind:Race ~page:(page_of t w) ~addr:(w lsl 3) ~tid_first:rt
-           ~tid_second:thread ~time_first:c.r_time ~time_second:time
-           ~detail:
-             (Printf.sprintf
-                "write by t%d races with a read by t%d (no happens-before \
-                 ordering)"
-                thread rt));
-    (* Record the write; prior reads are now ordered before it (or already
-       reported), so the read set resets. *)
-    c.w_tid <- thread;
-    c.w_clk <- Vclock.get st.vc thread;
-    c.w_time <- time;
-    c.w_lock <- lock;
-    c.r_tid <- -1;
-    c.r_clk <- 0;
-    c.r_vc <- None
-  done
+               "t%d writes under lock %d a word t%d wrote outside any \
+                region with no barrier in between (mixed region/ordinary \
+                writes)"
+               thread lock u)
+    end
+    else if lock < 0 && c.w_lock >= 0 then begin
+      if c.w_clk > seen_clock st ~lock:c.w_lock ~writer:u then
+        report t ~kind:Mixed ~page:(page_of t w) ~addr:(w lsl 3)
+          ~tid_first:u ~tid_second:thread ~time_first:c.w_time
+          ~time_second:time
+          ~detail:
+            (Printf.sprintf
+               "t%d writes outside any region a word t%d wrote under \
+                lock %d, without having acquired lock %d (mixed \
+                region/ordinary writes)"
+               thread u c.w_lock c.w_lock)
+    end
+  end;
+  (* Conflicts with concurrent reads. *)
+  (match c.r_tid with
+   | -1 -> ()
+   | -2 ->
+     (match c.r_vc with
+      | Some v ->
+        for i = 0 to t.n - 1 do
+          if i <> thread && Vclock.get v i > Vclock.get st.vc i then
+            report t ~kind:Race ~page:(page_of t w) ~addr:(w lsl 3)
+              ~tid_first:i ~tid_second:thread ~time_first:c.r_time
+              ~time_second:time
+              ~detail:
+                (Printf.sprintf
+                   "write by t%d races with a read by t%d (no \
+                    happens-before ordering)"
+                   thread i)
+        done
+      | None -> assert false)
+   | rt ->
+     if rt <> thread && c.r_clk > Vclock.get st.vc rt then
+       report t ~kind:Race ~page:(page_of t w) ~addr:(w lsl 3) ~tid_first:rt
+         ~tid_second:thread ~time_first:c.r_time ~time_second:time
+         ~detail:
+           (Printf.sprintf
+              "write by t%d races with a read by t%d (no happens-before \
+               ordering)"
+              thread rt));
+  (* Record the write; prior reads are now ordered before it (or already
+     reported), so the read set resets. *)
+  c.w_tid <- thread;
+  c.w_clk <- Vclock.get st.vc thread;
+  c.w_time <- time;
+  c.w_lock <- lock;
+  c.r_tid <- -1;
+  c.r_clk <- 0;
+  c.r_vc <- None
 
 (* ------------------------------------------------------------------ *)
 (* Synchronization edges                                               *)

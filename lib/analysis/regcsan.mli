@@ -59,10 +59,11 @@ val create : threads:int -> page_bytes:int -> t
 
 (** {2 Access stream} *)
 
-val on_read : t -> thread:int -> time:Desim.Time.t -> addr:int -> len:int -> unit
+val on_read : t -> thread:int -> time:Desim.Time.t -> addr:int -> unit
+(** One word, at the byte address [addr]. *)
 
 val on_write :
-  t -> thread:int -> time:Desim.Time.t -> addr:int -> len:int -> lock:int -> unit
+  t -> thread:int -> time:Desim.Time.t -> addr:int -> lock:int -> unit
 (** [lock] is the id of the innermost held mutex when the store executed
     (the consistency region it belongs to), or [-1] for an ordinary
     write. *)

@@ -152,10 +152,10 @@ let run_once opts ~prefix ~branch_sleep =
   Torture.Oracle.attach oracle sys;
   Samhita.System.add_probe sys
     { Samhita.Probe.nothing with
-      on_read = (fun ~thread ~time:_ ~addr ~len ~value:_ ->
-          Footprint.add_read !cur ~thread ~addr ~len);
-      on_write = (fun ~thread ~time:_ ~addr ~len ~region:_ ~value:_ ->
-          Footprint.add_write !cur ~thread ~addr ~len);
+      on_read = (fun ~thread ~time:_ ~addr ~value:_ ->
+          Footprint.add_read !cur ~thread ~addr);
+      on_write = (fun ~thread ~time:_ ~addr ~region:_ ~value:_ ->
+          Footprint.add_write !cur ~thread ~addr);
       on_malloc = (fun ~thread ~time:_ ~addr:_ ~bytes:_ ->
           Footprint.add_thread !cur thread);
       on_free = (fun ~thread ~time:_ ~addr:_ ~bytes:_ ->

@@ -21,18 +21,13 @@ let universal () =
   fp.global <- true;
   fp
 
-let words addr len =
-  let first = addr asr 3 and last = (addr + len - 1) asr 3 in
-  let rec go w acc = if w > last then acc else go (w + 1) (w :: acc) in
-  go first []
-
-let add_read fp ~thread ~addr ~len =
+let add_read fp ~thread ~addr =
   fp.threads <- ISet.add thread fp.threads;
-  List.iter (fun w -> fp.rd <- ISet.add w fp.rd) (words addr len)
+  fp.rd <- ISet.add (addr asr 3) fp.rd
 
-let add_write fp ~thread ~addr ~len =
+let add_write fp ~thread ~addr =
   fp.threads <- ISet.add thread fp.threads;
-  List.iter (fun w -> fp.wr <- ISet.add w fp.wr) (words addr len)
+  fp.wr <- ISet.add (addr asr 3) fp.wr
 
 let add_sync fp ~thread name =
   fp.threads <- ISet.add thread fp.threads;

@@ -19,8 +19,10 @@ val universal : unit -> t
 (** A footprint that conflicts with everything (conservative fallback,
     e.g. for crash-injection intervals). *)
 
-val add_read : t -> thread:int -> addr:int -> len:int -> unit
-val add_write : t -> thread:int -> addr:int -> len:int -> unit
+val add_read : t -> thread:int -> addr:int -> unit
+(** The word at byte address [addr]. *)
+
+val add_write : t -> thread:int -> addr:int -> unit
 
 val add_sync : t -> thread:int -> string -> unit
 (** A synchronization object, e.g. ["lock:3"]; treated as read-write. *)

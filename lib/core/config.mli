@@ -151,8 +151,6 @@ val line_bytes : t -> int
 val line_shift : t -> int
 (** [log2 (line_bytes t)]. *)
 
-val model_name : model -> string
-
 val scope_name : partition_scope -> string
 
 val pp : Format.formatter -> t -> unit

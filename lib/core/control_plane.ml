@@ -33,7 +33,7 @@ let create ~engine ~shards ~nodes =
   if n < 1 then invalid_arg "Control_plane.create: at least one shard";
   { engine;
     shards;
-    ring = Hash_ring.create ~shards:n ();
+    ring = Hash_ring.create ~shards:n;
     physical = Array.init n Fun.id;
     nodes;
     next_id = 1;

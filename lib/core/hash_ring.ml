@@ -16,11 +16,11 @@ type t = {
 
 let mask h = h land max_int
 
-let default_vnodes = 64
+let vnodes = 64
+let salt = 0x72696e67
 
-let create ?(vnodes = default_vnodes) ?(salt = 0x72696e67) ~shards () =
+let create ~shards =
   if shards < 1 then invalid_arg "Hash_ring.create: shards must be >= 1";
-  if vnodes < 1 then invalid_arg "Hash_ring.create: vnodes must be >= 1";
   let points =
     Array.init (shards * vnodes) (fun i ->
         let shard = i / vnodes and replica = i mod vnodes in

@@ -8,11 +8,9 @@
 
 type t
 
-val default_vnodes : int
-(** Virtual points per shard (64). *)
-
-val create : ?vnodes:int -> ?salt:int -> shards:int -> unit -> t
-(** Raises [Invalid_argument] if [shards < 1] or [vnodes < 1]. *)
+val create : shards:int -> t
+(** 64 virtual points per shard. Raises [Invalid_argument] if
+    [shards < 1]. *)
 
 val shards : t -> int
 

@@ -488,12 +488,9 @@ let replay t ~servers ~dead ~promoted ~probe ~now =
                  if Home.server_of_line t.cfg ~line = dead
                     && Memory_server.version psrv line < v
                  then begin
+                   let buf = Memory_server.line psrv line in
                    List.iter
-                     (fun u ->
-                        if List.mem line (Update.lines_touched t.layout u)
-                        then
-                          Update.apply_to_line t.layout u ~line
-                            (Memory_server.line psrv line))
+                     (fun u -> Update.apply_to_line t.layout u ~line buf)
                      h.h_log;
                    Memory_server.force_version psrv line v;
                    incr replayed_here;

@@ -68,12 +68,9 @@ let apply_diff t diff =
 
 let apply_update t (u : Update.t) =
   t.updates <- t.updates + 1;
-  let touched = Update.lines_touched t.layout u in
-  List.map
-    (fun l ->
-       Update.apply_to_line t.layout u ~line:l (line t l);
-       (l, bump_version t l))
-    touched
+  let l = Update.line_of t.layout u in
+  Update.apply_to_line t.layout u ~line:l (line t l);
+  (l, bump_version t l)
 
 let note_mirror t ~bytes =
   t.mirrors <- t.mirrors + 1;

@@ -42,8 +42,8 @@ val fetch : t -> int -> bytes * int
 val apply_diff : t -> Diff.t -> int
 (** Merge a writer's diff into the backing line; returns the new version. *)
 
-val apply_update : t -> Update.t -> (int * int) list
-(** Apply a fine-grained update; returns [(line, new_version)] for every
+val apply_update : t -> Update.t -> int * int
+(** Apply a fine-grained update; returns [(line, new_version)] of the one
     line it touched. *)
 
 val note_mirror : t -> bytes:int -> unit

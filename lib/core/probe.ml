@@ -7,12 +7,10 @@ type sync_op =
   | Cond_wake
 
 type t = {
-  on_read :
-    thread:int -> time:Desim.Time.t -> addr:int -> len:int ->
-    value:int64 option -> unit;
+  on_read : thread:int -> time:Desim.Time.t -> addr:int -> value:int64 -> unit;
   on_write :
-    thread:int -> time:Desim.Time.t -> addr:int -> len:int -> region:int ->
-    value:int64 option -> unit;
+    thread:int -> time:Desim.Time.t -> addr:int -> region:int ->
+    value:int64 -> unit;
   on_publish :
     thread:int -> time:Desim.Time.t -> server:int -> line:int ->
     version:int -> data:bytes -> unit;
@@ -31,8 +29,8 @@ type t = {
 }
 
 let nothing =
-  { on_read = (fun ~thread:_ ~time:_ ~addr:_ ~len:_ ~value:_ -> ());
-    on_write = (fun ~thread:_ ~time:_ ~addr:_ ~len:_ ~region:_ ~value:_ -> ());
+  { on_read = (fun ~thread:_ ~time:_ ~addr:_ ~value:_ -> ());
+    on_write = (fun ~thread:_ ~time:_ ~addr:_ ~region:_ ~value:_ -> ());
     on_publish =
       (fun ~thread:_ ~time:_ ~server:_ ~line:_ ~version:_ ~data:_ -> ());
     on_malloc = (fun ~thread:_ ~time:_ ~addr:_ ~bytes:_ -> ());
@@ -46,13 +44,13 @@ let nothing =
 
 let both a b =
   { on_read =
-      (fun ~thread ~time ~addr ~len ~value ->
-         a.on_read ~thread ~time ~addr ~len ~value;
-         b.on_read ~thread ~time ~addr ~len ~value);
+      (fun ~thread ~time ~addr ~value ->
+         a.on_read ~thread ~time ~addr ~value;
+         b.on_read ~thread ~time ~addr ~value);
     on_write =
-      (fun ~thread ~time ~addr ~len ~region ~value ->
-         a.on_write ~thread ~time ~addr ~len ~region ~value;
-         b.on_write ~thread ~time ~addr ~len ~region ~value);
+      (fun ~thread ~time ~addr ~region ~value ->
+         a.on_write ~thread ~time ~addr ~region ~value;
+         b.on_write ~thread ~time ~addr ~region ~value);
     on_publish =
       (fun ~thread ~time ~server ~line ~version ~data ->
          a.on_publish ~thread ~time ~server ~line ~version ~data;

@@ -1,11 +1,11 @@
 (** The protocol-event stream: the one observer mechanism of a running
     system ({!System.add_probe}).
 
-    The runtime reports every global-memory access (with the value for
-    8-byte word accesses), every {e publication} — a home-side merge of a
-    flushed diff or update log, the instant a value becomes RegC-visible
-    to other threads — every allocation event, every barrier episode and
-    every lock/condvar edge. Three subscribers read it:
+    The runtime reports every global-memory access — each is one aligned
+    8-byte word, reported with its value — every {e publication} (a
+    home-side merge of a flushed diff or update log, the instant a value
+    becomes RegC-visible to other threads), every allocation event, every
+    barrier episode and every lock/condvar edge. Three subscribers read it:
     - the RegCSan sanitizer ({!Analysis.Regcsan}), attached by
       {!System.create} when [Config.sanitize] is set;
     - the torture harness's linearizable-memory oracle;
@@ -31,14 +31,11 @@ type sync_op =
   | Cond_wake
 
 type t = {
-  on_read :
-    thread:int -> time:Desim.Time.t -> addr:int -> len:int ->
-    value:int64 option -> unit;
-      (** [value] is [Some] for aligned 8-byte accesses, [None] for bulk
-          or sub-word reads. *)
+  on_read : thread:int -> time:Desim.Time.t -> addr:int -> value:int64 -> unit;
+      (** [addr] is 8-aligned and [value] the word read there. *)
   on_write :
-    thread:int -> time:Desim.Time.t -> addr:int -> len:int -> region:int ->
-    value:int64 option -> unit;
+    thread:int -> time:Desim.Time.t -> addr:int -> region:int ->
+    value:int64 -> unit;
       (** [region] is the innermost lock the writer holds — the
           consistency region the store belongs to — or [-1] for an
           ordinary write. *)

@@ -129,10 +129,10 @@ let spawn_monitor t =
 let sanitizer_probe s =
   let module R = Analysis.Regcsan in
   { Probe.nothing with
-    on_read = (fun ~thread ~time ~addr ~len ~value:_ ->
-        R.on_read s ~thread ~time ~addr ~len);
-    on_write = (fun ~thread ~time ~addr ~len ~region ~value:_ ->
-        R.on_write s ~thread ~time ~addr ~len ~lock:region);
+    on_read = (fun ~thread ~time ~addr ~value:_ ->
+        R.on_read s ~thread ~time ~addr);
+    on_write = (fun ~thread ~time ~addr ~region ~value:_ ->
+        R.on_write s ~thread ~time ~addr ~lock:region);
     on_malloc = R.on_malloc s;
     on_free = R.on_free s;
     on_barrier = (fun ~thread ~time:_ ~barrier ~epoch ~phase ->
@@ -287,7 +287,6 @@ let control_plane t = t.cp
 let manager t = Control_plane.shard t.cp 0
 let servers t = t.servers
 let directory t = t.dir
-let total_threads t = t.total_threads
 let sanitizer t = t.san
 
 let add_probe t p =

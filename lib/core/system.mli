@@ -35,8 +35,6 @@ val directory : t -> Directory.t
 (** The logical-to-physical stripe map (identity until a crash recovery
     promotes a backup). *)
 
-val total_threads : t -> int
-
 val sanitizer : t -> Analysis.Regcsan.t option
 (** The RegCSan instance observing this system, when
     [Config.sanitize] is set; {!create} subscribes it to the probe stream.

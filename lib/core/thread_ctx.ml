@@ -313,38 +313,22 @@ let mirror_diff srv (diff : Diff.t) ~version =
     Diff.apply diff (Memory_server.line b diff.Diff.line);
     Memory_server.force_version b diff.Diff.line version
 
-let mirror_update t srv (u : Update.t) ~line_versions =
+let mirror_update t srv (u : Update.t) ~line ~version =
   match Memory_server.backup srv with
   | None -> ()
   | Some b ->
-    List.iter
-      (fun (line, v) ->
-         Update.apply_to_line t.e.layout u ~line (Memory_server.line b line);
-         Memory_server.force_version b line v)
-      line_versions
+    Update.apply_to_line t.e.layout u ~line (Memory_server.line b line);
+    Memory_server.force_version b line version
 
 (* Probe emit sites: each tests the probe before it builds any argument
-   (the [Some v] cell, the region lookup, the borrowed line), so with no
+   (the boxed word, the region lookup, the borrowed line), so with no
    observer attached (the default) an event costs one branch on an
    immutable field and allocates nothing. *)
-
-let probe_read t ~addr ~len =
-  match t.e.probe with
-  | None -> ()
-  | Some p ->
-    p.Probe.on_read ~thread:t.id ~time:(now t) ~addr ~len ~value:None
 
 (* The consistency region a store belongs to: the innermost held lock. *)
 let region t = match t.held with (l, _) :: _ -> l | [] -> -1
 
 let region_log t = match t.held with (_, log) :: _ -> !log | [] -> []
-
-let probe_write t ~addr ~len =
-  match t.e.probe with
-  | None -> ()
-  | Some p ->
-    p.Probe.on_write ~thread:t.id ~time:(now t) ~addr ~len ~region:(region t)
-      ~value:None
 
 (* Publication: the home's line now holds the merged bytes at [version];
    this is the instant the data becomes RegC-visible to later acquirers
@@ -725,26 +709,23 @@ let sc_owned t addr : Cache.entry =
     t.last <- Some e;
     e
 
-(* SC store miss: the full acquire transaction, with the store committed
-   inside it. [store] writes into the entry at the line offset and must
-   not yield. *)
-let sc_store_miss t addr ~store =
+(* SC store miss: the full acquire transaction, with the word [v]
+   committed inside it. *)
+let sc_store_miss t addr v =
   let line = addr lsr t.e.layout.Layout.line_shift in
   let off = line_off t addr in
   Cache.note_miss t.cache;
   sync_clock t;
   let start = now t in
-  let e = sc_acquire_exclusive t line ~commit:(fun e -> store e off) in
+  let e =
+    sc_acquire_exclusive t line ~commit:(fun e ->
+        Bytes.set_int64_le e.Cache.data off v)
+  in
   t.m_compute <- t.m_compute + Desim.Time.diff (now t) start;
   (* Keep the fast path only if the grant survived the latency. *)
   match Cache.peek t.cache line with
   | Some e' when e' == e && e.Cache.excl -> t.last <- Some e
   | _ -> t.last <- None
-
-let sc_store t addr ~store =
-  match sc_owned t addr with
-  | e -> store e (line_off t addr)
-  | exception Not_found -> sc_store_miss t addr ~store
 
 (* ------------------------------------------------------------------ *)
 (* Typed accessors                                                     *)
@@ -765,25 +746,23 @@ let[@inline] read_i64 t addr =
   (match t.e.probe with
    | None -> ()
    | Some p ->
-     p.Probe.on_read ~thread:t.id ~time:(now t) ~addr ~len:8 ~value:(Some v));
+     p.Probe.on_read ~thread:t.id ~time:(now t) ~addr ~value:v);
   v
 
 (* Every 8-byte store except the one [write_i64] handles inline. These
-   take [v] boxed: the probe's [Some v], the region log's update and the
-   SC commit closure all hold it. *)
+   take [v] boxed: the probe, the region log's update and the SC commit
+   closure all hold it. *)
 let write_i64_general t addr v =
   (match t.e.probe with
    | None -> ()
    | Some p ->
-     p.Probe.on_write ~thread:t.id ~time:(now t) ~addr ~len:8
-       ~region:(region t) ~value:(Some v));
+     p.Probe.on_write ~thread:t.id ~time:(now t) ~addr ~region:(region t)
+       ~value:v);
   match t.e.cfg.Config.model with
   | Config.Sc_invalidate -> (
       match sc_owned t addr with
       | e -> Bytes.set_int64_le e.Cache.data (line_off t addr) v
-      | exception Not_found ->
-        sc_store_miss t addr ~store:(fun (e : Cache.entry) off ->
-            Bytes.set_int64_le e.Cache.data off v))
+      | exception Not_found -> sc_store_miss t addr v)
   | Config.Regc ->
     let entry = locate t addr in
     let off = line_off t addr in
@@ -819,88 +798,6 @@ let[@inline] write_i64 t addr v =
 
 let read_f64 t addr = Int64.float_of_bits (read_i64 t addr)
 let write_f64 t addr v = write_i64 t addr (Int64.bits_of_float v)
-
-(* Generic raw access, line segment by line segment. Bulk operations charge
-   one cached-access cost per 8 bytes touched (locate charges the first). *)
-let charge_extra_words t seg =
-  if seg > 8 then
-    charge t (float_of_int ((seg - 1) / 8) *. t.e.cfg.Config.t_mem)
-
-let write_bytes t addr src =
-  let len = Bytes.length src in
-  if len > 0 then probe_write t ~addr ~len;
-  let pos = ref 0 in
-  while !pos < len do
-    let a = addr + !pos in
-    match t.e.cfg.Config.model with
-    | Config.Sc_invalidate ->
-      let off0 = a land t.e.layout.Layout.line_mask in
-      let seg = min (len - !pos) (t.e.layout.Layout.line_bytes - off0) in
-      let from = !pos in
-      charge_extra_words t seg;
-      sc_store t a ~store:(fun (e : Cache.entry) off ->
-          Bytes.blit src from e.Cache.data off seg);
-      pos := !pos + seg
-    | Config.Regc ->
-      let entry = locate t a in
-      let off = line_off t a in
-      let seg = min (len - !pos) (t.e.layout.Layout.line_bytes - off) in
-      charge_extra_words t seg;
-      (match t.held with
-       | (_, log) :: _ ->
-         log := { Update.addr = a; data = Bytes.sub src !pos seg } :: !log;
-         (match entry.Cache.twin with
-          | Some twin -> Bytes.blit src !pos twin off seg
-          | None -> ())
-       | [] -> Cache.mark_written t.cache entry ~offset:off ~len:seg);
-      Bytes.blit src !pos entry.Cache.data off seg;
-      pos := !pos + seg
-  done
-
-let read_bytes t addr ~len =
-  if len < 0 then invalid_arg "Samhita.read_bytes: negative length";
-  if len > 0 then probe_read t ~addr ~len;
-  let out = Bytes.create len in
-  let pos = ref 0 in
-  while !pos < len do
-    let a = addr + !pos in
-    let entry = locate t a in
-    let off = line_off t a in
-    let seg = min (len - !pos) (t.e.layout.Layout.line_bytes - off) in
-    charge_extra_words t seg;
-    Bytes.blit entry.Cache.data off out !pos seg;
-    pos := !pos + seg
-  done;
-  out
-
-let read_u8 t addr =
-  let entry = locate t addr in
-  probe_read t ~addr ~len:1;
-  Char.code (Bytes.get entry.Cache.data (line_off t addr))
-
-let write_u8 t addr v =
-  if v < 0 || v > 255 then invalid_arg "Samhita.write_u8: value out of range";
-  let b = Bytes.make 1 (Char.chr v) in
-  write_bytes t addr b
-
-let check_aligned4 addr =
-  if addr land 3 <> 0 then
-    invalid_arg "Samhita: 4-byte accesses must be 4-byte aligned"
-
-let read_i32 t addr =
-  check_aligned4 addr;
-  let entry = locate t addr in
-  probe_read t ~addr ~len:4;
-  Bytes.get_int32_le entry.Cache.data (line_off t addr)
-
-let write_i32 t addr v =
-  check_aligned4 addr;
-  let b = Bytes.create 4 in
-  Bytes.set_int32_le b 0 v;
-  write_bytes t addr b
-
-let read_f32 t addr = Int32.float_of_bits (read_i32 t addr)
-let write_f32 t addr v = write_i32 t addr (Int32.bits_of_float v)
 
 (* ------------------------------------------------------------------ *)
 (* Allocation                                                          *)
@@ -1008,19 +905,17 @@ let apply_grant t (g : Manager_shard.grant) =
     let patched = ref 0 in
     List.iter
       (fun (u : Update.t) ->
-         List.iter
-           (fun line ->
-              match Cache.peek t.cache line with
-              | Some entry ->
-                Update.apply_to_line t.e.layout u ~line entry.Cache.data;
-                (* Keep any twin in step so the patch is not re-flushed as
-                   part of this thread's own diff. *)
-                (match entry.Cache.twin with
-                 | Some twin -> Update.apply_to_line t.e.layout u ~line twin
-                 | None -> ());
-                patched := !patched + Bytes.length u.Update.data
-              | None -> ())
-           (Update.lines_touched t.e.layout u))
+         let line = Update.line_of t.e.layout u in
+         match Cache.peek t.cache line with
+         | Some entry ->
+           Update.apply_to_line t.e.layout u ~line entry.Cache.data;
+           (* Keep any twin in step so the patch is not re-flushed as part
+              of this thread's own diff. *)
+           (match entry.Cache.twin with
+            | Some twin -> Update.apply_to_line t.e.layout u ~line twin
+            | None -> ());
+           patched := !patched + 8
+         | None -> ())
       log;
     if !patched > 0 then
       Desim.Engine.delay
@@ -1029,9 +924,6 @@ let apply_grant t (g : Manager_shard.grant) =
 
 (* ------------------------------------------------------------------ *)
 (* Fine-grained update flush (release path)                            *)
-
-(* The line an update is homed by: the one holding its first byte. *)
-let home_line t (u : Update.t) = u.Update.addr lsr t.e.layout.Layout.line_shift
 
 let flush_update_log t log =
   if log = [] then []
@@ -1049,23 +941,19 @@ let flush_update_log t log =
              in
              List.iter
                (fun u ->
-                  let srv = server_of t (home_line t u) in
-                  let lvs = Memory_server.apply_update srv u in
-                  if mirrored then
-                    mirror_update t srv u ~line_versions:lvs;
-                  List.iter
-                    (fun (line, v) ->
-                       probe_publish t ~srv ~line ~version:v;
-                       Hashtbl.replace merged line v;
-                       (* Our own cached copy already holds the stored
-                          values; track the new home version so barrier
-                          notices do not invalidate it spuriously. *)
-                       match Cache.peek t.cache line with
-                       | Some entry -> entry.Cache.version <- v
-                       | None -> ())
-                    lvs)
+                  let srv = server_of t (Update.line_of t.e.layout u) in
+                  let line, v = Memory_server.apply_update srv u in
+                  if mirrored then mirror_update t srv u ~line ~version:v;
+                  probe_publish t ~srv ~line ~version:v;
+                  Hashtbl.replace merged line v;
+                  (* Our own cached copy already holds the stored value;
+                     track the new home version so barrier notices do not
+                     invalidate it spuriously. *)
+                  match Cache.peek t.cache line with
+                  | Some entry -> entry.Cache.version <- v
+                  | None -> ())
                batch))
-      (Home.group_by_server t.e.cfg (home_line t) log);
+      (Home.group_by_server t.e.cfg (Update.line_of t.e.layout) log);
     (* Note: lines touched here are deliberately NOT added to
        interval_writes. Under RegC, consistency-region data propagates via
        the lock protocol (grant patches); only ordinary-region writes

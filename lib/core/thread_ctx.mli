@@ -53,33 +53,16 @@ val endpoint : t -> Fabric.Scl.endpoint
 
 (** {2 Memory access} *)
 
+(** Every access is one aligned 8-byte word: a misaligned address raises
+    [Invalid_argument]. *)
+
 val read_f64 : t -> int -> float
-(** Read the double at a byte address (8-aligned). *)
+(** Read the double at a byte address. *)
 
 val write_f64 : t -> int -> float -> unit
 
 val read_i64 : t -> int -> int64
 val write_i64 : t -> int -> int64 -> unit
-
-val read_f32 : t -> int -> float
-(** 4-byte float at a 4-aligned address. *)
-
-val write_f32 : t -> int -> float -> unit
-val read_i32 : t -> int -> int32
-val write_i32 : t -> int -> int32 -> unit
-
-val read_u8 : t -> int -> int
-(** Single byte (0..255); no alignment requirement. *)
-
-val write_u8 : t -> int -> int -> unit
-
-val read_bytes : t -> int -> len:int -> bytes
-(** Bulk copy out of the GAS, crossing line boundaries as needed; charges
-    one cached-access cost per 8 bytes (plus any miss stalls). *)
-
-val write_bytes : t -> int -> bytes -> unit
-(** Bulk store; inside a consistency region the whole range is logged as
-    fine-grained updates, otherwise it dirties the touched pages. *)
 
 val region_log : t -> Update.t list
 (** The store log of the innermost consistency region, newest first;

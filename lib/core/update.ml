@@ -1,30 +1,17 @@
-type t = { addr : int; data : bytes }
+type t = { addr : int; value : int64 }
 
 let framing = 12
 
-let of_i64 ~addr v =
-  let data = Bytes.create 8 in
-  Bytes.set_int64_le data 0 v;
-  { addr; data }
+let of_i64 ~addr value =
+  if addr land 7 <> 0 then invalid_arg "Update.of_i64: unaligned word";
+  { addr; value }
 
-let wire_bytes t = framing + Bytes.length t.data
+let wire_bytes _ = framing + 8
 
-let log_wire_bytes log =
-  List.fold_left (fun acc u -> acc + wire_bytes u) 0 log
+let log_wire_bytes log = List.length log * (framing + 8)
+
+let line_of (layout : Layout.t) t = t.addr lsr layout.Layout.line_shift
 
 let apply_to_line (layout : Layout.t) t ~line buf =
-  let len = Bytes.length t.data in
-  let base = Layout.line_base layout line in
-  let lo = max t.addr base in
-  let hi = min (t.addr + len) (base + layout.Layout.line_bytes) in
-  if lo < hi then
-    Bytes.blit t.data (lo - t.addr) buf (lo - base) (hi - lo)
-
-let lines_touched layout t =
-  let len = Bytes.length t.data in
-  if len = 0 then []
-  else begin
-    let first, last = Layout.lines_spanning layout ~addr:t.addr ~len in
-    let rec build i acc = if i < first then acc else build (i - 1) (i :: acc) in
-    build last []
-  end
+  if line_of layout t = line then
+    Bytes.set_int64_le buf (t.addr land layout.Layout.line_mask) t.value

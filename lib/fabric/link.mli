@@ -10,9 +10,6 @@ val create :
 val name : t -> string
 val latency : t -> Desim.Time.span
 
-val serialization_time : t -> bytes:int -> Desim.Time.span
-(** Time to push [bytes] onto the wire at full bandwidth (no queueing). *)
-
 val occupy : t -> now:Desim.Time.t -> bytes:int -> Desim.Time.t
 (** Book the link for a transfer arriving at its head at [now]; returns the
     instant the last byte {e arrives at the far end} (start-of-service

@@ -38,10 +38,6 @@ type t = {
   points : point list;
 }
 
-val default_fractions : float list
-(** [0.25; 0.5; 0.75; 0.9; 1.5] — four stable points and one past
-    capacity. *)
-
 val run :
   ?fractions:float list ->
   ?manager_shards:int ->
@@ -55,9 +51,10 @@ val run :
     replication on/off compares like for like); [crash] needs
     [replication = 1] and injects a fail-stop memory-server crash
     mid-sweep-point, measuring what a lease-detected promotion costs the
-    tail. [manager_shards] (default 1) shards the control plane the KV
-    mutexes resolve through. Raises [Invalid_argument] on bad
-    combinations. *)
+    tail. [fractions] defaults to [0.25; 0.5; 0.75; 0.9; 1.5], four
+    stable points and one past capacity. [manager_shards] (default 1)
+    shards the control plane the KV mutexes resolve through. Raises
+    [Invalid_argument] on bad combinations. *)
 
 val pp : Format.formatter -> t -> unit
 (** Human-readable capacity line plus one row per sweep point. *)

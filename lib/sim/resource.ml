@@ -29,7 +29,6 @@ let reserve t ~now ~duration =
   t.jobs <- t.jobs + 1;
   finish
 
-let free_at t = t.free_at
 let jobs t = t.jobs
 let busy_time t = t.busy
 

@@ -29,9 +29,6 @@ val set_observer : (t -> unit) option -> unit
     deterministically across re-executions. Set around a checked run and
     clear afterwards. *)
 
-val free_at : t -> Time.t
-(** Instant at which the resource next becomes idle. *)
-
 val jobs : t -> int
 (** Number of jobs served so far. *)
 

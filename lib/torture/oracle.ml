@@ -15,8 +15,6 @@ type t = {
   last_line : (int * int, bytes * int) Hashtbl.t;
   (* (thread, word address) -> that thread's last program-order store. *)
   own : (int * int, int64) Hashtbl.t;
-  (* Words touched by sub-word/bulk stores: legality not word-expressible. *)
-  tainted : (int, unit) Hashtbl.t;
   (* Word addresses some thread stored 0L to. Publications record only
      nonzero words, so this is what makes a published zero legal. *)
   zeroed : (int, unit) Hashtbl.t;
@@ -46,7 +44,6 @@ let create ~config () =
     published = Hashtbl.create 4096;
     last_line = Hashtbl.create 256;
     own = Hashtbl.create 4096;
-    tainted = Hashtbl.create 64;
     zeroed = Hashtbl.create 64;
     live = Hashtbl.create 64;
     episodes = Hashtbl.create 64;
@@ -107,52 +104,40 @@ let word_key v = Int64.to_int v lxor Int64.to_int (Int64.shift_right v 31)
 (* ------------------------------------------------------------------ *)
 (* Probe callbacks                                                     *)
 
-let taint_words t ~addr ~len =
-  let a0 = addr land lnot 7 and a1 = (addr + len - 1) land lnot 7 in
-  let a = ref a0 in
-  while !a <= a1 do
-    Hashtbl.replace t.tainted !a ();
-    a := !a + 8
-  done
+(* Every access is one 8-byte word; its length still enters the digest
+   ([8 lsl 4]) so that digests stay comparable with recorded ones. *)
+let word_len = 8 lsl 4
 
-let on_read t ~thread ~time ~addr ~len ~value =
+let on_read t ~thread ~time ~addr ~value:v =
   t.events <- t.events + 1;
-  fold t 1 (thread lxor (addr lsl 8) lxor (len lsl 4) lxor time);
-  match value with
-  | None -> ()
-  | Some v ->
-    fold t 2 (word_key v);
-    if not (Hashtbl.mem t.tainted addr) then begin
-      t.reads_checked <- t.reads_checked + 1;
-      let legal =
-        v = 0L
-        || (match Hashtbl.find_opt t.own (thread, addr) with
-            | Some w -> w = v
-            | None -> false)
-        || (match Hashtbl.find_opt t.published addr with
-            | Some set -> Hashtbl.mem set v
-            | None -> false)
-      in
-      if not legal then begin
-        record t "t=%d READ-VIOLATION thread=%d addr=0x%x got=%Lx" time
-          thread addr v;
-        note_violation t ~v_class:"illegal-read"
-          (Printf.sprintf
-             "thread %d read 0x%Lx at addr 0x%x (t=%dns): not its own last \
-              store, never published at that word, and not the initial zero"
-             thread v addr time)
-      end
-    end
+  fold t 1 (thread lxor (addr lsl 8) lxor word_len lxor time);
+  fold t 2 (word_key v);
+  t.reads_checked <- t.reads_checked + 1;
+  let legal =
+    v = 0L
+    || (match Hashtbl.find_opt t.own (thread, addr) with
+        | Some w -> w = v
+        | None -> false)
+    || (match Hashtbl.find_opt t.published addr with
+        | Some set -> Hashtbl.mem set v
+        | None -> false)
+  in
+  if not legal then begin
+    record t "t=%d READ-VIOLATION thread=%d addr=0x%x got=%Lx" time thread
+      addr v;
+    note_violation t ~v_class:"illegal-read"
+      (Printf.sprintf
+         "thread %d read 0x%Lx at addr 0x%x (t=%dns): not its own last \
+          store, never published at that word, and not the initial zero"
+         thread v addr time)
+  end
 
-let on_write t ~thread ~time ~addr ~len ~value =
+let on_write t ~thread ~time ~addr ~value:v =
   t.events <- t.events + 1;
-  fold t 3 (thread lxor (addr lsl 8) lxor (len lsl 4) lxor time);
-  match value with
-  | Some v ->
-    fold t 4 (word_key v);
-    Hashtbl.replace t.own (thread, addr) v;
-    if v = 0L then Hashtbl.replace t.zeroed addr ()
-  | None -> taint_words t ~addr ~len
+  fold t 3 (thread lxor (addr lsl 8) lxor word_len lxor time);
+  fold t 4 (word_key v);
+  Hashtbl.replace t.own (thread, addr) v;
+  if v = 0L then Hashtbl.replace t.zeroed addr ()
 
 let on_publish t ~thread ~time ~server ~line ~version ~data =
   t.events <- t.events + 1;
@@ -308,10 +293,10 @@ let on_takeover t ~time ~dead ~takeover ~moved ~redriven =
 
 let probe t =
   let ns = Desim.Time.to_ns in
-  { Samhita.Probe.on_read = (fun ~thread ~time ~addr ~len ~value ->
-        on_read t ~thread ~time:(ns time) ~addr ~len ~value);
-    on_write = (fun ~thread ~time ~addr ~len ~region:_ ~value ->
-        on_write t ~thread ~time:(ns time) ~addr ~len ~value);
+  { Samhita.Probe.on_read = (fun ~thread ~time ~addr ~value ->
+        on_read t ~thread ~time:(ns time) ~addr ~value);
+    on_write = (fun ~thread ~time ~addr ~region:_ ~value ->
+        on_write t ~thread ~time:(ns time) ~addr ~value);
     on_publish = (fun ~thread ~time ~server ~line ~version ~data ->
         on_publish t ~thread ~time:(ns time) ~server ~line ~version ~data);
     on_malloc = (fun ~thread ~time ~addr ~bytes ->

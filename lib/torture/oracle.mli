@@ -2,8 +2,8 @@
 
     A shadow of the global address space fed by a {!Samhita.Probe}: every
     home-side merge (diff or update-log application) is recorded as a
-    {e publication}, and every word-sized [read] is checked against the
-    set of RegC-legal values for its address —
+    {e publication}, and every read — each one aligned 8-byte word — is
+    checked against the set of RegC-legal values for its address —
 
     - the initial zero,
     - any value this thread itself stored there (program order), or
@@ -13,9 +13,8 @@
 
     A read outside this set means protocol corruption: a diff clobbered a
     concurrent writer's bytes, a patch applied garbage, a fetch raced a
-    merge. Words touched by sub-word or bulk stores are tainted and
-    skipped (their legality is not word-expressible); lost updates are
-    caught structurally by the runner's kernel-checksum comparison.
+    merge. Lost updates are caught structurally by the runner's
+    kernel-checksum comparison.
 
     {!finalize} adds end-of-run invariants: no twin/dirty residue in any
     cache (a consistency point must clean what it flushes), home lines
@@ -78,8 +77,8 @@ val takeovers : t -> int
     tail; none changes {!events} or {!digest}. *)
 
 val reads_checked : t -> int
-(** Word reads actually checked against the legality set (i.e. excluding
-    tainted words) — a vacuity guard for tests. *)
+(** Reads checked against the legality set: every read the probe saw, so
+    a run that reads shared memory cannot report zero. *)
 
 val digest : t -> int
 (** Order-sensitive fold over the whole event stream; equal digests mean

@@ -48,15 +48,6 @@ let generate p =
       in
       { client; key; op; arrival_ns = int_of_float !t })
 
-let per_worker reqs ~workers =
-  if workers <= 0 then invalid_arg "Traffic.per_worker: workers";
-  let buckets = Array.make workers [] in
-  Array.iter
-    (fun r -> buckets.(r.client mod workers)
-              <- r :: buckets.(r.client mod workers))
-    reqs;
-  Array.map (fun l -> Array.of_list (List.rev l)) buckets
-
 let puts_per_key reqs ~keys =
   if keys <= 0 then invalid_arg "Traffic.puts_per_key: keys";
   let counts = Array.make keys 0 in

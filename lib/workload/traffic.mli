@@ -32,12 +32,6 @@ val generate : params -> request array
 (** Requests in arrival order. Deterministic per [seed]; raises
     [Invalid_argument] on nonsensical parameters. *)
 
-val per_worker : request array -> workers:int -> request array array
-(** Partition by [client mod workers], preserving arrival order within
-    each bucket. A client's requests all land on one worker, so per-client
-    program order equals processing order — what makes the session
-    guarantees (read-your-writes, monotonic reads) checkable. *)
-
 val puts_per_key : request array -> keys:int -> int array
 (** How many [Put]s the stream contains for each key: the expected final
     version counters, which the exactness oracle checks against the

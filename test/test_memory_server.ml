@@ -48,27 +48,10 @@ let test_apply_diff_bumps_version () =
 let test_apply_update () =
   let s = mk_server () in
   let u = Samhita.Update.of_i64 ~addr:((2 * lb) + 8) 77L in
-  let versions = Samhita.Memory_server.apply_update s u in
-  Alcotest.(check (list (pair int int))) "line 2 bumped" [ (2, 1) ] versions;
+  Alcotest.(check (pair int int)) "line 2 bumped" (2, 1)
+    (Samhita.Memory_server.apply_update s u);
   let data, _ = Samhita.Memory_server.fetch s 2 in
   Alcotest.(check int64) "written" 77L (Bytes.get_int64_le data 8)
-
-let test_apply_update_straddling () =
-  let s = mk_server () in
-  let u =
-    { Samhita.Update.addr = lb - 4;
-      data = Bytes.make 8 '\255' }
-  in
-  let versions =
-    List.sort compare (Samhita.Memory_server.apply_update s u)
-  in
-  Alcotest.(check (list (pair int int))) "both lines bumped"
-    [ (0, 1); (1, 1) ] versions;
-  let d0, _ = Samhita.Memory_server.fetch s 0 in
-  let d1, _ = Samhita.Memory_server.fetch s 1 in
-  Alcotest.(check char) "tail" '\255' (Bytes.get d0 (lb - 1));
-  Alcotest.(check char) "head" '\255' (Bytes.get d1 3);
-  Alcotest.(check char) "beyond" '\000' (Bytes.get d1 4)
 
 let test_service_time_scales () =
   let s = mk_server () in
@@ -98,8 +81,6 @@ let tests =
     Alcotest.test_case "diff bumps version" `Quick
       test_apply_diff_bumps_version;
     Alcotest.test_case "apply update" `Quick test_apply_update;
-    Alcotest.test_case "straddling update" `Quick
-      test_apply_update_straddling;
     Alcotest.test_case "service time" `Quick test_service_time_scales;
     Alcotest.test_case "counters" `Quick test_counters ]
 

@@ -20,22 +20,22 @@ let kind = Alcotest.testable (Fmt.of_to_string R.kind_name) ( = )
 let test_ww_race () =
   let s = fresh () in
   R.on_malloc s ~thread:0 ~time:(tm 0) ~addr:0 ~bytes:64;
-  R.on_write s ~thread:0 ~time:(tm 10) ~addr:0 ~len:8 ~lock:(-1);
-  R.on_write s ~thread:1 ~time:(tm 20) ~addr:0 ~len:8 ~lock:(-1);
+  R.on_write s ~thread:0 ~time:(tm 10) ~addr:0 ~lock:(-1);
+  R.on_write s ~thread:1 ~time:(tm 20) ~addr:0 ~lock:(-1);
   Alcotest.(check (list kind)) "one W-W race" [ R.Race ] (kinds s)
 
 let test_rw_race () =
   let s = fresh () in
   R.on_malloc s ~thread:0 ~time:(tm 0) ~addr:0 ~bytes:64;
-  R.on_write s ~thread:0 ~time:(tm 10) ~addr:8 ~len:8 ~lock:(-1);
-  R.on_read s ~thread:1 ~time:(tm 20) ~addr:8 ~len:8;
+  R.on_write s ~thread:0 ~time:(tm 10) ~addr:8 ~lock:(-1);
+  R.on_read s ~thread:1 ~time:(tm 20) ~addr:8;
   (* The unordered read is itself a race; no visibility lint on top. *)
   Alcotest.(check (list kind)) "one R-W race" [ R.Race ] (kinds s)
 
 let test_write_over_concurrent_reads () =
   let s = fresh () in
   R.on_malloc s ~thread:0 ~time:(tm 0) ~addr:0 ~bytes:64;
-  R.on_write s ~thread:0 ~time:(tm 5) ~addr:0 ~len:8 ~lock:(-1);
+  R.on_write s ~thread:0 ~time:(tm 5) ~addr:0 ~lock:(-1);
   (* Publish t0's write through a barrier all four threads join. *)
   for th = 0 to 3 do
     R.on_barrier_arrive s ~thread:th ~barrier:7 ~epoch:0
@@ -43,12 +43,12 @@ let test_write_over_concurrent_reads () =
   for th = 0 to 3 do
     R.on_barrier_depart s ~thread:th ~barrier:7 ~epoch:0
   done;
-  R.on_read s ~thread:1 ~time:(tm 20) ~addr:0 ~len:8;
-  R.on_read s ~thread:2 ~time:(tm 21) ~addr:0 ~len:8;
+  R.on_read s ~thread:1 ~time:(tm 20) ~addr:0;
+  R.on_read s ~thread:2 ~time:(tm 21) ~addr:0;
   Alcotest.(check (list kind)) "reads after barrier clean" [] (kinds s);
   (* t3 writes with no ordering against either reader: two races, one per
      racing pair (same page, distinct thread pairs). *)
-  R.on_write s ~thread:3 ~time:(tm 30) ~addr:0 ~len:8 ~lock:(-1);
+  R.on_write s ~thread:3 ~time:(tm 30) ~addr:0 ~lock:(-1);
   Alcotest.(check (list kind)) "both racing readers reported"
     [ R.Race; R.Race ] (kinds s)
 
@@ -57,11 +57,11 @@ let test_lock_orders_accesses () =
   R.on_malloc s ~thread:0 ~time:(tm 0) ~addr:0 ~bytes:64;
   R.on_lock_attempt s ~thread:0 ~time:(tm 5) ~lock:1;
   R.on_lock_acquired s ~thread:0 ~time:(tm 6) ~lock:1;
-  R.on_write s ~thread:0 ~time:(tm 10) ~addr:0 ~len:8 ~lock:1;
+  R.on_write s ~thread:0 ~time:(tm 10) ~addr:0 ~lock:1;
   R.on_unlock s ~thread:0 ~time:(tm 15) ~lock:1;
   R.on_lock_attempt s ~thread:1 ~time:(tm 20) ~lock:1;
   R.on_lock_acquired s ~thread:1 ~time:(tm 21) ~lock:1;
-  R.on_read s ~thread:1 ~time:(tm 25) ~addr:0 ~len:8;
+  R.on_read s ~thread:1 ~time:(tm 25) ~addr:0;
   R.on_unlock s ~thread:1 ~time:(tm 30) ~lock:1;
   Alcotest.(check (list kind)) "lock-ordered region accesses clean" []
     (kinds s)
@@ -73,62 +73,62 @@ let test_unpublished_ordinary () =
   R.on_malloc s ~thread:0 ~time:(tm 0) ~addr:0 ~bytes:64;
   (* Ordinary write, then hand happens-before to t1 through a lock: HB
      says ordered, but RegC only publishes ordinary data at barriers. *)
-  R.on_write s ~thread:0 ~time:(tm 5) ~addr:0 ~len:8 ~lock:(-1);
+  R.on_write s ~thread:0 ~time:(tm 5) ~addr:0 ~lock:(-1);
   R.on_lock_acquired s ~thread:0 ~time:(tm 6) ~lock:1;
   R.on_unlock s ~thread:0 ~time:(tm 10) ~lock:1;
   R.on_lock_acquired s ~thread:1 ~time:(tm 21) ~lock:1;
-  R.on_read s ~thread:1 ~time:(tm 20) ~addr:0 ~len:8;
+  R.on_read s ~thread:1 ~time:(tm 20) ~addr:0;
   Alcotest.(check (list kind)) "unpublished ordinary write" [ R.Unpublished ]
     (kinds s)
 
 let test_barrier_publishes () =
   let s = fresh () in
   R.on_malloc s ~thread:0 ~time:(tm 0) ~addr:0 ~bytes:64;
-  R.on_write s ~thread:0 ~time:(tm 5) ~addr:0 ~len:8 ~lock:(-1);
+  R.on_write s ~thread:0 ~time:(tm 5) ~addr:0 ~lock:(-1);
   List.iter (fun th -> R.on_barrier_arrive s ~thread:th ~barrier:9 ~epoch:0)
     [ 0; 1 ];
   List.iter (fun th -> R.on_barrier_depart s ~thread:th ~barrier:9 ~epoch:0)
     [ 0; 1 ];
-  R.on_read s ~thread:1 ~time:(tm 20) ~addr:0 ~len:8;
+  R.on_read s ~thread:1 ~time:(tm 20) ~addr:0;
   Alcotest.(check (list kind)) "barrier publishes ordinary write" [] (kinds s)
 
 let test_region_read_needs_lock_chain () =
   let s = fresh () in
   R.on_malloc s ~thread:0 ~time:(tm 0) ~addr:0 ~bytes:64;
   R.on_lock_acquired s ~thread:0 ~time:(tm 6) ~lock:1;
-  R.on_write s ~thread:0 ~time:(tm 5) ~addr:0 ~len:8 ~lock:1;
+  R.on_write s ~thread:0 ~time:(tm 5) ~addr:0 ~lock:1;
   (* HB through a condvar, not through lock 1: the grant chain that would
      patch the region write into t1's cache never ran. *)
   R.on_cond_signal s ~thread:0 ~cond:3;
   R.on_unlock s ~thread:0 ~time:(tm 10) ~lock:1;
   R.on_cond_wake s ~thread:1 ~cond:3;
-  R.on_read s ~thread:1 ~time:(tm 20) ~addr:0 ~len:8;
+  R.on_read s ~thread:1 ~time:(tm 20) ~addr:0;
   Alcotest.(check (list kind)) "region data needs the lock's grant chain"
     [ R.Unpublished ] (kinds s)
 
 let test_mixed_writes () =
   let s = fresh () in
   R.on_malloc s ~thread:0 ~time:(tm 0) ~addr:0 ~bytes:64;
-  R.on_write s ~thread:0 ~time:(tm 5) ~addr:0 ~len:8 ~lock:(-1);
+  R.on_write s ~thread:0 ~time:(tm 5) ~addr:0 ~lock:(-1);
   (* Order t1 after t0 through the same lock it writes under, so the only
      complaint is the mixed region/ordinary discipline. *)
   R.on_lock_acquired s ~thread:0 ~time:(tm 6) ~lock:1;
   R.on_unlock s ~thread:0 ~time:(tm 8) ~lock:1;
   R.on_lock_acquired s ~thread:1 ~time:(tm 21) ~lock:1;
-  R.on_write s ~thread:1 ~time:(tm 10) ~addr:0 ~len:8 ~lock:1;
+  R.on_write s ~thread:1 ~time:(tm 10) ~addr:0 ~lock:1;
   Alcotest.(check (list kind)) "mixed region/ordinary writes" [ R.Mixed ]
     (kinds s)
 
 let test_mixed_ok_after_barrier () =
   let s = fresh () in
   R.on_malloc s ~thread:0 ~time:(tm 0) ~addr:0 ~bytes:64;
-  R.on_write s ~thread:0 ~time:(tm 5) ~addr:0 ~len:8 ~lock:(-1);
+  R.on_write s ~thread:0 ~time:(tm 5) ~addr:0 ~lock:(-1);
   List.iter (fun th -> R.on_barrier_arrive s ~thread:th ~barrier:9 ~epoch:0)
     [ 0; 1 ];
   List.iter (fun th -> R.on_barrier_depart s ~thread:th ~barrier:9 ~epoch:0)
     [ 0; 1 ];
   R.on_lock_acquired s ~thread:1 ~time:(tm 21) ~lock:1;
-  R.on_write s ~thread:1 ~time:(tm 20) ~addr:0 ~len:8 ~lock:1;
+  R.on_write s ~thread:1 ~time:(tm 20) ~addr:0 ~lock:1;
   Alcotest.(check (list kind))
     "region write over a barrier-published ordinary write is clean" []
     (kinds s)
@@ -137,26 +137,26 @@ let test_mixed_ok_after_barrier () =
 
 let test_read_unallocated () =
   let s = fresh () in
-  R.on_read s ~thread:2 ~time:(tm 5) ~addr:4096 ~len:8;
+  R.on_read s ~thread:2 ~time:(tm 5) ~addr:4096;
   Alcotest.(check (list kind)) "unallocated read" [ R.Invalid_read ] (kinds s)
 
 let test_use_after_free () =
   let s = fresh () in
   R.on_malloc s ~thread:0 ~time:(tm 0) ~addr:0 ~bytes:32;
-  R.on_write s ~thread:0 ~time:(tm 5) ~addr:0 ~len:8 ~lock:(-1);
+  R.on_write s ~thread:0 ~time:(tm 5) ~addr:0 ~lock:(-1);
   R.on_free s ~thread:0 ~time:(tm 10) ~addr:0 ~bytes:32;
-  R.on_read s ~thread:0 ~time:(tm 15) ~addr:0 ~len:8;
+  R.on_read s ~thread:0 ~time:(tm 15) ~addr:0;
   Alcotest.(check (list kind)) "use after free" [ R.Invalid_read ] (kinds s)
 
 let test_realloc_resets_history () =
   let s = fresh () in
   R.on_malloc s ~thread:0 ~time:(tm 0) ~addr:0 ~bytes:32;
-  R.on_write s ~thread:0 ~time:(tm 5) ~addr:0 ~len:8 ~lock:(-1);
+  R.on_write s ~thread:0 ~time:(tm 5) ~addr:0 ~lock:(-1);
   R.on_free s ~thread:0 ~time:(tm 10) ~addr:0 ~bytes:32;
   (* Recycled to t1: neither t0's write history nor the free may leak. *)
   R.on_malloc s ~thread:1 ~time:(tm 20) ~addr:0 ~bytes:32;
-  R.on_write s ~thread:1 ~time:(tm 25) ~addr:0 ~len:8 ~lock:(-1);
-  R.on_read s ~thread:1 ~time:(tm 30) ~addr:0 ~len:8;
+  R.on_write s ~thread:1 ~time:(tm 25) ~addr:0 ~lock:(-1);
+  R.on_read s ~thread:1 ~time:(tm 30) ~addr:0;
   Alcotest.(check (list kind)) "recycled block starts clean" [] (kinds s)
 
 (* ---------------- lock misuse ---------------- *)
@@ -207,13 +207,13 @@ let test_dedup () =
   R.on_malloc s ~thread:0 ~time:(tm 0) ~addr:0 ~bytes:64;
   (* Two racing words on one page between the same thread pair: one
      finding. A third on another page: a second finding. *)
-  R.on_write s ~thread:0 ~time:(tm 10) ~addr:0 ~len:8 ~lock:(-1);
-  R.on_write s ~thread:1 ~time:(tm 20) ~addr:0 ~len:8 ~lock:(-1);
-  R.on_write s ~thread:0 ~time:(tm 30) ~addr:8 ~len:8 ~lock:(-1);
-  R.on_write s ~thread:1 ~time:(tm 40) ~addr:8 ~len:8 ~lock:(-1);
+  R.on_write s ~thread:0 ~time:(tm 10) ~addr:0 ~lock:(-1);
+  R.on_write s ~thread:1 ~time:(tm 20) ~addr:0 ~lock:(-1);
+  R.on_write s ~thread:0 ~time:(tm 30) ~addr:8 ~lock:(-1);
+  R.on_write s ~thread:1 ~time:(tm 40) ~addr:8 ~lock:(-1);
   R.on_malloc s ~thread:0 ~time:(tm 50) ~addr:8192 ~bytes:64;
-  R.on_write s ~thread:0 ~time:(tm 60) ~addr:8192 ~len:8 ~lock:(-1);
-  R.on_write s ~thread:1 ~time:(tm 70) ~addr:8192 ~len:8 ~lock:(-1);
+  R.on_write s ~thread:0 ~time:(tm 60) ~addr:8192 ~lock:(-1);
+  R.on_write s ~thread:1 ~time:(tm 70) ~addr:8192 ~lock:(-1);
   Alcotest.(check int) "deduped per (page, pair, kind)" 2
     (R.findings_count s);
   Alcotest.(check int) "findings list matches count" 2
@@ -224,9 +224,10 @@ let test_word_granularity () =
   R.on_malloc s ~thread:0 ~time:(tm 0) ~addr:0 ~bytes:64;
   (* Unordered writes to distinct words of one page: RegC's
      multiple-writer protocol makes this legal, so no finding. *)
-  R.on_write s ~thread:0 ~time:(tm 10) ~addr:0 ~len:8 ~lock:(-1);
-  R.on_write s ~thread:1 ~time:(tm 20) ~addr:8 ~len:8 ~lock:(-1);
-  R.on_write s ~thread:2 ~time:(tm 30) ~addr:16 ~len:16 ~lock:(-1);
+  R.on_write s ~thread:0 ~time:(tm 10) ~addr:0 ~lock:(-1);
+  R.on_write s ~thread:1 ~time:(tm 20) ~addr:8 ~lock:(-1);
+  R.on_write s ~thread:2 ~time:(tm 30) ~addr:16 ~lock:(-1);
+  R.on_write s ~thread:2 ~time:(tm 30) ~addr:24 ~lock:(-1);
   Alcotest.(check (list kind)) "false sharing is not a race" [] (kinds s)
 
 (* ---------------- integration: real kernels ---------------- *)

@@ -8,7 +8,7 @@
 let keys = 8192
 
 let owners ~shards =
-  let r = Samhita.Hash_ring.create ~shards () in
+  let r = Samhita.Hash_ring.create ~shards in
   Array.init keys (Samhita.Hash_ring.lookup r)
 
 let test_ring_single_shard () =

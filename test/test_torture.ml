@@ -17,16 +17,14 @@ let classes o =
 let test_oracle_zero_legal () =
   let o = mk_oracle () in
   let p = Torture.Oracle.probe o in
-  p.Samhita.Probe.on_read ~thread:0 ~time:(t_ns 10) ~addr:64 ~len:8
-    ~value:(Some 0L);
+  p.Samhita.Probe.on_read ~thread:0 ~time:(t_ns 10) ~addr:64 ~value:0L;
   Alcotest.(check (list string)) "initial zero is legal" [] (classes o);
   Alcotest.(check int) "read was checked" 1 (Torture.Oracle.reads_checked o)
 
 let test_oracle_flags_illegal_read () =
   let o = mk_oracle () in
   let p = Torture.Oracle.probe o in
-  p.Samhita.Probe.on_read ~thread:0 ~time:(t_ns 10) ~addr:64 ~len:8
-    ~value:(Some 0xDEADL);
+  p.Samhita.Probe.on_read ~thread:0 ~time:(t_ns 10) ~addr:64 ~value:0xDEADL;
   Alcotest.(check (list string)) "unsourced value flagged"
     [ "illegal-read" ] (classes o);
   Alcotest.(check bool) "trace contextualizes it" true
@@ -35,14 +33,12 @@ let test_oracle_flags_illegal_read () =
 let test_oracle_own_store_legal () =
   let o = mk_oracle () in
   let p = Torture.Oracle.probe o in
-  p.Samhita.Probe.on_write ~thread:2 ~time:(t_ns 1) ~addr:128 ~len:8
-    ~region:(-1) ~value:(Some 7L);
-  p.Samhita.Probe.on_read ~thread:2 ~time:(t_ns 2) ~addr:128 ~len:8
-    ~value:(Some 7L);
+  p.Samhita.Probe.on_write ~thread:2 ~time:(t_ns 1) ~addr:128
+    ~region:(-1) ~value:7L;
+  p.Samhita.Probe.on_read ~thread:2 ~time:(t_ns 2) ~addr:128 ~value:7L;
   Alcotest.(check (list string)) "own last store is legal" [] (classes o);
   (* Another thread has no such edge: 7 was never published. *)
-  p.Samhita.Probe.on_read ~thread:3 ~time:(t_ns 3) ~addr:128 ~len:8
-    ~value:(Some 7L);
+  p.Samhita.Probe.on_read ~thread:3 ~time:(t_ns 3) ~addr:128 ~value:7L;
   Alcotest.(check (list string)) "other thread may not see it"
     [ "illegal-read" ] (classes o)
 
@@ -60,28 +56,12 @@ let test_oracle_published_history_legal () =
   let addr = 2 * line_bytes in
   (* RegC permits stale reads: the full history is legal, not just the
      newest publication. *)
-  p.Samhita.Probe.on_read ~thread:1 ~time:(t_ns 6) ~addr ~len:8
-    ~value:(Some 22L);
-  p.Samhita.Probe.on_read ~thread:1 ~time:(t_ns 7) ~addr ~len:8
-    ~value:(Some 11L);
+  p.Samhita.Probe.on_read ~thread:1 ~time:(t_ns 6) ~addr ~value:22L;
+  p.Samhita.Probe.on_read ~thread:1 ~time:(t_ns 7) ~addr ~value:11L;
   Alcotest.(check (list string)) "published history legal" [] (classes o);
-  p.Samhita.Probe.on_read ~thread:1 ~time:(t_ns 8) ~addr ~len:8
-    ~value:(Some 33L);
+  p.Samhita.Probe.on_read ~thread:1 ~time:(t_ns 8) ~addr ~value:33L;
   Alcotest.(check (list string)) "unpublished value still flagged"
     [ "illegal-read" ] (classes o)
-
-let test_oracle_tainted_words_skipped () =
-  let o = mk_oracle () in
-  let p = Torture.Oracle.probe o in
-  (* A sub-word store taints the containing word; word-level legality is
-     no longer expressible there, so reads of it are not checked. *)
-  p.Samhita.Probe.on_write ~thread:0 ~time:(t_ns 1) ~addr:68 ~len:4
-    ~region:(-1) ~value:None;
-  p.Samhita.Probe.on_read ~thread:1 ~time:(t_ns 2) ~addr:64 ~len:8
-    ~value:(Some 0xBADL);
-  Alcotest.(check (list string)) "tainted word not checked" [] (classes o);
-  Alcotest.(check int) "and not counted as checked" 0
-    (Torture.Oracle.reads_checked o)
 
 let test_oracle_alloc_invariants () =
   let o = mk_oracle () in
@@ -98,8 +78,8 @@ let test_oracle_digest_order_sensitive () =
     let p = Torture.Oracle.probe o in
     List.iter
       (fun (thread, addr) ->
-         p.Samhita.Probe.on_write ~thread ~time:(t_ns 1) ~addr ~len:8
-           ~region:(-1) ~value:(Some 1L))
+         p.Samhita.Probe.on_write ~thread ~time:(t_ns 1) ~addr
+           ~region:(-1) ~value:1L)
       order;
     Torture.Oracle.digest o
   in
@@ -107,6 +87,74 @@ let test_oracle_digest_order_sensitive () =
   Alcotest.(check int) "same stream, same digest" (feed a) (feed a);
   Alcotest.(check bool) "swapped stream, different digest" true
     (feed a <> feed (List.rev a))
+
+(* Every access is one aligned word with its value, so the oracle checks
+   every read the probe stream carries: its checked count equals a plain
+   read counter attached beside it. One torture-style run per kernel:
+   small lines and caches, high fault level, shuffled tie-breaks. *)
+let test_oracle_checks_every_read () =
+  let config =
+    { config with
+      Samhita.Config.seed = 7;
+      fault_level = Fabric.Faults.High;
+      shuffle = true;
+      page_bytes = 256;
+      cache_lines = 4;
+      memory_servers = 2;
+      small_threshold = 1024;
+      large_threshold = 64 * 1024;
+      arena_chunk_bytes = 16 * 256 }
+  in
+  List.iter
+    (fun (name, run) ->
+       let oracle = Torture.Oracle.create ~config () in
+       let reads = ref 0 in
+       let counter =
+         { Samhita.Probe.nothing with
+           on_read = (fun ~thread:_ ~time:_ ~addr:_ ~value:_ -> incr reads) }
+       in
+       let on_create sys =
+         Samhita.System.add_probe sys
+           (Samhita.Probe.both (Torture.Oracle.probe oracle) counter)
+       in
+       run (Workload.Samhita_backend.make ~on_create ~config ());
+       Alcotest.(check bool) (name ^ " reads memory") true (!reads > 0);
+       Alcotest.(check int) (name ^ ": every read checked") !reads
+         (Torture.Oracle.reads_checked oracle);
+       Alcotest.(check (list string)) (name ^ " clean") [] (classes oracle))
+    [ ( "micro",
+        fun b ->
+          ignore
+            (Workload.Microbench.run b ~threads:3
+               { Workload.Microbench.default_params with
+                 Workload.Microbench.n_outer = 3;
+                 m_inner = 2;
+                 s_rows = 2;
+                 b_cols = 24;
+                 warmup = 1;
+                 alloc = Workload.Microbench.Global_strided }
+             : Workload.Microbench.result) );
+      ( "jacobi",
+        fun b ->
+          ignore
+            (Workload.Jacobi.run b ~threads:3
+               { Workload.Jacobi.default_params with n = 12; iters = 2 }
+             : Workload.Jacobi.result) );
+      ( "kv",
+        fun b ->
+          ignore
+            (Workload.Kv.run b ~threads:3
+               { Workload.Kv.traffic =
+                   { Workload.Traffic.clients = 6;
+                     requests = 64;
+                     rate_rps = 500_000.;
+                     keys = 24;
+                     zipf_s = 0.9;
+                     read_fraction = 0.7;
+                     seed = 7 };
+                 shards = 2;
+                 service_flops = 16 }
+             : Workload.Kv.result) ) ]
 
 (* ---------------- Runner ------------------------------------------- *)
 
@@ -291,12 +339,12 @@ let tests =
       test_oracle_own_store_legal;
     Alcotest.test_case "oracle: published history legal" `Quick
       test_oracle_published_history_legal;
-    Alcotest.test_case "oracle: tainted words skipped" `Quick
-      test_oracle_tainted_words_skipped;
     Alcotest.test_case "oracle: allocation invariants" `Quick
       test_oracle_alloc_invariants;
     Alcotest.test_case "oracle: digest order-sensitive" `Quick
       test_oracle_digest_order_sensitive;
+    Alcotest.test_case "oracle: every read checked" `Quick
+      test_oracle_checks_every_read;
     Alcotest.test_case "kernel_of_string" `Quick test_kernel_of_string;
     Alcotest.test_case "run_one deterministic" `Quick
       test_run_one_deterministic;

@@ -12,9 +12,9 @@ type event = { time : Desim.Time.t; kind : string; id : int }
    sync object it names (-1 for none), to [log], newest first. *)
 let recorder log =
   let add time kind id = log := { time; kind; id } :: !log in
-  { P.on_read = (fun ~thread:_ ~time ~addr:_ ~len:_ ~value:_ ->
+  { P.on_read = (fun ~thread:_ ~time ~addr:_ ~value:_ ->
         add time "read" (-1));
-    on_write = (fun ~thread:_ ~time ~addr:_ ~len:_ ~region:_ ~value:_ ->
+    on_write = (fun ~thread:_ ~time ~addr:_ ~region:_ ~value:_ ->
         add time "write" (-1));
     on_publish =
       (fun ~thread:_ ~time ~server:_ ~line:_ ~version:_ ~data:_ ->

@@ -9,9 +9,10 @@ let lb = layout.Samhita.Layout.line_bytes
 let test_of_i64 () =
   let u = Samhita.Update.of_i64 ~addr:64 0x0102030405060708L in
   Alcotest.(check int) "addr" 64 u.Samhita.Update.addr;
-  Alcotest.(check int) "len" 8 (Bytes.length u.Samhita.Update.data);
-  Alcotest.(check int64) "little endian" 0x0102030405060708L
-    (Bytes.get_int64_le u.Samhita.Update.data 0)
+  Alcotest.(check int64) "value" 0x0102030405060708L u.Samhita.Update.value;
+  Alcotest.check_raises "one aligned word"
+    (Invalid_argument "Update.of_i64: unaligned word") (fun () ->
+      ignore (Samhita.Update.of_i64 ~addr:68 1L : Samhita.Update.t))
 
 let test_wire_bytes () =
   let u = Samhita.Update.of_i64 ~addr:0 1L in
@@ -30,47 +31,23 @@ let test_apply_within_line () =
   Samhita.Update.apply_to_line layout u ~line:5 buf2;
   Alcotest.(check bytes) "untouched" (Bytes.make lb '\000') buf2
 
-let test_apply_straddling () =
-  (* A 16-byte update crossing the line-0/line-1 boundary. *)
-  let data = Bytes.init 16 (fun i -> Char.chr (i + 1)) in
-  let u = { Samhita.Update.addr = lb - 8; data } in
-  Alcotest.(check (list int)) "touches both lines" [ 0; 1 ]
-    (Samhita.Update.lines_touched layout u);
-  let b0 = Bytes.make lb '\000' and b1 = Bytes.make lb '\000' in
-  Samhita.Update.apply_to_line layout u ~line:0 b0;
-  Samhita.Update.apply_to_line layout u ~line:1 b1;
-  Alcotest.(check char) "tail of line 0" (Char.chr 1) (Bytes.get b0 (lb - 8));
-  Alcotest.(check char) "last byte of line 0" (Char.chr 8)
-    (Bytes.get b0 (lb - 1));
-  Alcotest.(check char) "head of line 1" (Char.chr 9) (Bytes.get b1 0);
-  Alcotest.(check char) "8th of line 1" (Char.chr 16) (Bytes.get b1 7)
-
-let test_lines_touched_empty () =
-  let u = { Samhita.Update.addr = 0; data = Bytes.create 0 } in
-  Alcotest.(check (list int)) "empty update" []
-    (Samhita.Update.lines_touched layout u)
-
 let prop_apply_matches_blit =
   QCheck.Test.make ~name:"per-line apply equals a global blit" ~count:200
-    QCheck.(pair (int_bound (3 * lb)) (int_range 1 64))
-    (fun (addr, len) ->
-       let u =
-         { Samhita.Update.addr;
-           data = Bytes.init len (fun i -> Char.chr (i mod 256)) }
-       in
-       (* Global picture: a 4-line flat buffer with the update blitted. *)
+    QCheck.(pair (int_bound ((4 * lb / 8) - 1)) int64)
+    (fun (word, v) ->
+       let u = Samhita.Update.of_i64 ~addr:(8 * word) v in
+       (* Global picture: a 4-line flat buffer with the word stored. *)
        let flat = Bytes.make (4 * lb) '\000' in
-       Bytes.blit u.Samhita.Update.data 0 flat addr len;
-       (* Per-line application. *)
-       let ok = ref true in
-       List.iter
-         (fun line ->
-            let buf = Bytes.make lb '\000' in
-            Samhita.Update.apply_to_line layout u ~line buf;
-            if not (Bytes.equal buf (Bytes.sub flat (line * lb) lb)) then
-              ok := false)
-         (Samhita.Update.lines_touched layout u);
-       !ok)
+       Bytes.set_int64_le flat (8 * word) v;
+       (* Per-line application: the word's own line gets it, every other
+          line is left alone. *)
+       Samhita.Update.line_of layout u = 8 * word / lb
+       && List.for_all
+            (fun line ->
+               let buf = Bytes.make lb '\000' in
+               Samhita.Update.apply_to_line layout u ~line buf;
+               Bytes.equal buf (Bytes.sub flat (line * lb) lb))
+            [ 0; 1; 2; 3 ])
 
 (* ---------------- Home ---------------- *)
 
@@ -130,8 +107,6 @@ let tests =
   [ Alcotest.test_case "of_i64" `Quick test_of_i64;
     Alcotest.test_case "wire bytes" `Quick test_wire_bytes;
     Alcotest.test_case "apply within line" `Quick test_apply_within_line;
-    Alcotest.test_case "apply straddling" `Quick test_apply_straddling;
-    Alcotest.test_case "empty update" `Quick test_lines_touched_empty;
     QCheck_alcotest.to_alcotest prop_apply_matches_blit;
     Alcotest.test_case "home striping" `Quick test_home_striping;
     Alcotest.test_case "single server" `Quick test_home_single_server;
