@@ -1,7 +1,10 @@
-(* The diff.make gate: the word-wise Diff.make against the scalar
+(* The diff gate: the word-wise Diff.make, and Diff.make_paged (the
+   per-page-twin entry point the simulator runs), against the scalar
    Diff_reference.make on the same inputs, measured back to back in one
-   process so machine drift cancels out of the ratio. Exits 1 when the
-   sparse speedup falls below 1.5x.
+   process so machine drift cancels out of the ratios. Exits 1 when
+   either sparse speedup falls below 1.5x. The dense ratios are printed
+   but not gated: when every word differs, both scans run the same byte
+   loop (about 1.0x).
 
      dune exec bench/main.exe
 
@@ -40,12 +43,25 @@ let ns_per_call name f =
     (Analyze.all ols instance results)
     nan
 
-(* Reference ns over word-wise ns on one input shape. *)
-let speedup shape (twin, current) =
+(* Reference ns over word-wise ns on one input shape, for [Diff.make]
+   and for [Diff.make_paged] with the twin cut into pages. *)
+let speedups shape (twin, current) =
+  let page = layout.Samhita.Layout.page_bytes in
+  let twins =
+    Array.init layout.Samhita.Layout.pages_per_line (fun p ->
+        Bytes.sub twin (p * page) page)
+  in
   let fast =
     ns_per_call shape (fun () ->
         ignore
           (Samhita.Diff.make layout ~line:0 ~twin ~current ~dirty_pages:1
+            : Samhita.Diff.t))
+  in
+  let paged =
+    ns_per_call (shape ^ " paged") (fun () ->
+        ignore
+          (Samhita.Diff.make_paged layout ~line:0 ~twins ~current
+             ~dirty_pages:1
             : Samhita.Diff.t))
   in
   let reference =
@@ -55,21 +71,26 @@ let speedup shape (twin, current) =
              ~dirty_pages:1
             : Samhita.Diff_reference.t))
   in
-  let ratio = reference /. fast in
+  let ratio = reference /. fast and paged_ratio = reference /. paged in
   Printf.printf
-    "diff.make %-6s %8.1f ns   reference %8.1f ns   speedup %.2fx\n%!" shape
-    fast reference ratio;
-  ratio
+    "diff.make %-6s %8.1f ns   make_paged %8.1f ns   reference %8.1f ns   \
+     speedup %.2fx / %.2fx\n%!"
+    shape fast paged reference ratio paged_ratio;
+  (ratio, paged_ratio)
 
 let () =
-  let sparse =
-    speedup "sparse" (diff_pair ~stride:64 ~word:0x3FF0000000000000L)
+  let sparse, sparse_paged =
+    speedups "sparse" (diff_pair ~stride:64 ~word:0x3FF0000000000000L)
   in
-  let (_ : float) =
-    speedup "dense" (diff_pair ~stride:8 ~word:0x0000BEEFBEEFBEEFL)
+  let (_ : float * float) =
+    speedups "dense" (diff_pair ~stride:8 ~word:0x0000BEEFBEEFBEEFL)
   in
-  if not (sparse >= 1.5) then begin
-    Printf.eprintf "bench: sparse diff.make speedup %.2fx is below 1.5x\n"
-      sparse;
-    exit 1
-  end
+  let gates =
+    [ ("sparse diff.make", sparse); ("sparse diff.make_paged", sparse_paged) ]
+  in
+  let failed = List.filter (fun (_, r) -> not (r >= 1.5)) gates in
+  List.iter
+    (fun (name, r) ->
+       Printf.eprintf "bench: %s speedup %.2fx is below 1.5x\n" name r)
+    failed;
+  if failed <> [] then exit 1

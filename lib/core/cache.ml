@@ -2,7 +2,10 @@ type entry = {
   line : int;
   data : bytes;
   mutable version : int;
-  mutable twin : bytes option;
+  (* [twins.(p)] is page [p]'s pristine copy, taken from the pool on the
+     first ordinary store to that page; it holds [Bytes.empty] while bit
+     [p] of [dirty_pages] is clear. *)
+  twins : bytes array;
   mutable dirty_pages : int;
   mutable tick : int;
   (* Sequential-consistency mode only: this copy is the line's single
@@ -49,6 +52,11 @@ type t = {
   mutable tick : int;
   lru_clean : entry;  (* sentinel *)
   lru_dirty : entry;  (* sentinel *)
+  (* Page-sized twin buffers given back by [clean] and [remove]: a stack
+     of [n_free] buffers at the front of [free]. It grows to the most
+     pages this thread ever held twinned at once and never shrinks. *)
+  mutable free : bytes array;
+  mutable n_free : int;
   mutable c_hits : int;
   mutable c_misses : int;
   mutable c_evictions : int;
@@ -59,7 +67,7 @@ type t = {
 
 let sentinel () =
   let rec s =
-    { line = -1; data = Bytes.empty; version = 0; twin = None;
+    { line = -1; data = Bytes.empty; version = 0; twins = [||];
       dirty_pages = 0; tick = min_int; excl = false; lru_prev = s;
       lru_next = s }
   in
@@ -74,6 +82,8 @@ let create (cfg : Config.t) layout =
     tick = 0;
     lru_clean = sentinel ();
     lru_dirty = sentinel ();
+    free = [||];
+    n_free = 0;
     c_hits = 0;
     c_misses = 0;
     c_evictions = 0;
@@ -156,9 +166,54 @@ let choose_victim t ~allow_dirty =
     | None, v | v, None -> v
     | Some de, Some ce -> if de.tick < ce.tick then Some de else Some ce
 
+(* ---- the twin page pool ---- *)
+
+let take_page t =
+  if t.n_free = 0 then Bytes.create t.layout.Layout.page_bytes
+  else begin
+    t.n_free <- t.n_free - 1;
+    Array.unsafe_get t.free t.n_free
+  end
+
+let give_page t b =
+  if t.n_free = Array.length t.free then begin
+    let free = Array.make (max 8 (2 * t.n_free)) Bytes.empty in
+    Array.blit t.free 0 free 0 t.n_free;
+    t.free <- free
+  end;
+  Array.unsafe_set t.free t.n_free b;
+  t.n_free <- t.n_free + 1
+
+(* Return every twin page to the pool and clear the dirty bits; the
+   caller moves the entry between chains. *)
+let release_twins t e =
+  let d = e.dirty_pages in
+  if d <> 0 then begin
+    for p = 0 to Array.length e.twins - 1 do
+      if d land (1 lsl p) <> 0 then begin
+        give_page t e.twins.(p);
+        e.twins.(p) <- Bytes.empty
+      end
+    done;
+    e.dirty_pages <- 0
+  end
+
 let remove t (e : entry) =
   unlink e;
+  release_twins t e;
   Hashtbl.remove t.table e.line
+
+(* A new clean, most recently used entry. *)
+let add t ~line ~data ~version =
+  let rec e =
+    { line; data; version;
+      twins = Array.make t.layout.Layout.pages_per_line Bytes.empty;
+      dirty_pages = 0; tick = 0; excl = false; lru_prev = e; lru_next = e }
+  in
+  touch t e;
+  push t.lru_clean e;
+  Hashtbl.replace t.table line e;
+  e
 
 let insert t ~line ~data ~version ~evict =
   (* The caller may have yielded between detecting the miss and calling
@@ -186,15 +241,7 @@ let insert t ~line ~data ~version ~evict =
        touch t e;
        e
      | None ->
-       let rec e =
-         { line; data; version; twin = None; dirty_pages = 0; tick = 0;
-           excl = false; lru_prev = e; lru_next = e }
-       in
-       t.tick <- t.tick + 1;
-       e.tick <- t.tick;
-       push t.lru_clean e;
-       Hashtbl.replace t.table line e;
-       e)
+       add t ~line ~data ~version)
 
 let ensure_room t ~line ~evict =
   let rec go () =
@@ -228,33 +275,34 @@ let try_install t ~line ~data ~version =
         | None -> false
     in
     if have_room then begin
-      let rec e =
-        { line; data; version; twin = None; dirty_pages = 0; tick = 0;
-          excl = false; lru_prev = e; lru_next = e }
-      in
-      t.tick <- t.tick + 1;
-      e.tick <- t.tick;
-      push t.lru_clean e;
-      Hashtbl.replace t.table line e;
+      ignore (add t ~line ~data ~version : entry);
       t.c_prefetch_installs <- t.c_prefetch_installs + 1
     end;
     have_room
   end
 
-let mark_written t e ~offset ~len =
-  (match e.twin with
-   | None -> e.twin <- Some (Bytes.copy e.data)
-   | Some _ -> ());
-  let was_dirty = is_dirty e in
-  let first = Layout.page_in_line t.layout ~offset in
-  let last = Layout.page_in_line t.layout ~offset:(offset + len - 1) in
-  for p = first to last do
-    e.dirty_pages <- e.dirty_pages lor (1 lsl p)
-  done;
-  if (not was_dirty) && is_dirty e && linked e then begin
-    unlink e;
-    push t.lru_dirty e
+let mark_written t e ~offset =
+  let p = offset lsr t.layout.Layout.page_shift in
+  let bit = 1 lsl p in
+  if e.dirty_pages land bit = 0 then begin
+    let page = t.layout.Layout.page_bytes in
+    let twin = take_page t in
+    Bytes.blit e.data (p * page) twin 0 page;
+    e.twins.(p) <- twin;
+    let was_dirty = e.dirty_pages <> 0 in
+    e.dirty_pages <- e.dirty_pages lor bit;
+    if (not was_dirty) && linked e then begin
+      unlink e;
+      push t.lru_dirty e
+    end
   end
+
+let set_twin_word t e ~offset v =
+  let p = offset lsr t.layout.Layout.page_shift in
+  if e.dirty_pages land (1 lsl p) <> 0 then
+    Bytes.set_int64_le e.twins.(p)
+      (offset land (t.layout.Layout.page_bytes - 1))
+      v
 
 let invalidate t line =
   (match Hashtbl.find_opt t.table line with
@@ -280,9 +328,8 @@ let entries t =
   |> List.sort (fun a b -> Int.compare a.line b.line)
 
 let clean t e ~version =
-  e.twin <- None;
   let was_dirty = is_dirty e in
-  e.dirty_pages <- 0;
+  release_twins t e;
   e.version <- version;
   if was_dirty && linked e then begin
     unlink e;

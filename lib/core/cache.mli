@@ -2,10 +2,13 @@
 
     Every compute thread accesses the GAS through one of these (paper §II:
     "each compute thread has a local software cache ... populated by demand
-    paging"). Entries are whole lines ([pages_per_line] pages). A line
-    written in an ordinary region lazily gains a {e twin} (pristine copy)
-    and per-page dirty bits, from which {!Diff.make} produces the flush
-    payload at consistency points.
+    paging"). Entries are whole lines ([pages_per_line] pages). The first
+    ordinary-region store to a {e page} sets that page's dirty bit and
+    copies the page into a {e twin} (its pristine contents), as an
+    mprotect write fault would; {!Diff.make_paged} diffs the dirty pages
+    against their twins at the next consistency point. Twin pages come
+    from a free list owned by the cache, and {!clean} and removal give
+    them back, so a thread in steady state allocates no twin.
 
     The cache is pure bookkeeping: fetching, timing and protocol decisions
     live in {!Thread_ctx}. Eviction selection honours the paper's
@@ -23,10 +26,13 @@ type entry = {
   line : int;
   data : bytes;
   mutable version : int;  (** Home version this copy corresponds to. *)
-  mutable twin : bytes option;
+  twins : bytes array;
+      (** Per page: [twins.(p)] is page [p]'s page-sized twin exactly when
+          bit [p] of [dirty_pages] is set, and [Bytes.empty] otherwise. *)
   mutable dirty_pages : int;
-      (** Bitmask over pages of the line. Mutate only through
-          {!mark_written}/{!clean} — the LRU chains key on it. *)
+      (** Bitmask over pages of the line; a set bit means the page is
+          twinned. Mutate only through {!mark_written}/{!clean} — the LRU
+          chains and the twin pool key on it. *)
   mutable tick : int;  (** Last-use stamp for LRU. *)
   mutable excl : bool;
       (** Sequential-consistency mode: held exclusive (sole writer). *)
@@ -34,7 +40,10 @@ type entry = {
   mutable lru_next : entry;  (** Internal: intrusive LRU chain link. *)
 }
 (** The chain links make entries cyclic values: compare entries with [==],
-    never with polymorphic [=]. *)
+    never with polymorphic [=]. A resident entry is on a chain; removal
+    (eviction, {!invalidate}, a prefetch displacing a clean victim in
+    {!try_install}) leaves it self-linked, so [e.lru_next != e] tests
+    residency without a lookup. *)
 
 type t
 
@@ -78,13 +87,24 @@ val try_install : t -> line:int -> data:bytes -> version:int -> bool
     cannot flush). Clean victims may be displaced. Returns [false] and
     drops the data otherwise. *)
 
-val mark_written : t -> entry -> offset:int -> len:int -> unit
-(** Note an ordinary-region write to [entry]: creates the twin on first
-    write and sets the dirty bits of the touched pages. *)
+val mark_written : t -> entry -> offset:int -> unit
+(** Note an ordinary-region store at byte [offset] of [entry], before the
+    store lands: on the first store to that page since the last {!clean},
+    twin the page and set its dirty bit; otherwise a no-op. Callers on
+    the hit path test the bit inline and call this only when it is
+    clear. *)
+
+val set_twin_word : t -> entry -> offset:int -> int64 -> unit
+(** Store the word at [offset] into its page's twin if that page is
+    twinned, and do nothing otherwise. A store that must never travel in
+    this thread's own diff (a consistency-region store, a grant patch)
+    lands in the line and here; an untwinned page picks it up when it is
+    twinned later. *)
 
 val invalidate : t -> int -> unit
-(** Drop a line (no flush — callers flush first when needed). Marks any
-    in-flight prefetch of that line stale. *)
+(** Drop a line (no flush — callers flush first when needed), returning
+    its twin pages to the pool. Marks any in-flight prefetch of that line
+    stale. *)
 
 val dirty_entries : t -> entry list
 (** All entries with dirty pages, ascending line id (deterministic flush
@@ -96,8 +116,8 @@ val entries : t -> entry list
     point). *)
 
 val clean : t -> entry -> version:int -> unit
-(** After a successful flush: drop twin and dirty bits, record the new home
-    version. *)
+(** After a successful flush: return the twin pages to the pool, clear the
+    dirty bits and record the new home version. *)
 
 (** {2 In-flight prefetch bookkeeping} *)
 

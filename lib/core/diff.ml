@@ -36,9 +36,9 @@ let small_blit src spos dst dpos len =
 (* Span-boundary scratch reused across calls, grown geometrically and
    never shrunk. Its contents never outlive one call, so sharing it
    between simulations is harmless; it is domain-local only so that a
-   caller running simulations on several domains stays safe. [make]
-   never re-enters (it calls no user code), so handing out the arrays
-   before the scan is safe. *)
+   caller running simulations on several domains stays safe. [make] and
+   [make_paged] never re-enter (they call no user code), so handing out
+   the arrays before the scan is safe. *)
 type scratch = { mutable offs : int array; mutable lens : int array }
 
 let scratch_key =
@@ -61,99 +61,92 @@ let ensure_scratch n =
   end;
   s
 
-let make (layout : Layout.t) ~line ~twin ~current ~dirty_pages =
-  if Bytes.length twin <> layout.Layout.line_bytes
-     || Bytes.length current <> layout.Layout.line_bytes
-  then invalid_arg "Diff.make: buffers must be line-sized";
-  (* One pass over the dirty pages records span boundaries in the scratch
-     arrays; the exact-size result is copied out afterwards. The scan
-     compares 8 bytes at a time (a native 64-bit load; the typer
-     specializes [<>] at int64 to an unboxed comparison) and narrows to
-     byte granularity only inside words that differ or at a run boundary,
-     so the recorded runs are byte-for-byte those of the scalar scan.
+(* Scan bytes [lo, hi) of [current] — one dirty page — against [twin],
+   whose byte 0 stands for byte [base] of the line (0 for a line-sized
+   twin, the page's offset for a page twin). Appends the page's runs to
+   [offs]/[lens] from index [n] and returns the new count. Runs never
+   cross a page boundary (matching the scalar scan, which flushed at
+   each region's end).
 
-     The emit sites are spelled out inline rather than shared through
-     local closures: with no closure capturing them, the state refs below
-     compile to mutable locals (registers), and scratch is pre-sized to
-     the worst case (alternating differ/equal bytes) so emits skip the
-     capacity check. Both matter — the closured version measured ~1.6x
-     slower on fragmented lines. *)
-  let scratch = ensure_scratch ((layout.Layout.line_bytes / 2) + 1) in
-  let offs = scratch.offs and lens = scratch.lens in
-  let count = ref 0 and total = ref 0 in
+   The scan compares 8 bytes at a time (a native 64-bit load; the typer
+   specializes [<>] at int64 to an unboxed comparison) and narrows to
+   byte granularity only inside words that differ or at a run boundary,
+   so the recorded runs are byte-for-byte those of the scalar scan. The
+   emit sites are spelled out inline rather than shared through local
+   closures: with no closure capturing them, the state refs below compile
+   to mutable locals (registers), and the caller pre-sizes the arrays to
+   the worst case (alternating differ/equal bytes) so emits skip the
+   capacity check. Both matter — the closured version measured ~1.6x
+   slower on fragmented lines. *)
+let scan_page offs lens n ~twin ~base ~current ~lo ~hi =
+  let count = ref n in
   let run_start = ref (-1) in
-  let page = layout.Layout.page_bytes in
-  for p = 0 to layout.Layout.pages_per_line - 1 do
-    if dirty_pages land (1 lsl p) <> 0 then begin
-      let lo = p * page and hi = (p + 1) * page in
-      let word_end = lo + ((hi - lo) land lnot 7) in
-      let i = ref lo in
-      while !i < word_end do
-        (* A differing word falls back to the plain byte loop. Two fancier
-           schemes were measured and rejected: an all-bytes-differ fast
-           path (has-zero-byte trick on the XOR) taxes the partial-word
-           words every numeric kernel produces — a double's mantissa
-           changes, its exponent byte does not — and walking the word's
-           bytes out of the XOR image with shift-and-mask tests loses to
-           the byte reloads, which hit L1 and cost less than the extra
-           shifts and branches. *)
-        (if Bytes.get_int64_ne twin !i <> Bytes.get_int64_ne current !i
-         then
-           for j = !i to !i + 7 do
-             if Bytes.unsafe_get twin j <> Bytes.unsafe_get current j
-             then begin
-               if !run_start < 0 then run_start := j
-             end
-             else if !run_start >= 0 then begin
-               let n = !count in
-               Array.unsafe_set offs n !run_start;
-               Array.unsafe_set lens n (j - !run_start);
-               total := !total + (j - !run_start);
-               count := n + 1;
-               run_start := -1
-             end
-           done
+  let word_end = lo + ((hi - lo) land lnot 7) in
+  let i = ref lo in
+  while !i < word_end do
+    (* A differing word falls back to the plain byte loop. Two fancier
+       schemes were measured and rejected: an all-bytes-differ fast path
+       (has-zero-byte trick on the XOR) taxes the partial-word words every
+       numeric kernel produces — a double's mantissa changes, its exponent
+       byte does not — and walking the word's bytes out of the XOR image
+       with shift-and-mask tests loses to the byte reloads, which hit L1
+       and cost less than the extra shifts and branches. *)
+    (if Bytes.get_int64_ne twin (!i - base) <> Bytes.get_int64_ne current !i
+     then
+       for j = !i to !i + 7 do
+         if Bytes.unsafe_get twin (j - base) <> Bytes.unsafe_get current j
+         then begin
+           if !run_start < 0 then run_start := j
+         end
          else if !run_start >= 0 then begin
-           let n = !count in
-           Array.unsafe_set offs n !run_start;
-           Array.unsafe_set lens n (!i - !run_start);
-           total := !total + (!i - !run_start);
-           count := n + 1;
+           let k = !count in
+           Array.unsafe_set offs k !run_start;
+           Array.unsafe_set lens k (j - !run_start);
+           count := k + 1;
            run_start := -1
-         end);
-        i := !i + 8
-      done;
-      for j = word_end to hi - 1 do
-        if Bytes.unsafe_get twin j <> Bytes.unsafe_get current j then begin
-          if !run_start < 0 then run_start := j
-        end
-        else if !run_start >= 0 then begin
-          let n = !count in
-          Array.unsafe_set offs n !run_start;
-          Array.unsafe_set lens n (j - !run_start);
-          total := !total + (j - !run_start);
-          count := n + 1;
-          run_start := -1
-        end
-      done;
-      (* Runs never cross a page boundary (matching the scalar scan, which
-         flushed at each region's end). *)
-      if !run_start >= 0 then begin
-        let n = !count in
-        Array.unsafe_set offs n !run_start;
-        Array.unsafe_set lens n (hi - !run_start);
-        total := !total + (hi - !run_start);
-        count := n + 1;
-        run_start := -1
-      end
+         end
+       done
+     else if !run_start >= 0 then begin
+       let k = !count in
+       Array.unsafe_set offs k !run_start;
+       Array.unsafe_set lens k (!i - !run_start);
+       count := k + 1;
+       run_start := -1
+     end);
+    i := !i + 8
+  done;
+  for j = word_end to hi - 1 do
+    if Bytes.unsafe_get twin (j - base) <> Bytes.unsafe_get current j then begin
+      if !run_start < 0 then run_start := j
+    end
+    else if !run_start >= 0 then begin
+      let k = !count in
+      Array.unsafe_set offs k !run_start;
+      Array.unsafe_set lens k (j - !run_start);
+      count := k + 1;
+      run_start := -1
     end
   done;
-  if !count = 0 then
+  if !run_start >= 0 then begin
+    let k = !count in
+    Array.unsafe_set offs k !run_start;
+    Array.unsafe_set lens k (hi - !run_start);
+    count := k + 1
+  end;
+  !count
+
+(* Copy the [n] runs recorded in the scratch arrays out into an
+   exact-size diff. *)
+let pack ~line ~current offs lens n =
+  if n = 0 then
     { line; count = 0; offs = [||]; lens = [||]; payload = Bytes.empty }
   else begin
-    let n = !count in
     let offs = Array.sub offs 0 n in
     let lens = Array.sub lens 0 n in
+    let total = ref 0 in
+    for i = 0 to n - 1 do
+      total := !total + Array.unsafe_get lens i
+    done;
     let payload = Bytes.create !total in
     let pos = ref 0 in
     for i = 0 to n - 1 do
@@ -163,6 +156,43 @@ let make (layout : Layout.t) ~line ~twin ~current ~dirty_pages =
     done;
     { line; count = n; offs; lens; payload }
   end
+
+let check_line ~fn (layout : Layout.t) buf =
+  if Bytes.length buf <> layout.Layout.line_bytes then
+    invalid_arg (fn ^ ": buffers must be line-sized")
+
+(* One pass over the dirty pages records span boundaries in the scratch
+   arrays; [pack] copies the exact-size result out afterwards. *)
+let make (layout : Layout.t) ~line ~twin ~current ~dirty_pages =
+  check_line ~fn:"Diff.make" layout current;
+  check_line ~fn:"Diff.make" layout twin;
+  let s = ensure_scratch ((layout.Layout.line_bytes / 2) + 1) in
+  let page = layout.Layout.page_bytes in
+  let n = ref 0 in
+  for p = 0 to layout.Layout.pages_per_line - 1 do
+    if dirty_pages land (1 lsl p) <> 0 then
+      n :=
+        scan_page s.offs s.lens !n ~twin ~base:0 ~current ~lo:(p * page)
+          ~hi:((p + 1) * page)
+  done;
+  pack ~line ~current s.offs s.lens !n
+
+let make_paged (layout : Layout.t) ~line ~twins ~current ~dirty_pages =
+  check_line ~fn:"Diff.make_paged" layout current;
+  let s = ensure_scratch ((layout.Layout.line_bytes / 2) + 1) in
+  let page = layout.Layout.page_bytes in
+  let n = ref 0 in
+  for p = 0 to layout.Layout.pages_per_line - 1 do
+    if dirty_pages land (1 lsl p) <> 0 then begin
+      let twin = twins.(p) in
+      if Bytes.length twin <> page then
+        invalid_arg "Diff.make_paged: a dirty page's twin must be page-sized";
+      n :=
+        scan_page s.offs s.lens !n ~twin ~base:(p * page) ~current
+          ~lo:(p * page) ~hi:((p + 1) * page)
+    end
+  done;
+  pack ~line ~current s.offs s.lens !n
 
 let apply t buf =
   let pos = ref 0 in

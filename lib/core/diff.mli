@@ -1,11 +1,16 @@
 (** Bytewise diffs for the multiple-writer protocol.
 
-    When a thread first writes a cached line in an ordinary region, the
-    cache keeps a pristine copy (the {e twin}). At the next consistency
-    point, the diff of the current contents against the twin — restricted
-    to pages actually written — travels to the line's home, which applies
-    it. Two threads writing disjoint bytes of the same line (false sharing)
-    produce disjoint diffs that merge cleanly at the home. *)
+    When a thread first writes a page of a cached line in an ordinary
+    region, the cache keeps a pristine copy of that page (its {e twin}).
+    At the next consistency point, the diff of the current contents
+    against the twins — restricted to the pages actually written — travels
+    to the line's home, which applies it. Two threads writing disjoint
+    bytes of the same line (false sharing) produce disjoint diffs that
+    merge cleanly at the home.
+
+    {!make_paged} diffs against per-page twins, as the cache keeps them;
+    {!make} diffs against one line-sized twin. Both run the same scan and
+    give the same diff when the twins hold the same bytes. *)
 
 type span = { offset : int; data : bytes }
 (** A run of modified bytes at [offset] within the line. *)
@@ -29,6 +34,14 @@ val make :
     carried, so concurrent writers of disjoint bytes — even interleaved
     within one word — merge correctly at the home. Raises
     [Invalid_argument] if the buffers are not line-sized. *)
+
+val make_paged :
+  Layout.t -> line:int -> twins:bytes array -> current:bytes ->
+  dirty_pages:int -> t
+(** {!make} against per-page twins: for every page [p] set in
+    [dirty_pages], [twins.(p)] is the page-sized twin of page [p]; the
+    other slots are not read. Raises [Invalid_argument] if [current] is
+    not line-sized or a dirty page's twin is not page-sized. *)
 
 val apply : t -> bytes -> unit
 (** Write every span into a line-sized buffer. *)

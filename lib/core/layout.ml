@@ -25,10 +25,6 @@ let line_base t id = id lsl t.line_shift
 let offset_in_line t addr = addr land t.line_mask
 let page_in_line t ~offset = offset lsr t.page_shift
 
-let lines_spanning t ~addr ~len =
-  if len <= 0 then invalid_arg "Layout.lines_spanning: len must be > 0";
-  (line_of_addr t addr, line_of_addr t (addr + len - 1))
-
 let pp ppf t =
   Format.fprintf ppf "page=%dB line=%dB (%d pages)" t.page_bytes t.line_bytes
     t.pages_per_line

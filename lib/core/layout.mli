@@ -24,7 +24,4 @@ val offset_in_line : t -> int -> int
 val page_in_line : t -> offset:int -> int
 (** Index of the page containing byte [offset] of a line. *)
 
-val lines_spanning : t -> addr:int -> len:int -> int * int
-(** [(first, last)] line ids touched by the byte range; [len > 0]. *)
-
 val pp : Format.formatter -> t -> unit

@@ -27,7 +27,10 @@ type t = {
      would box a fresh float on every store, and this is written on every
      memory access. *)
   accum : floatarray;
-  (* Single-line fast path for the common repeated-hit case. *)
+  (* Single-line fast path for the common repeated-hit case. It may
+     outlive its entry (a prefetch delivery displaces clean victims with
+     no callback), so every use first tests that the entry is still
+     resident. *)
   mutable last : Cache.entry option;
   (* Held locks, innermost first, each with its consistency-region store
      log (newest store first). *)
@@ -91,15 +94,7 @@ let create e ~id ~node =
            Option.map
              (fun (en : Cache.entry) -> en.Cache.data)
              (Cache.peek t.cache line));
-      p_invalidate =
-        (fun line ->
-           (match Cache.peek t.cache line with
-            | Some en -> (
-                match t.last with
-                | Some le when le == en -> t.last <- None
-                | _ -> ())
-            | None -> ());
-           Cache.invalidate t.cache line);
+      p_invalidate = (fun line -> Cache.invalidate t.cache line);
       p_downgrade =
         (fun line ->
            match Cache.peek t.cache line with
@@ -352,23 +347,19 @@ let probe_barrier t ~barrier ~epoch phase =
   | Some p ->
     p.Probe.on_barrier ~thread:t.id ~time:(now t) ~barrier ~epoch ~phase
 
-let forget_last t (e : Cache.entry) =
-  match t.last with
-  | Some le when le == e -> t.last <- None
-  | _ -> ()
-
 (* ------------------------------------------------------------------ *)
 (* Flushing (ordinary-region diffs)                                    *)
 
-(* The entry's diff against its twin, or [None] when there is nothing to
-   ship (an entry whose writes restored the twin's bytes is cleaned). *)
+(* The entry's diff against its twin pages, or [None] when there is
+   nothing to ship (an entry whose writes restored the twins' bytes is
+   cleaned). *)
 let diff_of t (entry : Cache.entry) =
-  match entry.Cache.twin with
-  | None -> None
-  | Some twin ->
+  if entry.Cache.dirty_pages = 0 then None
+  else
     let diff =
-      Diff.make t.e.layout ~line:entry.Cache.line ~twin
-        ~current:entry.Cache.data ~dirty_pages:entry.Cache.dirty_pages
+      Diff.make_paged t.e.layout ~line:entry.Cache.line
+        ~twins:entry.Cache.twins ~current:entry.Cache.data
+        ~dirty_pages:entry.Cache.dirty_pages
     in
     if Diff.is_empty diff then begin
       Cache.clean t.cache entry ~version:entry.Cache.version;
@@ -494,7 +485,6 @@ let sc_invalidate_sharers t ~line ~now =
 (* Demand paging                                                       *)
 
 let evict_victim t (victim : Cache.entry) =
-  forget_last t victim;
   match t.e.cfg.Config.model with
   | Config.Regc ->
     if victim.Cache.dirty_pages <> 0 then flush_entry t victim
@@ -647,7 +637,7 @@ let locate t addr : Cache.entry =
   let line = addr lsr t.e.layout.Layout.line_shift in
   let entry =
     match t.last with
-    | Some e when e.Cache.line = line ->
+    | Some e when e.Cache.line = line && e.Cache.lru_next != e ->
       Cache.note_hit t.cache;
       e
     | _ -> (
@@ -699,7 +689,8 @@ let sc_owned t addr : Cache.entry =
   charge t t.e.cfg.Config.t_mem;
   let line = addr lsr t.e.layout.Layout.line_shift in
   match t.last with
-  | Some e when e.Cache.line = line && e.Cache.excl ->
+  | Some e when e.Cache.line = line && e.Cache.excl && e.Cache.lru_next != e
+    ->
     Cache.note_hit t.cache;
     e
   | _ ->
@@ -767,20 +758,19 @@ let write_i64_general t addr v =
     let entry = locate t addr in
     let off = line_off t addr in
     (* Dirty tracking must precede the store: the twin snapshots the
-       pre-store contents, or the store would be absent from its own
-       diff. *)
+       page's pre-store contents, or the store would be absent from its
+       own diff. *)
     (match t.held with
      | (_, log) :: _ ->
        (* Consistency region: fine-grained logging (the paper's
-          instrumented store path). The store also lands in any twin so
-          it can never be picked up a second time by this thread's
-          ordinary-region diff — that stale re-flush would overwrite
-          later holders' updates at the home. *)
+          instrumented store path). The store also lands in the page's
+          twin, if it has one, so it can never be picked up a second time
+          by this thread's ordinary-region diff — that stale re-flush
+          would overwrite later holders' updates at the home. An
+          untwinned page copies the store when it is twinned. *)
        log := Update.of_i64 ~addr v :: !log;
-       (match entry.Cache.twin with
-        | Some twin -> Bytes.set_int64_le twin off v
-        | None -> ())
-     | [] -> Cache.mark_written t.cache entry ~offset:off ~len:8);
+       Cache.set_twin_word t.cache entry ~offset:off v
+     | [] -> Cache.mark_written t.cache entry ~offset:off);
     Bytes.set_int64_le entry.Cache.data off v
 
 (* The common store — RegC, ordinary region, no probe attached — is
@@ -792,7 +782,13 @@ let[@inline] write_i64 t addr v =
   | None, Config.Regc, [] ->
     let entry = locate t addr in
     let off = line_off t addr in
-    Cache.mark_written t.cache entry ~offset:off ~len:8;
+    (* Only the first store to a page since its last flush twins it; the
+       bit is tested here so that a hit makes no call. *)
+    if
+      entry.Cache.dirty_pages
+      land (1 lsl (off lsr t.e.layout.Layout.page_shift))
+      = 0
+    then Cache.mark_written t.cache entry ~offset:off;
     Bytes.set_int64_le entry.Cache.data off v
   | _ -> write_i64_general t addr v
 
@@ -865,7 +861,6 @@ let apply_notices t notices =
        match Cache.peek t.cache line with
        | Some entry when entry.Cache.version <> v ->
          if entry.Cache.dirty_pages <> 0 then flush_entry t entry;
-         forget_last t entry;
          Cache.invalidate t.cache line
        | Some _ -> ()
        | None ->
@@ -878,15 +873,9 @@ let apply_notices t notices =
 let apply_writer_notices t notices =
   List.iter
     (fun (line, writers) ->
-       if Tset.exists_other writers ~self:t.id then begin
-         (match Cache.peek t.cache line with
-          | Some entry ->
-            forget_last t entry;
-            Cache.invalidate t.cache line
-          | None ->
-            (* A prefetch may be in flight: mark it stale. *)
-            Cache.invalidate t.cache line)
-       end)
+       (* Also marks a prefetch of the line in flight stale. *)
+       if Tset.exists_other writers ~self:t.id then
+         Cache.invalidate t.cache line)
     notices
 
 let apply_grant t (g : Manager_shard.grant) =
@@ -909,11 +898,11 @@ let apply_grant t (g : Manager_shard.grant) =
          match Cache.peek t.cache line with
          | Some entry ->
            Update.apply_to_line t.e.layout u ~line entry.Cache.data;
-           (* Keep any twin in step so the patch is not re-flushed as part
-              of this thread's own diff. *)
-           (match entry.Cache.twin with
-            | Some twin -> Update.apply_to_line t.e.layout u ~line twin
-            | None -> ());
+           (* Keep the page's twin in step so the patch is not re-flushed
+              as part of this thread's own diff. *)
+           Cache.set_twin_word t.cache entry
+             ~offset:(Layout.offset_in_line t.e.layout u.Update.addr)
+             u.Update.value;
            patched := !patched + 8
          | None -> ())
       log;

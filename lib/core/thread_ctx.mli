@@ -9,7 +9,8 @@
     - {b Regional consistency}: stores issued while at least one mutex is
       held belong to a {e consistency region} and are logged fine-grained
       (standing in for the paper's LLVM store instrumentation); stores
-      outside are {e ordinary} and tracked by twin + per-page dirty bits.
+      outside are {e ordinary} and tracked by per-page twins and dirty
+      bits.
       Release flushes the region log to the homes and deposits it with the
       manager; acquire patches (or invalidates) stale cached lines; a
       barrier flushes ordinary diffs and exchanges write notices.

@@ -321,22 +321,25 @@ let attach t sys = Samhita.System.add_probe sys (probe t)
 
 let finalize t sys =
   (* Twin/dirty residue: each kernel ends at a consistency point, so every
-     cached line must be clean — leftover twins mean a flush path forgot
-     to clean (and would re-flush a stale diff later). *)
+     cached line must be clean — a leftover dirty bit means a flush path
+     forgot to clean (and would re-flush a stale diff later), and a twin
+     page on a clean page is one the pool never got back. *)
   List.iter
     (fun ctx ->
        List.iter
          (fun (e : Samhita.Cache.entry) ->
-            if e.Samhita.Cache.twin <> None
-               || e.Samhita.Cache.dirty_pages <> 0
-            then
+            let twinned =
+              Array.fold_left
+                (fun n tw -> if Bytes.length tw > 0 then n + 1 else n)
+                0 e.Samhita.Cache.twins
+            in
+            if twinned <> 0 || e.Samhita.Cache.dirty_pages <> 0 then
               note_violation t ~v_class:"twin-leak"
                 (Printf.sprintf
-                   "thread %d ended with line %d still dirty (twin=%b \
-                    dirty_pages=0x%x)"
+                   "thread %d ended with line %d still dirty (twinned \
+                    pages=%d dirty_pages=0x%x)"
                    (Samhita.Thread_ctx.id ctx)
-                   e.Samhita.Cache.line
-                   (e.Samhita.Cache.twin <> None)
+                   e.Samhita.Cache.line twinned
                    e.Samhita.Cache.dirty_pages))
          (Samhita.Cache.entries (Samhita.Thread_ctx.cache ctx)))
     (Samhita.System.threads sys);

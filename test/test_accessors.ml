@@ -110,6 +110,17 @@ let n_words = 3 * Array.length word_offsets
 
 let hex b = Digest.to_hex (Digest.bytes b)
 
+(* The twin pages of the dirty pages, as "page:digest" (a clean page has
+   no twin). *)
+let twin_pages (e : Samhita.Cache.entry) =
+  String.concat ","
+    (List.filter_map
+       (fun p ->
+          if e.dirty_pages land (1 lsl p) <> 0 then
+            Some (Printf.sprintf "%d:%s" p (hex e.twins.(p)))
+          else None)
+       (List.init (Array.length e.twins) Fun.id))
+
 (* The cache and region state a thread leaves, as comparable lines. *)
 let snapshot t =
   let entries =
@@ -121,7 +132,7 @@ let snapshot t =
     (fun (e : Samhita.Cache.entry) ->
        Printf.sprintf "t%d line=%d v=%d data=%s twin=%s dirty=%x excl=%b"
          (T.id t) e.line e.version (hex e.data)
-         (match e.twin with Some tw -> hex tw | None -> "-")
+         (twin_pages e)
          e.dirty_pages e.excl)
     entries
   @ List.map

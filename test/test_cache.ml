@@ -47,7 +47,7 @@ let test_dirty_first_eviction () =
   List.iter (fun l -> ignore (insert_plain c l)) [ 1; 2; 3; 4 ];
   (* Make line 3 dirty although recently used. *)
   (match Samhita.Cache.peek c 3 with
-   | Some e -> Samhita.Cache.mark_written c e ~offset:0 ~len:8
+   | Some e -> Samhita.Cache.mark_written c e ~offset:0
    | None -> Alcotest.fail "line 3 missing");
   ignore (Samhita.Cache.find c 3);
   let evicted = ref [] in
@@ -68,7 +68,7 @@ let test_lru_only_eviction () =
             ~evict:(fun _ -> ())))
     [ 1; 2; 3; 4 ];
   (match Samhita.Cache.peek c 1 with
-   | Some e -> Samhita.Cache.mark_written c e ~offset:0 ~len:8
+   | Some e -> Samhita.Cache.mark_written c e ~offset:0
    | None -> Alcotest.fail "missing");
   (* With pure LRU, line 1 (just touched by peek-less mark) is victim only
      if oldest; we touched nothing since insert, so 1 is oldest anyway.
@@ -80,32 +80,44 @@ let test_lru_only_eviction () =
        ~evict:(fun v -> evicted := v.Samhita.Cache.line :: !evicted));
   Alcotest.(check (list int)) "pure LRU ignores dirtiness" [ 2 ] !evicted
 
+let untwinned (e : Samhita.Cache.entry) =
+  Array.for_all (fun tw -> Bytes.length tw = 0) e.Samhita.Cache.twins
+
 let test_mark_written_twin_and_bits () =
   let c = mk () in
-  let e = insert_plain c 0 in
-  Alcotest.(check bool) "clean" true (e.Samhita.Cache.twin = None);
+  let e = insert_plain c 1 in
+  Alcotest.(check bool) "clean" true (untwinned e);
+  (* The twin snapshots the page as it is when marked: mark before the
+     store, as the store path does. *)
   Bytes.set e.Samhita.Cache.data 5000 'x';
-  (* Snapshot must happen before the store in real use; here we emulate the
-     correct order: mark, then write. *)
-  let e2 = insert_plain c 1 in
-  Samhita.Cache.mark_written c e2 ~offset:4096 ~len:8;
-  Alcotest.(check bool) "twin created" true (e2.Samhita.Cache.twin <> None);
-  Alcotest.(check int) "page 1 dirty" 0b10 e2.Samhita.Cache.dirty_pages;
-  Samhita.Cache.mark_written c e2 ~offset:(4096 - 4) ~len:8;
-  Alcotest.(check int) "straddle marks pages 0 and 1" 0b11
-    e2.Samhita.Cache.dirty_pages;
-  Samhita.Cache.clean c e2 ~version:7;
-  Alcotest.(check bool) "twin dropped" true (e2.Samhita.Cache.twin = None);
-  Alcotest.(check int) "bits cleared" 0 e2.Samhita.Cache.dirty_pages;
-  Alcotest.(check int) "version recorded" 7 e2.Samhita.Cache.version
+  Samhita.Cache.mark_written c e ~offset:4096;
+  Bytes.set e.Samhita.Cache.data 5000 'y';
+  Alcotest.(check int) "page 1 dirty" 0b10 e.Samhita.Cache.dirty_pages;
+  let twin = e.Samhita.Cache.twins.(1) in
+  Alcotest.(check int) "page-sized twin" 4096 (Bytes.length twin);
+  Alcotest.(check char) "pre-store byte" 'x' (Bytes.get twin (5000 - 4096));
+  Alcotest.(check bool) "other pages untwinned" true
+    (List.for_all
+       (fun p -> Bytes.length e.Samhita.Cache.twins.(p) = 0)
+       [ 0; 2; 3 ]);
+  (* A later store to the same page (its last word) keeps the twin. *)
+  Samhita.Cache.mark_written c e ~offset:(2 * 4096 - 8);
+  Alcotest.(check int) "still page 1 only" 0b10 e.Samhita.Cache.dirty_pages;
+  Alcotest.(check bool) "same twin" true (e.Samhita.Cache.twins.(1) == twin);
+  Alcotest.(check char) "twin not retaken" 'x'
+    (Bytes.get twin (5000 - 4096));
+  Samhita.Cache.clean c e ~version:7;
+  Alcotest.(check bool) "twin dropped" true (untwinned e);
+  Alcotest.(check int) "bits cleared" 0 e.Samhita.Cache.dirty_pages;
+  Alcotest.(check int) "version recorded" 7 e.Samhita.Cache.version
 
 let test_dirty_entries_sorted () =
   let c = mk () in
   let e3 = insert_plain c 3 in
   let e1 = insert_plain c 1 in
   let e2 = insert_plain c 2 in
-  Samhita.Cache.mark_written c e3 ~offset:0 ~len:8;
-  Samhita.Cache.mark_written c e1 ~offset:0 ~len:8;
+  Samhita.Cache.mark_written c e3 ~offset:0;
+  Samhita.Cache.mark_written c e1 ~offset:0;
   ignore e2;
   Alcotest.(check (list int)) "dirty ascending" [ 1; 3 ]
     (List.map
@@ -133,7 +145,7 @@ let test_try_install_respects_dirty () =
   List.iter
     (fun l ->
        match Samhita.Cache.peek c l with
-       | Some e -> Samhita.Cache.mark_written c e ~offset:0 ~len:8
+       | Some e -> Samhita.Cache.mark_written c e ~offset:0
        | None -> ())
     [ 2; 3; 4; 8 ];
   Alcotest.(check bool) "refuses when all dirty" false

@@ -78,7 +78,20 @@ let test_size_mismatch () =
     (Invalid_argument "Diff.make: buffers must be line-sized") (fun () ->
       ignore
         (Samhita.Diff.make layout ~line:0 ~twin:(Bytes.create 8)
-           ~current:(Bytes.create 8) ~dirty_pages:1))
+           ~current:(Bytes.create 8) ~dirty_pages:1));
+  (* Only a dirty page's twin is read, so only it must be page-sized. *)
+  let twins = Array.make cfg.Samhita.Config.pages_per_line Bytes.empty in
+  twins.(0) <- Bytes.create 8;
+  Alcotest.check_raises "short page twin"
+    (Invalid_argument
+       "Diff.make_paged: a dirty page's twin must be page-sized") (fun () ->
+      ignore
+        (Samhita.Diff.make_paged layout ~line:0 ~twins
+           ~current:(Bytes.create lb) ~dirty_pages:1));
+  Alcotest.(check bool) "clean slots unread" true
+    (Samhita.Diff.is_empty
+       (Samhita.Diff.make_paged layout ~line:0 ~twins
+          ~current:(Bytes.create lb) ~dirty_pages:0))
 
 (* The central multiple-writer property: applying a diff to any base that
    agrees with the twin on the changed bytes reproduces current there,

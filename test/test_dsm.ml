@@ -359,6 +359,44 @@ let test_prefetch_off () =
          Alcotest.(check int) "no prefetch installs" 0
            (Samhita.Cache.prefetch_installs (T.cache t))))
 
+(* A prefetch delivery ([Cache.pending_complete] -> [Cache.try_install])
+   runs outside any thread and may displace a clean victim with no
+   eviction callback — here the line thread 0 just read, which its
+   single-line fast path still names. The two installs below are exactly
+   what two such deliveries do to a full two-line cache. A store through
+   the fast path must not reach the displaced entry: it would never be
+   flushed, and thread 1 would read the old value after the barrier. *)
+let test_prefetch_displaces_fast_path_line () =
+  let config = { cfg with cache_lines = 2; prefetch = false } in
+  let sys = Samhita.System.create ~config ~threads:2 () in
+  let bar = Samhita.System.barrier sys ~parties:2 in
+  let addr = ref 0 and seen = ref 0L in
+  for tid = 0 to 1 do
+    ignore
+      (Samhita.System.spawn sys (fun t ->
+           if tid = 0 then begin
+             let a = T.malloc t ~bytes:64 in
+             addr := a;
+             ignore (T.read_i64 t a : int64);
+             let far = (a / line_bytes) + 100 in
+             let deliver line =
+               Samhita.Cache.try_install (T.cache t) ~line
+                 ~data:(Bytes.make line_bytes '\000') ~version:0
+             in
+             Alcotest.(check bool) "room for the first" true (deliver far);
+             Alcotest.(check bool) "second displaces the read line" true
+               (deliver (far + 1));
+             Alcotest.(check bool) "read line gone" true
+               (Samhita.Cache.peek (T.cache t) (a / line_bytes) = None);
+             T.write_i64 t a 42L
+           end;
+           T.barrier_wait t bar;
+           if tid = 1 then seen := T.read_i64 t !addr)
+       : T.t)
+  done;
+  Samhita.System.run sys;
+  Alcotest.(check int64) "store after displacement is published" 42L !seen
+
 (* ---------------- condition variables ---------------- *)
 
 let test_cond_ping_pong () =
@@ -563,6 +601,8 @@ let tests =
     Alcotest.test_case "prefetch installs" `Quick
       test_prefetch_installs_adjacent;
     Alcotest.test_case "prefetch off" `Quick test_prefetch_off;
+    Alcotest.test_case "prefetch displaces fast-path line" `Quick
+      test_prefetch_displaces_fast_path_line;
     Alcotest.test_case "condvar ping-pong" `Quick test_cond_ping_pong;
     Alcotest.test_case "condvar broadcast" `Quick
       test_cond_broadcast_wakes_all;

@@ -50,7 +50,16 @@ let prop_diff_matches_reference =
          Samhita.Diff_reference.make layout ~line:3 ~twin ~current
            ~dirty_pages
        in
+       let paged =
+         Samhita.Diff.make_paged layout ~line:3
+           ~twins:
+             (Array.init pages (fun p ->
+                  Bytes.sub twin (p * layout.Samhita.Layout.page_bytes)
+                    layout.Samhita.Layout.page_bytes))
+           ~current ~dirty_pages
+       in
        spans_of_diff d = spans_of_reference r
+       && spans_of_diff paged = spans_of_diff d
        && Samhita.Diff.span_count d = Samhita.Diff_reference.span_count r
        && Samhita.Diff.payload_bytes d
           = Samhita.Diff_reference.payload_bytes r
@@ -181,7 +190,7 @@ let prop_victims_match_scan =
             | Mark l ->
               (match Samhita.Cache.peek cache l with
                | Some e ->
-                 Samhita.Cache.mark_written cache e ~offset:0 ~len:8
+                 Samhita.Cache.mark_written cache e ~offset:0
                | None -> ());
               (match Scan_model.find model l with
                | Some e -> e.Scan_model.dirty <- true
@@ -435,6 +444,174 @@ let prop_lock_history_matches_list =
        && agrees final_gap)
 
 (* ------------------------------------------------------------------ *)
+(* Page twins vs. the line-twin model they replaced                    *)
+
+(* The line-twin model: the first ordinary store to the line copies the
+   whole line; a region store or a grant patch lands in the line and, if
+   the line is twinned, in its twin; a flush diffs the dirty pages
+   against the twin and drops it. The cache now twins a page on the
+   first store to that page, so the twins hold different bytes at
+   different times — but the diffs they give must be the same. *)
+module Line_twin = struct
+  type t = { data : bytes; mutable twin : bytes option; mutable dirty : int }
+
+  let page_of off = off / layout.Samhita.Layout.page_bytes
+
+  let ordinary m off v =
+    if m.twin = None then m.twin <- Some (Bytes.copy m.data);
+    m.dirty <- m.dirty lor (1 lsl page_of off);
+    Bytes.set_int64_le m.data off v
+
+  (* A region store and a grant patch are the same to the twin. *)
+  let untracked m off v =
+    Bytes.set_int64_le m.data off v;
+    match m.twin with Some tw -> Bytes.set_int64_le tw off v | None -> ()
+
+  let flush m ~line =
+    let d =
+      match m.twin with
+      | None -> []
+      | Some twin ->
+        spans_of_diff
+          (Samhita.Diff.make layout ~line ~twin ~current:m.data
+             ~dirty_pages:m.dirty)
+    in
+    m.twin <- None;
+    m.dirty <- 0;
+    d
+end
+
+type twin_op =
+  | Ordinary of int * int64  (* thread 0 stores outside any lock *)
+  | Region of int * int64  (* thread 0 stores inside the lock *)
+  | Patch of int * int64
+      (* thread 1 stores inside the lock; thread 0's next acquire patches
+         its copy *)
+  | Flush  (* a barrier: thread 0's diff is shipped *)
+
+(* Offsets of the words the ops touch: six per page of the one line, so
+   ops collide on words and on pages. *)
+let twin_words =
+  Array.init (pages * 6) (fun i ->
+      (i / 6 * layout.Samhita.Layout.page_bytes) + (i mod 6 * 8))
+
+let twin_op_print = function
+  | Ordinary (w, v) -> Printf.sprintf "O%d=%Ld" w v
+  | Region (w, v) -> Printf.sprintf "R%d=%Ld" w v
+  | Patch (w, v) -> Printf.sprintf "P%d=%Ld" w v
+  | Flush -> "F"
+
+(* Zero is the line's initial value, so some stores restore the twin's
+   bytes and must not travel. *)
+let arb_twin_ops =
+  let open QCheck.Gen in
+  let value =
+    frequency [ (1, return 0L); (3, map Int64.of_int (int_bound 1000)); (1, ui64) ]
+  in
+  let word = int_bound (Array.length twin_words - 1) in
+  let op =
+    frequency
+      [ (5, map2 (fun w v -> Ordinary (w, v)) word value);
+        (2, map2 (fun w v -> Region (w, v)) word value);
+        (2, map2 (fun w v -> Patch (w, v)) word value);
+        (1, return Flush) ]
+  in
+  QCheck.make
+    ~print:(fun ops -> String.concat " " (List.map twin_op_print ops))
+    (list_size (int_range 1 40) op)
+
+(* Thread 0 runs the ops on one cached line through the real store, grant
+   and flush paths, next to the line-twin model. Before each flush, the
+   diff of thread 0's cache entry (the one the flush ships) must equal the
+   model's span for span, byte for byte. Thread 1 runs each [Patch]'s
+   critical section half a slot before thread 0 takes the lock. *)
+let prop_page_twins_match_line_twins =
+  QCheck.Test.make ~name:"page-twin diffs == line-twin model diffs" ~count:150
+    arb_twin_ops
+    (fun ops ->
+       let ops = ops @ [ Flush ] in
+       let sys = Samhita.System.create ~threads:2 () in
+       let m = Samhita.System.mutex sys in
+       let bar = Samhita.System.barrier sys ~parties:2 in
+       let slot = 1_000_000 in
+       let base = ref 0 and start = ref 0 and ok = ref true in
+       let fail why = if !ok then (ok := false; print_endline why) in
+       let module T = Samhita.Thread_ctx in
+       for tid = 0 to 1 do
+         ignore
+           (Samhita.System.spawn sys (fun t ->
+                if tid = 0 then begin
+                  let a = T.malloc t ~bytes:(2 * lb) in
+                  base := (a + lb - 1) land lnot (lb - 1);
+                  ignore (T.read_i64 t !base : int64)
+                end;
+                T.barrier_wait t bar;
+                if tid = 0 then start := T.now_ns t + slot;
+                T.barrier_wait t bar;
+                let line = !base / lb in
+                let entry () =
+                  Samhita.Cache.peek (T.cache t) line
+                in
+                let model =
+                  match entry () with
+                  | Some e when tid = 0 ->
+                    { Line_twin.data = Bytes.copy e.Samhita.Cache.data;
+                      twin = None; dirty = 0 }
+                  | _ -> { Line_twin.data = Bytes.empty; twin = None; dirty = 0 }
+                in
+                List.iteri
+                  (fun i op ->
+                     T.idle_until t
+                       (!start + (i * slot) + if tid = 0 then slot / 2 else 0);
+                     match (tid, op) with
+                     | 0, Ordinary (w, v) ->
+                       T.write_i64 t (!base + twin_words.(w)) v;
+                       Line_twin.ordinary model twin_words.(w) v
+                     | 0, Region (w, v) ->
+                       T.mutex_lock t m;
+                       T.write_i64 t (!base + twin_words.(w)) v;
+                       T.mutex_unlock t m;
+                       Line_twin.untracked model twin_words.(w) v
+                     | 0, Patch (w, v) ->
+                       T.mutex_lock t m;
+                       T.mutex_unlock t m;
+                       Line_twin.untracked model twin_words.(w) v
+                     | 1, Patch (w, v) ->
+                       T.mutex_lock t m;
+                       T.write_i64 t (!base + twin_words.(w)) v;
+                       T.mutex_unlock t m
+                     | 0, Flush ->
+                       (match entry () with
+                        | None -> fail "thread 0 lost the line"
+                        | Some e ->
+                          let d = e.Samhita.Cache.dirty_pages in
+                          let shipped =
+                            if d = 0 then []
+                            else
+                              spans_of_diff
+                                (Samhita.Diff.make_paged layout ~line
+                                   ~twins:e.Samhita.Cache.twins
+                                   ~current:e.Samhita.Cache.data
+                                   ~dirty_pages:d)
+                          in
+                          if d <> model.Line_twin.dirty then
+                            fail (Printf.sprintf "op %d: dirty %x, model %x" i d
+                                    model.Line_twin.dirty);
+                          if not (Bytes.equal e.Samhita.Cache.data
+                                    model.Line_twin.data)
+                          then fail (Printf.sprintf "op %d: line bytes differ" i);
+                          if shipped <> Line_twin.flush model ~line then
+                            fail (Printf.sprintf "op %d: diffs differ" i));
+                       T.barrier_wait t bar
+                     | 1, Flush -> T.barrier_wait t bar
+                     | _ -> ())
+                  ops)
+            : T.t)
+       done;
+       Samhita.System.run sys;
+       !ok)
+
+(* ------------------------------------------------------------------ *)
 (* Hit-path allocation with no probe attached                          *)
 
 (* A one-thread system that faulted a line in and dirtied it; afterwards
@@ -536,6 +713,40 @@ let test_smp_hit_path_allocation () =
     (Printf.sprintf "pthreads write_f64 hit allocates nothing (%.2f)" write)
     true (write < 0.01)
 
+(* Re-dirtying a line after [clean] takes its twin pages back from the
+   cache's pool, so a thread in steady state allocates no twin. A page
+   (4 KiB) is larger than any minor-heap block, so a fresh twin would be
+   allocated straight in the major heap: the pin counts those words
+   (major words not promoted from the minor heap). Copying a line-sized
+   twin on every first write measured 2,050 such words per cycle. *)
+let test_twin_pool_reuse () =
+  let cache = Samhita.Cache.create cfg layout in
+  let e =
+    Samhita.Cache.insert cache ~line:0 ~data:(Bytes.make lb '\000')
+      ~version:0 ~evict:(fun _ -> ())
+  in
+  let cycle () =
+    for p = 0 to pages - 1 do
+      Samhita.Cache.mark_written cache e
+        ~offset:(p * layout.Samhita.Layout.page_bytes)
+    done;
+    Samhita.Cache.clean cache e ~version:0
+  in
+  let direct_major () =
+    let _, promoted, major = Gc.counters () in
+    major -. promoted
+  in
+  cycle ();
+  let before = direct_major () in
+  for _ = 1 to 1_000 do
+    cycle ()
+  done;
+  let words = (direct_major () -. before) /. 1_000. in
+  Alcotest.(check bool)
+    (Printf.sprintf "re-dirty after clean allocates no twin (%.2f words)"
+       words)
+    true (words < 0.01)
+
 (* ------------------------------------------------------------------ *)
 (* Lock-path allocation                                                *)
 
@@ -593,12 +804,15 @@ let tests =
     QCheck_alcotest.to_alcotest prop_victims_match_scan;
     QCheck_alcotest.to_alcotest prop_heap_matches_boxed;
     QCheck_alcotest.to_alcotest prop_lock_history_matches_list;
+    QCheck_alcotest.to_alcotest prop_page_twins_match_line_twins;
     Alcotest.test_case "no-probe hit path allocation" `Quick
       test_hit_path_allocation;
     Alcotest.test_case "SC write hit allocation" `Quick
       test_sc_write_hit_allocation;
     Alcotest.test_case "pthreads hit path allocation" `Quick
       test_smp_hit_path_allocation;
+    Alcotest.test_case "twin pages reused after clean" `Quick
+      test_twin_pool_reuse;
     Alcotest.test_case "uncontended lock pair allocation" `Quick
       test_lock_pair_allocation;
     Alcotest.test_case "lock pair with one store allocation" `Quick

@@ -54,18 +54,6 @@ let test_page_in_line () =
   Alcotest.(check int) "last page" 3
     (Samhita.Layout.page_in_line layout ~offset:(4096 * 4 - 1))
 
-let test_lines_spanning () =
-  let lb = layout.Samhita.Layout.line_bytes in
-  Alcotest.(check (pair int int)) "within one line" (0, 0)
-    (Samhita.Layout.lines_spanning layout ~addr:0 ~len:8);
-  Alcotest.(check (pair int int)) "straddles" (0, 1)
-    (Samhita.Layout.lines_spanning layout ~addr:(lb - 4) ~len:8);
-  Alcotest.(check (pair int int)) "many lines" (1, 3)
-    (Samhita.Layout.lines_spanning layout ~addr:lb ~len:(2 * lb + 1));
-  Alcotest.check_raises "zero len"
-    (Invalid_argument "Layout.lines_spanning: len must be > 0") (fun () ->
-      ignore (Samhita.Layout.lines_spanning layout ~addr:0 ~len:0))
-
 let prop_line_roundtrip =
   QCheck.Test.make ~name:"line_base/line_of_addr roundtrip" ~count:500
     QCheck.(int_bound 1_000_000)
@@ -96,7 +84,6 @@ let tests =
     Alcotest.test_case "line geometry" `Quick test_line_geometry;
     Alcotest.test_case "address math" `Quick test_addr_math;
     Alcotest.test_case "page in line" `Quick test_page_in_line;
-    Alcotest.test_case "lines spanning" `Quick test_lines_spanning;
     QCheck_alcotest.to_alcotest prop_line_roundtrip;
     QCheck_alcotest.to_alcotest prop_geometry_all_pows ]
 

@@ -107,7 +107,7 @@ let apply_real cache op =
   | Invalidate l -> Samhita.Cache.invalidate cache l
   | Mark l -> (
       match Samhita.Cache.peek cache l with
-      | Some e -> Samhita.Cache.mark_written cache e ~offset:0 ~len:8
+      | Some e -> Samhita.Cache.mark_written cache e ~offset:0
       | None -> ())
   | Clean l -> (
       match Samhita.Cache.peek cache l with
