@@ -167,39 +167,50 @@ let check_smh_only ~cmd ~backend flags =
 (* Kernel config for the smh backend: Config.default with only the
    flag-selected fields overridden, so a run with every new flag at its
    default is byte-identical to the pre-sharding driver. *)
-let kernel_config ~cmd ~threads ~shards ~servers ~sanitize =
+let kernel_config ~cmd ~threads ~shards ~servers =
   check_shards ~cmd ~flag:"--shards" shards;
   if servers < 1 then usage ~cmd "--servers must be >= 1";
   let config =
     { Samhita.Config.default with
-      Samhita.Config.sanitize;
-      memory_servers = servers;
+      Samhita.Config.memory_servers = servers;
       manager_shards = shards }
   in
   check_threads ~cmd threads;
   config
 
-(* The smh backend for a kernel run, capturing the concrete system so
-   report/sanitizer sections can be read back after the run. *)
-let smh_backend ~config ~captured =
-  Workload.Samhita_backend.make ~config
-    ~on_create:(fun sys -> captured := Some sys)
-    ()
-
-let kernel_backend ~cmd ~backend ~threads ~shards ~servers ~sanitize
-    ~captured =
+(* The backend for one kernel run, and what to print after it: the run
+   report with [report], RegCSan's findings with [sanitize]. Both read the
+   concrete system, so under --backend pth they are usage errors before
+   the kernel runs, alongside the other DSM-only flags. *)
+let kernel_backend ~cmd ~backend ~threads ~shards ~servers ?(report = false)
+    ~sanitize () =
   match backend with
   | `Smh ->
-    let config = kernel_config ~cmd ~threads ~shards ~servers ~sanitize in
-    smh_backend ~config ~captured
+    let config = kernel_config ~cmd ~threads ~shards ~servers in
+    let after = ref ignore in
+    let on_create sys =
+      let print_report () =
+        if report then Format.printf "%a@." Samhita.Metrics.pp_report sys
+      in
+      if sanitize then begin
+        let san =
+          Analysis.Regcsan.create ~threads
+            ~page_bytes:config.Samhita.Config.page_bytes
+        in
+        Samhita.System.add_probe sys (Analysis.Regcsan.probe san);
+        after :=
+          fun () ->
+            print_report ();
+            Format.printf "%a@." Analysis.Regcsan.pp_report san
+      end
+      else after := print_report
+    in
+    (Workload.Samhita_backend.make ~config ~on_create (), fun () -> !after ())
   | `Pth ->
     check_smh_only ~cmd ~backend
       [ ("--shards", shards > 1);
-        ("--servers", servers <> Samhita.Config.default.Samhita.Config.memory_servers) ];
+        ("--servers", servers <> Samhita.Config.default.Samhita.Config.memory_servers);
+        ("--report", report);
+        ("--sanitize", sanitize) ];
     check_threads ~cmd threads;
-    Workload.Smp_backend.default
-
-let print_sanitizer sys =
-  match Samhita.System.sanitizer sys with
-  | None -> ()
-  | Some s -> Format.printf "%a@." Analysis.Regcsan.pp_report s
+    (Workload.Smp_backend.default, ignore)

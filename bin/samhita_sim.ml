@@ -21,7 +21,6 @@ let backend_t = Cli.backend_t
 let report_t = Cli.report_t
 let threads_t = Cli.threads_t
 let sanitize_t = Cli.sanitize_t
-let print_sanitizer = Cli.print_sanitizer
 
 (* ---------------- list ---------------- *)
 
@@ -89,10 +88,9 @@ let micro_cmd =
     let p =
       { Workload.Microbench.default_params with alloc; m_inner = m; s_rows = s }
     in
-    let captured = ref None in
-    let b =
+    let b, after =
       Cli.kernel_backend ~cmd:"micro" ~backend ~threads ~shards ~servers
-        ~sanitize ~captured
+        ~report ~sanitize ()
     in
     let r = Workload.Microbench.run b ~threads p in
     Printf.printf
@@ -110,17 +108,7 @@ let micro_cmd =
       (Array.fold_left ( + ) 0 r.misses)
       r.gsum r.expected_gsum
       (if r.gsum = r.expected_gsum then "OK" else "MISMATCH");
-    match !captured with
-    | Some sys ->
-      (* The run report already embeds the sanitizer section when the
-         analyzer is attached, so print it standalone only without --report. *)
-      if report then Format.printf "%a@." Samhita.Metrics.pp_report sys
-      else if sanitize then print_sanitizer sys
-    | None ->
-      if report || sanitize then
-        Cli.usage ~cmd:"micro"
-          "%s requires --backend smh (got --backend pth)"
-          (if report then "--report" else "--sanitize")
+    after ()
   in
   Cmd.v
     (Cmd.info "micro" ~doc:"Run the paper's Figure-2 micro-benchmark once")
@@ -139,10 +127,9 @@ let jacobi_cmd =
   in
   let run backend threads n iters shards servers sanitize =
     let p = { Workload.Jacobi.default_params with n; iters } in
-    let captured = ref None in
-    let b =
+    let b, after =
       Cli.kernel_backend ~cmd:"jacobi" ~backend ~threads ~shards ~servers
-        ~sanitize ~captured
+        ~sanitize ()
     in
     let r = Workload.Jacobi.run b ~threads p in
     let ref_sum, ref_res = Workload.Jacobi.reference p in
@@ -157,12 +144,7 @@ let jacobi_cmd =
       r.checksum ref_sum
       (if r.checksum = ref_sum then "OK" else "MISMATCH")
       r.residual ref_res;
-    (match !captured with
-     | Some sys -> if sanitize then print_sanitizer sys
-     | None ->
-       if sanitize then
-         Cli.usage ~cmd:"jacobi"
-           "--sanitize requires --backend smh (got --backend pth)")
+    after ()
   in
   Cmd.v
     (Cmd.info "jacobi" ~doc:"Run the Jacobi application kernel once")
@@ -181,10 +163,9 @@ let md_cmd =
   in
   let run backend threads n steps shards servers sanitize =
     let p = { Workload.Md.default_params with n; steps } in
-    let captured = ref None in
-    let b =
+    let b, after =
       Cli.kernel_backend ~cmd:"md" ~backend ~threads ~shards ~servers
-        ~sanitize ~captured
+        ~sanitize ()
     in
     let r = Workload.Md.run b ~threads p in
     let ref_sum, _ = Workload.Md.reference p in
@@ -201,12 +182,7 @@ let md_cmd =
       (fun i (ke, pe) ->
          Printf.printf "  step %2d  kinetic %.6f  potential %.6f\n" i ke pe)
       r.energies;
-    (match !captured with
-     | Some sys -> if sanitize then print_sanitizer sys
-     | None ->
-       if sanitize then
-         Cli.usage ~cmd:"md"
-           "--sanitize requires --backend smh (got --backend pth)")
+    after ()
   in
   Cmd.v
     (Cmd.info "md" ~doc:"Run the molecular-dynamics kernel once")
@@ -533,13 +509,11 @@ let torture_cmd =
 
 let race_cmd =
   let run () =
-    let sys = Workload.Racy.run () in
-    print_sanitizer sys;
+    let _, san = Workload.Racy.run () in
+    Format.printf "%a@." Analysis.Regcsan.pp_report san;
     (* Defect-detection commands share one exit-code contract: 1 when the
        tool found what it hunts for, 2 on usage errors, 0 clean. *)
-    match Samhita.System.sanitizer sys with
-    | Some s when Analysis.Regcsan.findings_count s > 0 -> exit 1
-    | _ -> ()
+    if Analysis.Regcsan.findings_count san > 0 then exit 1
   in
   Cmd.v
     (Cmd.info "race"

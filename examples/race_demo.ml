@@ -6,14 +6,17 @@
    published, mixed region/ordinary stores to one word, and a
    use-after-free.
 
+   The sanitizer is an ordinary probe subscriber. The kernel attaches it
+   the way any run can, between System.create and the first spawn:
+
+     let san = Analysis.Regcsan.create ~threads ~page_bytes in
+     Samhita.System.add_probe sys (Analysis.Regcsan.probe san)
+
      dune exec examples/race_demo.exe *)
 
 let () =
-  let sys = Workload.Racy.run () in
-  match Samhita.System.sanitizer sys with
-  | None -> assert false (* Racy.run forces Config.sanitize on *)
-  | Some s ->
-    Format.printf "%a@." Analysis.Regcsan.pp_report s;
-    if Analysis.Regcsan.findings_count s = 4 then
-      print_endline "all four seeded defects detected OK"
-    else print_endline "MISMATCH: expected exactly 4 findings"
+  let _, s = Workload.Racy.run () in
+  Format.printf "%a@." Analysis.Regcsan.pp_report s;
+  if Analysis.Regcsan.findings_count s = 4 then
+    print_endline "all four seeded defects detected OK"
+  else print_endline "MISMATCH: expected exactly 4 findings"

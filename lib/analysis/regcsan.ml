@@ -492,6 +492,34 @@ let on_cond_wake t ~thread ~cond =
   Vclock.join st.vc (cond_clock t cond)
 
 (* ------------------------------------------------------------------ *)
+(* Probe subscription                                                  *)
+
+(* [Release] (unlock entry) is the sanitizer's happens-before release
+   instant; the post-ack [Unlock] and every non-access event carry
+   nothing it needs. *)
+let probe s =
+  let open Samhita in
+  { Probe.nothing with
+    Probe.on_read = (fun ~thread ~time ~addr ~value:_ ->
+        on_read s ~thread ~time ~addr);
+    on_write = (fun ~thread ~time ~addr ~region ~value:_ ->
+        on_write s ~thread ~time ~addr ~lock:region);
+    on_malloc = on_malloc s;
+    on_free = on_free s;
+    on_barrier = (fun ~thread ~time:_ ~barrier ~epoch ~phase ->
+        match phase with
+        | `Arrive -> on_barrier_arrive s ~thread ~barrier ~epoch
+        | `Depart -> on_barrier_depart s ~thread ~barrier ~epoch);
+    on_sync = (fun ~thread ~time ~op ~id ->
+        match op with
+        | Probe.Lock_attempt -> on_lock_attempt s ~thread ~time ~lock:id
+        | Probe.Lock_acquired -> on_lock_acquired s ~thread ~time ~lock:id
+        | Probe.Release -> on_unlock s ~thread ~time ~lock:id
+        | Probe.Unlock -> ()
+        | Probe.Cond_signal -> on_cond_signal s ~thread ~cond:id
+        | Probe.Cond_wake -> on_cond_wake s ~thread ~cond:id) }
+
+(* ------------------------------------------------------------------ *)
 (* Results                                                             *)
 
 let findings t = List.rev t.findings_rev

@@ -3,7 +3,8 @@
 
     The runtime feeds every global-memory read/write, every allocation
     event, and every synchronization edge (mutex release→acquire, barrier
-    epoch, condvar signal→wake) into an instance of this module. A
+    epoch, condvar signal→wake) into an instance of this module through
+    its {!probe}. A
     vector-clock engine maintains the happens-before relation; shadow
     state at 8-byte-word granularity (organised per page) records the last
     write and the concurrent-reader set of every touched word.
@@ -91,6 +92,13 @@ val on_barrier_depart : t -> thread:int -> barrier:int -> epoch:int -> unit
 
 val on_cond_signal : t -> thread:int -> cond:int -> unit
 val on_cond_wake : t -> thread:int -> cond:int -> unit
+
+(** {2 Probe subscription} *)
+
+val probe : t -> Samhita.Probe.t
+(** The analyzer as a protocol-event subscriber: attach it with
+    {!Samhita.System.add_probe} before the first spawn, and every access,
+    allocation and synchronization edge of the run streams into [t]. *)
 
 (** {2 Results} *)
 

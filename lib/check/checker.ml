@@ -32,9 +32,7 @@ let config_for opts =
      racing orders into explicit same-instant choice points instead of
      accidents of shared-port FCFS serialization. *)
   let base =
-    { Samhita.Config.default with
-      Samhita.Config.sanitize = true;
-      threads_per_node = 1 }
+    { Samhita.Config.default with Samhita.Config.threads_per_node = 1 }
   in
   if not opts.crash then base
   else
@@ -81,6 +79,13 @@ let run_once opts ~prefix ~branch_sleep =
   let config = config_for opts in
   let oracle = Torture.Oracle.create ~config () in
   let sys = Samhita.System.create ~config ~threads:opts.threads () in
+  (* RegCSan first: its clocks are the happens-before oracle, and it
+     subscribes ahead of the memory oracle and the footprint recorder. *)
+  let san =
+    Analysis.Regcsan.create ~threads:opts.threads
+      ~page_bytes:config.Samhita.Config.page_bytes
+  in
+  Samhita.System.add_probe sys (Analysis.Regcsan.probe san);
   let engine = Samhita.System.engine sys in
   (* Coarsen the clock so events staggered only by port-serialization
      deltas tie — those orders, who reaches the manager first, are the
@@ -94,11 +99,8 @@ let run_once opts ~prefix ~branch_sleep =
   let prefix_arr = Array.of_list prefix in
   let nprefix = Array.length prefix_arr in
   let snapshot () =
-    match Samhita.System.sanitizer sys with
-    | Some san ->
-      Array.init opts.threads (fun t ->
-          Analysis.Regcsan.thread_clock san ~thread:t)
-    | None -> [||]
+    Array.init opts.threads (fun t ->
+        Analysis.Regcsan.thread_clock san ~thread:t)
   in
   let chooser ~time ~seqs =
     let d = !depth in
@@ -227,16 +229,13 @@ let run_once opts ~prefix ~branch_sleep =
          defects :=
            (v.Torture.Oracle.v_class, v.Torture.Oracle.v_message) :: !defects)
       (Torture.Oracle.violations oracle);
-    (match Samhita.System.sanitizer sys with
-     | Some san ->
-       List.iter
-         (fun f ->
-            defects :=
-              ( Analysis.Regcsan.kind_name f.Analysis.Regcsan.kind,
-                Format.asprintf "%a" Analysis.Regcsan.pp_finding f )
-              :: !defects)
-         (Analysis.Regcsan.findings san)
-     | None -> ());
+    List.iter
+      (fun f ->
+         defects :=
+           ( Analysis.Regcsan.kind_name f.Analysis.Regcsan.kind,
+             Format.asprintf "%a" Analysis.Regcsan.pp_finding f )
+           :: !defects)
+      (Analysis.Regcsan.findings san);
     `Run
       { e_points = Array.of_list (List.rev !points);
         e_fps = Array.of_list (List.rev !ifps);

@@ -43,7 +43,6 @@ type t = {
   threads_per_node : int;
   fabric : Fabric.Profile.t;
   seed : int;
-  sanitize : bool;
   fault_level : Fabric.Faults.level;
   shuffle : bool;
   replication : int;
@@ -76,7 +75,6 @@ let default =
     threads_per_node = 8;
     fabric = Fabric.Profile.ib_qdr_verbs;
     seed = 42;
-    sanitize = false;
     fault_level = Fabric.Faults.Off;
     shuffle = false;
     replication = 0;
@@ -221,7 +219,7 @@ let fault_to_string = function
 
 let pp ppf t =
   Format.fprintf ppf
-    "@[<v>model=%s page=%dB line=%dpages cache=%dlines prefetch=%b dirty-first=%b sanitize=%b@ \
+    "@[<v>model=%s page=%dB line=%dpages cache=%dlines prefetch=%b dirty-first=%b@ \
      torture: faults=%s shuffle=%b seed=%d@ \
      alloc: small<=%d large>%d arena=%d stripe=%d@ \
      regc: history=%d bypass=%b@ \
@@ -231,7 +229,7 @@ let pp ppf t =
      ctl: shards=%d max-threads=%d@]"
     (model_name t.model)
     t.page_bytes t.pages_per_line t.cache_lines t.prefetch
-    t.evict_dirty_first t.sanitize
+    t.evict_dirty_first
     (Fabric.Faults.level_name t.fault_level)
     t.shuffle t.seed t.small_threshold t.large_threshold
     t.arena_chunk_bytes t.stripe_lines t.update_log_history t.manager_bypass

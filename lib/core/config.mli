@@ -93,11 +93,6 @@ type t = {
   threads_per_node : int;  (** Compute threads hosted per compute node. *)
   fabric : Fabric.Profile.t;
   seed : int;
-  sanitize : bool;
-      (** Attach a RegCSan analyzer ({!Analysis.Regcsan}) to every thread:
-          all reads, writes, allocations and sync edges stream into a
-          happens-before race detector and RegC-conformance linter. Off by
-          default; when off the runtime pays a single branch per access. *)
   fault_level : Fabric.Faults.level;
       (** Fabric fault injection (torture harness): jitter, cross-pair
           reordering and bounded transient drops, all seeded from [seed].

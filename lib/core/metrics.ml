@@ -264,7 +264,4 @@ let pp_report ppf sys =
          pp_thread m (Cache.prefetch_installs cache)
          (Cache.dirty_evictions cache))
     threads metrics;
-  Option.iter
-    (Format.fprintf ppf "%a@," Analysis.Regcsan.pp_report)
-    (System.sanitizer sys);
   Format.fprintf ppf "@]"

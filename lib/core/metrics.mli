@@ -114,8 +114,7 @@ val pp_report : Format.formatter -> System.t -> unit
 (** Post-run report of a finished run: makespan, fabric traffic, address
     space, manager and per-server activity and utilisation, the counter
     lines of the features the run configured, cache hit rate, per-thread
-    time split and cache behaviour, and the RegCSan findings when the
-    sanitizer was attached. A counter line prints exactly when its
+    time split and cache behaviour. A counter line prints exactly when its
     feature is on: [fault injection] with a fault policy ([fault_level]
     on or a failure injected), [fault tolerance] with replication or an
     injected crash, [failure detection] with a partition, and

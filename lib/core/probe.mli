@@ -5,9 +5,11 @@
     8-byte word, reported with its value — every {e publication} (a
     home-side merge of a flushed diff or update log, the instant a value
     becomes RegC-visible to other threads), every allocation event, every
-    barrier episode and every lock/condvar edge. Three subscribers read it:
-    - the RegCSan sanitizer ({!Analysis.Regcsan}), attached by
-      {!System.create} when [Config.sanitize] is set;
+    barrier episode and every lock/condvar edge. Three subscribers read it,
+    each attached by its caller through {!System.add_probe}:
+    - the RegCSan sanitizer ([Analysis.Regcsan.probe]), attached by the
+      racy kernel, RegCCheck and [samhita_sim --sanitize], ahead of the
+      oracle wherever both watch one run;
     - the torture harness's linearizable-memory oracle;
     - RegCCheck's per-interval footprint recorder, next to the oracle.
 

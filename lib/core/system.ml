@@ -7,7 +7,6 @@ type t = {
   dir : Directory.t;
   cp : Control_plane.t;
   sc : Coherence_sc.t;
-  san : Analysis.Regcsan.t option;
   total_threads : int;
   first_compute_node : int;
   mutable threads_rev : Thread_ctx.t list;
@@ -123,31 +122,6 @@ let spawn_monitor t =
       in
       loop ())
 
-(* RegCSan as a probe subscriber. [Release] (unlock entry) is the
-   sanitizer's happens-before release instant; the post-ack [Unlock] and
-   every non-access event carry nothing it needs. *)
-let sanitizer_probe s =
-  let module R = Analysis.Regcsan in
-  { Probe.nothing with
-    on_read = (fun ~thread ~time ~addr ~value:_ ->
-        R.on_read s ~thread ~time ~addr);
-    on_write = (fun ~thread ~time ~addr ~region ~value:_ ->
-        R.on_write s ~thread ~time ~addr ~lock:region);
-    on_malloc = R.on_malloc s;
-    on_free = R.on_free s;
-    on_barrier = (fun ~thread ~time:_ ~barrier ~epoch ~phase ->
-        match phase with
-        | `Arrive -> R.on_barrier_arrive s ~thread ~barrier ~epoch
-        | `Depart -> R.on_barrier_depart s ~thread ~barrier ~epoch);
-    on_sync = (fun ~thread ~time ~op ~id ->
-        match op with
-        | Probe.Lock_attempt -> R.on_lock_attempt s ~thread ~time ~lock:id
-        | Probe.Lock_acquired -> R.on_lock_acquired s ~thread ~time ~lock:id
-        | Probe.Release -> R.on_unlock s ~thread ~time ~lock:id
-        | Probe.Unlock -> ()
-        | Probe.Cond_signal -> R.on_cond_signal s ~thread ~cond:id
-        | Probe.Cond_wake -> R.on_cond_wake s ~thread ~cond:id) }
-
 let create ?(config = Config.default) ~threads () =
   (match Config.validate config with
    | Ok () -> ()
@@ -237,12 +211,6 @@ let create ?(config = Config.default) ~threads () =
       (fun i srv ->
          Memory_server.set_backup srv servers.(Directory.backup_of dir i))
       servers;
-  let san =
-    if config.Config.sanitize then
-      Some
-        (Analysis.Regcsan.create ~threads ~page_bytes:config.Config.page_bytes)
-    else None
-  in
   let t =
     { cfg = config;
       layout;
@@ -252,13 +220,12 @@ let create ?(config = Config.default) ~threads () =
       dir;
       cp;
       sc = Coherence_sc.create ();
-      san;
       total_threads = threads;
       first_compute_node;
       threads_rev = [];
       next_thread = 0;
       finished = 0;
-      probe = Option.map sanitizer_probe san }
+      probe = None }
   in
   if config.Config.replication >= 1 || nshards >= 2 then spawn_monitor t;
   (* Partition heal-wake: a client can park in the park list after
@@ -287,7 +254,6 @@ let control_plane t = t.cp
 let manager t = Control_plane.shard t.cp 0
 let servers t = t.servers
 let directory t = t.dir
-let sanitizer t = t.san
 
 let add_probe t p =
   if t.next_thread > 0 then

@@ -35,15 +35,10 @@ val directory : t -> Directory.t
 (** The logical-to-physical stripe map (identity until a crash recovery
     promotes a backup). *)
 
-val sanitizer : t -> Analysis.Regcsan.t option
-(** The RegCSan instance observing this system, when
-    [Config.sanitize] is set; {!create} subscribes it to the probe stream.
-    Query it after {!run} for findings. *)
-
 val add_probe : t -> Probe.t -> unit
-(** Subscribe a protocol-event observer ({!Probe.t}); the torture oracle
-    and RegCCheck's footprint recorder subscribe through this. Observers
-    receive each event in attach order, the sanitizer (if any) first.
+(** Subscribe a protocol-event observer ({!Probe.t}); the RegCSan
+    sanitizer, the torture oracle and RegCCheck's footprint recorder
+    subscribe through this. Observers receive each event in attach order.
     Must be called before the first {!spawn} (raises [Invalid_argument]
     otherwise) so every thread sees it. *)
 

@@ -162,13 +162,9 @@ let run_one ?(crash = false) ?(crash_shard = false) ?(partition = false)
   (try
      match kernel with
      | Racy ->
-       let sys = Workload.Racy.run ~on_create ~config () in
+       let _, san = Workload.Racy.run ~on_create ~config () in
        finished := true;
-       let n =
-         match Samhita.System.sanitizer sys with
-         | Some s -> Analysis.Regcsan.findings_count s
-         | None -> -1
-       in
+       let n = Analysis.Regcsan.findings_count san in
        if n <> 4 then
          Oracle.note_violation oracle ~v_class:"sanitizer-count"
            (Printf.sprintf

@@ -16,8 +16,12 @@
 
 let run ?(on_create = fun (_ : Samhita.System.t) -> ())
     ?(config = Samhita.Config.default) () =
-  let config = { config with Samhita.Config.sanitize = true } in
   let sys = Samhita.System.create ~config ~threads:2 () in
+  let san =
+    Analysis.Regcsan.create ~threads:2
+      ~page_bytes:config.Samhita.Config.page_bytes
+  in
+  Samhita.System.add_probe sys (Analysis.Regcsan.probe san);
   on_create sys;
   let m = Samhita.System.mutex sys in
   let c = Samhita.System.cond sys in
@@ -62,4 +66,4 @@ let run ?(on_create = fun (_ : Samhita.System.t) -> ())
     ignore (Samhita.System.spawn sys (body me) : Samhita.Thread_ctx.t)
   done;
   Samhita.System.run sys;
-  sys
+  (sys, san)

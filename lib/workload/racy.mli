@@ -8,8 +8,8 @@
 
 val run :
   ?on_create:(Samhita.System.t -> unit) ->
-  ?config:Samhita.Config.t -> unit -> Samhita.System.t
-(** Build, run and return the system. [Config.sanitize] is forced on;
-    query {!Samhita.System.sanitizer} on the result for the findings.
-    [on_create] runs after {!Samhita.System.create} but before any thread
-    is spawned — the torture harness attaches its oracle probe there. *)
+  ?config:Samhita.Config.t -> unit -> Samhita.System.t * Analysis.Regcsan.t
+(** Build and run the system with a RegCSan instance attached, and return
+    both; query the sanitizer for the findings. [on_create] runs after
+    the sanitizer is attached but before any thread is spawned — the
+    torture harness attaches its oracle probe there. *)

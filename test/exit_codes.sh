@@ -66,6 +66,9 @@ expect 0 "sharded micro run" micro -t 4 --shards 2
 expect 2 "micro rejects zero shards" micro -t 4 --shards 0
 expect 2 "micro rejects zero servers" micro --servers 0
 expect 2 "micro rejects shards on pth" micro --backend pth --shards 2
+expect 2 "micro rejects report on pth" micro --backend pth --report
+expect 2 "jacobi rejects sanitize on pth" jacobi --backend pth --sanitize
+expect 2 "md rejects sanitize on pth" md --backend pth --sanitize
 expect 2 "micro rejects over-cap threads" micro -t 1000
 
 # serve: 0 on a clean sweep, 2 on usage errors.

@@ -1,7 +1,7 @@
 (* RegCSan: the vector-clock happens-before engine and RegC linter.
 
    Unit tests drive the analyzer with hand-built event streams; the
-   integration tests run real kernels with [Config.sanitize] on and check
+   integration tests run real kernels with the analyzer attached and check
    the seeded-race workload reports exactly its four defects while the
    clean kernels report none. *)
 
@@ -232,35 +232,38 @@ let test_word_granularity () =
 
 (* ---------------- integration: real kernels ---------------- *)
 
-let findings_of sys =
-  match Samhita.System.sanitizer sys with
-  | None -> Alcotest.fail "sanitize forced on but no analyzer attached"
-  | Some s -> s
+let racy_sanitizer () = snd (Workload.Racy.run ())
 
 let test_racy_kernel () =
-  let s = findings_of (Workload.Racy.run ()) in
+  let s = racy_sanitizer () in
   Alcotest.(check (list kind)) "exactly the four seeded defects"
     [ R.Race; R.Unpublished; R.Mixed; R.Invalid_read ] (kinds s)
 
 let test_racy_deterministic () =
   let render s = Format.asprintf "%a" R.pp_report s in
-  let a = render (findings_of (Workload.Racy.run ())) in
-  let b = render (findings_of (Workload.Racy.run ())) in
+  let a = render (racy_sanitizer ()) in
+  let b = render (racy_sanitizer ()) in
   Alcotest.(check string) "identical report across runs" a b
 
-let sanitized_backend captured =
+(* Attach a fresh analyzer to the system the kernel builds, as
+   [samhita_sim --sanitize] does. *)
+let sanitized_backend captured ~threads =
   Workload.Samhita_backend.make
-    ~config:{ Samhita.Config.default with Samhita.Config.sanitize = true }
-    ~on_create:(fun sys -> captured := Some sys)
+    ~on_create:(fun sys ->
+        let s =
+          R.create ~threads
+            ~page_bytes:Samhita.Config.default.Samhita.Config.page_bytes
+        in
+        Samhita.System.add_probe sys (R.probe s);
+        captured := Some s)
     ()
 
 let check_clean name run =
   let captured = ref None in
-  run (sanitized_backend captured);
+  run (sanitized_backend captured ~threads:4);
   match !captured with
   | None -> Alcotest.fail (name ^ ": kernel never built a system")
-  | Some sys ->
-    let s = findings_of sys in
+  | Some s ->
     Alcotest.(check int) (name ^ " has no findings") 0 (R.findings_count s)
 
 let test_clean_kernels () =

@@ -305,7 +305,7 @@ let test_racy_one_defect_per_class_50_seeds () =
         shuffle = true }
     in
     let oracle = Torture.Oracle.create ~config:cfg () in
-    let sys =
+    let sys, san =
       Workload.Racy.run ~on_create:(Torture.Oracle.attach oracle)
         ~config:cfg ()
     in
@@ -316,20 +316,91 @@ let test_racy_one_defect_per_class_50_seeds () =
       (List.map (fun v -> v.Torture.Oracle.v_class)
          (Torture.Oracle.violations oracle));
     let kinds =
-      match Samhita.System.sanitizer sys with
-      | None -> Alcotest.fail "racy kernel must force the sanitizer on"
-      | Some san ->
-        List.sort compare
-          (List.map
-             (fun (f : Analysis.Regcsan.finding) ->
-                Analysis.Regcsan.kind_name f.Analysis.Regcsan.kind)
-             (Analysis.Regcsan.findings san))
+      List.sort compare
+        (List.map
+           (fun (f : Analysis.Regcsan.finding) ->
+              Analysis.Regcsan.kind_name f.Analysis.Regcsan.kind)
+           (Analysis.Regcsan.findings san))
     in
     Alcotest.(check (list string))
       (Printf.sprintf "seed %d: one defect per class" seed)
       (List.sort compare [ "race"; "unpublished"; "mixed"; "invalid-read" ])
       kinds
   done
+
+(* ---------------- Observer attach order ---------------------------- *)
+
+(* RegCSan and the memory oracle each attach as a probe, in whatever
+   order their caller subscribes them. Both are pure observers, so the
+   order must not move what either one sees: the same findings, the same
+   reads checked, the same oracle digest. The racy kernel is RegCCheck's
+   (it takes a caller-built system, so both orders are reachable), run
+   under fault injection and schedule fuzzing; micro is the clean one. *)
+let observed ~san_first ~threads run =
+  let cfg =
+    { config with
+      Samhita.Config.seed = 11;
+      fault_level = Fabric.Faults.High;
+      shuffle = true }
+  in
+  let oracle = Torture.Oracle.create ~config:cfg () in
+  let san =
+    Analysis.Regcsan.create ~threads ~page_bytes:cfg.Samhita.Config.page_bytes
+  in
+  let captured = ref None in
+  let on_create sys =
+    captured := Some sys;
+    let s = Analysis.Regcsan.probe san and o = Torture.Oracle.probe oracle in
+    List.iter (Samhita.System.add_probe sys)
+      (if san_first then [ s; o ] else [ o; s ])
+  in
+  run ~config:cfg ~on_create;
+  (match !captured with
+   | Some sys -> Torture.Oracle.finalize oracle sys
+   | None -> Alcotest.fail "kernel never built a system");
+  Alcotest.(check (list string)) "oracle clean" [] (classes oracle);
+  ( List.map
+      (Format.asprintf "%a" Analysis.Regcsan.pp_finding)
+      (Analysis.Regcsan.findings san),
+    Torture.Oracle.reads_checked oracle,
+    Torture.Oracle.digest oracle )
+
+let test_observer_order_irrelevant () =
+  let racy ~config ~on_create =
+    let sys = Samhita.System.create ~config ~threads:3 () in
+    on_create sys;
+    let checksum =
+      Check.Kernels.build Check.Kernels.Racy sys ~threads:3 ~pages:1
+    in
+    Samhita.System.run sys;
+    Alcotest.(check (option string)) "racy counter" None (checksum ())
+  in
+  let micro ~config ~on_create =
+    let p =
+      { Workload.Microbench.default_params with
+        Workload.Microbench.n_outer = 2;
+        m_inner = 2;
+        alloc = Workload.Microbench.Global_strided }
+    in
+    let b = Workload.Samhita_backend.make ~config ~on_create () in
+    let r = Workload.Microbench.run b ~threads:4 p in
+    Alcotest.(check bool) "micro gsum" true
+      (r.Workload.Microbench.gsum = r.Workload.Microbench.expected_gsum)
+  in
+  List.iter
+    (fun (name, threads, run, racy) ->
+       let findings, reads, digest = observed ~san_first:true ~threads run in
+       let findings', reads', digest' =
+         observed ~san_first:false ~threads run
+       in
+       Alcotest.(check bool) (name ^ ": findings iff racy") racy
+         (findings <> []);
+       Alcotest.(check bool) (name ^ ": reads checked") true (reads > 0);
+       Alcotest.(check (list string)) (name ^ ": same findings") findings
+         findings';
+       Alcotest.(check int) (name ^ ": same reads checked") reads reads';
+       Alcotest.(check int) (name ^ ": same oracle digest") digest digest')
+    [ ("racy", 3, racy, true); ("micro", 4, micro, false) ]
 
 let tests =
   [ Alcotest.test_case "oracle: zero legal" `Quick test_oracle_zero_legal;
@@ -355,6 +426,8 @@ let tests =
     Alcotest.test_case "jacobi crash: zero reset not lost" `Quick
       test_jacobi_zero_reset_clean;
     Alcotest.test_case "oracle: zeroed acked word flagged" `Quick
-      test_lost_acked_write_flagged ]
+      test_lost_acked_write_flagged;
+    Alcotest.test_case "observer attach order irrelevant" `Quick
+      test_observer_order_irrelevant ]
 
 let () = Alcotest.run "torture" [ ("torture", tests) ]
