@@ -215,34 +215,6 @@ let add t ~line ~data ~version =
   Hashtbl.replace t.table line e;
   e
 
-let insert t ~line ~data ~version ~evict =
-  (* The caller may have yielded between detecting the miss and calling
-     insert (clock sync, fetch round trip, or the victim flush below), and
-     an asynchronous prefetch completion can install lines meanwhile — so
-     re-check rather than assume absence. *)
-  match Hashtbl.find_opt t.table line with
-  | Some e ->
-    touch t e;
-    e
-  | None ->
-    if Hashtbl.length t.table >= t.capacity then begin
-      match choose_victim t ~allow_dirty:true with
-      | None -> ()
-      | Some victim ->
-        t.c_evictions <- t.c_evictions + 1;
-        if is_dirty victim then
-          t.c_dirty_evictions <- t.c_dirty_evictions + 1;
-        (* [evict] may flush (and yield); re-check afterwards. *)
-        evict victim;
-        remove t victim
-    end;
-    (match Hashtbl.find_opt t.table line with
-     | Some e ->
-       touch t e;
-       e
-     | None ->
-       add t ~line ~data ~version)
-
 let ensure_room t ~line ~evict =
   let rec go () =
     if
@@ -260,6 +232,20 @@ let ensure_room t ~line ~evict =
     end
   in
   go ()
+
+let insert t ~line ~data ~version ~evict =
+  (* The caller may have yielded between detecting the miss and calling
+     insert (clock sync, fetch round trip, or a victim flush in
+     [ensure_room]), and an asynchronous prefetch completion can install
+     lines meanwhile — so re-check rather than assume absence. A prefetch
+     landing during a victim flush finds the table full and swaps a clean
+     line for its own, so [ensure_room] still evicts exactly once. *)
+  ensure_room t ~line ~evict;
+  match Hashtbl.find_opt t.table line with
+  | Some e ->
+    touch t e;
+    e
+  | None -> add t ~line ~data ~version
 
 let try_install t ~line ~data ~version =
   if Hashtbl.mem t.table line then false

@@ -68,9 +68,9 @@ val peek : t -> int -> entry option
 val insert :
   t -> line:int -> data:bytes -> version:int -> evict:(entry -> unit) ->
   entry
-(** Install a fetched line, evicting a victim first when full. The [evict]
-    callback sees the victim (possibly dirty — flush it) before removal.
-    The buffer is owned by the cache afterwards. If the line turned out to
+(** Install a fetched line, evicting first when full ({!ensure_room}).
+    The [evict] callback sees the victim (possibly dirty — flush it)
+    before removal. The buffer is owned by the cache afterwards. If the line turned out to
     be present already (an asynchronous prefetch completed while the caller
     was blocked fetching), the existing entry is returned and the new
     buffer dropped. *)
