@@ -12,6 +12,7 @@ type t = {
   mutable threads_rev : Thread_ctx.t list;
   mutable next_thread : int;
   mutable finished : int;
+  mutable last_finish : Desim.Time.t;  (* the makespan; see [elapsed] *)
   mutable probe : Probe.t option;
 }
 
@@ -225,6 +226,7 @@ let create ?(config = Config.default) ~threads () =
       threads_rev = [];
       next_thread = 0;
       finished = 0;
+      last_finish = Desim.Time.zero;
       probe = None }
   in
   if config.Config.replication >= 1 || nshards >= 2 then spawn_monitor t;
@@ -286,11 +288,12 @@ let spawn t body =
   Desim.Engine.spawn t.engine ~name:(Printf.sprintf "thread%d" id) (fun () ->
       body ctx;
       Thread_ctx.finish ctx;
-      t.finished <- t.finished + 1);
+      t.finished <- t.finished + 1;
+      t.last_finish <- Desim.Engine.now t.engine);
   ctx
 
 let threads t = List.rev t.threads_rev
 let finished_threads t = t.finished
 let run t = Desim.Engine.run t.engine
-let elapsed t = Desim.Engine.now t.engine
+let elapsed t = t.last_finish
 let events t = Desim.Engine.events t.engine

@@ -66,7 +66,9 @@ val run : t -> unit
 (** Drive the simulation to completion. *)
 
 val elapsed : t -> Desim.Time.t
-(** Simulated makespan so far. *)
+(** The makespan: the instant the last application thread to finish so
+    far returned ([zero] before any has). The engine's clock can run past
+    it, e.g. to the lease monitor's final tick. *)
 
 val events : t -> int
 (** Simulation events executed so far ({!Desim.Engine.events}) — the
