@@ -189,21 +189,21 @@ let kernel_backend ~cmd ~backend ~threads ~shards ~servers ?(report = false)
     let config = kernel_config ~cmd ~threads ~shards ~servers in
     let after = ref ignore in
     let on_create sys =
-      let print_report () =
-        if report then Format.printf "%a@." Samhita.Metrics.pp_report sys
+      let san =
+        if not sanitize then None
+        else begin
+          let s =
+            Analysis.Regcsan.create ~threads
+              ~page_bytes:config.Samhita.Config.page_bytes
+          in
+          Samhita.System.add_probe sys (Analysis.Regcsan.probe s);
+          Some s
+        end
       in
-      if sanitize then begin
-        let san =
-          Analysis.Regcsan.create ~threads
-            ~page_bytes:config.Samhita.Config.page_bytes
-        in
-        Samhita.System.add_probe sys (Analysis.Regcsan.probe san);
-        after :=
-          fun () ->
-            print_report ();
-            Format.printf "%a@." Analysis.Regcsan.pp_report san
-      end
-      else after := print_report
+      after :=
+        fun () ->
+          if report then Format.printf "%a@." Samhita.Metrics.pp_report sys;
+          Option.iter (Format.printf "%a@." Analysis.Regcsan.pp_report) san
     in
     (Workload.Samhita_backend.make ~config ~on_create (), fun () -> !after ())
   | `Pth ->

@@ -4,10 +4,10 @@
     The runtime feeds every global-memory read/write, every allocation
     event, and every synchronization edge (mutex release→acquire, barrier
     epoch, condvar signal→wake) into an instance of this module through
-    its {!probe}. A
-    vector-clock engine maintains the happens-before relation; shadow
-    state at 8-byte-word granularity (organised per page) records the last
-    write and the concurrent-reader set of every touched word.
+    its {!probe}. A vector-clock engine maintains the happens-before
+    relation; shadow state at 8-byte-word granularity (organised per
+    page) records the last write and the concurrent-reader set of every
+    touched word.
 
     Reported findings:
 

@@ -215,23 +215,22 @@ let add t ~line ~data ~version =
   Hashtbl.replace t.table line e;
   e
 
-let ensure_room t ~line ~evict =
-  let rec go () =
-    if
-      (not (Hashtbl.mem t.table line))
-      && Hashtbl.length t.table >= t.capacity
-    then begin
-      match choose_victim t ~allow_dirty:true with
-      | None -> ()
-      | Some victim ->
-        t.c_evictions <- t.c_evictions + 1;
-        if is_dirty victim then t.c_dirty_evictions <- t.c_dirty_evictions + 1;
-        evict victim;
-        remove t victim;
-        go ()
-    end
-  in
-  go ()
+(* Top-level recursion, not a local loop: [insert] runs this on every
+   miss, and a local closure would allocate each time. *)
+let rec ensure_room t ~line ~evict =
+  if
+    (not (Hashtbl.mem t.table line))
+    && Hashtbl.length t.table >= t.capacity
+  then begin
+    match choose_victim t ~allow_dirty:true with
+    | None -> ()
+    | Some victim ->
+      t.c_evictions <- t.c_evictions + 1;
+      if is_dirty victim then t.c_dirty_evictions <- t.c_dirty_evictions + 1;
+      evict victim;
+      remove t victim;
+      ensure_room t ~line ~evict
+  end
 
 let insert t ~line ~data ~version ~evict =
   (* The caller may have yielded between detecting the miss and calling

@@ -70,10 +70,10 @@ val insert :
   entry
 (** Install a fetched line, evicting first when full ({!ensure_room}).
     The [evict] callback sees the victim (possibly dirty — flush it)
-    before removal. The buffer is owned by the cache afterwards. If the line turned out to
-    be present already (an asynchronous prefetch completed while the caller
-    was blocked fetching), the existing entry is returned and the new
-    buffer dropped. *)
+    before removal. The buffer is owned by the cache afterwards. If the
+    line turned out to be present already (an asynchronous prefetch
+    completed while the caller was blocked fetching), the existing entry
+    is returned and the new buffer dropped. *)
 
 val ensure_room : t -> line:int -> evict:(entry -> unit) -> unit
 (** Evict until inserting [line] would need no eviction (no-op when the

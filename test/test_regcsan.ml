@@ -246,12 +246,12 @@ let test_racy_deterministic () =
   Alcotest.(check string) "identical report across runs" a b
 
 (* Attach a fresh analyzer to the system the kernel builds, as
-   [samhita_sim --sanitize] does. *)
-let sanitized_backend captured ~threads =
+   [samhita_sim --sanitize] does; the clean kernels below run 4 threads. *)
+let sanitized_backend captured =
   Workload.Samhita_backend.make
     ~on_create:(fun sys ->
         let s =
-          R.create ~threads
+          R.create ~threads:4
             ~page_bytes:Samhita.Config.default.Samhita.Config.page_bytes
         in
         Samhita.System.add_probe sys (R.probe s);
@@ -260,7 +260,7 @@ let sanitized_backend captured ~threads =
 
 let check_clean name run =
   let captured = ref None in
-  run (sanitized_backend captured ~threads:4);
+  run (sanitized_backend captured);
   match !captured with
   | None -> Alcotest.fail (name ^ ": kernel never built a system")
   | Some s ->
