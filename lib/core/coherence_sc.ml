@@ -1,9 +1,4 @@
-type peer = {
-  p_node : Fabric.Network.node;
-  p_peek : int -> bytes option;
-  p_invalidate : int -> unit;
-  p_downgrade : int -> unit;
-}
+type peer = { p_node : Fabric.Network.node; p_cache : Cache.t }
 
 type dirent = { mutable owner : int option; sharers : Tset.t }
 
@@ -14,11 +9,11 @@ type t = {
 
 let create () = { peers = Hashtbl.create 64; dir = Hashtbl.create 1024 }
 
-let register t ~thread peer =
+let register t ~thread ~node cache =
   (* System.create validates the count up front; this guards direct use. *)
   if thread < 0 || thread >= Config.max_threads then
     invalid_arg "Coherence_sc.register: thread id out of range (max_threads)";
-  Hashtbl.replace t.peers thread peer
+  Hashtbl.replace t.peers thread { p_node = node; p_cache = cache }
 
 let peer t thread =
   match Hashtbl.find_opt t.peers thread with

@@ -10,22 +10,20 @@
     that claim against RegC.
 
     This module is the bookkeeping only: a per-line directory entry and a
-    registry of per-thread callbacks (peek/invalidate/downgrade) that the
-    protocol driver in {!Thread_ctx} uses to act on remote caches. Timing
-    (recall and invalidation round trips) is charged by the driver. *)
+    registry of per-thread peers (node and cache) that the protocol driver
+    in {!Thread_ctx} uses to act on remote caches. Timing (recall and
+    invalidation round trips) is charged by the driver. *)
 
 type t
 
 type peer = {
   p_node : Fabric.Network.node;  (** For recall/invalidation transfers. *)
-  p_peek : int -> bytes option;  (** Live cached contents of a line. *)
-  p_invalidate : int -> unit;  (** Drop the line from the peer's cache. *)
-  p_downgrade : int -> unit;  (** Exclusive -> shared. *)
+  p_cache : Cache.t;  (** The peer's cache, recalled and invalidated. *)
 }
 
 val create : unit -> t
 
-val register : t -> thread:int -> peer -> unit
+val register : t -> thread:int -> node:Fabric.Network.node -> Cache.t -> unit
 (** Threads register themselves at creation. Thread ids must be below
     {!Config.max_threads}. *)
 

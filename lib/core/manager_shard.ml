@@ -40,14 +40,16 @@ type lock_state = {
      lock version that release produced: a shard-crash retry whose
      original release mutated state but lost its ack must be a no-op, not
      a double release, and must answer with its own version, not the
-     lock's current one. *)
+     lock's current one. Grants and barrier releases are pushes that a
+     takeover re-drives, never retried requests, so this is the only
+     retry the shard deduplicates. *)
   release_seen : (int, int * int) Hashtbl.t;
 }
 
 type barrier_waiter = {
   b_thread : int;
   b_endpoint : Fabric.Scl.endpoint;
-  b_wake : (int * Tset.t) list * int -> unit;
+  b_wake : (int * Tset.t) list -> unit;
 }
 
 (* Per epoch: line id -> set of writer thread ids. The set travels as
@@ -59,15 +61,6 @@ type barrier_state = {
   mutable arrived : int;
   mutable bwaiters : barrier_waiter list;
   epoch_writers : (int, Tset.t) Hashtbl.t;
-  parts : Tset.t;  (* arrivers of the in-progress episode *)
-  (* Replay state for shard-crash retries: a thread whose arrival released
-     the episode but whose reply was lost re-arrives with the episode's
-     epoch; it must receive the released notices again, not join the next
-     episode. *)
-  mutable last_epoch : int;
-  mutable last_parts : Tset.t;
-  mutable last_all : (int * Tset.t) list;
-  mutable last_wire : int;
 }
 
 type cond_waiter = {
@@ -78,7 +71,7 @@ type cond_waiter = {
 
 type cond_state = { cwaiters : cond_waiter Queue.t }
 
-(* A reply push (lock hand-off, barrier release, condvar wake) that could
+(* A reply push (lock grant, barrier release, condvar wake) that could
    not leave this shard's node because the node was already declared dead
    at the send instant — the in-flight-request window of a shard crash.
    The takeover shard re-drives these from its own endpoint. *)
@@ -128,10 +121,11 @@ let create cfg layout ~engine ~endpoint =
 let endpoint t = t.endpoint
 let service t = t.service
 
-(* Reply pushes ride the retrying primitive: a dropped push would strand
-   the recipient forever. A push whose source node is already dead (this
-   shard crashed while the triggering request was in flight) is stashed
-   and re-driven by the takeover shard. *)
+(* Every blocking reply is a push riding the retrying primitive: a
+   dropped push would strand the recipient forever. A push whose source
+   node is already dead (this shard crashed while the triggering request
+   was in flight) is stashed and re-driven by the takeover shard, so the
+   requester never re-sends a request the shard already executed. *)
 let push t ~now ~dst ~bytes fire =
   let net = Fabric.Scl.network t.endpoint in
   try
@@ -240,47 +234,25 @@ let grant_for t st ~last_seen =
   in
   { lock_version = st.version; action; wire_bytes = wire }
 
-let lock_acquire t ~now:_ ~lock ~thread ~last_seen ~endpoint ~wake =
+let lock_acquire t ~now ~lock ~thread ~last_seen ~endpoint ~wake =
   let st = lock_state t lock in
   match st.holder with
-  | Some h when h = thread ->
-    (* Shard-crash retry: the original acquire was granted but the reply
-       leg died with the shard. Nobody else can have advanced the lock
-       (this thread holds it), so the same grant is rebuilt. *)
-    `Granted (grant_for t st ~last_seen)
   | None ->
     st.holder <- Some thread;
-    `Granted (grant_for t st ~last_seen)
+    let g = grant_for t st ~last_seen in
+    push t ~now ~dst:endpoint ~bytes:g.wire_bytes (fun () -> wake g)
+  | Some h when h = thread ->
+    invalid_arg "Manager_shard.lock_acquire: thread already holds the lock"
   | Some _ ->
-    if Queue.fold (fun acc w -> acc || w.w_thread = thread) false st.waiters
-    then begin
-      (* Retry of a queued acquire: the first attempt's wake belongs to an
-         already-resumed continuation — replace it in place. *)
-      let q = Queue.create () in
-      Queue.iter
-        (fun w ->
-           Queue.push
-             (if w.w_thread = thread then
-                { w with w_last_seen = last_seen; w_endpoint = endpoint;
-                  w_wake = wake }
-              else w)
-             q)
-        st.waiters;
-      st.waiters <- q;
-      `Queued
-    end
-    else begin
-      Queue.push
-        { w_thread = thread; w_last_seen = last_seen; w_endpoint = endpoint;
-          w_wake = wake }
-        st.waiters;
-      `Queued
-    end
+    Queue.push
+      { w_thread = thread; w_last_seen = last_seen; w_endpoint = endpoint;
+        w_wake = wake }
+      st.waiters
 
-let lock_release ?seq t ~now ~lock ~thread ~log ~line_versions =
+let lock_release t ~seq ~now ~lock ~thread ~log ~line_versions =
   let st = lock_state t lock in
-  match (seq, Hashtbl.find_opt st.release_seen thread) with
-  | Some s, Some (s', v) when s' >= s -> v
+  match Hashtbl.find_opt st.release_seen thread with
+  | Some (s', v) when s' >= seq -> v
   | _ ->
     (match st.holder with
      | Some h when h = thread -> ()
@@ -288,9 +260,7 @@ let lock_release ?seq t ~now ~lock ~thread ~log ~line_versions =
        invalid_arg
          "Manager_shard.lock_release: thread does not hold the lock");
     st.version <- st.version + 1;
-    (match seq with
-     | Some s -> Hashtbl.replace st.release_seen thread (s, st.version)
-     | None -> ());
+    Hashtbl.replace st.release_seen thread (seq, st.version);
     Queue.push { h_log = log; h_line_versions = line_versions } st.history;
     if Queue.length st.history > t.cfg.Config.update_log_history then
       ignore (Queue.take st.history : history_entry);
@@ -336,80 +306,44 @@ let barrier_register t ~id ~parties =
       epoch = 0;
       arrived = 0;
       bwaiters = [];
-      epoch_writers = Hashtbl.create 64;
-      parts = Tset.create ();
-      last_epoch = -1;
-      last_parts = Tset.create ();
-      last_all = [];
-      last_wire = 0 }
+      epoch_writers = Hashtbl.create 64 }
 
-let barrier_arrive ?epoch t ~now ~barrier ~thread ~lines ~endpoint ~wake =
+let barrier_arrive t ~now ~barrier ~thread ~lines ~endpoint ~wake =
   if thread < 0 then
     invalid_arg "Manager_shard.barrier_arrive: negative thread id";
   let st = barrier_state t barrier in
-  let duplicate_of_released =
-    match epoch with
-    | Some e -> e = st.last_epoch && Tset.mem st.last_parts thread
-    | None -> false
-  in
-  if duplicate_of_released then
-    (* Shard-crash retry: this thread's arrival already released the
-       episode; hand it the released notices again. *)
-    `Released (st.last_all, st.last_wire)
-  else if List.exists (fun w -> w.b_thread = thread) st.bwaiters then begin
-    (* Retry of an arrival parked in the in-progress episode: the first
-       attempt's wake belongs to an already-resumed continuation. *)
+  List.iter
+    (fun l ->
+       let set =
+         match Hashtbl.find_opt st.epoch_writers l with
+         | Some s -> s
+         | None ->
+           let s = Tset.create () in
+           Hashtbl.replace st.epoch_writers l s;
+           s
+       in
+       Tset.add set thread)
+    lines;
+  st.arrived <- st.arrived + 1;
+  if st.arrived < st.parties then
     st.bwaiters <-
-      List.map
-        (fun w ->
-           if w.b_thread = thread then
-             { w with b_endpoint = endpoint; b_wake = wake }
-           else w)
-        st.bwaiters;
-    `Wait
-  end
+      { b_thread = thread; b_endpoint = endpoint; b_wake = wake }
+      :: st.bwaiters
   else begin
+    let all =
+      Hashtbl.fold (fun l set acc -> (l, set) :: acc) st.epoch_writers []
+    in
+    let wire = ack_wire + notice_wire all in
     List.iter
-      (fun l ->
-         let set =
-           match Hashtbl.find_opt st.epoch_writers l with
-           | Some s -> s
-           | None ->
-             let s = Tset.create () in
-             Hashtbl.replace st.epoch_writers l s;
-             s
-         in
-         Tset.add set thread)
-      lines;
-    Tset.add st.parts thread;
-    st.arrived <- st.arrived + 1;
-    if st.arrived < st.parties then begin
-      st.bwaiters <-
-        { b_thread = thread; b_endpoint = endpoint; b_wake = wake }
-        :: st.bwaiters;
-      `Wait
-    end
-    else begin
-      let all =
-        Hashtbl.fold (fun l set acc -> (l, set) :: acc) st.epoch_writers []
-      in
-      let wire = ack_wire + notice_wire all in
-      List.iter
-        (fun w ->
-           push t ~now ~dst:w.b_endpoint ~bytes:wire (fun () ->
-               w.b_wake (all, wire)))
-        st.bwaiters;
-      st.bwaiters <- [];
-      st.arrived <- 0;
-      st.last_epoch <- st.epoch;
-      st.last_parts <- Tset.copy st.parts;
-      st.last_all <- all;
-      st.last_wire <- wire;
-      Tset.clear st.parts;
-      st.epoch <- st.epoch + 1;
-      Hashtbl.reset st.epoch_writers;
-      `Released (all, wire)
-    end
+      (fun w ->
+         push t ~now ~dst:w.b_endpoint ~bytes:wire (fun () -> w.b_wake all))
+      st.bwaiters;
+    (* The last arriver's own release goes out after every waiter's. *)
+    push t ~now ~dst:endpoint ~bytes:wire (fun () -> wake all);
+    st.bwaiters <- [];
+    st.arrived <- 0;
+    st.epoch <- st.epoch + 1;
+    Hashtbl.reset st.epoch_writers
   end
 
 let barrier_epoch t barrier = (barrier_state t barrier).epoch

@@ -18,15 +18,16 @@
 
     Timing contract: every operation takes [~now], the instant the shard
     {e finishes processing} the request (the caller reserved the service
-    resource); replies to third parties (lock hand-off, barrier release,
-    condvar signal) are scheduled by the shard itself as fabric transfers
-    starting at [~now].
+    resource). Every blocking reply — each lock grant, immediate or handed
+    off, each barrier release and each condvar wake — is a push the shard
+    schedules itself as a fabric transfer starting at [~now]; the
+    requester's [wake] runs at its arrival.
 
-    Retry contract (shard crash): requests carry enough identity
-    ([?seq] on release, [?epoch] on barrier arrival, the thread id on
-    acquire) that a retry of a request whose original execution mutated
-    state but whose reply was lost is recognized and answered without
-    mutating twice. *)
+    Crash contract: a push that cannot leave a dead shard's node is kept
+    and re-driven by the takeover shard ({!absorb}), so an acquire or an
+    arrival is never re-sent once the shard executed it. The only retried
+    request that reaches a shard after mutating it is a release whose ack
+    was lost; its [~seq] makes the retry a no-op. *)
 
 type t
 
@@ -79,29 +80,27 @@ val lock_register : t -> id:lock_id -> unit
 
 val lock_acquire :
   t -> now:Desim.Time.t -> lock:lock_id -> thread:int -> last_seen:int ->
-  endpoint:Fabric.Scl.endpoint -> wake:(grant -> unit) ->
-  [ `Granted of grant | `Queued ]
-(** If free, grants immediately (caller models its own reply transfer). If
-    held, queues the waiter; on hand-off the shard schedules the grant
-    transfer and [wake] runs at its arrival. A retry by the current holder
-    re-grants; a retry by an already-queued thread replaces the stale
-    queued [wake]. *)
+  endpoint:Fabric.Scl.endpoint -> wake:(grant -> unit) -> unit
+(** If free, grants at once: the grant is pushed to [endpoint] from
+    [~now]. If held, queues the waiter, and the release that hands the
+    lock over pushes its grant. Either way [wake] runs when the grant
+    arrives. Raises [Invalid_argument] if [thread] already holds the
+    lock. *)
 
 val lock_release :
-  ?seq:int ->
-  t -> now:Desim.Time.t -> lock:lock_id -> thread:int ->
+  t -> seq:int -> now:Desim.Time.t -> lock:lock_id -> thread:int ->
   log:Update.t list -> line_versions:(int * int) list -> int
 (** Record the release: bumps the lock version, retains the release log
     (bounded history) for future acquirers, merges [line_versions] into the
     lock's notice map, and hands the lock to the next waiter if any.
     Returns the lock version this release produced, which is the version
     the releaser has seen.
-    [?seq] is the releaser's per-lock release sequence number: a retry
-    carrying an already-recorded [seq] is a no-op (shard-crash
-    idempotence) and returns the version the recorded release produced,
-    not the lock's current version, which later releases by other
-    threads may have advanced. Raises [Invalid_argument] if [thread] does
-    not hold the lock. *)
+    [~seq] is the releaser's per-lock release sequence number, increasing
+    from 1: a retry carrying an already-recorded [seq] is a no-op
+    (shard-crash idempotence) and returns the version the recorded
+    release produced, not the lock's current version, which later
+    releases by other threads may have advanced. Raises
+    [Invalid_argument] if [thread] does not hold the lock. *)
 
 val lock_holder : t -> lock_id -> int option
 val lock_version : t -> lock_id -> int
@@ -134,21 +133,17 @@ val cond_blocked : t -> cond_id -> int list
 val barrier_register : t -> id:barrier_id -> parties:int -> unit
 
 val barrier_arrive :
-  ?epoch:int ->
   t -> now:Desim.Time.t -> barrier:barrier_id -> thread:int ->
   lines:int list -> endpoint:Fabric.Scl.endpoint ->
-  wake:((int * Tset.t) list * int -> unit) ->
-  [ `Released of (int * Tset.t) list * int | `Wait ]
+  wake:((int * Tset.t) list -> unit) -> unit
 (** Register arrival along with the lines this thread wrote (flushed) during
-    the ending interval. The last arriver triggers the release: everyone
-    receives the epoch's aggregated write notices as [(line, writers)]
-    pairs ([`Released] for the caller, scheduled [wake]s for the rest, each
-    carrying the reply wire size). A thread must invalidate any cached line
+    the ending interval. The last arriver triggers the release: the shard
+    pushes the epoch's aggregated write notices, as [(line, writers)]
+    pairs, to every waiter and then to the last arriver, and each [wake]
+    runs at its push's arrival. A thread must invalidate any cached line
     whose writer set names a writer other than itself — with multiple
     writers, version equality does not imply content equality, only the
-    home holds the merge. [?epoch] is the episode the caller arrives for;
-    a retry for an already-released episode the thread participated in
-    replays that episode's notices instead of joining the next one. *)
+    home holds the merge. *)
 
 val barrier_epoch : t -> barrier_id -> int
 

@@ -17,7 +17,7 @@ type 'a t = {
   mutable payloads : 'a array;
   mutable size : int;
   mutable next_seq : int;
-  mutable tie_break : tie_break option;
+  tie_break : tie_break option;
 }
 
 let create ?(initial_capacity = 256) ?tie_break () =
@@ -29,8 +29,6 @@ let create ?(initial_capacity = 256) ?tie_break () =
     size = 0;
     next_seq = 0;
     tie_break }
-
-let set_tie_break t tb = t.tie_break <- tb
 
 let is_empty t = t.size = 0
 let length t = t.size

@@ -2,11 +2,11 @@
 
     Entries are ordered by [(time, prio, seq)]. The sequence number is
     assigned on insertion; by default [prio = seq], making the pop order of
-    simultaneous events deterministic FIFO among equals. Installing a
-    {!tie_break} hook replaces that default: the hook maps [(time, seq)] to
-    a priority, permuting same-instant order (the schedule fuzzer's seeded
-    shuffler) while [seq] still breaks priority collisions, so any hook
-    yields a total, deterministic order.
+    simultaneous events deterministic FIFO among equals. A {!tie_break}
+    hook given to {!create} replaces that default: the hook maps
+    [(time, seq)] to a priority, permuting same-instant order (the
+    schedule fuzzer's seeded shuffler) while [seq] still breaks priority
+    collisions, so any hook yields a total, deterministic order.
 
     Storage is an unboxed parallel-arrays layout — three int arrays for
     the [(time, prio, seq)] keys plus one payload array — so {!push}
@@ -26,11 +26,6 @@ type tie_break = time:int -> seq:int -> int
     Must be a pure function so replaying a run reproduces it. *)
 
 val create : ?initial_capacity:int -> ?tie_break:tie_break -> unit -> 'a t
-
-val set_tie_break : 'a t -> tie_break option -> unit
-(** Install ([Some]) or remove ([None]) the tie-break hook. Affects only
-    subsequently pushed entries; callers switch modes between runs, not
-    mid-drain. *)
 
 val is_empty : 'a t -> bool
 val length : 'a t -> int

@@ -100,17 +100,6 @@ let test_shuffle_deterministic () =
   Alcotest.(check bool) "some seed deviates from FIFO" true
     (List.exists (fun seed -> shuffled_drain ~seed times <> fifo) [ 1; 2; 3 ])
 
-let test_set_tie_break () =
-  let h = Desim.Heap.create () in
-  Desim.Heap.set_tie_break h (Some (fun ~time:_ ~seq -> -seq));
-  List.iter (fun v -> Desim.Heap.push h ~time:0 v) [ 1; 2; 3 ];
-  Alcotest.(check (list (pair int int)))
-    "installed hook applies" [ (0, 3); (0, 2); (0, 1) ] (drain h);
-  Desim.Heap.set_tie_break h None;
-  List.iter (fun v -> Desim.Heap.push h ~time:0 v) [ 1; 2; 3 ];
-  Alcotest.(check (list (pair int int)))
-    "removal restores FIFO" [ (0, 1); (0, 2); (0, 3) ] (drain h)
-
 let prop_sorted =
   QCheck.Test.make ~name:"pop order is sorted and stable" ~count:300
     QCheck.(list (int_bound 50))
@@ -169,7 +158,6 @@ let tests =
     Alcotest.test_case "custom tie-break" `Quick test_tie_break_custom;
     Alcotest.test_case "seeded shuffle deterministic" `Quick
       test_shuffle_deterministic;
-    Alcotest.test_case "set_tie_break" `Quick test_set_tie_break;
     QCheck_alcotest.to_alcotest prop_sorted;
     QCheck_alcotest.to_alcotest prop_interleaved ]
 

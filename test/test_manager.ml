@@ -53,42 +53,89 @@ let test_alloc_invalid () =
 
 (* ---------------- locks ---------------- *)
 
+let now e = Desim.Engine.now e
+
+(* Every grant is a push: the acquire only registers [wake], and the grant
+   lands once the engine runs the transfer. Returns the grant, or [None]
+   while the thread is queued. *)
+let acquire e m ~lock ~thread ~last_seen ~endpoint =
+  let got = ref None in
+  Samhita.Manager_shard.lock_acquire m ~now:(now e) ~lock ~thread ~last_seen
+    ~endpoint ~wake:(fun g ->
+        if !got <> None then Alcotest.fail "grant delivered twice";
+        got := Some g);
+  Desim.Engine.run e;
+  !got
+
+let acquired e m ~lock ~thread ~last_seen ~endpoint =
+  match acquire e m ~lock ~thread ~last_seen ~endpoint with
+  | Some g -> g
+  | None -> Alcotest.fail "lock should be free"
+
+let release e m ~seq ~lock ~thread ~log ~line_versions =
+  Samhita.Manager_shard.lock_release m ~seq ~now:(now e) ~lock ~thread ~log
+    ~line_versions
+
+let not_holder =
+  Invalid_argument "Manager_shard.lock_release: thread does not hold the lock"
+
 let test_lock_grant_free () =
-  let _, net, m = mk () in
+  let e, net, m = mk () in
   let l = 1 in
   Samhita.Manager_shard.lock_register m ~id:l;
   Alcotest.(check (option int)) "free" None (Samhita.Manager_shard.lock_holder m l);
-  match
-    Samhita.Manager_shard.lock_acquire m ~now:t0 ~lock:l ~thread:1 ~last_seen:0
-      ~endpoint:(ep net 2) ~wake:(fun _ -> Alcotest.fail "no wake expected")
-  with
-  | `Granted g ->
+  let got = ref None in
+  Samhita.Manager_shard.lock_acquire m ~now:(now e) ~lock:l ~thread:1
+    ~last_seen:0 ~endpoint:(ep net 2) ~wake:(fun g -> got := Some g);
+  Alcotest.(check (option int)) "held at once" (Some 1)
+    (Samhita.Manager_shard.lock_holder m l);
+  Alcotest.(check bool) "the grant is a scheduled fabric event" true
+    (!got = None);
+  Desim.Engine.run e;
+  match !got with
+  | Some g ->
     Alcotest.(check bool) "fresh" true (g.Samhita.Manager_shard.action = Fresh);
     Alcotest.(check int) "version 0" 0 g.Samhita.Manager_shard.lock_version;
-    Alcotest.(check (option int)) "held" (Some 1)
-      (Samhita.Manager_shard.lock_holder m l)
-  | `Queued -> Alcotest.fail "expected immediate grant"
+    Alcotest.(check bool) "arrives after the wire time" true
+      (Desim.Time.to_ns (now e) > 0)
+  | None -> Alcotest.fail "grant never arrived"
+
+let test_lock_reacquire_by_holder () =
+  let e, net, m = mk () in
+  let l = 1 in
+  Samhita.Manager_shard.lock_register m ~id:l;
+  ignore
+    (acquired e m ~lock:l ~thread:1 ~last_seen:0 ~endpoint:(ep net 2)
+     : Samhita.Manager_shard.grant);
+  Alcotest.check_raises "holder re-acquire rejected"
+    (Invalid_argument
+       "Manager_shard.lock_acquire: thread already holds the lock")
+    (fun () ->
+       Samhita.Manager_shard.lock_acquire m ~now:(now e) ~lock:l ~thread:1
+         ~last_seen:0 ~endpoint:(ep net 2)
+         ~wake:(fun _ -> Alcotest.fail "no second grant"));
+  Desim.Engine.run e;
+  Alcotest.(check (option int)) "still held" (Some 1)
+    (Samhita.Manager_shard.lock_holder m l);
+  Alcotest.(check (list int)) "nobody queued" []
+    (Samhita.Manager_shard.lock_waiters m l)
 
 let test_lock_queue_and_handoff () =
   let e, net, m = mk () in
   let l = 1 in
   Samhita.Manager_shard.lock_register m ~id:l;
   ignore
-    (Samhita.Manager_shard.lock_acquire m ~now:t0 ~lock:l ~thread:1 ~last_seen:0
-       ~endpoint:(ep net 2) ~wake:(fun _ -> ()));
+    (acquired e m ~lock:l ~thread:1 ~last_seen:0 ~endpoint:(ep net 2)
+     : Samhita.Manager_shard.grant);
   let woken = ref None in
-  (match
-     Samhita.Manager_shard.lock_acquire m ~now:t0 ~lock:l ~thread:2 ~last_seen:0
-       ~endpoint:(ep net 3)
-       ~wake:(fun g -> woken := Some g)
-   with
-   | `Queued -> ()
-   | `Granted _ -> Alcotest.fail "expected queue");
+  Samhita.Manager_shard.lock_acquire m ~now:(now e) ~lock:l ~thread:2
+    ~last_seen:0 ~endpoint:(ep net 3) ~wake:(fun g -> woken := Some g);
+  Desim.Engine.run e;
+  Alcotest.(check bool) "queued behind the holder" true (!woken = None);
   (* Holder releases with a log; waiter gets the lock and a Patch. *)
   let u = Samhita.Update.of_i64 ~addr:0 5L in
   Alcotest.(check int) "release produced version 1" 1
-    (Samhita.Manager_shard.lock_release m ~now:t0 ~lock:l ~thread:1
-       ~log:[ u ] ~line_versions:[ (0, 1) ]);
+    (release e m ~seq:1 ~lock:l ~thread:1 ~log:[ u ] ~line_versions:[ (0, 1) ]);
   Alcotest.(check (option int)) "handed off" (Some 2)
     (Samhita.Manager_shard.lock_holder m l);
   Alcotest.(check bool) "wake is a scheduled fabric event" true
@@ -104,19 +151,15 @@ let test_lock_queue_and_handoff () =
    | None -> Alcotest.fail "waiter never woken")
 
 let test_lock_release_not_holder () =
-  let _, net, m = mk () in
+  let e, net, m = mk () in
   let l = 1 in
   Samhita.Manager_shard.lock_register m ~id:l;
   ignore
-    (Samhita.Manager_shard.lock_acquire m ~now:t0 ~lock:l ~thread:1 ~last_seen:0
-       ~endpoint:(ep net 2) ~wake:(fun _ -> ()));
-  Alcotest.check_raises "wrong thread"
-    (Invalid_argument "Manager_shard.lock_release: thread does not hold the lock")
-    (fun () ->
-       ignore
-         (Samhita.Manager_shard.lock_release m ~now:t0 ~lock:l ~thread:9
-            ~log:[] ~line_versions:[]
-          : int))
+    (acquired e m ~lock:l ~thread:1 ~last_seen:0 ~endpoint:(ep net 2)
+     : Samhita.Manager_shard.grant);
+  Alcotest.check_raises "wrong thread" not_holder (fun () ->
+      ignore
+        (release e m ~seq:1 ~lock:l ~thread:9 ~log:[] ~line_versions:[] : int))
 
 let test_lock_release_error_mutates_nothing () =
   (* An erroneous release (wrong thread) must leave the lock state
@@ -126,47 +169,38 @@ let test_lock_release_error_mutates_nothing () =
   let e, net, m = mk () in
   let l = 1 in
   Samhita.Manager_shard.lock_register m ~id:l;
-  (match
-     Samhita.Manager_shard.lock_acquire m ~now:t0 ~lock:l ~thread:1 ~last_seen:0
-       ~endpoint:(ep net 2) ~wake:(fun _ -> ())
-   with
-   | `Granted _ -> ()
-   | `Queued -> Alcotest.fail "free lock");
   ignore
-    (Samhita.Manager_shard.lock_release m ~now:t0 ~lock:l ~thread:1
+    (acquired e m ~lock:l ~thread:1 ~last_seen:0 ~endpoint:(ep net 2)
+     : Samhita.Manager_shard.grant);
+  ignore
+    (release e m ~seq:1 ~lock:l ~thread:1
        ~log:[ Samhita.Update.of_i64 ~addr:0 1L ]
        ~line_versions:[ (0, 1) ]
      : int);
-  (match
-     Samhita.Manager_shard.lock_acquire m ~now:t0 ~lock:l ~thread:1 ~last_seen:1
-       ~endpoint:(ep net 2) ~wake:(fun _ -> ())
-   with
-   | `Granted _ -> ()
-   | `Queued -> Alcotest.fail "free lock");
+  ignore
+    (acquired e m ~lock:l ~thread:1 ~last_seen:1 ~endpoint:(ep net 2)
+     : Samhita.Manager_shard.grant);
   let woken = ref None in
-  (match
-     Samhita.Manager_shard.lock_acquire m ~now:t0 ~lock:l ~thread:2 ~last_seen:0
-       ~endpoint:(ep net 3) ~wake:(fun g -> woken := Some g)
-   with
-   | `Queued -> ()
-   | `Granted _ -> Alcotest.fail "expected queue");
+  Samhita.Manager_shard.lock_acquire m ~now:(now e) ~lock:l ~thread:2
+    ~last_seen:0 ~endpoint:(ep net 3) ~wake:(fun g -> woken := Some g);
+  Desim.Engine.run e;
+  Alcotest.(check bool) "queued behind the holder" true (!woken = None);
   let version_before = Samhita.Manager_shard.lock_version m l in
-  Alcotest.check_raises "wrong thread rejected"
-    (Invalid_argument "Manager_shard.lock_release: thread does not hold the lock")
-    (fun () ->
-       ignore
-         (Samhita.Manager_shard.lock_release m ~now:t0 ~lock:l ~thread:2
-            ~log:[ Samhita.Update.of_i64 ~addr:8 9L ]
-            ~line_versions:[ (0, 9) ]
-          : int));
+  Alcotest.check_raises "wrong thread rejected" not_holder (fun () ->
+      ignore
+        (release e m ~seq:1 ~lock:l ~thread:2
+           ~log:[ Samhita.Update.of_i64 ~addr:8 9L ]
+           ~line_versions:[ (0, 9) ]
+         : int));
   Alcotest.(check (option int)) "holder unchanged" (Some 1)
     (Samhita.Manager_shard.lock_holder m l);
   Alcotest.(check int) "version unchanged" version_before
     (Samhita.Manager_shard.lock_version m l);
+  Desim.Engine.run e;
   Alcotest.(check bool) "waiter not woken by the error" true (!woken = None);
   (* The legitimate release still finds the waiter queued. *)
   Alcotest.(check int) "legitimate release produced version 2" 2
-    (Samhita.Manager_shard.lock_release m ~now:t0 ~lock:l ~thread:1
+    (release e m ~seq:2 ~lock:l ~thread:1
        ~log:[ Samhita.Update.of_i64 ~addr:8 2L ]
        ~line_versions:[ (0, 2) ]);
   Alcotest.(check (option int)) "handed off to the intact waiter" (Some 2)
@@ -181,52 +215,43 @@ let test_lock_release_error_mutates_nothing () =
 let test_lock_release_free_lock () =
   (* Releasing a never-acquired lock is the same misuse: raises, and the
      lock stays free at version 0. *)
-  let _, _, m = mk () in
+  let e, _, m = mk () in
   let l = 1 in
   Samhita.Manager_shard.lock_register m ~id:l;
-  Alcotest.check_raises "free lock rejected"
-    (Invalid_argument "Manager_shard.lock_release: thread does not hold the lock")
-    (fun () ->
-       ignore
-         (Samhita.Manager_shard.lock_release m ~now:t0 ~lock:l ~thread:1
-            ~log:[ Samhita.Update.of_i64 ~addr:0 1L ]
-            ~line_versions:[ (0, 1) ]
-          : int));
+  Alcotest.check_raises "free lock rejected" not_holder (fun () ->
+      ignore
+        (release e m ~seq:1 ~lock:l ~thread:1
+           ~log:[ Samhita.Update.of_i64 ~addr:0 1L ]
+           ~line_versions:[ (0, 1) ]
+         : int));
   Alcotest.(check (option int)) "still free" None
     (Samhita.Manager_shard.lock_holder m l);
   Alcotest.(check int) "version still 0" 0 (Samhita.Manager_shard.lock_version m l)
 
 let test_lock_patch_aggregates_history () =
-  let _, net, m = mk () in
+  let e, net, m = mk () in
   let l = 1 in
   Samhita.Manager_shard.lock_register m ~id:l;
   (* Three acquire/release rounds by thread 1. *)
   for i = 1 to 3 do
-    (match
-       Samhita.Manager_shard.lock_acquire m ~now:t0 ~lock:l ~thread:1
-         ~last_seen:(i - 1) ~endpoint:(ep net 2) ~wake:(fun _ -> ())
-     with
-     | `Granted _ -> ()
-     | `Queued -> Alcotest.fail "free lock");
+    ignore
+      (acquired e m ~lock:l ~thread:1 ~last_seen:(i - 1) ~endpoint:(ep net 2)
+       : Samhita.Manager_shard.grant);
     Alcotest.(check int) "release returns its version" i
-      (Samhita.Manager_shard.lock_release m ~now:t0 ~lock:l ~thread:1
+      (release e m ~seq:i ~lock:l ~thread:1
          ~log:[ Samhita.Update.of_i64 ~addr:(i * 8) (Int64.of_int i) ]
          ~line_versions:[ (0, i) ])
   done;
   (* A thread that last saw version 1 gets updates 2 and 3, aggregated. *)
-  match
-    Samhita.Manager_shard.lock_acquire m ~now:t0 ~lock:l ~thread:2 ~last_seen:1
-      ~endpoint:(ep net 3) ~wake:(fun _ -> ())
-  with
-  | `Granted { action = Samhita.Manager_shard.Patch (log, lvs); lock_version; _ } ->
+  match acquired e m ~lock:l ~thread:2 ~last_seen:1 ~endpoint:(ep net 3) with
+  | { action = Samhita.Manager_shard.Patch (log, lvs); lock_version; _ } ->
     Alcotest.(check int) "current version" 3 lock_version;
     Alcotest.(check (list int)) "updates 2 then 3 (oldest first)"
       [ 16; 24 ]
       (List.map (fun u -> u.Samhita.Update.addr) log);
     Alcotest.(check (list (pair int int))) "final line version" [ (0, 3) ]
       lvs
-  | `Granted _ -> Alcotest.fail "expected Patch"
-  | `Queued -> Alcotest.fail "lock should be free"
+  | _ -> Alcotest.fail "expected Patch"
 
 let test_lock_duplicate_release_keeps_its_version () =
   (* A shard-crash retry of a release that already executed is a no-op
@@ -234,19 +259,14 @@ let test_lock_duplicate_release_keeps_its_version () =
      another thread has released since. Recording the lock's current
      version instead would make the retrying thread's next acquire Fresh
      and skip the other thread's update. *)
-  let _, net, m = mk () in
+  let e, net, m = mk () in
   let l = 1 in
   Samhita.Manager_shard.lock_register m ~id:l;
   let acquire ~thread ~last_seen =
-    match
-      Samhita.Manager_shard.lock_acquire m ~now:t0 ~lock:l ~thread ~last_seen
-        ~endpoint:(ep net (thread + 1)) ~wake:(fun _ -> ())
-    with
-    | `Granted g -> g
-    | `Queued -> Alcotest.fail "lock should be free"
+    acquired e m ~lock:l ~thread ~last_seen ~endpoint:(ep net (thread + 1))
   in
   let release ~thread ~addr ~line_versions =
-    Samhita.Manager_shard.lock_release m ~seq:1 ~now:t0 ~lock:l ~thread
+    release e m ~seq:1 ~lock:l ~thread
       ~log:[ Samhita.Update.of_i64 ~addr 7L ] ~line_versions
   in
   ignore (acquire ~thread:1 ~last_seen:0 : Samhita.Manager_shard.grant);
@@ -270,59 +290,44 @@ let test_lock_duplicate_release_keeps_its_version () =
 let test_lock_notices_fallback () =
   (* History depth 1: a two-version gap cannot be patched. *)
   let cfg' = { cfg with update_log_history = 1 } in
-  let _, net, m = mk_with cfg' in
+  let e, net, m = mk_with cfg' in
   let l = 1 in
   Samhita.Manager_shard.lock_register m ~id:l;
   for i = 1 to 3 do
-    (match
-       Samhita.Manager_shard.lock_acquire m ~now:t0 ~lock:l ~thread:1
-         ~last_seen:(i - 1) ~endpoint:(ep net 2) ~wake:(fun _ -> ())
-     with
-     | `Granted _ -> ()
-     | `Queued -> Alcotest.fail "free lock");
     ignore
-      (Samhita.Manager_shard.lock_release m ~now:t0 ~lock:l ~thread:1
+      (acquired e m ~lock:l ~thread:1 ~last_seen:(i - 1) ~endpoint:(ep net 2)
+       : Samhita.Manager_shard.grant);
+    ignore
+      (release e m ~seq:i ~lock:l ~thread:1
          ~log:[ Samhita.Update.of_i64 ~addr:(i * 8) 1L ]
          ~line_versions:[ (i, i) ]
        : int)
   done;
-  match
-    Samhita.Manager_shard.lock_acquire m ~now:t0 ~lock:l ~thread:2 ~last_seen:0
-      ~endpoint:(ep net 3) ~wake:(fun _ -> ())
-  with
-  | `Granted { action = Samhita.Manager_shard.Notices ns; _ } ->
+  match acquired e m ~lock:l ~thread:2 ~last_seen:0 ~endpoint:(ep net 3) with
+  | { action = Samhita.Manager_shard.Notices ns; _ } ->
     Alcotest.(check (list (pair int int))) "touched map"
       [ (1, 1); (2, 2); (3, 3) ]
       (List.sort compare ns)
-  | `Granted _ -> Alcotest.fail "expected Notices"
-  | `Queued -> Alcotest.fail "lock should be free"
+  | _ -> Alcotest.fail "expected Notices"
 
 let test_lock_grant_wire_grows_with_payload () =
-  let _, net, m = mk () in
+  let e, net, m = mk () in
   let l = 1 in
   Samhita.Manager_shard.lock_register m ~id:l;
-  (match
-     Samhita.Manager_shard.lock_acquire m ~now:t0 ~lock:l ~thread:1 ~last_seen:0
-       ~endpoint:(ep net 2) ~wake:(fun _ -> ())
-   with
-   | `Granted g0 ->
-     ignore
-       (Samhita.Manager_shard.lock_release m ~now:t0 ~lock:l ~thread:1
-          ~log:
-            (List.init 10 (fun i -> Samhita.Update.of_i64 ~addr:(i * 8) 0L))
-          ~line_versions:[ (0, 1) ]
-        : int);
-     (match
-        Samhita.Manager_shard.lock_acquire m ~now:t0 ~lock:l ~thread:2 ~last_seen:0
-          ~endpoint:(ep net 3) ~wake:(fun _ -> ())
-      with
-      | `Granted g1 ->
-        Alcotest.(check bool) "patch reply bigger than fresh reply" true
-          (g1.Samhita.Manager_shard.wire_bytes > g0.Samhita.Manager_shard.wire_bytes)
-      | `Queued -> Alcotest.fail "free")
-   | `Queued -> Alcotest.fail "free")
+  let g0 = acquired e m ~lock:l ~thread:1 ~last_seen:0 ~endpoint:(ep net 2) in
+  ignore
+    (release e m ~seq:1 ~lock:l ~thread:1
+       ~log:(List.init 10 (fun i -> Samhita.Update.of_i64 ~addr:(i * 8) 0L))
+       ~line_versions:[ (0, 1) ]
+     : int);
+  let g1 = acquired e m ~lock:l ~thread:2 ~last_seen:0 ~endpoint:(ep net 3) in
+  Alcotest.(check bool) "patch reply bigger than fresh reply" true
+    (g1.Samhita.Manager_shard.wire_bytes > g0.Samhita.Manager_shard.wire_bytes)
 
 (* ---------------- barriers ---------------- *)
+
+let writer_sets all =
+  List.sort compare (List.map (fun (l, s) -> (l, Samhita.Tset.to_list s)) all)
 
 let test_barrier_release_and_masks () =
   let e, net, m = mk () in
@@ -330,26 +335,25 @@ let test_barrier_release_and_masks () =
   Samhita.Manager_shard.barrier_register m ~id:b ~parties:3;
   let woken = ref [] in
   let arrive thread lines =
-    Samhita.Manager_shard.barrier_arrive m ~now:t0 ~barrier:b ~thread ~lines
-      ~endpoint:(ep net 2)
-      ~wake:(fun (ns, _) -> woken := (thread, ns) :: !woken)
+    Samhita.Manager_shard.barrier_arrive m ~now:(now e) ~barrier:b ~thread
+      ~lines ~endpoint:(ep net 2)
+      ~wake:(fun ns -> woken := (thread, ns) :: !woken);
+    Desim.Engine.run e
   in
-  (match arrive 0 [ 10 ] with
-   | `Wait -> ()
-   | `Released _ -> Alcotest.fail "not last");
-  (match arrive 1 [ 10; 11 ] with
-   | `Wait -> ()
-   | `Released _ -> Alcotest.fail "not last");
-  (match arrive 2 [] with
-   | `Released (all, _) ->
-     Alcotest.(check (list (pair int (list int))))
-       "writer sets aggregated"
-       [ (10, [ 0; 1 ]); (11, [ 1 ]) ]
-       (List.sort compare
-          (List.map (fun (l, s) -> (l, Samhita.Tset.to_list s)) all))
-   | `Wait -> Alcotest.fail "last arriver must release");
-  Desim.Engine.run e;
-  Alcotest.(check int) "both waiters woken" 2 (List.length !woken);
+  arrive 0 [ 10 ];
+  arrive 1 [ 10; 11 ];
+  Alcotest.(check int) "nobody released before the last arrival" 0
+    (List.length !woken);
+  arrive 2 [];
+  Alcotest.(check (list int)) "waiters first, the last arriver last"
+    [ 1; 0; 2 ] (List.rev_map fst !woken);
+  List.iter
+    (fun (thread, all) ->
+       Alcotest.(check (list (pair int (list int))))
+         (Printf.sprintf "thread %d gets the aggregated writer sets" thread)
+         [ (10, [ 0; 1 ]); (11, [ 1 ]) ]
+         (writer_sets all))
+    !woken;
   Alcotest.(check int) "epoch advanced" 1 (Samhita.Manager_shard.barrier_epoch m b)
 
 let test_barrier_reusable () =
@@ -357,21 +361,20 @@ let test_barrier_reusable () =
   let b = 1 in
   Samhita.Manager_shard.barrier_register m ~id:b ~parties:2;
   for epoch = 0 to 2 do
-    ignore
-      (Samhita.Manager_shard.barrier_arrive m ~now:t0 ~barrier:b ~thread:0
-         ~lines:[ epoch ] ~endpoint:(ep net 2) ~wake:(fun _ -> ()));
-    match
-      Samhita.Manager_shard.barrier_arrive m ~now:t0 ~barrier:b ~thread:1
-        ~lines:[] ~endpoint:(ep net 3) ~wake:(fun _ -> ())
-    with
-    | `Released (all, _) ->
+    let got = ref None in
+    Samhita.Manager_shard.barrier_arrive m ~now:(now e) ~barrier:b ~thread:0
+      ~lines:[ epoch ] ~endpoint:(ep net 2) ~wake:(fun _ -> ());
+    Samhita.Manager_shard.barrier_arrive m ~now:(now e) ~barrier:b ~thread:1
+      ~lines:[] ~endpoint:(ep net 3) ~wake:(fun all -> got := Some all);
+    Desim.Engine.run e;
+    match !got with
+    | Some all ->
       Alcotest.(check (list (pair int (list int))))
         "epoch notices are fresh each time"
         [ (epoch, [ 0 ]) ]
-        (List.map (fun (l, s) -> (l, Samhita.Tset.to_list s)) all)
-    | `Wait -> Alcotest.fail "should release"
+        (writer_sets all)
+    | None -> Alcotest.fail "should release"
   done;
-  Desim.Engine.run e;
   Alcotest.(check int) "three epochs" 3 (Samhita.Manager_shard.barrier_epoch m b)
 
 let test_barrier_thread_id_range () =
@@ -380,29 +383,95 @@ let test_barrier_thread_id_range () =
   Samhita.Manager_shard.barrier_register m ~id:b ~parties:1;
   (* Thread ids beyond the old 62-entry mask limit are legal now that
      writer sets are bitsets; only negative ids are rejected. *)
-  (match
-     Samhita.Manager_shard.barrier_arrive m ~now:t0 ~barrier:b ~thread:62
-       ~lines:[ 7 ] ~endpoint:(ep net 2) ~wake:(fun _ -> ())
-   with
-   | `Released (all, _) ->
+  let got = ref None in
+  Samhita.Manager_shard.barrier_arrive m ~now:(now e) ~barrier:b ~thread:62
+    ~lines:[ 7 ] ~endpoint:(ep net 2) ~wake:(fun all -> got := Some all);
+  Desim.Engine.run e;
+  (match !got with
+   | Some all ->
      Alcotest.(check (list (pair int (list int))))
        "wide thread id recorded in the writer set"
        [ (7, [ 62 ]) ]
-       (List.map (fun (l, s) -> (l, Samhita.Tset.to_list s)) all)
-   | `Wait -> Alcotest.fail "single party must release");
-  Desim.Engine.run e;
+       (writer_sets all)
+   | None -> Alcotest.fail "single party must release");
   Alcotest.check_raises "negative id"
     (Invalid_argument "Manager_shard.barrier_arrive: negative thread id")
     (fun () ->
-       ignore
-         (Samhita.Manager_shard.barrier_arrive m ~now:t0 ~barrier:b ~thread:(-1)
-            ~lines:[] ~endpoint:(ep net 2) ~wake:(fun _ -> ())))
+       Samhita.Manager_shard.barrier_arrive m ~now:(now e) ~barrier:b
+         ~thread:(-1) ~lines:[] ~endpoint:(ep net 2) ~wake:(fun _ -> ()))
 
 let test_barrier_invalid_parties () =
   let _, _, m = mk () in
   Alcotest.check_raises "parties"
     (Invalid_argument "Manager_shard.barrier_create: parties") (fun () ->
       Samhita.Manager_shard.barrier_register m ~id:1 ~parties:0)
+
+(* ---------------- shard takeover ---------------- *)
+
+(* A shard whose node is dead from the start cannot send any reply: the
+   immediate grant and both pushes of the barrier release are kept, not
+   delivered, and the takeover shard re-drives each exactly once. *)
+let test_orphaned_replies_redriven () =
+  let e = Desim.Engine.create () in
+  let faults =
+    Fabric.Faults.create
+      ~injection:(Fabric.Faults.Crash { node = 0; at = Desim.Time.zero })
+      ~seed:1 ~level:Fabric.Faults.Off ()
+  in
+  let net =
+    Fabric.Network.create ~faults e ~profile:cfg.Samhita.Config.fabric
+      ~node_count:4
+  in
+  let shard node =
+    Samhita.Manager_shard.create cfg layout ~engine:e
+      ~endpoint:(Fabric.Scl.endpoint net node)
+  in
+  let dead = shard 0 and live = shard 1 in
+  let l = 1 and b = 2 in
+  Samhita.Manager_shard.lock_register dead ~id:l;
+  Samhita.Manager_shard.barrier_register dead ~id:b ~parties:2;
+  let grants = ref [] and releases = ref [] in
+  Samhita.Manager_shard.lock_acquire dead ~now:(now e) ~lock:l ~thread:2
+    ~last_seen:0 ~endpoint:(ep net 2)
+    ~wake:(fun g -> grants := g :: !grants);
+  List.iter
+    (fun thread ->
+       Samhita.Manager_shard.barrier_arrive dead ~now:(now e) ~barrier:b
+         ~thread ~lines:[ 5 ] ~endpoint:(ep net thread)
+         ~wake:(fun all -> releases := (thread, all) :: !releases))
+    [ 2; 3 ];
+  Desim.Engine.run e;
+  Alcotest.(check int) "no grant leaves a dead shard" 0 (List.length !grants);
+  Alcotest.(check int) "no release leaves a dead shard" 0
+    (List.length !releases);
+  Alcotest.(check (option int)) "the grant was executed" (Some 2)
+    (Samhita.Manager_shard.lock_holder dead l);
+  let moved, redriven =
+    Samhita.Manager_shard.absorb live ~from:dead ~now:(now e)
+  in
+  Alcotest.(check (pair int int)) "two objects, three orphaned pushes"
+    (2, 3) (moved, redriven);
+  Desim.Engine.run e;
+  (match !grants with
+   | [ g ] ->
+     Alcotest.(check int) "re-driven grant, version 0" 0
+       g.Samhita.Manager_shard.lock_version
+   | gs -> Alcotest.failf "expected one grant, got %d" (List.length gs));
+  Alcotest.(check (list int)) "each arriver released once, last arriver last"
+    [ 2; 3 ] (List.rev_map fst !releases);
+  List.iter
+    (fun (_, all) ->
+       Alcotest.(check (list (pair int (list int)))) "released notices"
+         [ (5, [ 2; 3 ]) ] (writer_sets all))
+    !releases;
+  Alcotest.(check (option int)) "the takeover shard holds the lock state"
+    (Some 2) (Samhita.Manager_shard.lock_holder live l);
+  Alcotest.(check (pair int int)) "a second takeover re-drives nothing"
+    (0, 0)
+    (Samhita.Manager_shard.absorb live ~from:dead ~now:(now e));
+  Desim.Engine.run e;
+  Alcotest.(check int) "still one grant" 1 (List.length !grants);
+  Alcotest.(check int) "still two releases" 2 (List.length !releases)
 
 (* ---------------- condition variables ---------------- *)
 
@@ -442,6 +511,8 @@ let tests =
   [ Alcotest.test_case "alloc alignment" `Quick test_alloc_alignment;
     Alcotest.test_case "alloc invalid" `Quick test_alloc_invalid;
     Alcotest.test_case "lock grant when free" `Quick test_lock_grant_free;
+    Alcotest.test_case "re-acquire by the holder" `Quick
+      test_lock_reacquire_by_holder;
     Alcotest.test_case "lock queue + handoff" `Quick
       test_lock_queue_and_handoff;
     Alcotest.test_case "release error mutates nothing" `Quick
@@ -463,6 +534,8 @@ let tests =
       test_barrier_thread_id_range;
     Alcotest.test_case "barrier invalid parties" `Quick
       test_barrier_invalid_parties;
+    Alcotest.test_case "orphaned replies re-driven" `Quick
+      test_orphaned_replies_redriven;
     Alcotest.test_case "cond signal/broadcast" `Quick test_cond_signal_fifo;
     Alcotest.test_case "unknown ids" `Quick test_unknown_ids ]
 
