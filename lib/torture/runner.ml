@@ -24,6 +24,7 @@ type outcome = {
   o_faults : Samhita.Metrics.faults;
   o_promotions : int;
   o_takeovers : int;
+  o_redriven : int;
   o_detect : Samhita.Metrics.detection;
   o_fault_trace : string list;
 }
@@ -272,18 +273,21 @@ let run_one ?(crash = false) ?(crash_shard = false) ?(partition = false)
       o_faults = { delayed = 0; reordered = 0; dropped = 0; retried = 0 };
       o_promotions = 0;
       o_takeovers = 0;
+      o_redriven = 0;
       o_detect = no_detection;
       o_fault_trace = [] }
   in
   match !captured with
   | None -> outcome
   | Some sys ->
+    let control = Samhita.Metrics.control_of_system sys in
     { outcome with
       o_wall_ns = Desim.Time.to_ns (Samhita.System.elapsed sys);
       o_faults = Samhita.Metrics.faults_of_system sys;
       o_promotions =
         (Samhita.Metrics.replication_of_system sys).promotions;
-      o_takeovers = (Samhita.Metrics.control_of_system sys).takeovers;
+      o_takeovers = control.takeovers;
+      o_redriven = control.redriven_pushes;
       o_detect = Samhita.Metrics.detection_of_system sys;
       o_fault_trace =
         (match Fabric.Network.faults (Samhita.System.network sys) with
@@ -299,6 +303,7 @@ type summary = {
   s_faults : Samhita.Metrics.faults;
   s_promotions : int;
   s_takeovers : int;
+  s_redriven : int;
   s_detect : Samhita.Metrics.detection option;
   s_failures : outcome list;
 }
@@ -309,7 +314,7 @@ let run ?(replay_check = true) ?(crash = false) ?(crash_shard = false)
   let failures = ref [] in
   let events = ref 0 and reads = ref 0 in
   let fd = ref 0 and fr = ref 0 and fo = ref 0 and ft = ref 0 in
-  let promotions = ref 0 and takeovers = ref 0 in
+  let promotions = ref 0 and takeovers = ref 0 and redriven = ref 0 in
   let detect = ref no_detection in
   for i = 0 to seeds - 1 do
     let seed = base_seed + i in
@@ -346,6 +351,7 @@ let run ?(replay_check = true) ?(crash = false) ?(crash_shard = false)
     ft := !ft + o.o_faults.retried;
     promotions := !promotions + o.o_promotions;
     takeovers := !takeovers + o.o_takeovers;
+    redriven := !redriven + o.o_redriven;
     detect := Samhita.Metrics.add_detection !detect o.o_detect;
     if o.o_violations <> [] then failures := o :: !failures
   done;
@@ -361,6 +367,7 @@ let run ?(replay_check = true) ?(crash = false) ?(crash_shard = false)
         retried = !ft };
     s_promotions = !promotions;
     s_takeovers = !takeovers;
+    s_redriven = !redriven;
     s_detect = (if partition then Some !detect else None);
     s_failures = List.rev !failures }
 
@@ -392,7 +399,8 @@ let pp_summary ppf s =
   if s.s_promotions > 0 then
     Format.fprintf ppf "crash recovery: %d promotion(s)@," s.s_promotions;
   if s.s_takeovers > 0 then
-    Format.fprintf ppf "shard recovery: %d takeover(s)@," s.s_takeovers;
+    Format.fprintf ppf "shard recovery: %d takeover(s), %d re-driven push(es)@,"
+      s.s_takeovers s.s_redriven;
   (match s.s_detect with
    | None -> ()
    | Some d ->

@@ -48,6 +48,9 @@ type outcome = {
   o_faults : Samhita.Metrics.faults;
   o_promotions : int;  (** Backup promotions (crash and partition modes). *)
   o_takeovers : int;  (** Shard takeovers (shard-crash mode). *)
+  o_redriven : int;
+      (** Reply pushes the dead shard could not send, re-driven by the
+          takeover shard ([Metrics.control.redriven_pushes]). *)
   o_detect : Samhita.Metrics.detection;
       (** Failure-detection counters (false suspicions are partition
           mode's). *)
@@ -76,6 +79,7 @@ type summary = {
   s_faults : Samhita.Metrics.faults;  (** Summed over all runs. *)
   s_promotions : int;  (** Backup promotions summed over all runs. *)
   s_takeovers : int;  (** Shard takeovers summed over all runs. *)
+  s_redriven : int;  (** Re-driven reply pushes summed over all runs. *)
   s_detect : Samhita.Metrics.detection option;
       (** Failure-detection counters summed over all runs; [None] outside
           partition mode. *)

@@ -169,6 +169,22 @@ let test_shard_crash_kv_retried_release () =
          1 o.Torture.Runner.o_takeovers)
     [ 2986; 3054 ]
 
+(* A grant or barrier release the dead shard could not send is re-driven
+   by the takeover shard, never re-requested: across a micro sweep some
+   takeover must re-drive a push, and every seed stays clean. *)
+let test_shard_crash_redrives_pushes () =
+  let s =
+    Torture.Runner.run ~replay_check:false ~crash_shard:true
+      ~kernel:Torture.Runner.Micro ~level:Fabric.Faults.High ~seeds:20
+      ~base_seed:1 ()
+  in
+  Alcotest.(check int) "no failing seed" 0
+    (List.length s.Torture.Runner.s_failures);
+  Alcotest.(check bool)
+    (Printf.sprintf "some push re-driven (%d)" s.Torture.Runner.s_redriven)
+    true
+    (s.Torture.Runner.s_redriven > 0)
+
 (* The takeover reaches the probe stream: one kv run with a shard killed
    mid-run shows the probe exactly one takeover, naming the dead shard
    and its ring successor, and the oracle records it. *)
@@ -269,6 +285,8 @@ let tests =
       test_shard_crash_deterministic;
     Alcotest.test_case "shard crash: kv retried release keeps its version"
       `Quick test_shard_crash_kv_retried_release;
+    Alcotest.test_case "shard crash: orphaned pushes re-driven" `Quick
+      test_shard_crash_redrives_pushes;
     Alcotest.test_case "shard crash: the probe sees one takeover" `Quick
       test_takeover_probe_event;
     Alcotest.test_case "config: bounds named in errors" `Quick
