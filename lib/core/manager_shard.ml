@@ -27,14 +27,32 @@ type history_entry = {
   h_line_versions : (int * int) list;
 }
 
+(* The newest release a thread completed on a lock, updated in place. *)
+type release_seen = {
+  mutable rs_seq : int;  (* its release sequence number *)
+  mutable rs_version : int;  (* the lock version it produced *)
+}
+
+(* Every read-only critical section retains this one entry, and a grant
+   across read-only releases only carries [empty_patch]. *)
+let empty_release = { h_log = []; h_line_versions = [] }
+let empty_patch = Patch ([], [])
+
+(* No thread holds the lock; thread ids are non-negative. *)
+let no_holder = -1
+
 type lock_state = {
-  mutable holder : int option;
+  mutable holder : int;  (* [no_holder] when free *)
   mutable waiters : waiter Queue.t;
   mutable version : int;
-  (* Oldest first, at most [update_log_history] entries. Every recorded
-     release bumps [version] and pushes one entry, so the history always
-     holds exactly the versions (version - length, version]. *)
-  history : history_entry Queue.t;
+  (* The retained releases, oldest first, at most [update_log_history]
+     of them: entry [i] is [history.((first + i) mod capacity)], and the
+     ring grows by doubling up to that bound. Every recorded release
+     bumps [version] and retains one entry, so the history always holds
+     exactly the versions (version - length, version]. *)
+  mutable history : history_entry array;
+  mutable first : int;
+  mutable length : int;
   touched : (int, int) Hashtbl.t;  (* line -> latest version under lock *)
   (* Per thread, the highest release sequence number completed and the
      lock version that release produced: a shard-crash retry whose
@@ -43,7 +61,7 @@ type lock_state = {
      lock's current one. Grants and barrier releases are pushes that a
      takeover re-drives, never retried requests, so this is the only
      retry the shard deduplicates. *)
-  release_seen : (int, int * int) Hashtbl.t;
+  release_seen : (int, release_seen) Hashtbl.t;
 }
 
 type barrier_waiter = {
@@ -93,6 +111,9 @@ type t = {
   conds : (cond_id, cond_state) Hashtbl.t;
   mutable replayed : int;  (* update-log entries replayed by recovery *)
   mutable orphans : orphan list;  (* newest first *)
+  (* Scratch for {!patch_of_history}: line -> newest version, reset
+     before each use. *)
+  patch_versions : (int, int) Hashtbl.t;
 }
 
 let acquire_request_wire = 48
@@ -116,7 +137,8 @@ let create cfg layout ~engine ~endpoint =
     barriers = Hashtbl.create 16;
     conds = Hashtbl.create 16;
     replayed = 0;
-    orphans = [] }
+    orphans = [];
+    patch_versions = Hashtbl.create 16 }
 
 let endpoint t = t.endpoint
 let service t = t.service
@@ -163,56 +185,79 @@ let gas_used t = t.cursor
 (* Locks                                                               *)
 
 let lock_state t lock =
-  match Hashtbl.find_opt t.locks lock with
-  | Some s -> s
-  | None -> invalid_arg "Manager_shard: unknown lock"
+  try Hashtbl.find t.locks lock
+  with Not_found -> invalid_arg "Manager_shard: unknown lock"
 
 let lock_register t ~id =
   Hashtbl.replace t.locks id
-    { holder = None;
+    { holder = no_holder;
       waiters = Queue.create ();
       version = 0;
-      history = Queue.create ();
+      history = [||];
+      first = 0;
+      length = 0;
       touched = Hashtbl.create 16;
       release_seen = Hashtbl.create 8 }
 
+(* The [i]-th oldest retained release. *)
+let history_nth st i =
+  st.history.((st.first + i) mod Array.length st.history)
+
+let retain t st entry =
+  let keep = t.cfg.Config.update_log_history in
+  if keep > 0 then
+    if st.length = keep then begin
+      (* Full, so the ring's capacity is [keep]: the new entry replaces
+         the oldest. *)
+      st.history.(st.first) <- entry;
+      st.first <- (st.first + 1) mod keep
+    end
+    else begin
+      if st.length = Array.length st.history then begin
+        let grown =
+          Array.make (min keep (max 4 (2 * st.length))) empty_release
+        in
+        for i = 0 to st.length - 1 do
+          grown.(i) <- history_nth st i
+        done;
+        st.history <- grown;
+        st.first <- 0
+      end;
+      st.history.((st.first + st.length) mod Array.length st.history)
+      <- entry;
+      st.length <- st.length + 1
+    end
+
+(* Merge [(line, version)] pairs into [tbl] in list order. *)
+let rec merge_versions tbl = function
+  | [] -> ()
+  | (l, v) :: rest ->
+    Hashtbl.replace tbl l v;
+    merge_versions tbl rest
+
 (* The patch bringing a thread across the newest [gap] releases, all of
    them retained: their logs concatenated and their line versions merged,
-   oldest first so later stores and versions overwrite earlier ones. *)
-let patch_of_history st ~gap =
-  let skip = ref (Queue.length st.history - gap) in
+   oldest first so later stores and versions overwrite earlier ones. The
+   merge table is the shard's scratch, reset here: a reset table folds in
+   the same order as a fresh one. *)
+let patch_of_history t st ~gap =
+  let lv = t.patch_versions in
+  Hashtbl.reset lv;
   let logs = ref [] in  (* newest first *)
-  let lv = ref None in
-  Queue.iter
-    (fun h ->
-       if !skip > 0 then decr skip
-       else begin
-         (match h.h_log with [] -> () | log -> logs := log :: !logs);
-         match h.h_line_versions with
-         | [] -> ()
-         | lvs ->
-           let tbl =
-             match !lv with
-             | Some tbl -> tbl
-             | None ->
-               let tbl = Hashtbl.create 16 in
-               lv := Some tbl;
-               tbl
-           in
-           List.iter (fun (l, v) -> Hashtbl.replace tbl l v) lvs
-       end)
-    st.history;
-  let log =
-    List.fold_left
-      (fun later log -> match later with [] -> log | _ -> log @ later)
-      [] !logs
-  in
-  let lvs =
-    match !lv with
-    | None -> []
-    | Some tbl -> Hashtbl.fold (fun l v acc -> (l, v) :: acc) tbl []
-  in
-  Patch (log, lvs)
+  for i = st.length - gap to st.length - 1 do
+    let h = history_nth st i in
+    (match h.h_log with [] -> () | log -> logs := log :: !logs);
+    merge_versions lv h.h_line_versions
+  done;
+  match !logs with
+  | [] when Hashtbl.length lv = 0 -> empty_patch
+  | logs ->
+    let log =
+      List.fold_left
+        (fun later log -> match later with [] -> log | _ -> log @ later)
+        [] logs
+    in
+    Patch (log, Hashtbl.fold (fun l v acc -> (l, v) :: acc) lv [])
 
 (* Build the consistency action bringing a thread from [last_seen] up to
    the lock's current version. *)
@@ -220,9 +265,7 @@ let grant_for t st ~last_seen =
   let gap = st.version - last_seen in
   let action =
     if gap <= 0 then Fresh
-    else if t.cfg.Config.update_log_history > 0
-         && gap <= Queue.length st.history
-    then patch_of_history st ~gap
+    else if gap <= st.length then patch_of_history t st ~gap
     else Notices (Hashtbl.fold (fun l v acc -> (l, v) :: acc) st.touched [])
   in
   let wire =
@@ -235,46 +278,59 @@ let grant_for t st ~last_seen =
   { lock_version = st.version; action; wire_bytes = wire }
 
 let lock_acquire t ~now ~lock ~thread ~last_seen ~endpoint ~wake =
+  if thread < 0 then
+    invalid_arg "Manager_shard.lock_acquire: negative thread id";
   let st = lock_state t lock in
-  match st.holder with
-  | None ->
-    st.holder <- Some thread;
+  if st.holder = no_holder then begin
+    st.holder <- thread;
     let g = grant_for t st ~last_seen in
     push t ~now ~dst:endpoint ~bytes:g.wire_bytes (fun () -> wake g)
-  | Some h when h = thread ->
+  end
+  else if st.holder = thread then
     invalid_arg "Manager_shard.lock_acquire: thread already holds the lock"
-  | Some _ ->
+  else
     Queue.push
       { w_thread = thread; w_last_seen = last_seen; w_endpoint = endpoint;
         w_wake = wake }
       st.waiters
 
+(* A release not seen before: bump the version, retain the release and
+   hand the lock to the next waiter. *)
+let record_release t st ~now ~thread ~log ~line_versions =
+  if thread < 0 || st.holder <> thread then
+    invalid_arg "Manager_shard.lock_release: thread does not hold the lock";
+  st.version <- st.version + 1;
+  retain t st
+    (match (log, line_versions) with
+     | [], [] -> empty_release
+     | _ -> { h_log = log; h_line_versions = line_versions });
+  merge_versions st.touched line_versions;
+  if Queue.is_empty st.waiters then st.holder <- no_holder
+  else begin
+    let w = Queue.take st.waiters in
+    st.holder <- w.w_thread;
+    let g = grant_for t st ~last_seen:w.w_last_seen in
+    push t ~now ~dst:w.w_endpoint ~bytes:g.wire_bytes (fun () -> w.w_wake g)
+  end
+
 let lock_release t ~seq ~now ~lock ~thread ~log ~line_versions =
   let st = lock_state t lock in
-  match Hashtbl.find_opt st.release_seen thread with
-  | Some (s', v) when s' >= seq -> v
-  | _ ->
-    (match st.holder with
-     | Some h when h = thread -> ()
-     | _ ->
-       invalid_arg
-         "Manager_shard.lock_release: thread does not hold the lock");
-    st.version <- st.version + 1;
-    Hashtbl.replace st.release_seen thread (seq, st.version);
-    Queue.push { h_log = log; h_line_versions = line_versions } st.history;
-    if Queue.length st.history > t.cfg.Config.update_log_history then
-      ignore (Queue.take st.history : history_entry);
-    List.iter (fun (l, v) -> Hashtbl.replace st.touched l v) line_versions;
-    (match Queue.take_opt st.waiters with
-     | None -> st.holder <- None
-     | Some w ->
-       st.holder <- Some w.w_thread;
-       let g = grant_for t st ~last_seen:w.w_last_seen in
-       push t ~now ~dst:w.w_endpoint ~bytes:g.wire_bytes (fun () ->
-           w.w_wake g));
+  match Hashtbl.find st.release_seen thread with
+  | seen when seen.rs_seq >= seq -> seen.rs_version
+  | seen ->
+    record_release t st ~now ~thread ~log ~line_versions;
+    seen.rs_seq <- seq;
+    seen.rs_version <- st.version;
+    st.version
+  | exception Not_found ->
+    record_release t st ~now ~thread ~log ~line_versions;
+    Hashtbl.replace st.release_seen thread
+      { rs_seq = seq; rs_version = st.version };
     st.version
 
-let lock_holder t lock = (lock_state t lock).holder
+let lock_holder t lock =
+  let h = (lock_state t lock).holder in
+  if h = no_holder then None else Some h
 let lock_version t lock = (lock_state t lock).version
 
 (* ------------------------------------------------------------------ *)
@@ -295,9 +351,8 @@ let lock_waiters t lock =
 (* Barriers                                                            *)
 
 let barrier_state t barrier =
-  match Hashtbl.find_opt t.barriers barrier with
-  | Some s -> s
-  | None -> invalid_arg "Manager_shard: unknown barrier"
+  try Hashtbl.find t.barriers barrier
+  with Not_found -> invalid_arg "Manager_shard: unknown barrier"
 
 let barrier_register t ~id ~parties =
   if parties <= 0 then invalid_arg "Manager_shard.barrier_create: parties";
@@ -358,9 +413,8 @@ let barrier_blocked t barrier =
 (* Condition variables                                                 *)
 
 let cond_state t cond =
-  match Hashtbl.find_opt t.conds cond with
-  | Some s -> s
-  | None -> invalid_arg "Manager_shard: unknown condition variable"
+  try Hashtbl.find t.conds cond
+  with Not_found -> invalid_arg "Manager_shard: unknown condition variable"
 
 let cond_register t ~id =
   Hashtbl.replace t.conds id { cwaiters = Queue.create () }
@@ -415,28 +469,28 @@ let replay t ~servers ~dead ~promoted ~probe ~now =
   in
   List.iter
     (fun (_, st) ->
-       Queue.iter
-         (fun h ->
-            List.iter
-              (fun (line, v) ->
-                 if Home.server_of_line t.cfg ~line = dead
-                    && Memory_server.version psrv line < v
-                 then begin
-                   let buf = Memory_server.line psrv line in
-                   List.iter
-                     (fun u -> Update.apply_to_line t.layout u ~line buf)
-                     h.h_log;
-                   Memory_server.force_version psrv line v;
-                   incr replayed_here;
-                   match probe with
-                   | Some p ->
-                     p.Probe.on_publish ~thread:(-1) ~time:now
-                       ~server:promoted ~line ~version:v
-                       ~data:(Memory_server.line psrv line)
-                   | None -> ()
-                 end)
-              h.h_line_versions)
-         st.history)
+       for i = 0 to st.length - 1 do
+         let h = history_nth st i in
+         List.iter
+           (fun (line, v) ->
+              if Home.server_of_line t.cfg ~line = dead
+                 && Memory_server.version psrv line < v
+              then begin
+                let buf = Memory_server.line psrv line in
+                List.iter
+                  (fun u -> Update.apply_to_line t.layout u ~line buf)
+                  h.h_log;
+                Memory_server.force_version psrv line v;
+                incr replayed_here;
+                match probe with
+                | Some p ->
+                  p.Probe.on_publish ~thread:(-1) ~time:now
+                    ~server:promoted ~line ~version:v
+                    ~data:(Memory_server.line psrv line)
+                | None -> ()
+              end)
+           h.h_line_versions
+       done)
     locks;
   t.replayed <- t.replayed + !replayed_here;
   !replayed_here

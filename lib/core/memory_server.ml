@@ -94,8 +94,8 @@ let iter_lines t f =
 
 let service_time_for_bytes t bytes =
   t.cfg.Config.server_service
-  + Desim.Time.span_of_float_ns
-      (float_of_int bytes *. t.cfg.Config.diff_apply_ns_per_byte)
+  + Desim.Time.span_of_units ~units:bytes
+      ~ns_per_unit:t.cfg.Config.diff_apply_ns_per_byte
 
 let lines_resident t = Hashtbl.length t.store
 let fetches t = t.fetches

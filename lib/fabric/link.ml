@@ -18,12 +18,9 @@ let create ?(name = "link") ~latency ~bandwidth_bytes_per_s () =
 let name t = t.name
 let latency t = t.latency
 
-let serialization_time t ~bytes =
-  Desim.Time.span_of_float_ns (float_of_int bytes /. t.bandwidth *. 1e9)
-
 let occupy t ~now ~bytes =
   t.bytes <- t.bytes + bytes;
-  let ser = serialization_time t ~bytes in
+  let ser = Desim.Time.span_of_rate ~bytes ~bytes_per_s:t.bandwidth in
   let wire_done = Desim.Resource.reserve t.resource ~now ~duration:ser in
   Desim.Time.add wire_done t.latency
 

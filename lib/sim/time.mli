@@ -31,7 +31,21 @@ val s : int -> span
 
 val span_of_float_ns : float -> span
 (** Round a float nanosecond duration to the nearest integer span, never
-    below zero. *)
+    below zero. This is the one rounding rule; the three functions below
+    apply it without their caller boxing a float. *)
+
+val span_of_rate : bytes:int -> bytes_per_s:float -> span
+(** Time to move [bytes] at [bytes_per_s]:
+    [span_of_float_ns (float bytes /. bytes_per_s *. 1e9)]. Pass a rate
+    already stored in a record, so the call allocates nothing. *)
+
+val span_of_units : units:int -> ns_per_unit:float -> span
+(** Cost of [units] at [ns_per_unit] each:
+    [span_of_float_ns (float units *. ns_per_unit)]. *)
+
+val span_of_float_ns_at : floatarray -> int -> span
+(** [span_of_float_ns (Float.Array.get a i)], reading the float in place
+    rather than receiving it boxed. *)
 
 val to_float_s : t -> float
 
