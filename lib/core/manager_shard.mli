@@ -84,8 +84,8 @@ val lock_acquire :
 (** If free, grants at once: the grant is pushed to [endpoint] from
     [~now]. If held, queues the waiter, and the release that hands the
     lock over pushes its grant. Either way [wake] runs when the grant
-    arrives. Raises [Invalid_argument] if [thread] already holds the
-    lock. *)
+    arrives. Raises [Invalid_argument] if [thread] is negative or already
+    holds the lock. *)
 
 val lock_release :
   t -> seq:int -> now:Desim.Time.t -> lock:lock_id -> thread:int ->

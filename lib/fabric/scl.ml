@@ -23,33 +23,34 @@ exception Node_dead of Network.node * Desim.Time.t
    peer always answers within the budget. *)
 let dead_retry_budget = 4
 
+(* Each backoff carries seeded per-(src,dst,attempt) jitter so senders
+   that timed out together (say, against one partitioned server) do not
+   retry in lockstep after the heal. *)
+let backoff net f ~src ~dst ~bytes ~attempt now =
+  Desim.Time.add now
+    (retry_timeout net ~bytes ~attempt
+     + Faults.retry_jitter f ~src ~dst ~attempt)
+
+let rec send_until_delivered net f ~src ~dst ~bytes ~attempt now =
+  match Network.try_transfer net ~now ~src ~dst ~bytes with
+  | `Delivered at -> at
+  | `Dropped ->
+    Faults.note_retry f;
+    send_until_delivered net f ~src ~dst ~bytes ~attempt:(attempt + 1)
+      (backoff net f ~src ~dst ~bytes ~attempt now)
+  | `Node_dead n | `Unreachable n ->
+    (* An unreachable peer is indistinguishable from a dead one on the
+       wire: same retry budget, same escalation. The difference only
+       shows later — a partitioned victim outlives the window and its
+       stale traffic is fenced. *)
+    if attempt >= dead_retry_budget then raise (Node_dead (n, now))
+    else begin
+      Faults.note_retry f;
+      send_until_delivered net f ~src ~dst ~bytes ~attempt:(attempt + 1)
+        (backoff net f ~src ~dst ~bytes ~attempt now)
+    end
+
 let reliable_transfer net ~now ~src ~dst ~bytes =
   match Network.faults net with
   | None -> Network.transfer net ~now ~src ~dst ~bytes
-  | Some f ->
-    (* Each backoff carries seeded per-(src,dst,attempt) jitter so
-       senders that timed out together (say, against one partitioned
-       server) do not retry in lockstep after the heal. *)
-    let backoff attempt now =
-      Desim.Time.add now
-        (retry_timeout net ~bytes ~attempt
-         + Faults.retry_jitter f ~src ~dst ~attempt)
-    in
-    let rec go attempt now =
-      match Network.try_transfer net ~now ~src ~dst ~bytes with
-      | `Delivered at -> at
-      | `Dropped ->
-        Faults.note_retry f;
-        go (attempt + 1) (backoff attempt now)
-      | `Node_dead n | `Unreachable n ->
-        (* An unreachable peer is indistinguishable from a dead one on
-           the wire: same retry budget, same escalation. The difference
-           only shows later — a partitioned victim outlives the window
-           and its stale traffic is fenced. *)
-        if attempt >= dead_retry_budget then raise (Node_dead (n, now))
-        else begin
-          Faults.note_retry f;
-          go (attempt + 1) (backoff attempt now)
-        end
-    in
-    go 0 now
+  | Some f -> send_until_delivered net f ~src ~dst ~bytes ~attempt:0 now

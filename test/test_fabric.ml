@@ -141,6 +141,55 @@ let prop_transfer_monotone_in_size =
        Fabric.Network.one_way_estimate net ~bytes:small
        <= Fabric.Network.one_way_estimate net ~bytes:big)
 
+(* Message sizes for the rounding sweep: zero, every size up to two
+   KiB, then powers of two and line-sized messages with framing. *)
+let byte_sweep =
+  List.init 2049 Fun.id
+  @ List.init 20 (fun i -> 1 lsl (i + 11))
+  @ List.map (fun b -> b + 64) [ 4096; 16384; 65536 ]
+
+(* Link serialization and the loopback copy both convert through
+   [Desim.Time.span_of_rate]; it must round exactly as the float
+   formula it replaced, for every profile's bandwidth and for the
+   loopback copy's 20 GB/s. *)
+let test_span_of_rate_matches_formula () =
+  let rates =
+    [ ("ib_qdr_verbs", Fabric.Profile.ib_qdr_verbs.bandwidth_bytes_per_s);
+      ("pcie_scif", Fabric.Profile.pcie_scif.bandwidth_bytes_per_s);
+      ("loopback", 20.0e9) ]
+  in
+  List.iter
+    (fun (name, bytes_per_s) ->
+       List.iter
+         (fun bytes ->
+            Alcotest.(check int)
+              (Printf.sprintf "%s, %d bytes" name bytes)
+              (Desim.Time.span_of_float_ns
+                 (float_of_int bytes /. bytes_per_s *. 1e9))
+              (Desim.Time.span_of_rate ~bytes ~bytes_per_s))
+         byte_sweep)
+    rates
+
+(* A fault-free transfer books two links and allocates nothing: no
+   float crosses a module boundary boxed. Each conversion boxed 2 words
+   (4 per transfer) while the links computed the float themselves. *)
+let test_transfer_allocation () =
+  let _, net = mk_net () in
+  let now = ref Desim.Time.zero in
+  let send () =
+    now := Fabric.Network.transfer net ~now:!now ~src:0 ~dst:1 ~bytes:4096
+  in
+  send ();
+  let n = 1_000 in
+  let before = Gc.minor_words () in
+  for _ = 1 to n do
+    send ()
+  done;
+  let words = (Gc.minor_words () -. before) /. float_of_int n in
+  Alcotest.(check bool)
+    (Printf.sprintf "transfer allocates nothing (%.2f words)" words)
+    true (words < 0.01)
+
 let tests =
   [ Alcotest.test_case "link timing" `Quick test_link_basic_timing;
     Alcotest.test_case "link queueing" `Quick test_link_queueing;
@@ -158,6 +207,9 @@ let tests =
     Alcotest.test_case "counters" `Quick test_network_counters;
     Alcotest.test_case "scl endpoints" `Quick test_scl_node_accessors;
     Alcotest.test_case "profiles sane" `Quick test_profiles_sane;
+    Alcotest.test_case "span_of_rate matches the float formula" `Quick
+      test_span_of_rate_matches_formula;
+    Alcotest.test_case "transfer allocation" `Quick test_transfer_allocation;
     QCheck_alcotest.to_alcotest prop_transfer_monotone_in_size ]
 
 let () = Alcotest.run "fabric" [ ("fabric", tests) ]

@@ -161,6 +161,24 @@ let test_lock_release_not_holder () =
       ignore
         (release e m ~seq:1 ~lock:l ~thread:9 ~log:[] ~line_versions:[] : int))
 
+(* A free lock has no holder, recorded as -1: a negative thread id can
+   neither acquire nor release it. *)
+let test_lock_negative_thread () =
+  let e, net, m = mk () in
+  let l = 1 in
+  Samhita.Manager_shard.lock_register m ~id:l;
+  Alcotest.check_raises "acquire"
+    (Invalid_argument "Manager_shard.lock_acquire: negative thread id")
+    (fun () ->
+       Samhita.Manager_shard.lock_acquire m ~now:(now e) ~lock:l ~thread:(-1)
+         ~last_seen:0 ~endpoint:(ep net 2) ~wake:(fun _ -> ()));
+  Alcotest.check_raises "release of a free lock" not_holder (fun () ->
+      ignore
+        (release e m ~seq:1 ~lock:l ~thread:(-1) ~log:[] ~line_versions:[]
+         : int));
+  Alcotest.(check (option int)) "still free" None
+    (Samhita.Manager_shard.lock_holder m l)
+
 let test_lock_release_error_mutates_nothing () =
   (* An erroneous release (wrong thread) must leave the lock state
      untouched: same holder, same version, and the waiter queue intact —
@@ -521,6 +539,8 @@ let tests =
       test_lock_release_free_lock;
     Alcotest.test_case "release by non-holder" `Quick
       test_lock_release_not_holder;
+    Alcotest.test_case "negative thread ids rejected" `Quick
+      test_lock_negative_thread;
     Alcotest.test_case "patch aggregates history" `Quick
       test_lock_patch_aggregates_history;
     Alcotest.test_case "duplicate release keeps its version" `Quick

@@ -33,6 +33,31 @@ let test_span_of_float () =
   check_int "negative clamps" 0 (Desim.Time.span_of_float_ns (-5.0));
   check_int "zero" 0 (Desim.Time.span_of_float_ns 0.0)
 
+(* The unboxed entry points apply [span_of_float_ns] to the float they
+   compute, so each must agree with it exactly. *)
+let test_span_conversions () =
+  let cells = Float.Array.make 1 0. in
+  List.iter
+    (fun units ->
+       List.iter
+         (fun ns_per_unit ->
+            let f = float_of_int units *. ns_per_unit in
+            check_int
+              (Printf.sprintf "span_of_units %d x %g" units ns_per_unit)
+              (Desim.Time.span_of_float_ns f)
+              (Desim.Time.span_of_units ~units ~ns_per_unit);
+            Float.Array.set cells 0 f;
+            check_int
+              (Printf.sprintf "span_of_float_ns_at %g" f)
+              (Desim.Time.span_of_float_ns f)
+              (Desim.Time.span_of_float_ns_at cells 0))
+         [ 0.; 0.25; 0.5; 0.8; 1.5; 2.; 1e-3 ])
+    (List.init 200 Fun.id @ [ 4096; 16384; -8 ]);
+  check_int "rate rounds" 3
+    (Desim.Time.span_of_rate ~bytes:5 ~bytes_per_s:2e9);
+  check_int "rate of nothing" 0
+    (Desim.Time.span_of_rate ~bytes:0 ~bytes_per_s:1e9)
+
 let test_float_seconds () =
   Alcotest.(check (float 1e-12))
     "to_float_s" 1.5e-3
@@ -51,6 +76,8 @@ let tests =
     Alcotest.test_case "units" `Quick test_units;
     Alcotest.test_case "comparisons" `Quick test_compare;
     Alcotest.test_case "span_of_float_ns" `Quick test_span_of_float;
+    Alcotest.test_case "unboxed span conversions" `Quick
+      test_span_conversions;
     Alcotest.test_case "float seconds" `Quick test_float_seconds;
     Alcotest.test_case "pretty printing" `Quick test_pp ]
 
