@@ -32,9 +32,6 @@ val peer : t -> int -> peer
 (** {2 Directory entries} *)
 
 val owner : t -> line:int -> int option
-val sharers : t -> line:int -> Tset.t
-(** Thread ids sharing the line (excluding the owner). The returned set is
-    live directory state — callers must not mutate it. *)
 
 val set_owner : t -> line:int -> thread:int -> unit
 (** Make [thread] the exclusive owner (sharers cleared). *)

@@ -19,11 +19,8 @@ type t = {
    is unsound under the multiple-writer protocol — an unchanged byte equals
    the writer's twin, not necessarily the home's current contents, so
    shipping it can roll back a concurrent writer's disjoint store (e.g.
-   byte-interleaved false sharing). Hence coalesce_gap = 1: any unchanged
-   byte terminates the run. *)
-let coalesce_gap = 1
-let span_framing = 12
-let diff_framing = 16
+   byte-interleaved false sharing). Hence any unchanged byte terminates
+   the run. *)
 
 (* Short copies skip the C-call overhead of [Bytes.blit]. *)
 let small_blit src spos dst dpos len =
@@ -207,8 +204,7 @@ let span_count t = t.count
 
 let payload_bytes t = Bytes.length t.payload
 
-let wire_bytes t =
-  diff_framing + (span_framing * t.count) + payload_bytes t
+let wire_bytes t = Wire.diff ~spans:t.count ~payload:(payload_bytes t)
 
 let spans (t : t) =
   let rec build i pos acc =

@@ -57,7 +57,4 @@ val payload_bytes : t -> int
 (** Total modified bytes carried. *)
 
 val wire_bytes : t -> int
-(** Size on the wire: payload plus per-span and per-diff framing. *)
-
-val coalesce_gap : int
-(** Always 1: see the soundness note in the implementation. *)
+(** Size on the wire: {!Wire.diff} of the span count and payload. *)

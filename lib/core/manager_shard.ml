@@ -70,8 +70,8 @@ type barrier_waiter = {
   b_wake : (int * Tset.t) list -> unit;
 }
 
-(* Per epoch: line id -> set of writer thread ids. The set travels as
-   [notice_entry_wire] bytes per line on the wire regardless of its
+(* Per epoch: line id -> set of writer thread ids. The set travels as one
+   {!Wire.notices} entry per line on the wire regardless of its
    population, exactly like the historical single-int writer mask. *)
 type barrier_state = {
   parties : int;
@@ -115,16 +115,6 @@ type t = {
      before each use. *)
   patch_versions : (int, int) Hashtbl.t;
 }
-
-let acquire_request_wire = 48
-let ack_wire = 16
-let grant_framing = 48
-let notice_entry_wire = 12
-
-let notice_wire notices = List.length notices * notice_entry_wire
-
-let release_wire ~log ~line_versions =
-  ack_wire + Update.log_wire_bytes log + notice_wire line_versions
 
 let create cfg layout ~engine ~endpoint =
   { cfg;
@@ -269,11 +259,10 @@ let grant_for t st ~last_seen =
     else Notices (Hashtbl.fold (fun l v acc -> (l, v) :: acc) st.touched [])
   in
   let wire =
-    grant_framing
-    + (match action with
-       | Fresh -> 0
-       | Patch (log, lvs) -> Update.log_wire_bytes log + notice_wire lvs
-       | Notices ns -> notice_wire ns)
+    match action with
+    | Fresh -> Wire.grant ~log:[] ~line_versions:[]
+    | Patch (log, lvs) -> Wire.grant ~log ~line_versions:lvs
+    | Notices ns -> Wire.grant ~log:[] ~line_versions:ns
   in
   { lock_version = st.version; action; wire_bytes = wire }
 
@@ -388,7 +377,7 @@ let barrier_arrive t ~now ~barrier ~thread ~lines ~endpoint ~wake =
     let all =
       Hashtbl.fold (fun l set acc -> (l, set) :: acc) st.epoch_writers []
     in
-    let wire = ack_wire + notice_wire all in
+    let wire = Wire.barrier_release all in
     List.iter
       (fun w ->
          push t ~now ~dst:w.b_endpoint ~bytes:wire (fun () -> w.b_wake all))
@@ -425,7 +414,7 @@ let cond_wait t ~cond ~thread ~endpoint ~wake =
     st.cwaiters
 
 let wake_one t ~now w =
-  push t ~now ~dst:w.c_endpoint ~bytes:ack_wire (fun () -> w.c_wake ())
+  push t ~now ~dst:w.c_endpoint ~bytes:Wire.ack (fun () -> w.c_wake ())
 
 let cond_signal t ~now ~cond =
   let st = cond_state t cond in
@@ -450,8 +439,6 @@ let cond_blocked t cond =
 
 (* ------------------------------------------------------------------ *)
 (* Crash recovery                                                      *)
-
-let heartbeat_wire = 24
 
 (* Replay this shard's surviving update logs after physical server [dead]
    failed and [promoted] took over its stripes. The shard's retained lock

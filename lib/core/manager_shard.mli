@@ -178,11 +178,3 @@ val absorb : t -> from:t -> now:Desim.Time.t -> int * int
     endpoint. Returns [(objects_moved, pushes_redriven)]. *)
 
 val replayed_updates : t -> int
-
-(** {2 Wire-size helpers} *)
-
-val acquire_request_wire : int
-val release_wire : log:Update.t list -> line_versions:(int * int) list -> int
-val notice_wire : ('a * 'b) list -> int
-val ack_wire : int
-val heartbeat_wire : int

@@ -23,10 +23,10 @@ let heartbeat net ~src ~dst =
   let now = Desim.Engine.now (Fabric.Network.engine net) in
   let arrival =
     Fabric.Scl.reliable_transfer net ~now ~src ~dst
-      ~bytes:Manager_shard.heartbeat_wire
+      ~bytes:Wire.heartbeat
   in
   Fabric.Scl.reliable_transfer net ~now:arrival ~src:dst ~dst:src
-    ~bytes:Manager_shard.ack_wire
+    ~bytes:Wire.ack
 
 let delay_until t at =
   let now = Desim.Engine.now t.engine in

@@ -64,15 +64,6 @@ type t = {
   mutable m_failovers : int;
 }
 
-(* Wire sizes of the fixed protocol messages. *)
-let fetch_request_wire = 32
-let fetch_reply_overhead = 32
-let diff_reply_wire = 24
-let alloc_request_wire = 32
-let alloc_reply_wire = 16
-let cond_request_wire = 32
-let barrier_arrive_overhead = 32
-
 let create e ~id ~node =
   let t =
     { id;
@@ -142,9 +133,6 @@ let idle_until t target =
 
 let server_of t line =
   t.e.servers.(Directory.server_of_line t.e.dir t.e.cfg ~line)
-
-(* Wire size of a reply carrying one whole line. *)
-let line_reply_wire t = t.e.layout.Layout.line_bytes + fetch_reply_overhead
 
 (* Request/reply legs ride the retrying primitive: under fault injection a
    dropped message costs a timeout + backoff and is resent, so every RPC
@@ -239,9 +227,6 @@ and failover t exn =
     ()
   | _ -> raise exn
 
-(* Framing of a primary-to-backup mirror message beyond its payload. *)
-let mirror_overhead_wire = 32
-
 (* Synchronous primary-backup mirroring, timing side: between the primary
    serving a write ([~at]) and its ack to the client, the primary ships
    the payload to its backup, the backup applies it (service occupancy)
@@ -262,7 +247,7 @@ let replicate_ready t srv ~at ~payload_bytes =
          let m_arrival =
            Fabric.Scl.reliable_transfer t.e.network ~now:at ~src:pnode
              ~dst:bnode
-             ~bytes:(payload_bytes + mirror_overhead_wire)
+             ~bytes:(Wire.mirror ~payload:payload_bytes)
          in
          let m_served =
            Desim.Resource.reserve (Memory_server.service b) ~now:m_arrival
@@ -270,7 +255,7 @@ let replicate_ready t srv ~at ~payload_bytes =
          in
          let ack =
            Fabric.Scl.reliable_transfer t.e.network ~now:m_served ~src:bnode
-             ~dst:pnode ~bytes:Manager_shard.ack_wire
+             ~dst:pnode ~bytes:Wire.ack
          in
          (ack, true)
        with Fabric.Scl.Node_dead (n, give_up) when n = bnode ->
@@ -415,7 +400,7 @@ let flush_entry t (entry : Cache.entry) =
   | None -> ()
   | Some diff ->
     let logical = Home.server_of_line t.e.cfg ~line:entry.Cache.line in
-    flush_diffs t ~logical ~reply:diff_reply_wire [ (entry, diff) ]
+    flush_diffs t ~logical ~reply:Wire.diff_ack [ (entry, diff) ]
 
 (* Flush every dirty line, one batch per home server (paper:
    synchronization moves only the minimum data required). *)
@@ -428,9 +413,7 @@ let flush_dirty_all t =
     |> Home.group_by_server t.e.cfg (fun ((entry : Cache.entry), _) ->
         entry.Cache.line)
     |> List.iter (fun (logical, batch) ->
-        flush_diffs t ~logical
-          ~reply:(diff_reply_wire + (12 * List.length batch))
-          batch)
+        flush_diffs t ~logical ~reply:(Wire.batch_ack batch) batch)
 
 (* ------------------------------------------------------------------ *)
 (* Sequential-consistency mode (Config.Sc_invalidate): IVY-style single
@@ -443,7 +426,7 @@ let sc_peer_round_trip t ~line (p : Coherence_sc.peer) ~now ~bytes =
   let home = Fabric.Scl.node (Memory_server.endpoint (server_of t line)) in
   let out =
     Fabric.Network.transfer t.e.network ~now ~src:home
-      ~dst:p.Coherence_sc.p_node ~bytes:fetch_request_wire
+      ~dst:p.Coherence_sc.p_node ~bytes:Wire.fetch_request
   in
   Fabric.Network.transfer t.e.network ~now:out ~src:p.Coherence_sc.p_node
     ~dst:home ~bytes
@@ -456,8 +439,8 @@ let sc_writeback t (entry : Cache.entry) =
   ignore
     (home_rpc t
        ~logical:(Home.server_of_line t.e.cfg ~line)
-       ~request:(line_reply_wire t) ~payload:lb ~mirror:false
-       ~reply:diff_reply_wire
+       ~request:(Wire.line_reply t.e.layout) ~payload:lb ~mirror:false
+       ~reply:Wire.diff_ack
      : bool);
   Bytes.blit entry.Cache.data 0 (Memory_server.line (server_of t line) line)
     0 lb;
@@ -469,7 +452,9 @@ let sc_writeback t (entry : Cache.entry) =
    (the home's service completion); returns when the writeback lands. *)
 let sc_recall t ~line ~owner_tid ~now =
   let p = Coherence_sc.peer t.e.sc owner_tid in
-  let back = sc_peer_round_trip t ~line p ~now ~bytes:(line_reply_wire t) in
+  let back =
+    sc_peer_round_trip t ~line p ~now ~bytes:(Wire.line_reply t.e.layout)
+  in
   (match Cache.peek p.Coherence_sc.p_cache line with
    | Some en ->
      Bytes.blit en.Cache.data 0
@@ -490,7 +475,7 @@ let sc_invalidate_sharers t ~line ~now =
        else begin
          let p = Coherence_sc.peer t.e.sc s in
          let ack =
-           sc_peer_round_trip t ~line p ~now ~bytes:Manager_shard.ack_wire
+           sc_peer_round_trip t ~line p ~now ~bytes:Wire.ack
          in
          Cache.invalidate p.Coherence_sc.p_cache line;
          Coherence_sc.drop_sharer t.e.sc ~line ~thread:s;
@@ -524,9 +509,9 @@ let maybe_prefetch t line =
     let epoch = Directory.epoch_of t.e.dir ~logical in
     let srv = t.e.servers.(Directory.physical_of_logical t.e.dir logical) in
     match
-      let served = home_request t srv ~request:fetch_request_wire ~payload:0 in
+      let served = home_request t srv ~request:Wire.fetch_request ~payload:0 in
       transfer_from t ~src:(Memory_server.endpoint srv) ~at:served
-        ~bytes:(line_reply_wire t)
+        ~bytes:(Wire.line_reply t.e.layout)
     with
     | arrival ->
       Desim.Engine.schedule_at t.e.engine arrival (fun () ->
@@ -573,8 +558,8 @@ let rec demand_fetch t line : Cache.entry =
     maybe_prefetch t (line + 1);
     let logical = Home.server_of_line t.e.cfg ~line in
     ignore
-      (home_rpc t ~logical ~request:fetch_request_wire ~payload:0
-         ~mirror:false ~reply:(line_reply_wire t)
+      (home_rpc t ~logical ~request:Wire.fetch_request ~payload:0
+         ~mirror:false ~reply:(Wire.line_reply t.e.layout)
        : bool);
     (* The fence passed, so [logical] still maps to the server the round
        trip reached: a reply assembled by a deposed primary never enters
@@ -597,7 +582,7 @@ let rec demand_fetch t line : Cache.entry =
 let sc_request t line =
   Cache.ensure_room t.cache ~line ~evict:(evict_victim t);
   let srv = server_of t line in
-  let served = home_request t srv ~request:fetch_request_wire ~payload:0 in
+  let served = home_request t srv ~request:Wire.fetch_request ~payload:0 in
   (* --- atomic directory transaction (no yields) --- *)
   match Coherence_sc.owner t.e.sc ~line with
   | Some o when o <> t.id ->
@@ -612,7 +597,7 @@ let sc_read_fetch t line : Cache.entry =
   let entry = install t ~line ~data ~version in
   (* --- end of transaction; pay the latency --- *)
   await_reply t ~src:(Memory_server.endpoint srv) ~at:ready
-    ~bytes:(line_reply_wire t);
+    ~bytes:(Wire.line_reply t.e.layout);
   entry
 
 (* SC write: obtain the line exclusively — invalidate every other sharer
@@ -628,8 +613,8 @@ let sc_acquire_exclusive t line ~commit : Cache.entry =
   let cached = Cache.peek t.cache line in
   let reply_bytes =
     match cached with
-    | Some _ -> Manager_shard.ack_wire  (* upgrade: data already valid *)
-    | None -> line_reply_wire t
+    | Some _ -> Wire.ack  (* upgrade: data already valid *)
+    | None -> Wire.line_reply t.e.layout
   in
   let entry =
     match cached with
@@ -820,9 +805,9 @@ let write_f64 t addr v = write_i64 t addr (Int64.bits_of_float v)
    failover wrapper. *)
 let manager_alloc_rpc t ~kind ~bytes =
   let mgr = Control_plane.alloc_shard t.e.cp in
-  let served = shard_request t mgr ~bytes:alloc_request_wire in
+  let served = shard_request t mgr ~bytes:Wire.alloc_request in
   await_reply t ~src:(Manager_shard.endpoint mgr) ~at:served
-    ~bytes:alloc_reply_wire;
+    ~bytes:Wire.alloc_reply;
   Manager_shard.alloc mgr ~kind ~bytes
 
 let rec malloc_impl t ~bytes =
@@ -946,11 +931,12 @@ let flush_update_log t log =
       (fun (logical, batch) ->
          (* The physical server is re-resolved on every retry (see
             {!flush_diffs}). *)
-         let wire = Update.log_wire_bytes batch in
+         let wire = Wire.update_log batch in
          with_failover t (fun () ->
              let mirrored =
-               home_rpc t ~logical ~request:wire ~payload:wire ~mirror:true
-                 ~reply:diff_reply_wire
+               home_rpc t ~logical ~request:wire
+                 ~payload:(Wire.update_log_service batch) ~mirror:true
+                 ~reply:Wire.diff_ack
              in
              List.iter
                (fun u ->
@@ -986,9 +972,7 @@ let flush_update_log t log =
 let rec acquire_grant t lock ~last_seen =
   match
     let mgr = Control_plane.shard_for t.e.cp lock in
-    let served =
-      shard_request t mgr ~bytes:Manager_shard.acquire_request_wire
-    in
+    let served = shard_request t mgr ~bytes:Wire.acquire_request in
     Desim.Engine.suspend ~register:(fun ~wake ->
         Manager_shard.lock_acquire mgr ~now:served ~lock ~thread:t.id
           ~last_seen ~endpoint:t.endpoint ~wake)
@@ -1026,10 +1010,12 @@ let take_region t lock =
         invalid_arg "Samhita.mutex_unlock: lock not held by thread")
 
 (* The release's round trip, retried like {!acquire_grant}. *)
-let rec release_lock t lock ~seq ~wire ~log ~line_versions =
+let rec release_lock t lock ~seq ~log ~line_versions =
   match
     let mgr = Control_plane.shard_for t.e.cp lock in
-    let served = shard_request t mgr ~bytes:wire in
+    let served =
+      shard_request t mgr ~bytes:(Wire.release ~log ~line_versions)
+    in
     (* The version this thread's own release produced: a duplicate
        retry after a takeover must not claim releases other threads
        made in between. *)
@@ -1039,12 +1025,12 @@ let rec release_lock t lock ~seq ~wire ~log ~line_versions =
     in
     Hashtbl.replace t.lock_seen lock version;
     await_reply t ~src:(Manager_shard.endpoint mgr) ~at:served
-      ~bytes:Manager_shard.ack_wire
+      ~bytes:Wire.ack
   with
   | () -> ()
   | exception exn when retryable exn ->
     failover t exn;
-    release_lock t lock ~seq ~wire ~log ~line_versions
+    release_lock t lock ~seq ~log ~line_versions
 
 let mutex_unlock t lock =
   sync_clock t;
@@ -1052,12 +1038,11 @@ let mutex_unlock t lock =
   let start = now t in
   let log = List.rev (take_region t lock).r_log in
   let line_versions = flush_update_log t log in
-  let wire = Manager_shard.release_wire ~log ~line_versions in
   (* The release carries a per-lock sequence number so a shard-crash
      retry that already executed is a no-op at the takeover shard. *)
   let seq = 1 + (try Hashtbl.find t.release_seq lock with Not_found -> 0) in
   Hashtbl.replace t.release_seq lock seq;
-  release_lock t lock ~seq ~wire ~log ~line_versions;
+  release_lock t lock ~seq ~log ~line_versions;
   probe_sync t Probe.Unlock lock;
   t.m_sync <- t.m_sync + Desim.Time.diff (now t) start
 
@@ -1067,7 +1052,6 @@ let barrier_wait t barrier =
   flush_dirty_all t;
   let lines = Hashtbl.fold (fun l () acc -> l :: acc) t.interval_writes [] in
   Hashtbl.reset t.interval_writes;
-  let wire = barrier_arrive_overhead + (8 * List.length lines) in
   (* The shard bumps the epoch when it releases the barrier, so every
      participant captures the same epoch number before arriving. Only the
      probe reads it: the release is a push like a grant, so a shard crash
@@ -1080,7 +1064,7 @@ let barrier_wait t barrier =
   let all =
     with_failover t (fun () ->
         let mgr = Control_plane.shard_for t.e.cp barrier in
-        let served = shard_request t mgr ~bytes:wire in
+        let served = shard_request t mgr ~bytes:(Wire.barrier_arrive lines) in
         Desim.Engine.suspend ~register:(fun ~wake ->
             Manager_shard.barrier_arrive mgr ~now:served ~barrier
               ~thread:t.id ~lines ~endpoint:t.endpoint ~wake))
@@ -1117,7 +1101,7 @@ let cond_wait t cond lock =
             path stays intact: the registration travels with the absorbed
             state and a signal on the takeover shard fires it. *)
          (try
-            ignore (shard_request t mgr ~bytes:cond_request_wire : Desim.Time.t)
+            ignore (shard_request t mgr ~bytes:Wire.cond_request : Desim.Time.t)
           with Fabric.Scl.Node_dead _ -> ());
          state := `Suspended wake));
   probe_sync t Probe.Cond_wake cond;
@@ -1133,14 +1117,14 @@ let cond_wake_op t cond ~broadcast =
      contract (waiters re-check their predicate in a loop). *)
   with_failover t (fun () ->
       let mgr = Control_plane.shard_for t.e.cp cond in
-      let served = shard_request t mgr ~bytes:cond_request_wire in
+      let served = shard_request t mgr ~bytes:Wire.cond_request in
       let woken =
         if broadcast then Manager_shard.cond_broadcast mgr ~now:served ~cond
         else Manager_shard.cond_signal mgr ~now:served ~cond
       in
       ignore (woken : int);
       await_reply t ~src:(Manager_shard.endpoint mgr) ~at:served
-        ~bytes:Manager_shard.ack_wire);
+        ~bytes:Wire.ack);
   t.m_sync <- t.m_sync + Desim.Time.diff (now t) start
 
 let cond_signal t cond = cond_wake_op t cond ~broadcast:false

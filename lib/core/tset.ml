@@ -38,11 +38,6 @@ let mem t i =
 
 let is_empty t = Array.for_all (fun w -> w = 0) t.words
 
-let singleton i =
-  let t = create () in
-  add t i;
-  t
-
 let of_list l =
   let t = create () in
   List.iter (add t) l;

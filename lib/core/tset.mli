@@ -10,7 +10,6 @@ type t
 val create : unit -> t
 (** The empty set. Capacity grows on demand. *)
 
-val singleton : int -> t
 val of_list : int list -> t
 val copy : t -> t
 val clear : t -> unit

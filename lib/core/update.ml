@@ -1,14 +1,8 @@
 type t = { addr : int; value : int64 }
 
-let framing = 12
-
 let of_i64 ~addr value =
   if addr land 7 <> 0 then invalid_arg "Update.of_i64: unaligned word";
   { addr; value }
-
-let wire_bytes _ = framing + 8
-
-let log_wire_bytes log = List.length log * (framing + 8)
 
 let line_of (layout : Layout.t) t = t.addr lsr layout.Layout.line_shift
 

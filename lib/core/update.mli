@@ -14,9 +14,6 @@ type t = private { addr : int; value : int64 }
 val of_i64 : addr:int -> int64 -> t
 (** [addr] must be 8-aligned. *)
 
-val wire_bytes : t -> int
-val log_wire_bytes : t list -> int
-
 val line_of : Layout.t -> t -> int
 (** The line holding the word. *)
 

@@ -11,8 +11,6 @@
 
 type backend_kind = Smh | Pth
 
-val backend_name : backend_kind -> string
-
 type point = {
   fraction : float;  (** Of measured capacity. *)
   rate_rps : float;  (** Offered aggregate load. *)

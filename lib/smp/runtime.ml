@@ -9,15 +9,12 @@ type barrier = {
   mutable waiting : (unit -> unit) list;
 }
 
-type cond = { cwaiters : (unit -> unit) Queue.t }
-
 type system = {
   engine : Desim.Engine.t;
   cfg : Config.t;
   machine : Machine.t;
   total : int;
   mutable next : int;
-  mutable threads_rev : thread list;
 }
 
 and thread = {
@@ -28,7 +25,6 @@ and thread = {
   accum : floatarray;
   mutable m_compute : int;
   mutable m_sync : int;
-  mutable m_idle : int;
 }
 
 let create ?(config = Config.default) ~threads () =
@@ -42,20 +38,13 @@ let create ?(config = Config.default) ~threads () =
     cfg = config;
     machine = Machine.create config;
     total = threads;
-    next = 0;
-    threads_rev = [] }
-
-let engine s = s.engine
-let machine s = s.machine
-let config s = s.cfg
+    next = 0 }
 
 let mutex _s = { holder = -1; waiters = Queue.create () }
 
 let barrier _s ~parties =
   if parties <= 0 then invalid_arg "Smp.Runtime.barrier: parties";
   { parties; arrived = 0; waiting = [] }
-
-let cond _s = { cwaiters = Queue.create () }
 
 let spawn s body =
   if s.next >= s.total then invalid_arg "Smp.Runtime.spawn: no slots left";
@@ -64,11 +53,9 @@ let spawn s body =
       sys = s;
       accum = Float.Array.make 1 0.;
       m_compute = 0;
-      m_sync = 0;
-      m_idle = 0 }
+      m_sync = 0 }
   in
   s.next <- s.next + 1;
-  s.threads_rev <- t :: s.threads_rev;
   Desim.Engine.spawn s.engine ~name:(Printf.sprintf "pth%d" t.id)
     (fun () ->
        body t;
@@ -82,7 +69,6 @@ let spawn s body =
   t
 
 let run s = Desim.Engine.run s.engine
-let threads s = List.rev s.threads_rev
 let elapsed s = Desim.Engine.now s.engine
 
 let thread_id t = t.id
@@ -112,10 +98,7 @@ let idle_until t target =
   if target > now_ns t then begin
     sync_clock t;
     let gap = target - Desim.Time.to_ns (now t) in
-    if gap > 0 then begin
-      t.m_idle <- t.m_idle + gap;
-      Desim.Engine.delay gap
-    end
+    if gap > 0 then Desim.Engine.delay gap
   end
 
 let read_i64 t addr =
@@ -189,28 +172,5 @@ let barrier_wait t b =
   end;
   t.m_sync <- t.m_sync + Desim.Time.diff (now t) start
 
-let cond_wait t c m =
-  unlock t m;
-  let start = now t in
-  Desim.Engine.suspend ~register:(fun ~wake -> Queue.push wake c.cwaiters);
-  t.m_sync <- t.m_sync + Desim.Time.diff (now t) start;
-  lock t m
-
-let cond_signal t c =
-  sync_clock t;
-  let start = now t in
-  Desim.Engine.delay t.sys.cfg.Config.t_lock;
-  (match Queue.take_opt c.cwaiters with Some wake -> wake () | None -> ());
-  t.m_sync <- t.m_sync + Desim.Time.diff (now t) start
-
-let cond_broadcast t c =
-  sync_clock t;
-  let start = now t in
-  Desim.Engine.delay t.sys.cfg.Config.t_lock;
-  Queue.iter (fun wake -> wake ()) c.cwaiters;
-  Queue.clear c.cwaiters;
-  t.m_sync <- t.m_sync + Desim.Time.diff (now t) start
-
 let compute_ns t = t.m_compute
 let sync_ns t = t.m_sync
-let idle_ns t = t.m_idle

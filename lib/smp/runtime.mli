@@ -10,23 +10,16 @@ type system
 type thread
 type mutex
 type barrier
-type cond
 
 val create : ?config:Config.t -> threads:int -> unit -> system
 (** Raises [Invalid_argument] if [threads] exceeds
     [Config.max_threads] (a single node is all the hardware there is). *)
 
-val engine : system -> Desim.Engine.t
-val machine : system -> Machine.t
-val config : system -> Config.t
-
 val mutex : system -> mutex
 val barrier : system -> parties:int -> barrier
-val cond : system -> cond
 
 val spawn : system -> (thread -> unit) -> thread
 val run : system -> unit
-val threads : system -> thread list
 val elapsed : system -> Desim.Time.t
 
 (** {2 Thread operations} *)
@@ -50,15 +43,12 @@ val now_ns : thread -> int
 
 val idle_until : thread -> int -> unit
 (** Advance virtual time to at least the given absolute instant,
-    accounting the gap as idle; past instants are a no-op. *)
+    accounting the gap as neither compute nor sync; past instants are a
+    no-op. *)
 
 val lock : thread -> mutex -> unit
 val unlock : thread -> mutex -> unit
 val barrier_wait : thread -> barrier -> unit
-val cond_wait : thread -> cond -> mutex -> unit
-val cond_signal : thread -> cond -> unit
-val cond_broadcast : thread -> cond -> unit
 
 val compute_ns : thread -> int
 val sync_ns : thread -> int
-val idle_ns : thread -> int

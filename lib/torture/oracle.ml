@@ -60,7 +60,6 @@ let create ~config () =
     trace_next = 0 }
 
 let violations t = List.rev t.violations_rev
-let crashes t = List.length t.crashes_rev
 let recoveries t = List.length t.recoveries_rev
 let takeovers t = t.takeovers
 let events t = t.events

@@ -63,9 +63,6 @@ val violations : t -> violation list
 val events : t -> int
 (** Probe events observed. *)
 
-val crashes : t -> int
-(** Fail-stop crash detections observed (0 or 1 today). *)
-
 val recoveries : t -> int
 (** Completed recoveries observed. {!finalize} checks each one for
     version-consistent promotion and no lost acknowledged write. A

@@ -365,9 +365,8 @@ module List_history = struct
       + (match action with
          | Samhita.Manager_shard.Fresh -> 0
          | Patch (log, lvs) ->
-           Samhita.Update.log_wire_bytes log
-           + Samhita.Manager_shard.notice_wire lvs
-         | Notices ns -> Samhita.Manager_shard.notice_wire ns)
+           Samhita.Wire.update_log log + Samhita.Wire.notices lvs
+         | Notices ns -> Samhita.Wire.notices ns)
     in
     (action, t.version, wire)
 end
@@ -836,7 +835,8 @@ let barrier_episode_words () =
 
 (* Pinned at 191.00 words (OCaml 5.1, no flambda), with the same 2-word
    slack, once engine events, transfers and the shard's barrier lookup
-   stopped allocating per call. It measured 243.00 before that, and
+   stopped allocating per call. It measures 189.00 since each arrival's
+   retry closure reads its size from [Wire] instead of capturing it. It measured 243.00 before that, and
    289.00 while the last arriver took its own release leg through an
    [Ok]/[Error] box and the shard kept a replay copy of every released
    episode. *)

@@ -150,29 +150,6 @@ let test_barrier_cost_scales () =
   Alcotest.(check bool) "more threads, more sync" true
     (sync_for 8 > sync_for 2)
 
-let test_cond_signal () =
-  let sys = R.create ~threads:2 () in
-  let m = R.mutex sys in
-  let c = R.cond sys in
-  let flag = ref false and observed = ref false in
-  ignore
-    (R.spawn sys (fun t ->
-         R.lock t m;
-         while not !flag do
-           R.cond_wait t c m
-         done;
-         observed := true;
-         R.unlock t m));
-  ignore
-    (R.spawn sys (fun t ->
-         R.charge_flops t 100_000;
-         R.lock t m;
-         flag := true;
-         R.cond_signal t c;
-         R.unlock t m));
-  R.run sys;
-  Alcotest.(check bool) "consumer woken after signal" true !observed
-
 let test_accounting_split () =
   let sys = R.create ~threads:2 () in
   let b = R.barrier sys ~parties:2 in
@@ -204,7 +181,6 @@ let tests =
     Alcotest.test_case "unlock not held" `Quick test_unlock_not_held;
     Alcotest.test_case "barrier rounds" `Quick test_barrier_rounds;
     Alcotest.test_case "barrier cost scales" `Quick test_barrier_cost_scales;
-    Alcotest.test_case "cond signal" `Quick test_cond_signal;
     Alcotest.test_case "accounting split" `Quick test_accounting_split ]
 
 let () = Alcotest.run "smp" [ ("smp", tests) ]

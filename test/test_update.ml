@@ -16,9 +16,8 @@ let test_of_i64 () =
 
 let test_wire_bytes () =
   let u = Samhita.Update.of_i64 ~addr:0 1L in
-  Alcotest.(check int) "framing + payload" 20 (Samhita.Update.wire_bytes u);
-  Alcotest.(check int) "log sums" 40
-    (Samhita.Update.log_wire_bytes [ u; u ])
+  Alcotest.(check int) "framing + payload" 20 (Samhita.Wire.update_log [ u ]);
+  Alcotest.(check int) "log sums" 40 (Samhita.Wire.update_log [ u; u ])
 
 let test_apply_within_line () =
   let u = Samhita.Update.of_i64 ~addr:(lb + 16) 0xFFL in
