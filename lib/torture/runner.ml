@@ -305,6 +305,7 @@ type summary = {
   s_takeovers : int;
   s_redriven : int;
   s_detect : Samhita.Metrics.detection option;
+  s_digest : int;
   s_failures : outcome list;
 }
 
@@ -316,6 +317,7 @@ let run ?(replay_check = true) ?(crash = false) ?(crash_shard = false)
   let fd = ref 0 and fr = ref 0 and fo = ref 0 and ft = ref 0 in
   let promotions = ref 0 and takeovers = ref 0 and redriven = ref 0 in
   let detect = ref no_detection in
+  let digest = ref 0 in
   for i = 0 to seeds - 1 do
     let seed = base_seed + i in
     let o = run_one ~crash ~crash_shard ~partition ~kernel ~level ~seed () in
@@ -353,6 +355,7 @@ let run ?(replay_check = true) ?(crash = false) ?(crash_shard = false)
     takeovers := !takeovers + o.o_takeovers;
     redriven := !redriven + o.o_redriven;
     detect := Samhita.Metrics.add_detection !detect o.o_detect;
+    digest := Desim.Rng.hash3 !digest o.o_digest o.o_wall_ns;
     if o.o_violations <> [] then failures := o :: !failures
   done;
   { s_kernel = kernel;
@@ -369,6 +372,7 @@ let run ?(replay_check = true) ?(crash = false) ?(crash_shard = false)
     s_takeovers = !takeovers;
     s_redriven = !redriven;
     s_detect = (if partition then Some !detect else None);
+    s_digest = !digest;
     s_failures = List.rev !failures }
 
 let pp_outcome ppf o =
@@ -408,6 +412,7 @@ let pp_summary ppf s =
        "gray failures: suspicions=%d false-suspicions=%d fenced=%d@,"
        d.Samhita.Metrics.suspicions d.Samhita.Metrics.false_suspicions
        d.Samhita.Metrics.fenced_messages);
+  Format.fprintf ppf "digest %x@," s.s_digest;
   Format.fprintf ppf "%s@]"
     (if s.s_failures = [] then "all seeds clean"
      else Printf.sprintf "%d FAILING seed(s)" (List.length s.s_failures))

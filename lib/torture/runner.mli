@@ -83,6 +83,11 @@ type summary = {
   s_detect : Samhita.Metrics.detection option;
       (** Failure-detection counters summed over all runs; [None] outside
           partition mode. *)
+  s_digest : int;
+      (** Order-sensitive fold of every seed's {!outcome.o_digest} and
+          makespan, in seed order: two runs of the same seeds print the
+          same digest exactly when every seed's event stream and
+          makespan agree. *)
   s_failures : outcome list;  (** Seeds with at least one violation. *)
 }
 
