@@ -1,20 +1,24 @@
 type t = {
-  cfg : Config.t;
-  layout : Layout.t;
-  engine : Desim.Engine.t;
-  network : Fabric.Network.t;
-  servers : Memory_server.t array;
-  dir : Directory.t;
-  cp : Control_plane.t;
-  sc : Coherence_sc.t;
+  mutable env : Ctx.env;
+      (* The runtime every thread plugs into; replaced only by
+         [add_probe], before the first spawn. *)
   total_threads : int;
   first_compute_node : int;
   mutable threads_rev : Thread_ctx.t list;
   mutable next_thread : int;
   mutable finished : int;
   mutable last_finish : Desim.Time.t;  (* the makespan; see [elapsed] *)
-  mutable probe : Probe.t option;
 }
+
+let config t = t.env.Ctx.cfg
+let layout t = t.env.Ctx.layout
+let engine t = t.env.Ctx.engine
+let network t = t.env.Ctx.network
+let control_plane t = t.env.Ctx.cp
+let manager t = Control_plane.shard (control_plane t) 0
+let servers t = t.env.Ctx.servers
+let directory t = t.env.Ctx.dir
+let probe t = t.env.Ctx.probe
 
 (* One monitor heartbeat: [src] pings [dst] now and [dst] acks. Returns
    the ack's arrival instant; both legs ride the retrying primitive, so a
@@ -29,13 +33,15 @@ let heartbeat net ~src ~dst =
     ~bytes:Wire.ack
 
 let delay_until t at =
-  let now = Desim.Engine.now t.engine in
+  let now = Desim.Engine.now (engine t) in
   if Desim.Time.( < ) now at then Desim.Engine.delay (Desim.Time.diff at now)
 
-let node_of_server t i = Fabric.Scl.node (Memory_server.endpoint t.servers.(i))
+let node_of_server t i =
+  Fabric.Scl.node (Memory_server.endpoint (servers t).(i))
 
 let node_of_shard t s =
-  Fabric.Scl.node (Manager_shard.endpoint (Control_plane.shard t.cp s))
+  Fabric.Scl.node
+    (Manager_shard.endpoint (Control_plane.shard (control_plane t) s))
 
 (* A memory server's lease expired: the monitor knows at the give-up
    instant of its last retransmission, and detection, promotion, replay
@@ -47,22 +53,22 @@ let node_of_shard t s =
    epoch fence makes the false case safe. *)
 let expire_server t i ~give_up =
   delay_until t give_up;
-  let now = Desim.Engine.now t.engine in
-  Directory.note_suspicion t.dir;
+  let { Ctx.engine; network; dir; cp; servers; probe; _ } = t.env in
+  let now = Desim.Engine.now engine in
+  Directory.note_suspicion dir;
   let truly_dead =
-    match Fabric.Network.faults t.network with
+    match Fabric.Network.faults network with
     | Some f -> Fabric.Faults.node_dead f ~node:(1 + i) ~at:now
     | None -> false
   in
-  if not truly_dead then Directory.note_false_suspicion t.dir;
-  (match t.probe with
+  if not truly_dead then Directory.note_false_suspicion dir;
+  (match probe with
    | Some p -> p.Probe.on_crash ~time:now ~node:(1 + i) ~server:i
    | None -> ());
   let promoted, replayed =
-    Control_plane.recover_server t.cp ~dir:t.dir ~servers:t.servers ~dead:i
-      ~probe:t.probe ~now
+    Control_plane.recover_server cp ~dir ~servers ~dead:i ~probe ~now
   in
-  match t.probe with
+  match probe with
   | Some p -> p.Probe.on_recovery ~time:now ~failed:i ~promoted ~replayed
   | None -> ()
 
@@ -78,23 +84,24 @@ let expire_server t i ~give_up =
    absorbed by its ring successor ({!Control_plane.recover_shard}). The
    monitor exits once every spawned thread has finished (it must: a
    sleeping process keeps the engine's queue non-empty forever), or when
-   nothing is left to watch. A tick builds no lists or closures. *)
+   nothing is left to watch. A tick builds no lists or closures. The
+   probe is read when a recovery runs: it is attached after this spawn. *)
 let spawn_monitor t =
-  let net = t.network in
+  let { Ctx.cfg; engine; network = net; dir; cp; servers; _ } = t.env in
   let src = node_of_shard t 0 in
-  let leases = t.cfg.Config.replication >= 1 in
-  let ms = Array.length t.servers in
-  let nshards = Control_plane.shard_count t.cp in
+  let leases = cfg.Config.replication >= 1 in
+  let ms = Array.length servers in
+  let nshards = Control_plane.shard_count cp in
   let watch_shards () =
-    nshards >= 2 && not (Control_plane.any_shard_failed t.cp)
+    nshards >= 2 && not (Control_plane.any_shard_failed cp)
   in
   let rec heartbeat_servers i =
     if i < ms then
-      if Directory.failed t.dir i then heartbeat_servers (i + 1)
+      if Directory.failed dir i then heartbeat_servers (i + 1)
       else
         match heartbeat net ~src ~dst:(node_of_server t i) with
         | _ ->
-          Control_plane.note_heartbeat t.cp;
+          Control_plane.note_heartbeat cp;
           heartbeat_servers (i + 1)
         | exception Fabric.Scl.Node_dead (_, give_up) ->
           expire_server t i ~give_up
@@ -103,18 +110,18 @@ let spawn_monitor t =
     if s < nshards then
       match heartbeat net ~src ~dst:(node_of_shard t s) with
       | _ ->
-        Control_plane.note_shard_heartbeat t.cp;
+        Control_plane.note_shard_heartbeat cp;
         heartbeat_shards (s + 1)
       | exception Fabric.Scl.Node_dead (_, give_up) ->
         delay_until t give_up;
         ignore
-          (Control_plane.recover_shard t.cp ~dead:s ~probe:t.probe
-             ~now:(Desim.Engine.now t.engine)
+          (Control_plane.recover_shard cp ~dead:s ~probe:(probe t)
+             ~now:(Desim.Engine.now engine)
            : int * int * int)
   in
-  Desim.Engine.spawn t.engine ~name:"monitor" (fun () ->
+  Desim.Engine.spawn engine ~name:"monitor" (fun () ->
       let rec loop () =
-        Desim.Engine.delay t.cfg.Config.lease_interval;
+        Desim.Engine.delay cfg.Config.lease_interval;
         if t.finished < t.next_thread && (leases || watch_shards ()) then begin
           if leases then heartbeat_servers 0;
           if watch_shards () then heartbeat_shards 1;
@@ -213,21 +220,15 @@ let create ?(config = Config.default) ~threads () =
          Memory_server.set_backup srv servers.(Directory.backup_of dir i))
       servers;
   let t =
-    { cfg = config;
-      layout;
-      engine;
-      network;
-      servers;
-      dir;
-      cp;
-      sc = Coherence_sc.create ();
+    { env =
+        { Ctx.cfg = config; layout; engine; network; servers; dir; cp;
+          sc = Coherence_sc.create (); probe = None };
       total_threads = threads;
       first_compute_node;
       threads_rev = [];
       next_thread = 0;
       finished = 0;
-      last_finish = Desim.Time.zero;
-      probe = None }
+      last_finish = Desim.Time.zero }
   in
   if config.Config.replication >= 1 || nshards >= 2 then spawn_monitor t;
   (* Partition heal-wake: a client can park in the park list after
@@ -248,52 +249,36 @@ let create ?(config = Config.default) ~threads () =
    | _ -> ());
   t
 
-let config t = t.cfg
-let layout t = t.layout
-let engine t = t.engine
-let network t = t.network
-let control_plane t = t.cp
-let manager t = Control_plane.shard t.cp 0
-let servers t = t.servers
-let directory t = t.dir
 
 let add_probe t p =
   if t.next_thread > 0 then
     invalid_arg "System.add_probe: attach probes before spawning threads";
-  t.probe <- Some (match t.probe with None -> p | Some q -> Probe.both q p)
+  let probe =
+    match t.env.Ctx.probe with None -> p | Some q -> Probe.both q p
+  in
+  t.env <- { t.env with Ctx.probe = Some probe }
 
-let mutex t = Control_plane.mutex_create t.cp
-let barrier t ~parties = Control_plane.barrier_create t.cp ~parties
-let cond t = Control_plane.cond_create t.cp
-
-let env t : Thread_ctx.env =
-  { Thread_ctx.cfg = t.cfg;
-    layout = t.layout;
-    engine = t.engine;
-    network = t.network;
-    servers = t.servers;
-    dir = t.dir;
-    cp = t.cp;
-    sc = t.sc;
-    probe = t.probe }
+let mutex t = Control_plane.mutex_create (control_plane t)
+let barrier t ~parties = Control_plane.barrier_create (control_plane t) ~parties
+let cond t = Control_plane.cond_create (control_plane t)
 
 let spawn t body =
   if t.next_thread >= t.total_threads then
     invalid_arg "System.spawn: all thread slots used";
   let id = t.next_thread in
   t.next_thread <- id + 1;
-  let node = t.first_compute_node + (id / t.cfg.Config.threads_per_node) in
-  let ctx = Thread_ctx.create (env t) ~id ~node in
+  let node = t.first_compute_node + (id / (config t).Config.threads_per_node) in
+  let ctx = Thread_ctx.create t.env ~id ~node in
   t.threads_rev <- ctx :: t.threads_rev;
-  Desim.Engine.spawn t.engine ~name:(Printf.sprintf "thread%d" id) (fun () ->
+  Desim.Engine.spawn (engine t) ~name:(Printf.sprintf "thread%d" id) (fun () ->
       body ctx;
       Thread_ctx.finish ctx;
       t.finished <- t.finished + 1;
-      t.last_finish <- Desim.Engine.now t.engine);
+      t.last_finish <- Desim.Engine.now (engine t));
   ctx
 
 let threads t = List.rev t.threads_rev
 let finished_threads t = t.finished
-let run t = Desim.Engine.run t.engine
+let run t = Desim.Engine.run (engine t)
 let elapsed t = t.last_finish
-let events t = Desim.Engine.events t.engine
+let events t = Desim.Engine.events (engine t)

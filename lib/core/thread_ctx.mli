@@ -25,7 +25,7 @@
 
 type t
 
-type env = {
+type env = Ctx.env = {
   cfg : Config.t;
   layout : Layout.t;
   engine : Desim.Engine.t;
@@ -37,7 +37,7 @@ type env = {
   cp : Control_plane.t;
       (** The sharded control plane; sync objects resolve to their shard
           per request, so a shard takeover is picked up transparently. *)
-  sc : Coherence_sc.t;  (** Directory for the Sc_invalidate model. *)
+  sc : Ctx.sc_dir;  (** Directory for the Sc_invalidate model. *)
   probe : Probe.t option;
       (** Protocol-event observers (sanitizer, torture oracle, checker
           footprint) folded into one; [None] (the default) costs one
@@ -50,7 +50,6 @@ val create : env -> id:int -> node:Fabric.Network.node -> t
 val id : t -> int
 val env : t -> env
 val cache : t -> Cache.t
-val endpoint : t -> Fabric.Scl.endpoint
 
 (** {2 Memory access} *)
 

@@ -30,21 +30,6 @@ let remove t i =
       t.words.(w) <- t.words.(w) land lnot (1 lsl b)
   end
 
-let mem t i =
-  i >= 0
-  &&
-  let w = i / bits_per_word and b = i mod bits_per_word in
-  w < Array.length t.words && t.words.(w) land (1 lsl b) <> 0
-
-let is_empty t = Array.for_all (fun w -> w = 0) t.words
-
-let of_list l =
-  let t = create () in
-  List.iter (add t) l;
-  t
-
-let copy t = { words = Array.copy t.words }
-
 let clear t = Array.fill t.words 0 (Array.length t.words) 0
 
 let iter f t =
@@ -73,13 +58,3 @@ let exists_other t ~self =
        if w <> 0 then found := true)
     t.words;
   !found
-
-let equal a b =
-  let n = max (Array.length a.words) (Array.length b.words) in
-  let word t i = if i < Array.length t.words then t.words.(i) else 0 in
-  let rec go i = i >= n || (word a i = word b i && go (i + 1)) in
-  go 0
-
-let pp ppf t =
-  Format.fprintf ppf "{%s}"
-    (String.concat "," (List.map string_of_int (to_list t)))

@@ -10,19 +10,12 @@ type t
 val create : unit -> t
 (** The empty set. Capacity grows on demand. *)
 
-val of_list : int list -> t
-val copy : t -> t
 val clear : t -> unit
 
 val add : t -> int -> unit
 (** Raises [Invalid_argument] on a negative id. *)
 
 val remove : t -> int -> unit
-val mem : t -> int -> bool
-val is_empty : t -> bool
-
-val iter : (int -> unit) -> t -> unit
-(** Ascending thread id. *)
 
 val to_list : t -> int list
 (** Ascending thread id. *)
@@ -30,6 +23,3 @@ val to_list : t -> int list
 val exists_other : t -> self:int -> bool
 (** [exists_other t ~self] is [true] iff [t] contains a member other than
     [self] — the "did anyone else write this line?" test at barriers. *)
-
-val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
