@@ -26,10 +26,7 @@ let sanitize_t = Cli.sanitize_t
 
 let list_cmd =
   let run () =
-    let c = Harness.Experiments.ctx Harness.Experiments.Quick in
-    List.iter
-      (fun (id, _) -> print_endline id)
-      (Harness.Experiments.all c)
+    List.iter (fun (id, _) -> print_endline id) Harness.Experiments.all
   in
   Cmd.v (Cmd.info "list" ~doc:"List reproducible figures and ablations")
     Term.(const run $ const ())

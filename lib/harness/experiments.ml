@@ -328,7 +328,6 @@ let ablation_prefetch c =
      bandwidth-bound and anticipatory requests cannot help.) Measure the
      whole run, not the warm steady-state window. *)
   let threads = 1 in
-  ignore (mid_cores c.scale : int);
   (* One full line per row (B = 2048 doubles): a thread's data spans S
      lines, so initialization and post-invalidation refetches walk lines
      sequentially — the access pattern anticipatory paging targets. *)
@@ -628,7 +627,7 @@ let ablation_consistency c =
 
 (* ------------------------------------------------------------------ *)
 
-let all _c =
+let all =
   [ ("fig3", fig3); ("fig4", fig4); ("fig5", fig5); ("fig6", fig6);
     ("fig7", fig7); ("fig8", fig8); ("fig9", fig9); ("fig10", fig10);
     ("fig11", fig11); ("fig12", fig12); ("fig13", fig13);
@@ -637,6 +636,4 @@ let all _c =
     ("abl-history", ablation_history); ("abl-evict", ablation_eviction);
     ("abl-sc", ablation_consistency) ]
 
-let by_id id =
-  List.assoc_opt id
-    (all (ctx Quick) : (string * (ctx -> Series.figure)) list)
+let by_id id = List.assoc_opt id all

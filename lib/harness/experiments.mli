@@ -64,7 +64,7 @@ val ablation_history : ctx -> Series.figure
 val ablation_eviction : ctx -> Series.figure
 (** Write-biased eviction under cache pressure. *)
 
-val all : ctx -> (string * (ctx -> Series.figure)) list
+val all : (string * (ctx -> Series.figure)) list
 (** Figure id -> builder, in presentation order (paper figures first). *)
 
 val by_id : string -> (ctx -> Series.figure) option

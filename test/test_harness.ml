@@ -56,8 +56,7 @@ let test_scale_parse () =
     (match E.scale_of_string "nope" with Error _ -> true | Ok _ -> false)
 
 let test_registry () =
-  let c = E.ctx E.Quick in
-  let ids = List.map fst (E.all c) in
+  let ids = List.map fst E.all in
   List.iter
     (fun id ->
        Alcotest.(check bool) (id ^ " registered") true (List.mem id ids))
