@@ -218,6 +218,55 @@ let test_lock_counter_no_history () =
   Samhita.System.run sys;
   Alcotest.(check (float 0.)) "invalidate fallback correct" 40.0 !final
 
+(* A lock-fallback notice that names a line this thread holds dirty: the
+   grant (no history, so [Notices]) must flush the ordinary store before
+   it invalidates the stale copy. Thread 0 caches line L before the
+   barrier, then stores w0 with no barrier afterwards; thread 1 stores w1
+   of the same line under the lock and releases; thread 0 then acquires
+   and must read both words back, and the home must hold w0. *)
+let test_notice_flushes_dirty_line () =
+  let config = { cfg with update_log_history = 0; prefetch = false } in
+  let sys = Samhita.System.create ~config ~threads:2 () in
+  let l = Samhita.System.mutex sys in
+  let bar = Samhita.System.barrier sys ~parties:2 in
+  let a = ref 0 in
+  let w0 = ref 0L and w1 = ref 0L in
+  for tid = 0 to 1 do
+    ignore
+      (Samhita.System.spawn sys (fun t ->
+           if tid = 0 then begin
+             a := T.malloc t ~bytes:16;
+             ignore (T.read_i64 t !a : int64)
+           end;
+           T.barrier_wait t bar;
+           if tid = 0 then begin
+             T.write_i64 t !a 42L;
+             (* Let thread 1's locked store and release land first. *)
+             T.idle_until t (T.now_ns t + 1_000_000);
+             T.mutex_lock t l;
+             w0 := T.read_i64 t !a;
+             w1 := T.read_i64 t (!a + 8);
+             T.mutex_unlock t l
+           end
+           else begin
+             T.mutex_lock t l;
+             T.write_i64 t (!a + 8) 7L;
+             T.mutex_unlock t l
+           end)
+        : T.t)
+  done;
+  Samhita.System.run sys;
+  let line = !a / line_bytes in
+  Alcotest.(check int) "both words on one line" line ((!a + 8) / line_bytes);
+  Alcotest.(check int64) "own ordinary store survives" 42L !w0;
+  Alcotest.(check int64) "locked store visible" 7L !w1;
+  let home =
+    (Samhita.System.servers sys).(Samhita.Home.server_of_line config ~line)
+  in
+  Alcotest.(check int64) "home holds w0" 42L
+    (Bytes.get_int64_le (Samhita.Memory_server.line home line)
+       (!a mod line_bytes))
+
 let test_nested_locks () =
   let threads = 2 in
   let addr = ref 0 in
@@ -591,6 +640,8 @@ let tests =
       test_lock_protected_counter;
     Alcotest.test_case "counter without history" `Quick
       test_lock_counter_no_history;
+    Alcotest.test_case "notice flushes dirty line" `Quick
+      test_notice_flushes_dirty_line;
     Alcotest.test_case "nested locks" `Quick test_nested_locks;
     Alcotest.test_case "mutual exclusion" `Quick
       test_mutual_exclusion_is_real;
