@@ -37,6 +37,9 @@ row jacobi --sanitize -t 4 -n 64 --iters 4
 row torture --kernel racy --seeds 5
 
 row serve --seed 7 -t 8 --clients 8 --requests 2000
+# Server promotion under serving traffic, with a sharded control plane.
+row serve --seed 7 -t 8 --clients 8 --requests 2000 --replication 1 \
+  --manager-shards 2 --crash
 
 for kernel in micro jacobi kv; do
   for mode in "" --crash --crash-shard --partition; do
@@ -48,3 +51,5 @@ done
 for kernel in micro racy abba gray; do
   row check --kernel "$kernel"
 done
+# RegCCheck's replicated geometry with one server crash.
+row check --kernel micro --crash
