@@ -282,6 +282,7 @@ let serve_cmd =
       [ ("--manager-shards", manager_shards > 1) ];
     if crash && replication = 0 then
       usage "--crash requires --replication 1";
+    let replication = replication = 1 in
     let fractions =
       String.split_on_char ',' load
       |> List.map (fun s ->

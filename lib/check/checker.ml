@@ -38,7 +38,7 @@ let config_for opts =
   else
     { base with
       Samhita.Config.memory_servers = 2;
-      replication = 1;
+      replication = true;
       lease_interval = Desim.Time.ns 20_000;
       fault = Some (Crash_server { server = 0; at_ns = 30_000 }) }
 

@@ -12,7 +12,7 @@ let register t =
   if t.id < 0 || t.id >= Config.max_threads then
     invalid_arg "Coherence_sc.register: thread id out of range (max_threads)";
   Hashtbl.replace t.e.sc.peers t.id
-    { p_node = Fabric.Scl.node t.endpoint; p_cache = t.cache }
+    { p_node = t.node; p_cache = t.cache }
 
 let peer t thread =
   match Hashtbl.find_opt t.e.sc.peers thread with
@@ -33,7 +33,7 @@ let owner sc ~line = (dirent sc line).owner
 (* A directory round trip from [line]'s home to SC peer [p]: a request
    out at [now], [bytes] back. Returns the reply's arrival at the home. *)
 let peer_round_trip t ~line p ~now ~bytes =
-  let home = Fabric.Scl.node (Memory_server.endpoint (server_of t line)) in
+  let home = Memory_server.node (server_of t line) in
   let out =
     Fabric.Network.transfer t.e.network ~now ~src:home ~dst:p.p_node
       ~bytes:Wire.fetch_request
@@ -128,7 +128,7 @@ let read_fetch t line : Cache.entry =
   Tset.add (dirent t.e.sc line).sharers t.id;
   let entry = install t ~line ~data ~version in
   (* --- end of transaction; pay the latency --- *)
-  await_reply t ~src:(Memory_server.endpoint srv) ~at:ready
+  await_reply t ~src:(Memory_server.node srv) ~at:ready
     ~bytes:(Wire.line_reply t.e.layout);
   entry
 
@@ -162,7 +162,7 @@ let acquire_exclusive t line ~commit : Cache.entry =
   Tset.clear d.sharers;
   commit e;
   (* --- end of transaction; pay the latency --- *)
-  await_reply t ~src:(Memory_server.endpoint srv) ~at:ready ~bytes:reply_bytes;
+  await_reply t ~src:(Memory_server.node srv) ~at:ready ~bytes:reply_bytes;
   e
 
 (* SC store hit: the entry when [addr]'s line is held exclusively, with

@@ -45,7 +45,7 @@ type t = {
   seed : int;
   fault_level : Fabric.Faults.level;
   shuffle : bool;
-  replication : int;
+  replication : bool;
   lease_interval : Desim.Time.span;
   manager_shards : int;
   fault : fault option;
@@ -77,7 +77,7 @@ let default =
     seed = 42;
     fault_level = Fabric.Faults.Off;
     shuffle = false;
-    replication = 0;
+    replication = false;
     lease_interval = Desim.Time.ns 100_000;
     manager_shards = 1;
     fault = None }
@@ -134,17 +134,13 @@ let validate t =
       "cost-model rates must be non-negative"
   in
   let* () =
-    check (t.replication = 0 || t.replication = 1)
-      "replication must be 0 or 1 (primary-backup)"
-  in
-  let* () =
     check
-      (t.replication = 0 || t.memory_servers >= 2)
+      ((not t.replication) || t.memory_servers >= 2)
       "replication requires memory_servers >= 2 (a backup must live on \
        another node)"
   in
   let* () =
-    check (t.replication = 0 || t.model = Regc)
+    check ((not t.replication) || t.model = Regc)
       "replication is only modeled for the regc engine"
   in
   let* () = check (t.lease_interval >= 1) "lease_interval must be >= 1ns" in
@@ -198,8 +194,8 @@ let validate t =
     in
     match f with
     | Partition_server _ ->
-      check (t.replication = 1)
-        "partition_server requires replication = 1 (promotion under a \
+      check t.replication
+        "partition_server requires replication (promotion under a \
          false suspicion needs a backup to promote)"
     | Crash_server _ | Crash_shard _ -> Ok ()
 
@@ -236,6 +232,6 @@ let pp ppf t =
     t.t_mem t.t_flop Desim.Time.pp_span t.server_service Desim.Time.pp_span
     t.manager_service t.diff_apply_ns_per_byte t.memory_servers
     t.threads_per_node t.fabric.Fabric.Profile.name
-    t.replication Desim.Time.pp_span t.lease_interval
+    (Bool.to_int t.replication) Desim.Time.pp_span t.lease_interval
     (fault_to_string t.fault)
     t.manager_shards max_threads

@@ -31,7 +31,7 @@ type partition_scope =
 type fault =
   | Crash_server of { server : int; at_ns : int }
       (** Fail-stop: memory server [server] (its fabric node) is dead
-          from [at_ns] on. Survivable only with [replication = 1]. *)
+          from [at_ns] on. Survivable only with [replication]. *)
   | Crash_shard of { shard : int; at_ns : int }
       (** Fail-stop for the control plane: manager shard [shard] is dead
           from [at_ns] on and its ring successor takes over its slice.
@@ -49,7 +49,7 @@ type fault =
           suspicion), the backup is promoted under a new epoch and stale
           traffic to/from the zombie is fenced. After the heal the zombie
           stays failed and fenced for the rest of the run: no slot maps
-          to it again. Requires [replication = 1]. *)
+          to it again. Requires [replication]. *)
 
 type t = {
   model : model;
@@ -104,15 +104,14 @@ type t = {
           of the default FIFO. One [(seed, shuffle)] pair is one fully
           deterministic, replayable schedule. *)
   (* Crash fault tolerance *)
-  replication : int;
-      (** Replication factor for memory-server state: 0 (off, default) or
-          1 (primary-backup — every [apply_diff]/[apply_update] is
-          synchronously mirrored to the next server, charging fabric and
-          service time). Requires [memory_servers >= 2] and the [Regc]
-          model. *)
+  replication : bool;
+      (** Primary-backup replication of memory-server state (off by
+          default): every [apply_diff]/[apply_update] is synchronously
+          mirrored to the next server, charging fabric and service time.
+          Requires [memory_servers >= 2] and the [Regc] model. *)
   lease_interval : Desim.Time.span;
       (** Heartbeat period of the lease-based failure detector, one
-          monitor on shard 0's node (active when [replication >= 1] or
+          monitor on shard 0's node (active when [replication] or
           [manager_shards >= 2]). A server or shard that fails to answer
           a heartbeat within {!Fabric.Scl.dead_retry_budget}
           retransmissions has its lease expired and recovery begins. *)

@@ -2,20 +2,17 @@
    facade. Sync objects (locks, barriers, condvars) get facade-global ids
    and are assigned to shards by the consistent-hash ring; allocation
    stays on shard 0 (one bump pointer keeps GAS addresses identical to
-   the unsharded build). A logical-to-physical shard map mirrors the
-   Directory's server map: after a shard crash, the ring successor
-   absorbs the dead shard's slice and the map repoints, so requesters
-   re-resolve and land on the takeover shard. With manager_shards = 1
-   everything degenerates to the classic singleton, byte-for-byte. *)
+   the unsharded build). Like the Directory's server map, the shard map
+   is derived from the one failure: after a shard crash, the ring
+   successor absorbs the dead shard's slice and serves its ids, so
+   requesters re-resolve and land on the takeover shard. With
+   manager_shards = 1 everything degenerates to the classic singleton,
+   byte-for-byte. *)
 
 type t = {
   engine : Desim.Engine.t;
   shards : Manager_shard.t array;  (* by logical shard id *)
   ring : Hash_ring.t;
-  (* physical.(logical) = shard currently serving that slice. Identity
-     until a shard crash promotes the ring successor. *)
-  physical : int array;
-  nodes : int array;  (* fabric node of each (logical) shard, pre-crash *)
   mutable next_id : int;
   mutable dead_shard : int option;
   (* Wake callbacks of requesters blocked on a dead peer (memory server
@@ -28,14 +25,12 @@ type t = {
   mutable redriven_pushes : int;
 }
 
-let create ~engine ~shards ~nodes =
+let create ~engine ~shards =
   let n = Array.length shards in
   if n < 1 then invalid_arg "Control_plane.create: at least one shard";
   { engine;
     shards;
     ring = Hash_ring.create ~shards:n;
-    physical = Array.init n Fun.id;
-    nodes;
     next_id = 1;
     dead_shard = None;
     parked = [];
@@ -51,13 +46,21 @@ let shard t i = t.shards.(i)
 
 let shards t = t.shards
 
-(* The shard currently serving sync object [id]. *)
-let shard_for t id = t.shards.(t.physical.(Hash_ring.lookup t.ring id))
+(* The ring successor takes over a dead shard's slice. *)
+let takeover_of t s = (s + 1) mod Array.length t.shards
+
+(* The shard currently serving sync object [id]: its ring owner, or the
+   owner's takeover once the owner failed. *)
+let shard_for t id =
+  let s = Hash_ring.lookup t.ring id in
+  match t.dead_shard with
+  | Some d when d = s -> t.shards.(takeover_of t s)
+  | _ -> t.shards.(s)
 
 (* Allocation is pinned to shard 0 so the bump pointer — and therefore
    every GAS address — matches the unsharded build exactly. Shard 0 is
    never killable (Config.validate). *)
-let alloc_shard t = t.shards.(t.physical.(0))
+let alloc_shard t = t.shards.(0)
 
 let fresh_id t =
   let id = t.next_id in
@@ -87,10 +90,15 @@ let shard_failed t logical = t.dead_shard = Some logical
 
 let any_shard_failed t = t.dead_shard <> None
 
-let shard_node_of t node =
-  let found = ref None in
-  Array.iteri (fun i n -> if n = node then found := Some i) t.nodes;
-  !found
+type peer = Server of int | Shard of int
+
+let peer_of_node t ~servers node =
+  match Array.find_index (fun s -> Memory_server.node s = node) servers with
+  | Some i -> Some (Server i)
+  | None ->
+    Option.map
+      (fun s -> Shard s)
+      (Array.find_index (fun sh -> Manager_shard.node sh = node) t.shards)
 
 let park t ~wake = t.parked <- wake :: t.parked
 
@@ -105,8 +113,9 @@ let note_shard_heartbeat t = t.shard_heartbeats <- t.shard_heartbeats + 1
 let sum f t = Array.fold_left (fun acc sh -> acc + f sh) 0 t.shards
 
 (* The ring successor absorbs the dead shard's slice. Mirrors
-   Directory.promote for memory servers: single-failure model, the map
-   repoints, parked requesters are rescheduled at [now]. *)
+   Directory.promote for memory servers: single-failure model, the dead
+   shard's ids now resolve to the takeover, parked requesters are
+   rescheduled at [now]. *)
 let recover_shard t ~dead ~probe ~now =
   if t.dead_shard <> None then
     invalid_arg
@@ -114,11 +123,7 @@ let recover_shard t ~dead ~probe ~now =
        model)";
   if dead = 0 then
     invalid_arg "Control_plane.recover_shard: shard 0 cannot be killed";
-  let n = Array.length t.shards in
-  let takeover = (dead + 1) mod n in
-  Array.iteri
-    (fun logical phys -> if phys = dead then t.physical.(logical) <- takeover)
-    t.physical;
+  let takeover = takeover_of t dead in
   t.dead_shard <- Some dead;
   t.takeovers <- t.takeovers + 1;
   let moved, redriven =

@@ -3,30 +3,29 @@
     Sync objects get facade-global ids assigned to shards by the
     consistent-hash ring ({!Hash_ring}); allocation is pinned to shard 0
     (one bump pointer keeps GAS addresses identical to the unsharded
-    build). A logical-to-physical shard map mirrors {!Directory}'s server
-    map: after a shard crash the ring successor absorbs the dead shard's
-    slice ({!Manager_shard.absorb}) and the map repoints, so requesters
-    re-resolve object ids and land on the takeover shard. With
-    [manager_shards = 1] every path degenerates to the classic singleton
-    manager, byte-for-byte. *)
+    build). Like {!Directory}'s server map, the shard map is derived from
+    the one failure the model allows: after a shard crash the ring
+    successor absorbs the dead shard's slice ({!Manager_shard.absorb}) and
+    serves its ids, so requesters re-resolve object ids and land on the
+    takeover shard. With [manager_shards = 1] every path degenerates to
+    the classic singleton manager, byte-for-byte. *)
 
 type t
 
-val create :
-  engine:Desim.Engine.t -> shards:Manager_shard.t array -> nodes:int array ->
-  t
-(** [nodes.(s)] is the fabric node hosting (logical) shard [s]. *)
+val create : engine:Desim.Engine.t -> shards:Manager_shard.t array -> t
+(** [shards.(s)] is logical shard [s]. *)
 
 val shard_count : t -> int
 val shard : t -> int -> Manager_shard.t
 val shards : t -> Manager_shard.t array
 
 val shard_for : t -> int -> Manager_shard.t
-(** The shard {e currently} serving sync object [id] (ring lookup, then
-    the logical-to-physical map). *)
+(** The shard {e currently} serving sync object [id]: its ring owner, or
+    the owner's ring successor once the owner failed. *)
 
 val alloc_shard : t -> Manager_shard.t
-(** The shard owning the GAS bump pointer (shard 0, or its takeover). *)
+(** The shard owning the GAS bump pointer: shard 0, which can never be
+    killed. *)
 
 (** {2 Sync-object creation} (facade-global ids) *)
 
@@ -38,13 +37,16 @@ val cond_create : t -> Manager_shard.cond_id
 
 val shard_failed : t -> int -> bool
 (** Whether this logical shard has been declared dead {e and} takeover
-    already repointed the map. *)
+    already ran. *)
 
 val any_shard_failed : t -> bool
 
-val shard_node_of : t -> int -> int option
-(** Reverse-map a fabric node to the logical shard hosted there (for
-    classifying [Scl.Node_dead]). *)
+type peer = Server of int | Shard of int
+
+val peer_of_node :
+  t -> servers:Memory_server.t array -> Fabric.Network.node -> peer option
+(** The memory server or logical shard hosted on a fabric node, if any:
+    the peer a failover on [Scl.Node_dead] waits for. *)
 
 (** {2 Failure detection and the park list}
 
@@ -69,7 +71,7 @@ val note_shard_heartbeat : t -> unit
 val recover_shard :
   t -> dead:int -> probe:Probe.t option -> now:Desim.Time.t -> int * int * int
 (** Declare logical shard [dead] failed: the ring successor absorbs its
-    slice, the map repoints, stranded reply pushes are re-driven, the
+    slice and serves its ids, stranded reply pushes are re-driven, the
     probe sees [Probe.on_takeover] and parked requesters are rescheduled.
     Returns [(takeover, objects_moved, pushes_redriven)]. Raises
     [Invalid_argument] on a second failure or for shard 0. *)
@@ -80,8 +82,8 @@ val recover_server :
   t -> dir:Directory.t -> servers:Memory_server.t array -> dead:int ->
   probe:Probe.t option -> now:Desim.Time.t -> int * int
 (** The sharded [promote -> replay -> wake] path: promote the backup
-    once ({!Directory.promote} stamps the repointed slots with a new
-    epoch, fencing the suspected server's stale traffic), replay every
+    once ({!Directory.promote} moves the dead server's slot to epoch 1,
+    fencing the suspected server's stale traffic), replay every
     shard's surviving update logs (ascending shard, then lock id), wake
     the parked threads once. Returns [(promoted, replayed_entries)]. *)
 

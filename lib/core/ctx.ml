@@ -38,7 +38,7 @@ type region = {
 type t = {
   id : int;
   e : env;
-  endpoint : Fabric.Scl.endpoint;
+  node : Fabric.Network.node;
   cache : Cache.t;
   arena : Allocator.Arena.t;
   (* Local compute time not yet synchronized with the global clock. A
@@ -79,7 +79,7 @@ type t = {
 let create e ~id ~node =
   { id;
     e;
-    endpoint = Fabric.Scl.endpoint e.network node;
+    node;
     cache = Cache.create e.cfg e.layout;
     arena = Allocator.Arena.create ();
     accum = Float.Array.make 1 0.;

@@ -1,25 +1,15 @@
-(* Logical-to-physical stripe map. Healthy systems have the identity map
-   and pay nothing; after a crash the manager's recovery protocol repoints
-   the dead logical server at its promoted backup. *)
+(* Logical-to-physical stripe map. Under the single-failure model it is
+   derived from the one dead server: healthy systems map every slot to
+   itself and pay nothing; after a promotion the dead server's own slot
+   maps to its backup under epoch 1. *)
 
 type t = {
   memory_servers : int;
-  (* physical.(logical) = index of the Memory_server currently serving
-     that logical stripe slot. Identity until a promotion. *)
-  physical : int array;
   (* The physical server declared fail-stop dead, once detected. A thread
      can observe deadness (Scl.Node_dead) before the manager's lease
      expires; [failed] distinguishes "recovery already ran" from "wait for
      it". *)
   mutable dead : int option;
-  mutable promotions : int;
-  (* Configuration epoch, monotonically increasing: bumped on every lease
-     expiry (promotion). epochs.(logical) is the epoch under which that
-     slot's current mapping was installed — clients stamp requests with
-     it and fence replies whose slot epoch moved mid-flight. All zero
-     until a promotion, so healthy runs never see a fence. *)
-  mutable cur_epoch : int;
-  epochs : int array;
   (* Gray-failure bookkeeping. *)
   mutable suspicions : int;
   mutable false_suspicions : int;
@@ -30,64 +20,61 @@ exception Stale_epoch
 
 let create (cfg : Config.t) =
   { memory_servers = cfg.Config.memory_servers;
-    physical = Array.init cfg.Config.memory_servers Fun.id;
     dead = None;
-    promotions = 0;
-    cur_epoch = 0;
-    epochs = Array.make cfg.Config.memory_servers 0;
     suspicions = 0;
     false_suspicions = 0;
     fenced = 0 }
-
-let physical_of_logical t logical =
-  if logical < 0 || logical >= t.memory_servers then
-    invalid_arg "Directory.physical_of_logical: bad logical server";
-  t.physical.(logical)
-
-let server_of_line t cfg ~line = t.physical.(Home.server_of_line cfg ~line)
 
 (* Primary-backup placement: the backup of server [i] is its ring
    successor. With replication on, [memory_servers >= 2] guarantees the
    backup is a different node. *)
 let backup_of t i = (i + 1) mod t.memory_servers
 
+let check_logical t logical what =
+  if logical < 0 || logical >= t.memory_servers then
+    invalid_arg ("Directory." ^ what ^ ": bad logical server")
+
+(* The repointed slot is the dead server's own: identity until a
+   promotion, then the backup. *)
+let physical t logical =
+  match t.dead with
+  | Some d when d = logical -> backup_of t d
+  | _ -> logical
+
+let physical_of_logical t logical =
+  check_logical t logical "physical_of_logical";
+  physical t logical
+
+let server_of_line t cfg ~line = physical t (Home.server_of_line cfg ~line)
+
 let failed t phys = t.dead = Some phys
 
+(* The promotion bumps the configuration epoch from 0 to 1 and stamps the
+   dead server's slot with it: a round trip that resolved the slot before
+   the promotion carries the old stamp and will be fenced. *)
 let promote t ~dead =
   if t.dead <> None then
     invalid_arg "Directory.promote: a server already failed (single-failure \
                  model)";
-  let e = t.cur_epoch + 1 in
-  t.cur_epoch <- e;
-  let promoted = backup_of t dead in
-  (* Every logical slot mapped at the dead physical server (the identity
-     slot, pre-promotion) repoints to the promoted backup and is stamped
-     with the new epoch — a round trip that resolved the slot before the
-     promotion carries the old stamp and will be fenced. *)
-  Array.iteri
-    (fun logical phys ->
-       if phys = dead then begin
-         t.physical.(logical) <- promoted;
-         t.epochs.(logical) <- e
-       end)
-    t.physical;
   t.dead <- Some dead;
-  t.promotions <- t.promotions + 1;
-  promoted
+  backup_of t dead
 
-let promotions t = t.promotions
+let epoch t = if t.dead = None then 0 else 1
 
-let epoch t = t.cur_epoch
+(* At most one promotion, and it is the epoch's one bump. *)
+let promotions = epoch
+
+let slot_epoch t logical =
+  match t.dead with Some d when d = logical -> 1 | _ -> 0
 
 let epoch_of t ~logical =
-  if logical < 0 || logical >= t.memory_servers then
-    invalid_arg "Directory.epoch_of: bad logical server";
-  t.epochs.(logical)
+  check_logical t logical "epoch_of";
+  slot_epoch t logical
 
 let note_fenced t = t.fenced <- t.fenced + 1
 
 let fence t ~logical ~epoch =
-  if t.epochs.(logical) <> epoch then begin
+  if slot_epoch t logical <> epoch then begin
     note_fenced t;
     raise Stale_epoch
   end

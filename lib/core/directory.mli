@@ -2,11 +2,13 @@
 
     {!Home.server_of_line} computes the {e logical} home of a line; this
     module maps logical servers to the physical {!Memory_server} currently
-    serving them. Healthy systems carry the identity map (one array read
-    on the fetch path); after a fail-stop crash the manager's recovery
-    protocol {!promote}s the dead server's backup and repoints the map, so
-    every subsequent fetch/flush lands on the promoted replica without the
-    threads knowing the topology changed. *)
+    serving them. The map is derived from the one failure the model
+    allows: healthy systems carry the identity map; after a fail-stop
+    crash the manager's recovery protocol {!promote}s the dead server's
+    backup, and from then on the dead server's own slot — the only one
+    that moves — maps to that backup, so every subsequent fetch/flush
+    lands on the promoted replica without the threads knowing the
+    topology changed. *)
 
 type t
 
@@ -34,24 +36,24 @@ val failed : t -> int -> bool
     before that must park via [Control_plane.park]). *)
 
 val promote : t -> dead:int -> int
-(** Declare physical server [dead] failed and repoint every logical slot
-    it served at its backup, stamping each repointed slot with the new
-    epoch [epoch t + 1]; returns the promoted physical index. Raises
+(** Declare physical server [dead] failed: its slot now maps to its
+    backup under epoch 1. Returns the promoted physical index. Raises
     [Invalid_argument] on a second failure (single-failure model). *)
 
 val promotions : t -> int
+(** 0, or 1 once {!promote} ran. *)
 
 (** {2 Epochs and fencing}
 
     The configuration epoch is the recovery protocol's defense against
-    gray failures: it is bumped on every lease expiry and stamped onto
-    the repointed directory slots, so traffic resolved under the old
-    mapping — a zombie primary's acks, a stale client's cached hint — is
-    detectably stale. All zero until a promotion; healthy runs never
+    gray failures: the promotion bumps it from 0 to 1, and the dead
+    server's slot carries the new epoch, so traffic resolved under the
+    old mapping — a zombie primary's acks, a stale client's cached hint —
+    is detectably stale. All zero until a promotion; healthy runs never
     fence. *)
 
 val epoch : t -> int
-(** Current configuration epoch (0 until the first promotion). *)
+(** Current configuration epoch (0 until the promotion, then 1). *)
 
 val epoch_of : t -> logical:int -> int
 (** Epoch under which this logical slot's current mapping was installed.

@@ -16,7 +16,7 @@ type grant = {
 type waiter = {
   w_thread : int;
   w_last_seen : int;
-  w_endpoint : Fabric.Scl.endpoint;
+  w_node : Fabric.Network.node;
   w_wake : grant -> unit;
 }
 
@@ -66,7 +66,7 @@ type lock_state = {
 
 type barrier_waiter = {
   b_thread : int;
-  b_endpoint : Fabric.Scl.endpoint;
+  b_node : Fabric.Network.node;
   b_wake : (int * Tset.t) list -> unit;
 }
 
@@ -83,7 +83,7 @@ type barrier_state = {
 
 type cond_waiter = {
   c_thread : int;
-  c_endpoint : Fabric.Scl.endpoint;
+  c_node : Fabric.Network.node;
   c_wake : unit -> unit;
 }
 
@@ -92,9 +92,9 @@ type cond_state = { cwaiters : cond_waiter Queue.t }
 (* A reply push (lock grant, barrier release, condvar wake) that could
    not leave this shard's node because the node was already declared dead
    at the send instant — the in-flight-request window of a shard crash.
-   The takeover shard re-drives these from its own endpoint. *)
+   The takeover shard re-drives these from its own node. *)
 type orphan = {
-  o_endpoint : Fabric.Scl.endpoint;  (* destination *)
+  o_node : Fabric.Network.node;  (* destination *)
   o_bytes : int;
   o_fire : unit -> unit;
 }
@@ -102,8 +102,8 @@ type orphan = {
 type t = {
   cfg : Config.t;
   layout : Layout.t;
-  engine : Desim.Engine.t;
-  endpoint : Fabric.Scl.endpoint;
+  network : Fabric.Network.t;
+  node : Fabric.Network.node;
   service : Desim.Resource.t;
   mutable cursor : int;  (* GAS bump pointer (facade: shard 0 only) *)
   locks : (lock_id, lock_state) Hashtbl.t;
@@ -116,11 +116,11 @@ type t = {
   patch_versions : (int, int) Hashtbl.t;
 }
 
-let create cfg layout ~engine ~endpoint =
+let create cfg layout ~network ~node =
   { cfg;
     layout;
-    engine;
-    endpoint;
+    network;
+    node;
     service = Desim.Resource.create ~name:"manager" ();
     cursor = 0;
     locks = Hashtbl.create 64;
@@ -130,7 +130,7 @@ let create cfg layout ~engine ~endpoint =
     orphans = [];
     patch_versions = Hashtbl.create 16 }
 
-let endpoint t = t.endpoint
+let node t = t.node
 let service t = t.service
 
 (* Every blocking reply is a push riding the retrying primitive: a
@@ -139,17 +139,13 @@ let service t = t.service
    was in flight) is stashed and re-driven by the takeover shard, so the
    requester never re-sends a request the shard already executed. *)
 let push t ~now ~dst ~bytes fire =
-  let net = Fabric.Scl.network t.endpoint in
   try
     let arrival =
-      Fabric.Scl.reliable_transfer net ~now
-        ~src:(Fabric.Scl.node t.endpoint)
-        ~dst:(Fabric.Scl.node dst)
-        ~bytes
+      Fabric.Scl.reliable_transfer t.network ~now ~src:t.node ~dst ~bytes
     in
-    Desim.Engine.schedule_at t.engine arrival fire
+    Desim.Engine.schedule_at (Fabric.Network.engine t.network) arrival fire
   with Fabric.Scl.Node_dead _ ->
-    t.orphans <- { o_endpoint = dst; o_bytes = bytes; o_fire = fire }
+    t.orphans <- { o_node = dst; o_bytes = bytes; o_fire = fire }
                  :: t.orphans
 
 (* ------------------------------------------------------------------ *)
@@ -266,20 +262,20 @@ let grant_for t st ~last_seen =
   in
   { lock_version = st.version; action; wire_bytes = wire }
 
-let lock_acquire t ~now ~lock ~thread ~last_seen ~endpoint ~wake =
+let lock_acquire t ~now ~lock ~thread ~last_seen ~node ~wake =
   if thread < 0 then
     invalid_arg "Manager_shard.lock_acquire: negative thread id";
   let st = lock_state t lock in
   if st.holder = no_holder then begin
     st.holder <- thread;
     let g = grant_for t st ~last_seen in
-    push t ~now ~dst:endpoint ~bytes:g.wire_bytes (fun () -> wake g)
+    push t ~now ~dst:node ~bytes:g.wire_bytes (fun () -> wake g)
   end
   else if st.holder = thread then
     invalid_arg "Manager_shard.lock_acquire: thread already holds the lock"
   else
     Queue.push
-      { w_thread = thread; w_last_seen = last_seen; w_endpoint = endpoint;
+      { w_thread = thread; w_last_seen = last_seen; w_node = node;
         w_wake = wake }
       st.waiters
 
@@ -299,7 +295,7 @@ let record_release t st ~now ~thread ~log ~line_versions =
     let w = Queue.take st.waiters in
     st.holder <- w.w_thread;
     let g = grant_for t st ~last_seen:w.w_last_seen in
-    push t ~now ~dst:w.w_endpoint ~bytes:g.wire_bytes (fun () -> w.w_wake g)
+    push t ~now ~dst:w.w_node ~bytes:g.wire_bytes (fun () -> w.w_wake g)
   end
 
 let lock_release t ~seq ~now ~lock ~thread ~log ~line_versions =
@@ -352,7 +348,7 @@ let barrier_register t ~id ~parties =
       bwaiters = [];
       epoch_writers = Hashtbl.create 64 }
 
-let barrier_arrive t ~now ~barrier ~thread ~lines ~endpoint ~wake =
+let barrier_arrive t ~now ~barrier ~thread ~lines ~node ~wake =
   if thread < 0 then
     invalid_arg "Manager_shard.barrier_arrive: negative thread id";
   let st = barrier_state t barrier in
@@ -371,7 +367,7 @@ let barrier_arrive t ~now ~barrier ~thread ~lines ~endpoint ~wake =
   st.arrived <- st.arrived + 1;
   if st.arrived < st.parties then
     st.bwaiters <-
-      { b_thread = thread; b_endpoint = endpoint; b_wake = wake }
+      { b_thread = thread; b_node = node; b_wake = wake }
       :: st.bwaiters
   else begin
     let all =
@@ -380,10 +376,10 @@ let barrier_arrive t ~now ~barrier ~thread ~lines ~endpoint ~wake =
     let wire = Wire.barrier_release all in
     List.iter
       (fun w ->
-         push t ~now ~dst:w.b_endpoint ~bytes:wire (fun () -> w.b_wake all))
+         push t ~now ~dst:w.b_node ~bytes:wire (fun () -> w.b_wake all))
       st.bwaiters;
     (* The last arriver's own release goes out after every waiter's. *)
-    push t ~now ~dst:endpoint ~bytes:wire (fun () -> wake all);
+    push t ~now ~dst:node ~bytes:wire (fun () -> wake all);
     st.bwaiters <- [];
     st.arrived <- 0;
     st.epoch <- st.epoch + 1;
@@ -408,13 +404,13 @@ let cond_state t cond =
 let cond_register t ~id =
   Hashtbl.replace t.conds id { cwaiters = Queue.create () }
 
-let cond_wait t ~cond ~thread ~endpoint ~wake =
+let cond_wait t ~cond ~thread ~node ~wake =
   let st = cond_state t cond in
-  Queue.push { c_thread = thread; c_endpoint = endpoint; c_wake = wake }
+  Queue.push { c_thread = thread; c_node = node; c_wake = wake }
     st.cwaiters
 
 let wake_one t ~now w =
-  push t ~now ~dst:w.c_endpoint ~bytes:Wire.ack (fun () -> w.c_wake ())
+  push t ~now ~dst:w.c_node ~bytes:Wire.ack (fun () -> w.c_wake ())
 
 let cond_signal t ~now ~cond =
   let st = cond_state t cond in
@@ -510,11 +506,11 @@ let absorb t ~from ~now =
   Hashtbl.reset from.barriers;
   Hashtbl.reset from.conds;
   (* Re-drive reply pushes the dead shard could not send, from the
-     takeover shard's own endpoint. Oldest first. *)
+     takeover shard's own node. Oldest first. *)
   let orphans = List.rev from.orphans in
   from.orphans <- [];
   List.iter
-    (fun o -> push t ~now ~dst:o.o_endpoint ~bytes:o.o_bytes o.o_fire)
+    (fun o -> push t ~now ~dst:o.o_node ~bytes:o.o_bytes o.o_fire)
     orphans;
   (!moved, List.length orphans)
 

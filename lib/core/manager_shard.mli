@@ -55,10 +55,12 @@ type grant = {
 }
 
 val create :
-  Config.t -> Layout.t -> engine:Desim.Engine.t -> endpoint:Fabric.Scl.endpoint ->
+  Config.t -> Layout.t -> network:Fabric.Network.t -> node:Fabric.Network.node ->
   t
+(** A shard running on fabric node [node] of [network]; its reply pushes
+    leave from there. *)
 
-val endpoint : t -> Fabric.Scl.endpoint
+val node : t -> Fabric.Network.node
 val service : t -> Desim.Resource.t
 
 (** {2 Allocation}
@@ -80,8 +82,8 @@ val lock_register : t -> id:lock_id -> unit
 
 val lock_acquire :
   t -> now:Desim.Time.t -> lock:lock_id -> thread:int -> last_seen:int ->
-  endpoint:Fabric.Scl.endpoint -> wake:(grant -> unit) -> unit
-(** If free, grants at once: the grant is pushed to [endpoint] from
+  node:Fabric.Network.node -> wake:(grant -> unit) -> unit
+(** If free, grants at once: the grant is pushed to [node] from
     [~now]. If held, queues the waiter, and the release that hands the
     lock over pushes its grant. Either way [wake] runs when the grant
     arrives. Raises [Invalid_argument] if [thread] is negative or already
@@ -134,7 +136,7 @@ val barrier_register : t -> id:barrier_id -> parties:int -> unit
 
 val barrier_arrive :
   t -> now:Desim.Time.t -> barrier:barrier_id -> thread:int ->
-  lines:int list -> endpoint:Fabric.Scl.endpoint ->
+  lines:int list -> node:Fabric.Network.node ->
   wake:((int * Tset.t) list -> unit) -> unit
 (** Register arrival along with the lines this thread wrote (flushed) during
     the ending interval. The last arriver triggers the release: the shard
@@ -152,7 +154,7 @@ val barrier_epoch : t -> barrier_id -> int
 val cond_register : t -> id:cond_id -> unit
 
 val cond_wait :
-  t -> cond:cond_id -> thread:int -> endpoint:Fabric.Scl.endpoint ->
+  t -> cond:cond_id -> thread:int -> node:Fabric.Network.node ->
   wake:(unit -> unit) -> unit
 (** Register a waiter. The caller must have released the associated mutex
     first and must re-acquire it after [wake] (pthreads semantics). *)
@@ -175,6 +177,6 @@ val replay :
 val absorb : t -> from:t -> now:Desim.Time.t -> int * int
 (** Shard takeover: move every sync object of dead shard [from] into this
     shard and re-drive [from]'s stranded reply pushes from this shard's
-    endpoint. Returns [(objects_moved, pushes_redriven)]. *)
+    node. Returns [(objects_moved, pushes_redriven)]. *)
 
 val replayed_updates : t -> int

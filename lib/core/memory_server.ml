@@ -1,6 +1,6 @@
 type t = {
   id : int;
-  endpoint : Fabric.Scl.endpoint;
+  node : Fabric.Network.node;
   layout : Layout.t;
   cfg : Config.t;
   store : (int, bytes) Hashtbl.t;
@@ -18,9 +18,9 @@ type t = {
   mutable degraded : int;
 }
 
-let create cfg layout ~id ~endpoint =
+let create cfg layout ~id ~node =
   { id;
-    endpoint;
+    node;
     layout;
     cfg;
     store = Hashtbl.create 1024;
@@ -35,7 +35,7 @@ let create cfg layout ~id ~endpoint =
     degraded = 0 }
 
 let id t = t.id
-let endpoint t = t.endpoint
+let node t = t.node
 let service t = t.service
 
 let set_backup t b = t.backup <- Some b

@@ -10,10 +10,12 @@
 type t
 
 val create :
-  Config.t -> Layout.t -> id:int -> endpoint:Fabric.Scl.endpoint -> t
+  Config.t -> Layout.t -> id:int -> node:Fabric.Network.node -> t
 
 val id : t -> int
-val endpoint : t -> Fabric.Scl.endpoint
+val node : t -> Fabric.Network.node
+(** The fabric node this server runs on. *)
+
 val service : t -> Desim.Resource.t
 
 val set_backup : t -> t -> unit

@@ -244,7 +244,7 @@ let pp_report ppf sys =
   if Option.is_some (Fabric.Network.faults net) then
     Format.fprintf ppf "fault injection     %a@," pp_faults
       (faults_of_system sys);
-  if cfg.Config.replication > 0 || crash then
+  if cfg.Config.replication || crash then
     Format.fprintf ppf "fault tolerance     %a@," pp_replication
       (replication_of_system sys);
   if gray then

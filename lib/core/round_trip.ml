@@ -10,11 +10,11 @@ open Ctx
    full round trip lands). Fault-free, this is Network.transfer verbatim. *)
 let transfer_to t ~dst ~bytes =
   Fabric.Scl.reliable_transfer t.e.network ~now:(now t)
-    ~src:(Fabric.Scl.node t.endpoint) ~dst:(Fabric.Scl.node dst) ~bytes
+    ~src:t.node ~dst ~bytes
 
 let transfer_from t ~src ~at ~bytes =
   Fabric.Scl.reliable_transfer t.e.network ~now:at
-    ~src:(Fabric.Scl.node src) ~dst:(Fabric.Scl.node t.endpoint) ~bytes
+    ~src ~dst:t.node ~bytes
 
 let delay_until t instant =
   Desim.Engine.delay (Desim.Time.diff instant (now t))
@@ -29,7 +29,7 @@ let await_reply t ~src ~at ~bytes =
    the caller runs the shard operation there and takes the reply leg
    from it. *)
 let shard_request t mgr ~bytes =
-  let arrival = transfer_to t ~dst:(Manager_shard.endpoint mgr) ~bytes in
+  let arrival = transfer_to t ~dst:(Manager_shard.node mgr) ~bytes in
   Desim.Resource.reserve (Manager_shard.service mgr) ~now:arrival
     ~duration:t.e.cfg.Config.manager_service
 
@@ -46,11 +46,11 @@ let retryable = function
 (* Run a protocol interaction, absorbing a fail-stop crash of its peer:
    wait out the paid retransmission timeouts, park until recovery
    repoints the peer (unless it already has), then re-run [f] — which
-   re-resolves its peer and lands on the replacement. The dead node's
-   role names the recovery. A memory server (nodes 1..memory_servers)
-   is replaced by its promoted backup once the monitor repoints the
-   directory. A manager shard (never one of those nodes) is absorbed by
-   its ring successor once the monitor repoints the shard map.
+   re-resolves its peer and lands on the replacement. The peer hosted on
+   the dead node ({!Control_plane.peer_of_node}) names the recovery. A
+   memory server is replaced by its promoted backup once the monitor
+   repoints the directory. A manager shard is absorbed by its ring
+   successor once the monitor runs the takeover.
    [f] must be safe to re-run: a memory-server interaction mutates state
    only after its full round trip lands (the simulation-wide idiom). An
    acquire or a barrier arrival re-runs only when its request leg failed,
@@ -74,17 +74,17 @@ let rec with_failover t f =
 and failover t exn =
   match exn with
   | Fabric.Scl.Node_dead (node, at) ->
-    let server = node >= 1 && node <= t.e.cfg.Config.memory_servers in
-    let shard =
-      if server then None else Control_plane.shard_node_of t.e.cp node
+    let peer =
+      match Control_plane.peer_of_node t.e.cp ~servers:t.e.servers node with
+      | Some peer -> peer
+      | None -> raise exn
     in
-    if (not server) && Option.is_none shard then raise exn;
     t.m_failovers <- t.m_failovers + 1;
     if Desim.Time.( < ) (now t) at then delay_until t at;
     let recovered =
-      match shard with
-      | None -> Directory.failed t.e.dir (node - 1)
-      | Some logical -> Control_plane.shard_failed t.e.cp logical
+      match peer with
+      | Control_plane.Server i -> Directory.failed t.e.dir i
+      | Control_plane.Shard s -> Control_plane.shard_failed t.e.cp s
     in
     if not recovered then
       Desim.Engine.suspend ~register:(fun ~wake ->
@@ -107,13 +107,13 @@ and failover t exn =
    replay covers the gap. A dead primary propagates to the caller's
    {!with_failover}. *)
 let replicate_ready t srv ~at ~payload_bytes =
-  if t.e.cfg.Config.replication = 0 then (at, false)
+  if not t.e.cfg.Config.replication then (at, false)
   else
     match Memory_server.backup srv with
     | None -> (at, false)
     | Some b ->
-      let pnode = Fabric.Scl.node (Memory_server.endpoint srv) in
-      let bnode = Fabric.Scl.node (Memory_server.endpoint b) in
+      let pnode = Memory_server.node srv in
+      let bnode = Memory_server.node b in
       (try
          let m_arrival =
            Fabric.Scl.reliable_transfer t.e.network ~now:at ~src:pnode
@@ -139,7 +139,7 @@ let replicate_ready t srv ~at ~payload_bytes =
    This is the one place a request to a memory server is charged. *)
 let home_request t srv ~request ~payload =
   let arrival =
-    transfer_to t ~dst:(Memory_server.endpoint srv) ~bytes:request
+    transfer_to t ~dst:(Memory_server.node srv) ~bytes:request
   in
   Desim.Resource.reserve (Memory_server.service srv) ~now:arrival
     ~duration:(Memory_server.service_time_for_bytes srv payload)
@@ -159,13 +159,12 @@ let home_request t srv ~request ~payload =
 let home_rpc t ~logical ~request ~payload ~mirror ~reply =
   let epoch = Directory.epoch_of t.e.dir ~logical in
   let srv = t.e.servers.(Directory.physical_of_logical t.e.dir logical) in
-  let sep = Memory_server.endpoint srv in
   let served = home_request t srv ~request ~payload in
   let ready, mirrored =
     if mirror then replicate_ready t srv ~at:served ~payload_bytes:payload
     else (served, false)
   in
-  await_reply t ~src:sep ~at:ready ~bytes:reply;
+  await_reply t ~src:(Memory_server.node srv) ~at:ready ~bytes:reply;
   Directory.fence t.e.dir ~logical ~epoch;
   if mirrored then Memory_server.note_mirror srv ~bytes:payload;
   mirrored

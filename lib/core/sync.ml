@@ -128,7 +128,7 @@ let rec acquire_grant t lock ~last_seen =
     let served = shard_request t mgr ~bytes:Wire.acquire_request in
     Desim.Engine.suspend ~register:(fun ~wake ->
         Manager_shard.lock_acquire mgr ~now:served ~lock ~thread:t.id
-          ~last_seen ~endpoint:t.endpoint ~wake)
+          ~last_seen ~node:t.node ~wake)
   with
   | grant -> grant
   | exception exn when retryable exn ->
@@ -177,7 +177,7 @@ let rec release_lock t lock ~seq ~log ~line_versions =
         ~log ~line_versions
     in
     Hashtbl.replace t.lock_seen lock version;
-    await_reply t ~src:(Manager_shard.endpoint mgr) ~at:served
+    await_reply t ~src:(Manager_shard.node mgr) ~at:served
       ~bytes:Wire.ack
   with
   | () -> ()
@@ -220,7 +220,7 @@ let barrier_wait t barrier =
         let served = shard_request t mgr ~bytes:(Wire.barrier_arrive lines) in
         Desim.Engine.suspend ~register:(fun ~wake ->
             Manager_shard.barrier_arrive mgr ~now:served ~barrier
-              ~thread:t.id ~lines ~endpoint:t.endpoint ~wake))
+              ~thread:t.id ~lines ~node:t.node ~wake))
   in
   probe_barrier t ~barrier ~epoch `Depart;
   apply_writer_notices t all;
@@ -237,7 +237,7 @@ let cond_wait t cond lock =
      signal finds no waiter and the wakeup is lost. The latch handles a
      signal that lands before we manage to suspend. *)
   let state = ref `Armed in
-  Manager_shard.cond_wait mgr ~cond ~thread:t.id ~endpoint:t.endpoint
+  Manager_shard.cond_wait mgr ~cond ~thread:t.id ~node:t.node
     ~wake:(fun () ->
         match !state with
         | `Suspended wake -> wake ()
@@ -276,7 +276,7 @@ let cond_wake_op t cond ~broadcast =
         else Manager_shard.cond_signal mgr ~now:served ~cond
       in
       ignore (woken : int);
-      await_reply t ~src:(Manager_shard.endpoint mgr) ~at:served
+      await_reply t ~src:(Manager_shard.node mgr) ~at:served
         ~bytes:Wire.ack);
   t.m_sync <- t.m_sync + Desim.Time.diff (now t) start
 

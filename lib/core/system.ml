@@ -36,13 +36,6 @@ let delay_until t at =
   let now = Desim.Engine.now (engine t) in
   if Desim.Time.( < ) now at then Desim.Engine.delay (Desim.Time.diff at now)
 
-let node_of_server t i =
-  Fabric.Scl.node (Memory_server.endpoint (servers t).(i))
-
-let node_of_shard t s =
-  Fabric.Scl.node
-    (Manager_shard.endpoint (Control_plane.shard (control_plane t) s))
-
 (* A memory server's lease expired: the monitor knows at the give-up
    instant of its last retransmission, and detection, promotion, replay
    and wakeups all land there (replay cost is charged implicitly via the
@@ -55,15 +48,16 @@ let expire_server t i ~give_up =
   delay_until t give_up;
   let { Ctx.engine; network; dir; cp; servers; probe; _ } = t.env in
   let now = Desim.Engine.now engine in
+  let node = Memory_server.node servers.(i) in
   Directory.note_suspicion dir;
   let truly_dead =
     match Fabric.Network.faults network with
-    | Some f -> Fabric.Faults.node_dead f ~node:(1 + i) ~at:now
+    | Some f -> Fabric.Faults.node_dead f ~node ~at:now
     | None -> false
   in
   if not truly_dead then Directory.note_false_suspicion dir;
   (match probe with
-   | Some p -> p.Probe.on_crash ~time:now ~node:(1 + i) ~server:i
+   | Some p -> p.Probe.on_crash ~time:now ~node ~server:i
    | None -> ());
   let promoted, replayed =
     Control_plane.recover_server cp ~dir ~servers ~dead:i ~probe ~now
@@ -88,8 +82,8 @@ let expire_server t i ~give_up =
    probe is read when a recovery runs: it is attached after this spawn. *)
 let spawn_monitor t =
   let { Ctx.cfg; engine; network = net; dir; cp; servers; _ } = t.env in
-  let src = node_of_shard t 0 in
-  let leases = cfg.Config.replication >= 1 in
+  let src = Manager_shard.node (Control_plane.shard cp 0) in
+  let leases = cfg.Config.replication in
   let ms = Array.length servers in
   let nshards = Control_plane.shard_count cp in
   let watch_shards () =
@@ -99,7 +93,7 @@ let spawn_monitor t =
     if i < ms then
       if Directory.failed dir i then heartbeat_servers (i + 1)
       else
-        match heartbeat net ~src ~dst:(node_of_server t i) with
+        match heartbeat net ~src ~dst:(Memory_server.node servers.(i)) with
         | _ ->
           Control_plane.note_heartbeat cp;
           heartbeat_servers (i + 1)
@@ -108,7 +102,9 @@ let spawn_monitor t =
   in
   let rec heartbeat_shards s =
     if s < nshards then
-      match heartbeat net ~src ~dst:(node_of_shard t s) with
+      match
+        heartbeat net ~src ~dst:(Manager_shard.node (Control_plane.shard cp s))
+      with
       | _ ->
         Control_plane.note_shard_heartbeat cp;
         heartbeat_shards (s + 1)
@@ -156,6 +152,7 @@ let create ?(config = Config.default) ~threads () =
      exactly the historical map. *)
   let node_count = 1 + ms + compute_nodes + (nshards - 1) in
   let first_compute_node = 1 + ms in
+  let server_node i = 1 + i in
   let shard_node s =
     if s = 0 then
       (* §V future work: a single-node system can synchronize locally. *)
@@ -163,7 +160,7 @@ let create ?(config = Config.default) ~threads () =
     else 1 + ms + compute_nodes + (s - 1)
   in
   (* The injected failure in fabric-node terms: memory server [srv]
-     lives on node [1 + srv], manager shard [s] on [shard_node s].
+     lives on node [server_node srv], manager shard [s] on [shard_node s].
      Partition scope Isolate cuts the victim off from every peer; Control
      cuts only the manager-shard nodes, so clients keep reaching the
      deposed primary — the zombie scenario. A fault policy is attached
@@ -175,7 +172,7 @@ let create ?(config = Config.default) ~threads () =
     Option.map
       (function
         | Config.Crash_server { server; at_ns } ->
-          Fabric.Faults.Crash { node = 1 + server; at = ns at_ns }
+          Fabric.Faults.Crash { node = server_node server; at = ns at_ns }
         | Config.Crash_shard { shard; at_ns } ->
           Fabric.Faults.Crash { node = shard_node shard; at = ns at_ns }
         | Config.Partition_server { server; scope; start_ns; heal_ns } ->
@@ -185,7 +182,7 @@ let create ?(config = Config.default) ~threads () =
             | Config.Control -> List.init nshards shard_node
           in
           Fabric.Faults.Partition
-            { victim = 1 + server; peers; start = ns start_ns;
+            { victim = server_node server; peers; start = ns start_ns;
               heal = ns heal_ns })
       config.Config.fault
   in
@@ -201,20 +198,17 @@ let create ?(config = Config.default) ~threads () =
       ~node_count
   in
   let layout = Layout.of_config config in
-  let shard_nodes = Array.init nshards shard_node in
   let shards =
     Array.init nshards (fun s ->
-        Manager_shard.create config layout ~engine
-          ~endpoint:(Fabric.Scl.endpoint network shard_nodes.(s)))
+        Manager_shard.create config layout ~network ~node:(shard_node s))
   in
-  let cp = Control_plane.create ~engine ~shards ~nodes:shard_nodes in
+  let cp = Control_plane.create ~engine ~shards in
   let servers =
     Array.init ms (fun i ->
-        Memory_server.create config layout ~id:i
-          ~endpoint:(Fabric.Scl.endpoint network (1 + i)))
+        Memory_server.create config layout ~id:i ~node:(server_node i))
   in
   let dir = Directory.create config in
-  if config.Config.replication >= 1 then
+  if config.Config.replication then
     Array.iteri
       (fun i srv ->
          Memory_server.set_backup srv servers.(Directory.backup_of dir i))
@@ -230,7 +224,7 @@ let create ?(config = Config.default) ~threads () =
       finished = 0;
       last_finish = Desim.Time.zero }
   in
-  if config.Config.replication >= 1 || nshards >= 2 then spawn_monitor t;
+  if config.Config.replication || nshards >= 2 then spawn_monitor t;
   (* Partition heal-wake: a client can park in the park list after
      escalating against the partitioned victim even though no lease ever
      expires (Isolate windows shorter than the monitor's escalation).

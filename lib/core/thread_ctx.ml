@@ -52,7 +52,7 @@ let maybe_prefetch t line =
     let srv = t.e.servers.(Directory.physical_of_logical t.e.dir logical) in
     match
       let served = home_request t srv ~request:Wire.fetch_request ~payload:0 in
-      transfer_from t ~src:(Memory_server.endpoint srv) ~at:served
+      transfer_from t ~src:(Memory_server.node srv) ~at:served
         ~bytes:(Wire.line_reply t.e.layout)
     with
     | arrival ->
@@ -249,7 +249,7 @@ let write_f64 t addr v = write_i64 t addr (Int64.bits_of_float v)
 let manager_alloc_rpc t ~kind ~bytes =
   let mgr = Control_plane.alloc_shard t.e.cp in
   let served = shard_request t mgr ~bytes:Wire.alloc_request in
-  await_reply t ~src:(Manager_shard.endpoint mgr) ~at:served
+  await_reply t ~src:(Manager_shard.node mgr) ~at:served
     ~bytes:Wire.alloc_reply;
   Manager_shard.alloc mgr ~kind ~bytes
 

@@ -47,91 +47,78 @@ let node_count t = Array.length t.tx
 let check_node t n =
   if n < 0 || n >= node_count t then invalid_arg "Network: bad node id"
 
-let transfer t ~now ~src ~dst ~bytes =
+(* The sender's side of every message that leaves [src], delivered or
+   lost: validate it, count it, pay the post overhead, then occupy the
+   injection port (or, on a loopback, copy through memory). Returns the
+   instant the message has left the sender. This is the one place a
+   message is charged to its sender. *)
+let send t ~now ~src ~dst ~bytes =
   check_node t src;
   check_node t dst;
-  if bytes < 0 then invalid_arg "Network.transfer: negative size";
+  if bytes < 0 then invalid_arg "Network: negative size";
   t.messages <- t.messages + 1;
   t.bytes <- t.bytes + bytes;
-  let wire_bytes = bytes + t.profile.Profile.header_bytes in
   let start = Desim.Time.add now t.profile.Profile.post_overhead in
   if src = dst then
-    (* Loopbacks never cross the fabric, so faults do not apply. *)
-    let copy =
-      Desim.Time.span_of_rate ~bytes ~bytes_per_s:loopback_bandwidth
-    in
-    Desim.Time.add start copy
+    Desim.Time.add start
+      (Desim.Time.span_of_rate ~bytes ~bytes_per_s:loopback_bandwidth)
   else
-    let at_switch = Link.occupy t.tx.(src) ~now:start ~bytes:wire_bytes in
-    let arrival = Link.occupy t.rx.(dst) ~now:at_switch ~bytes:wire_bytes in
+    Link.occupy t.tx.(src) ~now:start
+      ~bytes:(bytes + t.profile.Profile.header_bytes)
+
+let transfer t ~now ~src ~dst ~bytes =
+  let sent = send t ~now ~src ~dst ~bytes in
+  if src = dst then
+    (* Loopbacks never cross the fabric, so faults do not apply. *)
+    sent
+  else
+    let arrival =
+      Link.occupy t.rx.(dst) ~now:sent
+        ~bytes:(bytes + t.profile.Profile.header_bytes)
+    in
     match t.faults with
     | None -> arrival
     | Some f -> Faults.perturb f ~src ~dst ~arrival
 
-(* A transfer that may be lost in the fabric. A dropped message still paid
-   the post overhead and occupied the injection port (it left the sender
-   and died in flight); it never reaches the receive port. Loopbacks and
-   fault-free networks always deliver.
+(* A transfer that may be lost in the fabric. A lost message still paid
+   its sender's side ({!send}: it left the sender and died in flight); it
+   never reaches the receive port. Loopbacks and fault-free networks
+   always deliver. The fault policy is consulted in a fixed order —
+   deadness, partition, then the drop draw — so a seed's schedule
+   depends only on the messages sent.
 
    Fail-stop crashes surface here too: a message addressed to a node that
    is dead at the send instant leaves the sender and dies at the silent
    NIC ([`Node_dead dst]); a dead source cannot transmit at all
    ([`Node_dead src], nothing enters the fabric). Deadness is checked at
    the send instant — a message already in flight when its target dies is
-   delivered (the bytes were committed to the wire). *)
+   delivered (the bytes were committed to the wire).
+
+   A closed partition ([`Unreachable victim]) costs the sender exactly
+   what a drop costs, with both endpoints alive: only escalation after
+   repeated timeouts distinguishes "slow" from "gone". *)
 let try_transfer t ~now ~src ~dst ~bytes =
   match t.faults with
-  | Some f
-    when src <> dst
-         && (Faults.node_dead f ~node:src ~at:now
-             || Faults.node_dead f ~node:dst ~at:now) ->
-    check_node t src;
-    check_node t dst;
-    if bytes < 0 then invalid_arg "Network.try_transfer: negative size";
+  | Some f when src <> dst ->
     if Faults.node_dead f ~node:src ~at:now then `Node_dead src
-    else begin
-      t.messages <- t.messages + 1;
-      t.bytes <- t.bytes + bytes;
-      let wire_bytes = bytes + t.profile.Profile.header_bytes in
-      let start = Desim.Time.add now t.profile.Profile.post_overhead in
-      ignore (Link.occupy t.tx.(src) ~now:start ~bytes:wire_bytes
-              : Desim.Time.t);
+    else if Faults.node_dead f ~node:dst ~at:now then begin
+      ignore (send t ~now ~src ~dst ~bytes : Desim.Time.t);
       Faults.note_dead_send f;
       `Node_dead dst
     end
-  | Some f when src <> dst
-                && Faults.unreachable_peer f ~src ~dst ~at:now <> None ->
-    (* A closed partition: the message leaves the sender, occupies the
-       injection port, and dies at the wall. Both endpoints are alive, so
-       the sender pays exactly what a drop costs — only escalation after
-       repeated timeouts distinguishes "slow" from "gone". *)
-    check_node t src;
-    check_node t dst;
-    if bytes < 0 then invalid_arg "Network.try_transfer: negative size";
-    t.messages <- t.messages + 1;
-    t.bytes <- t.bytes + bytes;
-    let wire_bytes = bytes + t.profile.Profile.header_bytes in
-    let start = Desim.Time.add now t.profile.Profile.post_overhead in
-    ignore (Link.occupy t.tx.(src) ~now:start ~bytes:wire_bytes
-            : Desim.Time.t);
-    Faults.note_unreachable f ~src ~dst ~at:now;
-    let victim =
+    else begin
       match Faults.unreachable_peer f ~src ~dst ~at:now with
-      | Some v -> v
-      | None -> assert false
-    in
-    `Unreachable victim
-  | Some f when src <> dst && Faults.should_drop ~at:now f ~src ~dst ->
-    check_node t src;
-    check_node t dst;
-    if bytes < 0 then invalid_arg "Network.try_transfer: negative size";
-    t.messages <- t.messages + 1;
-    t.bytes <- t.bytes + bytes;
-    let wire_bytes = bytes + t.profile.Profile.header_bytes in
-    let start = Desim.Time.add now t.profile.Profile.post_overhead in
-    ignore (Link.occupy t.tx.(src) ~now:start ~bytes:wire_bytes
-            : Desim.Time.t);
-    `Dropped
+      | Some victim ->
+        ignore (send t ~now ~src ~dst ~bytes : Desim.Time.t);
+        Faults.note_unreachable f ~src ~dst ~at:now;
+        `Unreachable victim
+      | None ->
+        if Faults.should_drop ~at:now f ~src ~dst then begin
+          ignore (send t ~now ~src ~dst ~bytes : Desim.Time.t);
+          `Dropped
+        end
+        else `Delivered (transfer t ~now ~src ~dst ~bytes)
+    end
   | _ -> `Delivered (transfer t ~now ~src ~dst ~bytes)
 
 let one_way_estimate t ~bytes =

@@ -1,9 +1,3 @@
-type endpoint = { net : Network.t; node : Network.node }
-
-let endpoint net node = { net; node }
-let node e = e.node
-let network e = e.net
-
 (* Retransmission policy: the timeout starts at roughly one uncontended
    round trip for the message size and doubles per attempt (capped), the
    classic go-back retry. Faults bound consecutive drops per (src,dst)

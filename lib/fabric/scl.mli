@@ -2,17 +2,13 @@
 
     The paper abstracts the interconnect behind SCL, a direct-memory-access
     style interface (mapping naturally onto InfiniBand verbs). This module
-    is that interface for the simulated fabric: endpoints are (network,
-    node) pairs. Its core is {!reliable_transfer}, a pure timing
-    computation of one retransmitted message; the protocol layers compose
-    their round trips from it, each charging the target's service loop
-    (a {!Desim.Resource}) between the request and reply legs. *)
-
-type endpoint
-
-val endpoint : Network.t -> Network.node -> endpoint
-val node : endpoint -> Network.node
-val network : endpoint -> Network.t
+    is that interface for the simulated fabric. A peer is addressed by its
+    fabric node ({!Network.node}): every memory server, manager shard and
+    compute thread holds the node it runs on. The core is
+    {!reliable_transfer}, a pure timing computation of one retransmitted
+    message; the protocol layers compose their round trips from it, each
+    charging the target's service loop (a {!Desim.Resource}) between the
+    request and reply legs. *)
 
 (** {2 Reliable delivery under fault injection} *)
 
@@ -48,7 +44,7 @@ val reliable_transfer :
     {!Samhita.Manager_shard}) route every protocol message through this,
     which is what makes RegC survive transient loss.
 
-    @raise Node_dead when an endpoint is fail-stop dead and the retry
+    @raise Node_dead when a peer is fail-stop dead and the retry
     budget is exhausted. *)
 
 val retry_timeout : Network.t -> bytes:int -> attempt:int -> Desim.Time.span

@@ -19,7 +19,7 @@ type point = {
 type t = {
   backend : string;
   threads : int;
-  replication : int;
+  replication : bool;
   manager_shards : int;
   crash : bool;
   kv : Workload.Kv.params;
@@ -103,15 +103,13 @@ let with_rate (kv : Workload.Kv.params) rate =
 let run ?(fractions = default_fractions) ?(manager_shards = 1) ~backend:kind
     ~threads ~replication ~crash (kv : Workload.Kv.params) =
   if threads <= 0 then invalid_arg "Serving.run: threads";
-  if replication < 0 || replication > 1 then
-    invalid_arg "Serving.run: replication must be 0 or 1";
   if manager_shards < 1 then
     invalid_arg "Serving.run: manager_shards must be >= 1";
-  if kind = Pth && (replication > 0 || crash || manager_shards > 1) then
+  if kind = Pth && (replication || crash || manager_shards > 1) then
     invalid_arg
       "Serving.run: replication, crash and manager shards need the smh \
        backend";
-  if crash && replication = 0 then
+  if crash && not replication then
     invalid_arg "Serving.run: a crash is survivable only with replication";
   if fractions = [] then invalid_arg "Serving.run: empty load sweep";
   List.iter
@@ -161,7 +159,7 @@ let pp ppf t =
     t.backend t.threads tp.Workload.Traffic.keys t.kv.Workload.Kv.shards
     tp.Workload.Traffic.clients tp.Workload.Traffic.requests
     tp.Workload.Traffic.zipf_s tp.Workload.Traffic.read_fraction
-    t.replication
+    (Bool.to_int t.replication)
     (if t.manager_shards > 1 then
        Printf.sprintf " mshards=%d" t.manager_shards
      else "")
@@ -188,7 +186,7 @@ let to_json t =
   Buffer.add_string b "{\n";
   Printf.bprintf b "  \"backend\": \"%s\",\n" t.backend;
   Printf.bprintf b "  \"threads\": %d,\n" t.threads;
-  Printf.bprintf b "  \"replication\": %d,\n" t.replication;
+  Printf.bprintf b "  \"replication\": %d,\n" (Bool.to_int t.replication);
   Printf.bprintf b "  \"manager_shards\": %d,\n" t.manager_shards;
   Printf.bprintf b "  \"crash\": %b,\n" t.crash;
   Printf.bprintf b "  \"keys\": %d,\n" tp.Workload.Traffic.keys;

@@ -28,7 +28,7 @@ type point = {
 type t = {
   backend : string;
   threads : int;
-  replication : int;
+  replication : bool;
   manager_shards : int;  (** Control-plane shards (1 = classic manager). *)
   crash : bool;
   kv : Workload.Kv.params;  (** Base parameters; rate set per point. *)
@@ -41,13 +41,13 @@ val run :
   ?manager_shards:int ->
   backend:backend_kind ->
   threads:int ->
-  replication:int ->
+  replication:bool ->
   crash:bool ->
   Workload.Kv.params -> t
 (** Deterministic per seed. [replication]/[crash]/[manager_shards > 1]
     need [Smh] (two memory servers are used for every Smh run so
     replication on/off compares like for like); [crash] needs
-    [replication = 1] and injects a fail-stop memory-server crash
+    [replication] and injects a fail-stop memory-server crash
     mid-sweep-point, measuring what a lease-detected promotion costs the
     tail. [fractions] defaults to [0.25; 0.5; 0.75; 0.9; 1.5], four
     stable points and one past capacity. [manager_shards] (default 1)

@@ -90,7 +90,7 @@ let config_for ~kernel ~level ~mode ~seed rng =
     in
     { base with
       Samhita.Config.memory_servers = ms;
-      replication = 1;
+      replication = true;
       lease_interval = Desim.Time.ns 20_000 }
   in
   match mode with

@@ -46,7 +46,7 @@ let test_report_counter_lines () =
   let ft =
     { cfg with
       memory_servers = 2;
-      replication = 1;
+      replication = true;
       lease_interval = Desim.Time.ns 20_000 }
   in
   let labels =

@@ -105,14 +105,6 @@ let test_network_counters () =
   Alcotest.(check int) "messages" 2 (Fabric.Network.messages net);
   Alcotest.(check int) "bytes" 30 (Fabric.Network.bytes_carried net)
 
-(* ---------------- SCL ---------------- *)
-
-let test_scl_node_accessors () =
-  let _, net = mk_net () in
-  let ep = Fabric.Scl.endpoint net 3 in
-  Alcotest.(check int) "node" 3 (Fabric.Scl.node ep);
-  Alcotest.(check bool) "network" true (Fabric.Scl.network ep == net)
-
 (* ---------------- Profiles ---------------- *)
 
 let test_profiles_sane () =
@@ -205,7 +197,6 @@ let tests =
       test_network_contention_at_receiver;
     Alcotest.test_case "bad node" `Quick test_network_bad_node;
     Alcotest.test_case "counters" `Quick test_network_counters;
-    Alcotest.test_case "scl endpoints" `Quick test_scl_node_accessors;
     Alcotest.test_case "profiles sane" `Quick test_profiles_sane;
     Alcotest.test_case "span_of_rate matches the float formula" `Quick
       test_span_of_rate_matches_formula;

@@ -259,6 +259,65 @@ let test_delivery_before_crash_instant () =
     (Desim.Time.to_ns (Fabric.Scl.reliable_transfer net1 ~now:t0 ~src:0
                          ~dst:1 ~bytes:1000))
 
+(* Every way a message can be lost charges its sender exactly once: the
+   network counts one message and its bytes, the injection port gains one
+   transfer and the receive port none. A dead source transmits nothing,
+   so nothing moves. *)
+let test_loss_charges_sender_once () =
+  let bytes = 256 in
+  let counters net =
+    ( Fabric.Network.messages net,
+      Fabric.Network.bytes_carried net,
+      Fabric.Link.transfers (Fabric.Network.tx_link net 0),
+      Fabric.Link.transfers (Fabric.Network.rx_link net 1) )
+  in
+  let send net = Fabric.Network.try_transfer net ~now:t0 ~src:0 ~dst:1 ~bytes in
+  let moved (m0, b0, tx0, rx0) (m1, b1, tx1, rx1) =
+    [ m1 - m0; b1 - b0; tx1 - tx0; rx1 - rx0 ]
+  in
+  let charged_once name before after =
+    Alcotest.(check (list int)) (name ^ ": messages, bytes, tx, rx")
+      [ 1; bytes; 1; 0 ] (moved before after)
+  in
+  let injected injection =
+    snd (mk_net ~faults:(Fabric.Faults.create ~injection ~seed:3
+                           ~level:Fabric.Faults.Off ()) ())
+  in
+  let net = injected (Crash { node = 1; at = t0 }) in
+  let before = counters net in
+  (match send net with
+   | `Node_dead 1 -> charged_once "dead destination" before (counters net)
+   | _ -> Alcotest.fail "dead destination: expected Node_dead 1");
+  let net =
+    injected
+      (Partition
+         { victim = 1; peers = []; start = t0; heal = Desim.Time.of_ns 1_000_000 })
+  in
+  let before = counters net in
+  (match send net with
+   | `Unreachable 1 -> charged_once "partition" before (counters net)
+   | _ -> Alcotest.fail "partition: expected Unreachable 1");
+  let _, net =
+    mk_net ~faults:(Fabric.Faults.create ~seed:3 ~level:Fabric.Faults.High ())
+      ()
+  in
+  let rec until_dropped attempts =
+    if attempts = 0 then Alcotest.fail "drop: no send was dropped";
+    let before = counters net in
+    match send net with
+    | `Dropped -> charged_once "drop" before (counters net)
+    | `Delivered _ -> until_dropped (attempts - 1)
+    | _ -> Alcotest.fail "drop: unexpected loss"
+  in
+  until_dropped 10_000;
+  let net = injected (Crash { node = 0; at = t0 }) in
+  let before = counters net in
+  (match send net with
+   | `Node_dead 0 ->
+     Alcotest.(check (list int)) "dead source: nothing moves" [ 0; 0; 0; 0 ]
+       (moved before (counters net))
+   | _ -> Alcotest.fail "dead source: expected Node_dead 0")
+
 let tests =
   [ Alcotest.test_case "level_of_string" `Quick test_level_of_string;
     Alcotest.test_case "off is inert" `Quick test_off_is_inert;
@@ -282,6 +341,8 @@ let tests =
     Alcotest.test_case "dead src sends nothing" `Quick
       test_dead_src_sends_nothing;
     Alcotest.test_case "delivery before crash instant" `Quick
-      test_delivery_before_crash_instant ]
+      test_delivery_before_crash_instant;
+    Alcotest.test_case "every loss charges the sender once" `Quick
+      test_loss_charges_sender_once ]
 
 let () = Alcotest.run "fabric.faults" [ ("faults", tests) ]

@@ -413,11 +413,7 @@ let prop_lock_history_matches_list =
          Fabric.Network.create engine ~profile:cfg.Samhita.Config.fabric
            ~node_count:2
        in
-       let endpoint = Fabric.Scl.endpoint net 1 in
-       let m =
-         Samhita.Manager_shard.create cfg layout ~engine
-           ~endpoint:(Fabric.Scl.endpoint net 0)
-       in
+       let m = Samhita.Manager_shard.create cfg layout ~network:net ~node:0 in
        let lock = 1 in
        Samhita.Manager_shard.lock_register m ~id:lock;
        let model = List_history.create ~keep in
@@ -426,7 +422,7 @@ let prop_lock_history_matches_list =
          let last_seen = max 0 (model.List_history.version - gap) in
          let got = ref None in
          Samhita.Manager_shard.lock_acquire m ~now:(now ()) ~lock ~thread:1
-           ~last_seen ~endpoint ~wake:(fun g -> got := Some g);
+           ~last_seen ~node:1 ~wake:(fun g -> got := Some g);
          Desim.Engine.run engine;
          match !got with
          | None -> false

@@ -5,34 +5,19 @@ let cfg = Samhita.Config.default
 let layout = Samhita.Layout.of_config cfg
 let t0 = Desim.Time.zero
 
-let mk () =
-  let e = Desim.Engine.create () in
-  let net =
-    Fabric.Network.create e ~profile:cfg.Samhita.Config.fabric ~node_count:4
-  in
-  let m =
-    Samhita.Manager_shard.create cfg layout ~engine:e
-      ~endpoint:(Fabric.Scl.endpoint net 0)
-  in
-  (e, net, m)
-
 let mk_with cfg' =
   let e = Desim.Engine.create () in
   let net =
     Fabric.Network.create e ~profile:cfg'.Samhita.Config.fabric ~node_count:4
   in
-  let m =
-    Samhita.Manager_shard.create cfg' layout ~engine:e
-      ~endpoint:(Fabric.Scl.endpoint net 0)
-  in
-  (e, net, m)
+  (e, Samhita.Manager_shard.create cfg' layout ~network:net ~node:0)
 
-let ep net n = Fabric.Scl.endpoint net n
+let mk () = mk_with cfg
 
 (* ---------------- allocation ---------------- *)
 
 let test_alloc_alignment () =
-  let _, _, m = mk () in
+  let _, m = mk () in
   let lb = Samhita.Config.line_bytes cfg in
   let a1 = Samhita.Manager_shard.alloc m ~kind:`Shared ~bytes:24 in
   Alcotest.(check int) "shared 8-aligned" 0 (a1 mod 8);
@@ -46,7 +31,7 @@ let test_alloc_alignment () =
     (Samhita.Manager_shard.gas_used m >= a3 + 1000)
 
 let test_alloc_invalid () =
-  let _, _, m = mk () in
+  let _, m = mk () in
   Alcotest.check_raises "zero"
     (Invalid_argument "Manager_shard.alloc: bytes must be positive") (fun () ->
       ignore (Samhita.Manager_shard.alloc m ~kind:`Shared ~bytes:0))
@@ -58,17 +43,17 @@ let now e = Desim.Engine.now e
 (* Every grant is a push: the acquire only registers [wake], and the grant
    lands once the engine runs the transfer. Returns the grant, or [None]
    while the thread is queued. *)
-let acquire e m ~lock ~thread ~last_seen ~endpoint =
+let acquire e m ~lock ~thread ~last_seen ~node =
   let got = ref None in
   Samhita.Manager_shard.lock_acquire m ~now:(now e) ~lock ~thread ~last_seen
-    ~endpoint ~wake:(fun g ->
+    ~node ~wake:(fun g ->
         if !got <> None then Alcotest.fail "grant delivered twice";
         got := Some g);
   Desim.Engine.run e;
   !got
 
-let acquired e m ~lock ~thread ~last_seen ~endpoint =
-  match acquire e m ~lock ~thread ~last_seen ~endpoint with
+let acquired e m ~lock ~thread ~last_seen ~node =
+  match acquire e m ~lock ~thread ~last_seen ~node with
   | Some g -> g
   | None -> Alcotest.fail "lock should be free"
 
@@ -80,13 +65,13 @@ let not_holder =
   Invalid_argument "Manager_shard.lock_release: thread does not hold the lock"
 
 let test_lock_grant_free () =
-  let e, net, m = mk () in
+  let e, m = mk () in
   let l = 1 in
   Samhita.Manager_shard.lock_register m ~id:l;
   Alcotest.(check (option int)) "free" None (Samhita.Manager_shard.lock_holder m l);
   let got = ref None in
   Samhita.Manager_shard.lock_acquire m ~now:(now e) ~lock:l ~thread:1
-    ~last_seen:0 ~endpoint:(ep net 2) ~wake:(fun g -> got := Some g);
+    ~last_seen:0 ~node:2 ~wake:(fun g -> got := Some g);
   Alcotest.(check (option int)) "held at once" (Some 1)
     (Samhita.Manager_shard.lock_holder m l);
   Alcotest.(check bool) "the grant is a scheduled fabric event" true
@@ -101,18 +86,18 @@ let test_lock_grant_free () =
   | None -> Alcotest.fail "grant never arrived"
 
 let test_lock_reacquire_by_holder () =
-  let e, net, m = mk () in
+  let e, m = mk () in
   let l = 1 in
   Samhita.Manager_shard.lock_register m ~id:l;
   ignore
-    (acquired e m ~lock:l ~thread:1 ~last_seen:0 ~endpoint:(ep net 2)
+    (acquired e m ~lock:l ~thread:1 ~last_seen:0 ~node:2
      : Samhita.Manager_shard.grant);
   Alcotest.check_raises "holder re-acquire rejected"
     (Invalid_argument
        "Manager_shard.lock_acquire: thread already holds the lock")
     (fun () ->
        Samhita.Manager_shard.lock_acquire m ~now:(now e) ~lock:l ~thread:1
-         ~last_seen:0 ~endpoint:(ep net 2)
+         ~last_seen:0 ~node:2
          ~wake:(fun _ -> Alcotest.fail "no second grant"));
   Desim.Engine.run e;
   Alcotest.(check (option int)) "still held" (Some 1)
@@ -121,15 +106,15 @@ let test_lock_reacquire_by_holder () =
     (Samhita.Manager_shard.lock_waiters m l)
 
 let test_lock_queue_and_handoff () =
-  let e, net, m = mk () in
+  let e, m = mk () in
   let l = 1 in
   Samhita.Manager_shard.lock_register m ~id:l;
   ignore
-    (acquired e m ~lock:l ~thread:1 ~last_seen:0 ~endpoint:(ep net 2)
+    (acquired e m ~lock:l ~thread:1 ~last_seen:0 ~node:2
      : Samhita.Manager_shard.grant);
   let woken = ref None in
   Samhita.Manager_shard.lock_acquire m ~now:(now e) ~lock:l ~thread:2
-    ~last_seen:0 ~endpoint:(ep net 3) ~wake:(fun g -> woken := Some g);
+    ~last_seen:0 ~node:3 ~wake:(fun g -> woken := Some g);
   Desim.Engine.run e;
   Alcotest.(check bool) "queued behind the holder" true (!woken = None);
   (* Holder releases with a log; waiter gets the lock and a Patch. *)
@@ -151,11 +136,11 @@ let test_lock_queue_and_handoff () =
    | None -> Alcotest.fail "waiter never woken")
 
 let test_lock_release_not_holder () =
-  let e, net, m = mk () in
+  let e, m = mk () in
   let l = 1 in
   Samhita.Manager_shard.lock_register m ~id:l;
   ignore
-    (acquired e m ~lock:l ~thread:1 ~last_seen:0 ~endpoint:(ep net 2)
+    (acquired e m ~lock:l ~thread:1 ~last_seen:0 ~node:2
      : Samhita.Manager_shard.grant);
   Alcotest.check_raises "wrong thread" not_holder (fun () ->
       ignore
@@ -164,14 +149,14 @@ let test_lock_release_not_holder () =
 (* A free lock has no holder, recorded as -1: a negative thread id can
    neither acquire nor release it. *)
 let test_lock_negative_thread () =
-  let e, net, m = mk () in
+  let e, m = mk () in
   let l = 1 in
   Samhita.Manager_shard.lock_register m ~id:l;
   Alcotest.check_raises "acquire"
     (Invalid_argument "Manager_shard.lock_acquire: negative thread id")
     (fun () ->
        Samhita.Manager_shard.lock_acquire m ~now:(now e) ~lock:l ~thread:(-1)
-         ~last_seen:0 ~endpoint:(ep net 2) ~wake:(fun _ -> ()));
+         ~last_seen:0 ~node:2 ~wake:(fun _ -> ()));
   Alcotest.check_raises "release of a free lock" not_holder (fun () ->
       ignore
         (release e m ~seq:1 ~lock:l ~thread:(-1) ~log:[] ~line_versions:[]
@@ -184,11 +169,11 @@ let test_lock_release_error_mutates_nothing () =
      untouched: same holder, same version, and the waiter queue intact —
      the queued waiter is still handed the lock by the legitimate
      release afterwards. *)
-  let e, net, m = mk () in
+  let e, m = mk () in
   let l = 1 in
   Samhita.Manager_shard.lock_register m ~id:l;
   ignore
-    (acquired e m ~lock:l ~thread:1 ~last_seen:0 ~endpoint:(ep net 2)
+    (acquired e m ~lock:l ~thread:1 ~last_seen:0 ~node:2
      : Samhita.Manager_shard.grant);
   ignore
     (release e m ~seq:1 ~lock:l ~thread:1
@@ -196,11 +181,11 @@ let test_lock_release_error_mutates_nothing () =
        ~line_versions:[ (0, 1) ]
      : int);
   ignore
-    (acquired e m ~lock:l ~thread:1 ~last_seen:1 ~endpoint:(ep net 2)
+    (acquired e m ~lock:l ~thread:1 ~last_seen:1 ~node:2
      : Samhita.Manager_shard.grant);
   let woken = ref None in
   Samhita.Manager_shard.lock_acquire m ~now:(now e) ~lock:l ~thread:2
-    ~last_seen:0 ~endpoint:(ep net 3) ~wake:(fun g -> woken := Some g);
+    ~last_seen:0 ~node:3 ~wake:(fun g -> woken := Some g);
   Desim.Engine.run e;
   Alcotest.(check bool) "queued behind the holder" true (!woken = None);
   let version_before = Samhita.Manager_shard.lock_version m l in
@@ -233,7 +218,7 @@ let test_lock_release_error_mutates_nothing () =
 let test_lock_release_free_lock () =
   (* Releasing a never-acquired lock is the same misuse: raises, and the
      lock stays free at version 0. *)
-  let e, _, m = mk () in
+  let e, m = mk () in
   let l = 1 in
   Samhita.Manager_shard.lock_register m ~id:l;
   Alcotest.check_raises "free lock rejected" not_holder (fun () ->
@@ -247,13 +232,13 @@ let test_lock_release_free_lock () =
   Alcotest.(check int) "version still 0" 0 (Samhita.Manager_shard.lock_version m l)
 
 let test_lock_patch_aggregates_history () =
-  let e, net, m = mk () in
+  let e, m = mk () in
   let l = 1 in
   Samhita.Manager_shard.lock_register m ~id:l;
   (* Three acquire/release rounds by thread 1. *)
   for i = 1 to 3 do
     ignore
-      (acquired e m ~lock:l ~thread:1 ~last_seen:(i - 1) ~endpoint:(ep net 2)
+      (acquired e m ~lock:l ~thread:1 ~last_seen:(i - 1) ~node:2
        : Samhita.Manager_shard.grant);
     Alcotest.(check int) "release returns its version" i
       (release e m ~seq:i ~lock:l ~thread:1
@@ -261,7 +246,7 @@ let test_lock_patch_aggregates_history () =
          ~line_versions:[ (0, i) ])
   done;
   (* A thread that last saw version 1 gets updates 2 and 3, aggregated. *)
-  match acquired e m ~lock:l ~thread:2 ~last_seen:1 ~endpoint:(ep net 3) with
+  match acquired e m ~lock:l ~thread:2 ~last_seen:1 ~node:3 with
   | { action = Samhita.Manager_shard.Patch (log, lvs); lock_version; _ } ->
     Alcotest.(check int) "current version" 3 lock_version;
     Alcotest.(check (list int)) "updates 2 then 3 (oldest first)"
@@ -277,11 +262,11 @@ let test_lock_duplicate_release_keeps_its_version () =
      another thread has released since. Recording the lock's current
      version instead would make the retrying thread's next acquire Fresh
      and skip the other thread's update. *)
-  let e, net, m = mk () in
+  let e, m = mk () in
   let l = 1 in
   Samhita.Manager_shard.lock_register m ~id:l;
   let acquire ~thread ~last_seen =
-    acquired e m ~lock:l ~thread ~last_seen ~endpoint:(ep net (thread + 1))
+    acquired e m ~lock:l ~thread ~last_seen ~node:(thread + 1)
   in
   let release ~thread ~addr ~line_versions =
     release e m ~seq:1 ~lock:l ~thread
@@ -308,12 +293,12 @@ let test_lock_duplicate_release_keeps_its_version () =
 let test_lock_notices_fallback () =
   (* History depth 1: a two-version gap cannot be patched. *)
   let cfg' = { cfg with update_log_history = 1 } in
-  let e, net, m = mk_with cfg' in
+  let e, m = mk_with cfg' in
   let l = 1 in
   Samhita.Manager_shard.lock_register m ~id:l;
   for i = 1 to 3 do
     ignore
-      (acquired e m ~lock:l ~thread:1 ~last_seen:(i - 1) ~endpoint:(ep net 2)
+      (acquired e m ~lock:l ~thread:1 ~last_seen:(i - 1) ~node:2
        : Samhita.Manager_shard.grant);
     ignore
       (release e m ~seq:i ~lock:l ~thread:1
@@ -321,7 +306,7 @@ let test_lock_notices_fallback () =
          ~line_versions:[ (i, i) ]
        : int)
   done;
-  match acquired e m ~lock:l ~thread:2 ~last_seen:0 ~endpoint:(ep net 3) with
+  match acquired e m ~lock:l ~thread:2 ~last_seen:0 ~node:3 with
   | { action = Samhita.Manager_shard.Notices ns; _ } ->
     Alcotest.(check (list (pair int int))) "touched map"
       [ (1, 1); (2, 2); (3, 3) ]
@@ -329,16 +314,16 @@ let test_lock_notices_fallback () =
   | _ -> Alcotest.fail "expected Notices"
 
 let test_lock_grant_wire_grows_with_payload () =
-  let e, net, m = mk () in
+  let e, m = mk () in
   let l = 1 in
   Samhita.Manager_shard.lock_register m ~id:l;
-  let g0 = acquired e m ~lock:l ~thread:1 ~last_seen:0 ~endpoint:(ep net 2) in
+  let g0 = acquired e m ~lock:l ~thread:1 ~last_seen:0 ~node:2 in
   ignore
     (release e m ~seq:1 ~lock:l ~thread:1
        ~log:(List.init 10 (fun i -> Samhita.Update.of_i64 ~addr:(i * 8) 0L))
        ~line_versions:[ (0, 1) ]
      : int);
-  let g1 = acquired e m ~lock:l ~thread:2 ~last_seen:0 ~endpoint:(ep net 3) in
+  let g1 = acquired e m ~lock:l ~thread:2 ~last_seen:0 ~node:3 in
   Alcotest.(check bool) "patch reply bigger than fresh reply" true
     (g1.Samhita.Manager_shard.wire_bytes > g0.Samhita.Manager_shard.wire_bytes)
 
@@ -348,13 +333,13 @@ let writer_sets all =
   List.sort compare (List.map (fun (l, s) -> (l, Samhita.Tset.to_list s)) all)
 
 let test_barrier_release_and_masks () =
-  let e, net, m = mk () in
+  let e, m = mk () in
   let b = 1 in
   Samhita.Manager_shard.barrier_register m ~id:b ~parties:3;
   let woken = ref [] in
   let arrive thread lines =
     Samhita.Manager_shard.barrier_arrive m ~now:(now e) ~barrier:b ~thread
-      ~lines ~endpoint:(ep net 2)
+      ~lines ~node:2
       ~wake:(fun ns -> woken := (thread, ns) :: !woken);
     Desim.Engine.run e
   in
@@ -375,15 +360,15 @@ let test_barrier_release_and_masks () =
   Alcotest.(check int) "epoch advanced" 1 (Samhita.Manager_shard.barrier_epoch m b)
 
 let test_barrier_reusable () =
-  let e, net, m = mk () in
+  let e, m = mk () in
   let b = 1 in
   Samhita.Manager_shard.barrier_register m ~id:b ~parties:2;
   for epoch = 0 to 2 do
     let got = ref None in
     Samhita.Manager_shard.barrier_arrive m ~now:(now e) ~barrier:b ~thread:0
-      ~lines:[ epoch ] ~endpoint:(ep net 2) ~wake:(fun _ -> ());
+      ~lines:[ epoch ] ~node:2 ~wake:(fun _ -> ());
     Samhita.Manager_shard.barrier_arrive m ~now:(now e) ~barrier:b ~thread:1
-      ~lines:[] ~endpoint:(ep net 3) ~wake:(fun all -> got := Some all);
+      ~lines:[] ~node:3 ~wake:(fun all -> got := Some all);
     Desim.Engine.run e;
     match !got with
     | Some all ->
@@ -396,14 +381,14 @@ let test_barrier_reusable () =
   Alcotest.(check int) "three epochs" 3 (Samhita.Manager_shard.barrier_epoch m b)
 
 let test_barrier_thread_id_range () =
-  let e, net, m = mk () in
+  let e, m = mk () in
   let b = 1 in
   Samhita.Manager_shard.barrier_register m ~id:b ~parties:1;
   (* Thread ids beyond the old 62-entry mask limit are legal now that
      writer sets are bitsets; only negative ids are rejected. *)
   let got = ref None in
   Samhita.Manager_shard.barrier_arrive m ~now:(now e) ~barrier:b ~thread:62
-    ~lines:[ 7 ] ~endpoint:(ep net 2) ~wake:(fun all -> got := Some all);
+    ~lines:[ 7 ] ~node:2 ~wake:(fun all -> got := Some all);
   Desim.Engine.run e;
   (match !got with
    | Some all ->
@@ -416,10 +401,10 @@ let test_barrier_thread_id_range () =
     (Invalid_argument "Manager_shard.barrier_arrive: negative thread id")
     (fun () ->
        Samhita.Manager_shard.barrier_arrive m ~now:(now e) ~barrier:b
-         ~thread:(-1) ~lines:[] ~endpoint:(ep net 2) ~wake:(fun _ -> ()))
+         ~thread:(-1) ~lines:[] ~node:2 ~wake:(fun _ -> ()))
 
 let test_barrier_invalid_parties () =
-  let _, _, m = mk () in
+  let _, m = mk () in
   Alcotest.check_raises "parties"
     (Invalid_argument "Manager_shard.barrier_create: parties") (fun () ->
       Samhita.Manager_shard.barrier_register m ~id:1 ~parties:0)
@@ -441,8 +426,7 @@ let test_orphaned_replies_redriven () =
       ~node_count:4
   in
   let shard node =
-    Samhita.Manager_shard.create cfg layout ~engine:e
-      ~endpoint:(Fabric.Scl.endpoint net node)
+    Samhita.Manager_shard.create cfg layout ~network:net ~node
   in
   let dead = shard 0 and live = shard 1 in
   let l = 1 and b = 2 in
@@ -450,12 +434,12 @@ let test_orphaned_replies_redriven () =
   Samhita.Manager_shard.barrier_register dead ~id:b ~parties:2;
   let grants = ref [] and releases = ref [] in
   Samhita.Manager_shard.lock_acquire dead ~now:(now e) ~lock:l ~thread:2
-    ~last_seen:0 ~endpoint:(ep net 2)
+    ~last_seen:0 ~node:2
     ~wake:(fun g -> grants := g :: !grants);
   List.iter
     (fun thread ->
        Samhita.Manager_shard.barrier_arrive dead ~now:(now e) ~barrier:b
-         ~thread ~lines:[ 5 ] ~endpoint:(ep net thread)
+         ~thread ~lines:[ 5 ] ~node:thread
          ~wake:(fun all -> releases := (thread, all) :: !releases))
     [ 2; 3 ];
   Desim.Engine.run e;
@@ -494,12 +478,12 @@ let test_orphaned_replies_redriven () =
 (* ---------------- condition variables ---------------- *)
 
 let test_cond_signal_fifo () =
-  let e, net, m = mk () in
+  let e, m = mk () in
   let c = 1 in
   Samhita.Manager_shard.cond_register m ~id:c;
   let woken = ref [] in
   for i = 1 to 3 do
-    Samhita.Manager_shard.cond_wait m ~cond:c ~thread:i ~endpoint:(ep net 2)
+    Samhita.Manager_shard.cond_wait m ~cond:c ~thread:i ~node:2
       ~wake:(fun () -> woken := i :: !woken)
   done;
   Alcotest.(check int) "signal wakes one" 1
@@ -514,7 +498,7 @@ let test_cond_signal_fifo () =
     (Samhita.Manager_shard.cond_signal m ~now:t0 ~cond:c)
 
 let test_unknown_ids () =
-  let _, net, m = mk () in
+  let _, m = mk () in
   Alcotest.check_raises "unknown lock" (Invalid_argument "Manager_shard: unknown lock")
     (fun () -> ignore (Samhita.Manager_shard.lock_holder m 999));
   Alcotest.check_raises "unknown barrier"
@@ -522,7 +506,7 @@ let test_unknown_ids () =
       ignore (Samhita.Manager_shard.barrier_epoch m 999));
   Alcotest.check_raises "unknown cond"
     (Invalid_argument "Manager_shard: unknown condition variable") (fun () ->
-      Samhita.Manager_shard.cond_wait m ~cond:999 ~thread:0 ~endpoint:(ep net 2)
+      Samhita.Manager_shard.cond_wait m ~cond:999 ~thread:0 ~node:2
         ~wake:(fun () -> ()))
 
 let tests =

@@ -4,13 +4,7 @@ let cfg = Samhita.Config.default
 let layout = Samhita.Layout.of_config cfg
 let lb = layout.Samhita.Layout.line_bytes
 
-let mk_server () =
-  let e = Desim.Engine.create () in
-  let net =
-    Fabric.Network.create e ~profile:cfg.Samhita.Config.fabric ~node_count:2
-  in
-  Samhita.Memory_server.create cfg layout ~id:0
-    ~endpoint:(Fabric.Scl.endpoint net 1)
+let mk_server () = Samhita.Memory_server.create cfg layout ~id:0 ~node:1
 
 let test_demand_zero () =
   let s = mk_server () in

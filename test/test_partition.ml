@@ -21,7 +21,7 @@ let contains hay needle =
 let gray_config ?fault () =
   { cfg with
     memory_servers = 2;
-    replication = 1;
+    replication = true;
     lease_interval = Desim.Time.ns 20_000;
     fault }
 
@@ -44,7 +44,7 @@ let test_config_validation () =
   Alcotest.(check bool) "partition requires replication" true
     (bad
        { (gray_config ~fault:(partition iso 0 0 1000) ()) with
-         replication = 0 });
+         replication = false });
   Alcotest.(check bool) "valid partition accepted" false
     (bad (gray_config ~fault:(partition iso 0 5_000 300_000) ()))
 

@@ -16,7 +16,7 @@ let line_bytes = Samhita.Config.line_bytes cfg
 let ft_config ?fault () =
   { cfg with
     memory_servers = 2;
-    replication = 1;
+    replication = true;
     lease_interval = Desim.Time.ns 20_000;
     fault }
 
@@ -26,10 +26,8 @@ let test_config_validation () =
   let bad c =
     match Samhita.Config.validate c with Ok () -> false | Error _ -> true
   in
-  Alcotest.(check bool) "replication=2 rejected" true
-    (bad { cfg with memory_servers = 2; replication = 2 });
   Alcotest.(check bool) "replication needs 2 servers" true
-    (bad { cfg with memory_servers = 1; replication = 1 });
+    (bad { cfg with memory_servers = 1; replication = true });
   Alcotest.(check bool) "crash index out of range" true
     (bad
        { cfg with
@@ -50,10 +48,10 @@ let test_config_validation () =
    geometry leaves it off). *)
 let test_fault_constructors () =
   let valid =
-    { cfg with memory_servers = 2; manager_shards = 2; replication = 1 }
+    { cfg with memory_servers = 2; manager_shards = 2; replication = true }
   in
   let sc =
-    { valid with model = Samhita.Config.Sc_invalidate; replication = 0 }
+    { valid with model = Samhita.Config.Sc_invalidate; replication = false }
   in
   List.iter
     (fun (name, fault) ->
@@ -120,8 +118,8 @@ let test_replication_cost () =
     | Some sys -> (r.Workload.Jacobi.wall_ns, sys)
     | None -> Alcotest.fail "system not captured"
   in
-  let base_ns, _ = run 0 in
-  let repl_ns, sys = run 1 in
+  let base_ns, _ = run false in
+  let repl_ns, sys = run true in
   Alcotest.(check int) "unreplicated makespan" 777_690 base_ns;
   Alcotest.(check int) "replicated makespan" 982_587 repl_ns;
   let r = Samhita.Metrics.replication_of_system sys in

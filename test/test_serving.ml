@@ -11,7 +11,7 @@ let kv =
         requests = 384;
         keys = 64 } }
 
-let sweep ?(fractions = [ 0.5; 1.5 ]) ?(replication = 0) ?(crash = false)
+let sweep ?(fractions = [ 0.5; 1.5 ]) ?(replication = false) ?(crash = false)
     backend =
   Harness.Serving.run ~fractions ~backend ~threads:2 ~replication ~crash kv
 
@@ -57,7 +57,7 @@ let test_determinism () =
 
 let test_replication_cost () =
   let plain = sweep Harness.Serving.Smh in
-  let repl = sweep ~replication:1 Harness.Serving.Smh in
+  let repl = sweep ~replication:true Harness.Serving.Smh in
   check_points "repl" repl;
   (* Mirroring every write costs capacity; it must never gain any. *)
   Alcotest.(check bool) "replication does not raise capacity" true
@@ -65,9 +65,9 @@ let test_replication_cost () =
      <= plain.Harness.Serving.capacity_rps)
 
 let test_crash_tail_cost () =
-  let quiet = sweep ~fractions:[ 0.5 ] ~replication:1 Harness.Serving.Smh in
+  let quiet = sweep ~fractions:[ 0.5 ] ~replication:true Harness.Serving.Smh in
   let crash =
-    sweep ~fractions:[ 0.5 ] ~replication:1 ~crash:true Harness.Serving.Smh
+    sweep ~fractions:[ 0.5 ] ~replication:true ~crash:true Harness.Serving.Smh
   in
   check_points "crash" crash;
   match (quiet.Harness.Serving.points, crash.Harness.Serving.points) with
@@ -142,22 +142,22 @@ let test_validation () =
     "Serving.run: replication, crash and manager shards need the smh \
      backend" (fun () ->
       Harness.Serving.run ~backend:Harness.Serving.Pth ~threads:2
-        ~replication:1 ~crash:false kv);
+        ~replication:true ~crash:false kv);
   fails
     "Serving.run: replication, crash and manager shards need the smh \
      backend" (fun () ->
       Harness.Serving.run ~backend:Harness.Serving.Pth ~manager_shards:2
-        ~threads:2 ~replication:0 ~crash:false kv);
+        ~threads:2 ~replication:false ~crash:false kv);
   fails "Serving.run: manager_shards must be >= 1" (fun () ->
       Harness.Serving.run ~backend:Harness.Serving.Smh ~manager_shards:0
-        ~threads:2 ~replication:0 ~crash:false kv);
+        ~threads:2 ~replication:false ~crash:false kv);
   fails "Serving.run: a crash is survivable only with replication"
     (fun () ->
        Harness.Serving.run ~backend:Harness.Serving.Smh ~threads:2
-         ~replication:0 ~crash:true kv);
+         ~replication:false ~crash:true kv);
   fails "Serving.run: empty load sweep" (fun () ->
       Harness.Serving.run ~fractions:[] ~backend:Harness.Serving.Smh
-        ~threads:2 ~replication:0 ~crash:false kv)
+        ~threads:2 ~replication:false ~crash:false kv)
 
 let tests =
   [ Alcotest.test_case "smh sweep" `Quick test_smh;

@@ -26,7 +26,43 @@ let test_node_layout () =
   Alcotest.(check int) "3 servers add nodes" 5
     (node_count ~config:{ cfg with memory_servers = 3 } ~threads:8);
   Alcotest.(check int) "2 threads/node packs differently" 6
-    (node_count ~config:{ cfg with threads_per_node = 2 } ~threads:8)
+    (node_count ~config:{ cfg with threads_per_node = 2 } ~threads:8);
+  (* Sharded: 0 = shard 0, 1..3 = servers, 4..5 = compute nodes, then
+     shards 1..3 on trailing nodes. Every peer reports the node of that
+     layout, and failover's lookup maps each node back to its peer. *)
+  let servers = 3 and shards = 4 and threads = 9 in
+  let sys =
+    Samhita.System.create
+      ~config:{ cfg with memory_servers = servers; manager_shards = shards }
+      ~threads ()
+  in
+  let compute_nodes = 2 in
+  Alcotest.(check int) "sharded node count"
+    (1 + servers + compute_nodes + (shards - 1))
+    (Fabric.Network.node_count (Samhita.System.network sys));
+  let cp = Samhita.System.control_plane sys in
+  let peer = Samhita.Control_plane.peer_of_node cp
+      ~servers:(Samhita.System.servers sys) in
+  Array.iteri
+    (fun i srv ->
+       let node = Samhita.Memory_server.node srv in
+       Alcotest.(check int) (Printf.sprintf "server %d node" i) (1 + i) node;
+       Alcotest.(check bool) (Printf.sprintf "node %d is server %d" node i)
+         true (peer node = Some (Samhita.Control_plane.Server i)))
+    (Samhita.System.servers sys);
+  for s = 0 to shards - 1 do
+    let node =
+      Samhita.Manager_shard.node (Samhita.Control_plane.shard cp s)
+    in
+    let expected = if s = 0 then 0 else 1 + servers + compute_nodes + (s - 1) in
+    Alcotest.(check int) (Printf.sprintf "shard %d node" s) expected node;
+    Alcotest.(check bool) (Printf.sprintf "node %d is shard %d" node s) true
+      (peer node = Some (Samhita.Control_plane.Shard s))
+  done;
+  for node = 1 + servers to servers + compute_nodes do
+    Alcotest.(check bool) (Printf.sprintf "compute node %d hosts no peer" node)
+      true (peer node = None)
+  done
 
 let test_invalid_system () =
   Alcotest.(check bool) "zero threads rejected" true
@@ -73,16 +109,14 @@ let test_threads_listed_in_order () =
     (List.map T.id (Samhita.System.threads sys))
 
 let test_manager_bypass_layout () =
-  (* With bypass, the manager endpoint sits on the first compute node, so
+  (* With bypass, the manager shard sits on the first compute node, so
      synchronization messages are loopbacks. *)
   let sys =
     Samhita.System.create
       ~config:{ Samhita.Config.default with manager_bypass = true }
       ~threads:4 ()
   in
-  let mgr_node =
-    Fabric.Scl.node (Samhita.Manager_shard.endpoint (Samhita.System.manager sys))
-  in
+  let mgr_node = Samhita.Manager_shard.node (Samhita.System.manager sys) in
   (* node 0 = (unused) manager slot, 1 = server, 2 = first compute node *)
   Alcotest.(check int) "manager co-located with compute" 2 mgr_node
 

@@ -242,7 +242,7 @@ let crash_then_finalize ~zero_first ~tamper =
   let config =
     { config with
       Samhita.Config.memory_servers = 2;
-      replication = 1;
+      replication = true;
       lease_interval = Desim.Time.ns 20_000;
       fault = Some (Crash_server { server = 0; at_ns = 200_000 }) }
   in
