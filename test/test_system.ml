@@ -41,8 +41,9 @@ let test_node_layout () =
     (1 + servers + compute_nodes + (shards - 1))
     (Fabric.Network.node_count (Samhita.System.network sys));
   let cp = Samhita.System.control_plane sys in
-  let peer = Samhita.Control_plane.peer_of_node cp
-      ~servers:(Samhita.System.servers sys) in
+  let peer =
+    Samhita.Control_plane.peer_of_node cp ~servers:(Samhita.System.servers sys)
+  in
   Array.iteri
     (fun i srv ->
        let node = Samhita.Memory_server.node srv in
