@@ -149,7 +149,7 @@ let run_once opts ~prefix ~branch_sleep =
   (* The footprint recorder subscribes next to the oracle. The
      sanitizer's [Lock_attempt] and [Release] instants add no object the
      [Lock_acquired]/[Unlock] pair does not already name. *)
-  let sync name ~thread = Footprint.add_sync !cur ~thread name in
+  let sync obj id ~thread = Footprint.add_sync !cur ~thread obj id in
   let global () = Footprint.set_global !cur in
   Torture.Oracle.attach oracle sys;
   Samhita.System.add_probe sys
@@ -163,14 +163,14 @@ let run_once opts ~prefix ~branch_sleep =
       on_free = (fun ~thread ~time:_ ~addr:_ ~bytes:_ ->
           Footprint.add_thread !cur thread);
       on_barrier = (fun ~thread ~time:_ ~barrier ~epoch:_ ~phase:_ ->
-          sync (Printf.sprintf "bar:%d" barrier) ~thread);
+          sync Footprint.Barrier barrier ~thread);
       on_sync = (fun ~thread ~time:_ ~op ~id ->
           match op with
           | Samhita.Probe.Lock_attempt | Samhita.Probe.Release -> ()
           | Samhita.Probe.Lock_acquired | Samhita.Probe.Unlock ->
-            sync (Printf.sprintf "lock:%d" id) ~thread
+            sync Footprint.Lock id ~thread
           | Samhita.Probe.Cond_signal | Samhita.Probe.Cond_wake ->
-            sync (Printf.sprintf "cond:%d" id) ~thread);
+            sync Footprint.Cond id ~thread);
       on_crash = (fun ~time:_ ~node:_ ~server:_ -> global ());
       on_recovery = (fun ~time:_ ~failed:_ ~promoted:_ ~replayed:_ ->
           global ());
@@ -180,28 +180,23 @@ let run_once opts ~prefix ~branch_sleep =
   let check_sum =
     Kernels.build opts.kernel sys ~threads:opts.threads ~pages:opts.pages
   in
-  Desim.Resource.set_observer
-    (Some
-       (fun r ->
-          Footprint.add_resource !cur ("res:" ^ Desim.Resource.name r)));
+  Desim.Engine.set_on_reserve engine
+    (Some (fun id -> Footprint.add_resource !cur id));
   let outcome =
-    Fun.protect
-      ~finally:(fun () -> Desim.Resource.set_observer None)
-      (fun () ->
-         try
-           if opts.crash then begin
-             Desim.Engine.run_until engine crash_horizon;
-             if Samhita.System.finished_threads sys < opts.threads then
-               `Stalled "unfinished threads at crash-mode horizon"
-             else `Done
-           end
-           else begin
-             Samhita.System.run sys;
-             `Done
-           end
-         with
-         | Desim.Engine.Stalled msg -> `Stalled msg
-         | Pruned -> `Abandoned)
+    try
+      if opts.crash then begin
+        Desim.Engine.run_until engine crash_horizon;
+        if Samhita.System.finished_threads sys < opts.threads then
+          `Stalled "unfinished threads at crash-mode horizon"
+        else `Done
+      end
+      else begin
+        Samhita.System.run sys;
+        `Done
+      end
+    with
+    | Desim.Engine.Stalled msg -> `Stalled msg
+    | Pruned -> `Abandoned
   in
   match outcome with
   | `Abandoned -> `Pruned

@@ -1,10 +1,12 @@
 module ISet = Set.Make (Int)
-module SSet = Set.Make (String)
+
+type sync = Lock | Barrier | Cond
 
 type t = {
   mutable rd : ISet.t;
   mutable wr : ISet.t;
-  mutable sync : SSet.t;
+  (* Sync objects and facilities, tagged in the low two bits. *)
+  mutable sync : ISet.t;
   mutable threads : ISet.t;
   mutable global : bool;
 }
@@ -12,7 +14,7 @@ type t = {
 let create () =
   { rd = ISet.empty;
     wr = ISet.empty;
-    sync = SSet.empty;
+    sync = ISet.empty;
     threads = ISet.empty;
     global = false }
 
@@ -29,11 +31,12 @@ let add_write fp ~thread ~addr =
   fp.threads <- ISet.add thread fp.threads;
   fp.wr <- ISet.add (addr asr 3) fp.wr
 
-let add_sync fp ~thread name =
+let add_sync fp ~thread obj id =
+  let tag = match obj with Lock -> 0 | Barrier -> 1 | Cond -> 2 in
   fp.threads <- ISet.add thread fp.threads;
-  fp.sync <- SSet.add name fp.sync
+  fp.sync <- ISet.add ((id lsl 2) lor tag) fp.sync
 
-let add_resource fp name = fp.sync <- SSet.add name fp.sync
+let add_resource fp id = fp.sync <- ISet.add ((id lsl 2) lor 3) fp.sync
 let add_thread fp thread = fp.threads <- ISet.add thread fp.threads
 let set_global fp = fp.global <- true
 
@@ -42,12 +45,6 @@ let word_conflict a b =
   || (not (ISet.disjoint a.wr b.rd))
   || not (ISet.disjoint a.rd b.wr)
 
-let sync_conflict a b = a.global || b.global || not (SSet.disjoint a.sync b.sync)
+let sync_conflict a b = a.global || b.global || not (ISet.disjoint a.sync b.sync)
 let conflict a b = sync_conflict a b || word_conflict a b
 let threads fp = ISet.elements fp.threads
-
-let pp ppf fp =
-  let ints s = String.concat "," (List.map string_of_int (ISet.elements s)) in
-  Format.fprintf ppf "{rd=%s wr=%s sync=%s%s}" (ints fp.rd) (ints fp.wr)
-    (String.concat "," (SSet.elements fp.sync))
-    (if fp.global then " global" else "")

@@ -4,12 +4,13 @@
     A {e scheduling interval} is everything the simulator executes between
     two consecutive choice points. Its footprint records global-memory
     words read and written (by 8-byte word index), synchronization objects
-    and serially-reusable facilities touched (by name — reservation order
-    on a {!Desim.Resource} decides completion times, so two intervals
-    queueing on one facility are dependent), and the compute threads that
-    acted. Two intervals {e conflict} when some word is written by one and
-    touched by the other, or when their sync/facility sets intersect; only
-    conflicting intervals can justify exploring a reordering. *)
+    (by kind and id) and serially-reusable facilities touched (by
+    {!Desim.Resource.id} — reservation order on a resource decides
+    completion times, so two intervals queueing on one facility are
+    dependent), and the compute threads that acted. Two intervals
+    {e conflict} when some word is written by one and touched by the
+    other, or when their sync/facility sets intersect; only conflicting
+    intervals can justify exploring a reordering. *)
 
 type t
 
@@ -24,12 +25,14 @@ val add_read : t -> thread:int -> addr:int -> unit
 
 val add_write : t -> thread:int -> addr:int -> unit
 
-val add_sync : t -> thread:int -> string -> unit
-(** A synchronization object, e.g. ["lock:3"]; treated as read-write. *)
+type sync = Lock | Barrier | Cond
 
-val add_resource : t -> string -> unit
-(** A facility reservation (no thread attribution — reservations fire in
-    manager/network thunks too). *)
+val add_sync : t -> thread:int -> sync -> int -> unit
+(** A synchronization object, e.g. [Lock] 3; treated as read-write. *)
+
+val add_resource : t -> int -> unit
+(** A facility reservation, by resource id (no thread attribution —
+    reservations fire in manager/network thunks too). *)
 
 val add_thread : t -> int -> unit
 val set_global : t -> unit
@@ -43,5 +46,3 @@ val sync_conflict : t -> t -> bool
 
 val threads : t -> int list
 (** Threads that executed in the interval, ascending. *)
-
-val pp : Format.formatter -> t -> unit

@@ -121,7 +121,7 @@ let create cfg layout ~network ~node =
     layout;
     network;
     node;
-    service = Desim.Resource.create ~name:"manager" ();
+    service = Desim.Resource.create (Fabric.Network.engine network);
     cursor = 0;
     locks = Hashtbl.create 64;
     barriers = Hashtbl.create 16;

@@ -58,7 +58,7 @@ val create :
   Config.t -> Layout.t -> network:Fabric.Network.t -> node:Fabric.Network.node ->
   t
 (** A shard running on fabric node [node] of [network]; its reply pushes
-    leave from there. *)
+    leave from there. Its service resource is the network engine's next. *)
 
 val node : t -> Fabric.Network.node
 val service : t -> Desim.Resource.t

@@ -18,14 +18,14 @@ type t = {
   mutable degraded : int;
 }
 
-let create cfg layout ~id ~node =
+let create engine cfg layout ~id ~node =
   { id;
     node;
     layout;
     cfg;
     store = Hashtbl.create 1024;
     versions = Hashtbl.create 1024;
-    service = Desim.Resource.create ~name:(Printf.sprintf "memsrv%d" id) ();
+    service = Desim.Resource.create engine;
     fetches = 0;
     diffs = 0;
     updates = 0;

@@ -10,7 +10,9 @@
 type t
 
 val create :
-  Config.t -> Layout.t -> id:int -> node:Fabric.Network.node -> t
+  Desim.Engine.t -> Config.t -> Layout.t -> id:int ->
+  node:Fabric.Network.node -> t
+(** Its service resource is the engine's next. *)
 
 val id : t -> int
 val node : t -> Fabric.Network.node

@@ -205,7 +205,7 @@ let create ?(config = Config.default) ~threads () =
   let cp = Control_plane.create ~engine ~shards in
   let servers =
     Array.init ms (fun i ->
-        Memory_server.create config layout ~id:i ~node:(server_node i))
+        Memory_server.create engine config layout ~id:i ~node:(server_node i))
   in
   let dir = Directory.create config in
   if config.Config.replication then

@@ -1,21 +1,18 @@
 type t = {
-  name : string;
   latency : Desim.Time.span;
   bandwidth : float;  (* bytes per second *)
   resource : Desim.Resource.t;
   mutable bytes : int;
 }
 
-let create ?(name = "link") ~latency ~bandwidth_bytes_per_s () =
+let create engine ~latency ~bandwidth_bytes_per_s =
   if bandwidth_bytes_per_s <= 0. then
     invalid_arg "Link.create: bandwidth must be positive";
-  { name;
-    latency;
+  { latency;
     bandwidth = bandwidth_bytes_per_s;
-    resource = Desim.Resource.create ~name ();
+    resource = Desim.Resource.create engine;
     bytes = 0 }
 
-let name t = t.name
 let latency t = t.latency
 
 let occupy t ~now ~bytes =

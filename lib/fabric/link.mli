@@ -4,10 +4,10 @@
 type t
 
 val create :
-  ?name:string -> latency:Desim.Time.span -> bandwidth_bytes_per_s:float ->
-  unit -> t
+  Desim.Engine.t -> latency:Desim.Time.span -> bandwidth_bytes_per_s:float ->
+  t
+(** Its resource is the engine's next (see {!Desim.Resource.id}). *)
 
-val name : t -> string
 val latency : t -> Desim.Time.span
 
 val occupy : t -> now:Desim.Time.t -> bytes:int -> Desim.Time.t

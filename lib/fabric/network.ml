@@ -16,25 +16,21 @@ let loopback_bandwidth = 20.0e9
 let create ?faults engine ~profile ~node_count =
   if node_count <= 0 then invalid_arg "Network.create: node_count";
   let open Profile in
-  let mk_tx i =
-    Link.create
-      ~name:(Printf.sprintf "tx%d" i)
-      ~latency:profile.hop_latency
-      ~bandwidth_bytes_per_s:profile.bandwidth_bytes_per_s ()
+  let link latency _ =
+    Link.create engine ~latency
+      ~bandwidth_bytes_per_s:profile.bandwidth_bytes_per_s
   in
-  let mk_rx i =
-    (* In a switched fabric the receive port adds a second hop of latency;
-       on a direct bus there is only one hop, charged on the tx side. *)
-    let latency = if profile.switched then profile.hop_latency else 0 in
-    Link.create
-      ~name:(Printf.sprintf "rx%d" i)
-      ~latency
-      ~bandwidth_bytes_per_s:profile.bandwidth_bytes_per_s ()
+  let tx = Array.init node_count (link profile.hop_latency) in
+  (* In a switched fabric the receive port adds a second hop of latency;
+     on a direct bus there is only one hop, charged on the tx side. *)
+  let rx =
+    Array.init node_count
+      (link (if profile.switched then profile.hop_latency else 0))
   in
   { engine;
     profile;
-    tx = Array.init node_count mk_tx;
-    rx = Array.init node_count mk_rx;
+    tx;
+    rx;
     faults;
     messages = 0;
     bytes = 0 }

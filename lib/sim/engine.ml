@@ -18,6 +18,9 @@ type t = {
      model checker sets this; default runs keep exact timing. *)
   mutable quantum : int;
   mutable events : int;  (* events executed so far *)
+  mutable resources : int;  (* resources created, the next one's id *)
+  (* The one hook on a reservation, called with the resource's id. *)
+  mutable on_reserve : (int -> unit) option;
 }
 
 exception Stalled of string
@@ -37,13 +40,23 @@ let create ?tie_break () =
     next_pid = 0;
     chooser = None;
     quantum = 0;
-    events = 0 }
+    events = 0;
+    resources = 0;
+    on_reserve = None }
 
 let set_chooser t c = t.chooser <- c
 
 let set_quantum t q =
   if q < 0 then invalid_arg "Engine.set_quantum: negative quantum";
   t.quantum <- q
+
+let set_on_reserve t f = t.on_reserve <- f
+let on_reserve t = t.on_reserve
+
+let new_resource t =
+  let id = t.resources in
+  t.resources <- id + 1;
+  id
 
 let events t = t.events
 let now t = t.now

@@ -51,6 +51,22 @@ val set_quantum : t -> int -> unit
     never set it, keeping exact timing. Raises [Invalid_argument] on a
     negative quantum. *)
 
+val set_on_reserve : t -> (int -> unit) option -> unit
+(** Install ([Some]) or clear ([None]) the engine's reservation hook:
+    every {!Resource.reserve} on one of this engine's resources calls it
+    first, with the resource's {!Resource.id}. RegCCheck uses it to record
+    which facilities a scheduling interval queues on: reservation order
+    among same-instant events decides completion times, so two intervals
+    reserving one resource are dependent for partial-order reduction.
+    Without a hook a reservation pays one branch and allocates nothing. *)
+
+val new_resource : t -> int
+(** The next resource id, numbering this engine's resources 0, 1, 2, …
+    in creation order; {!Resource.create} calls it. *)
+
+val on_reserve : t -> (int -> unit) option
+(** The hook {!set_on_reserve} installed, read by {!Resource.reserve}. *)
+
 val blocked_names : t -> string list
 (** Names of live (spawned, unfinished) processes, in spawn order. After
     {!run} raised {!Stalled} these are exactly the blocked processes. *)

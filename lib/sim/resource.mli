@@ -9,25 +9,19 @@
 
 type t
 
-val create : ?name:string -> unit -> t
+val create : Engine.t -> t
+(** A fresh, idle resource of the engine, which numbers it (see {!id}). *)
 
-val name : t -> string
+val id : t -> int
+(** The resource's number within its engine: resources are numbered 0,
+    1, 2, … in creation order, so a system built the same way numbers its
+    facilities the same way in every run. *)
 
 val reserve : t -> now:Time.t -> duration:Time.span -> Time.t
 (** Book the next slot; returns the completion instant. [now] must be
     monotonically consistent with simulation time (callers reserve at their
-    current instant). *)
-
-val set_observer : (t -> unit) option -> unit
-(** Install ([Some]) or clear ([None]) a module-wide reservation observer,
-    called at the start of every {!reserve} with the resource being
-    reserved. RegCCheck uses this to record which facilities a scheduling
-    interval queues on: reservation order among same-instant events decides
-    completion times, so two intervals reserving the same resource are
-    dependent for partial-order reduction. Resources are identified by
-    {!name}, which {!Samhita} assigns uniquely per system and
-    deterministically across re-executions. Set around a checked run and
-    clear afterwards. *)
+    current instant). The engine's reservation hook
+    ({!Engine.set_on_reserve}), if any, is called first with {!id}. *)
 
 val jobs : t -> int
 (** Number of jobs served so far. *)
@@ -37,5 +31,3 @@ val busy_time : t -> Time.span
 
 val utilization : t -> horizon:Time.t -> float
 (** [busy_time / horizon], the classic utilization estimate. *)
-
-val reset : t -> unit

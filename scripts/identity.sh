@@ -4,8 +4,10 @@
 #   scripts/identity.sh <rev> [--seeds N]
 #
 # A refactor must not move a simulated instant or a protocol decision.
-# This script builds <rev> in a temporary `git worktree` next to the
-# working tree, then runs the same deterministic commands on both sides:
+# This script extracts <rev> with `git archive` into a temporary
+# directory (it writes nothing under .git, so a read-only checkout
+# works), builds it there, then runs the same deterministic commands on
+# both sides:
 #
 #   - the twelve torture cells, {micro, jacobi, kv} x {plain, --crash,
 #     --crash-shard, --partition}, at --seeds N (default 100). Each report
@@ -43,14 +45,11 @@ git -C "$here" rev-parse --verify --quiet "$rev^{commit}" >/dev/null \
 
 tmp=$(mktemp -d) || exit 2
 base="$tmp/base"
-cleanup() {
-  git -C "$here" worktree remove --force "$base" >/dev/null 2>&1
-  git -C "$here" worktree prune >/dev/null 2>&1
-  rm -rf "$tmp"
-}
-trap cleanup EXIT
+trap 'rm -rf "$tmp"' EXIT
 
-git -C "$here" worktree add --detach --quiet "$base" "$rev" || exit 2
+mkdir "$base" || exit 2
+git -C "$here" archive -o "$tmp/base.tar" "$rev" \
+  && tar -x -f "$tmp/base.tar" -C "$base" || exit 2
 
 sim=bin/samhita_sim.exe
 bench=perfbench/samhita_bench.exe

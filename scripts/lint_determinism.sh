@@ -30,28 +30,22 @@ fi
 
 # Run-isolation check: one process builds hundreds of Systems (torture
 # sweeps, model-checker schedules, every figure of a fig run), so a
-# top-level `ref` or `Hashtbl.create` in lib/sim or lib/core is state
-# that leaks from one run into the next — the second run of a seed
-# would no longer match the first. Keep state inside the per-engine or
-# per-system records; extend the allowlist only for hooks that are
-# installed and cleared around a single run.
-#
-# Allowlist (file:binding, matched against the grep hit):
-#   lib/sim/resource.ml let observer — RegCCheck observer hook, installed
-#   for one model-checking run and removed after it.
-mutable_allow='^lib/sim/resource\.ml:[0-9]+:let observer '
+# top-level `ref`, table, queue or atomic under $root is state that
+# leaks from one run into the next — the second run of a seed would no
+# longer match the first. Keep state inside the per-engine or per-system
+# records; there is no allowlist. (lib/core/diff.ml's `Domain.DLS` key
+# is not flagged and needs none: its scratch is rewritten before every
+# read, so no value crosses from one call to the next.)
 mutable_hits=$(grep -rn -E \
-  '^let [^=]*= *(ref |Hashtbl\.create|Array\.make|Bytes\.create|Buffer\.create)' \
-  lib/sim lib/core --include='*.ml' 2>/dev/null \
-  | grep -v -E "$mutable_allow" || true)
+  '^let [^=]*= *(ref |Hashtbl\.create|Array\.make|Bytes\.create|Buffer\.create|Queue\.create|Stack\.create|Atomic\.make)' \
+  "$root" --include='*.ml' || true)
 
 if [ -n "$mutable_hits" ]; then
-  echo "lint_determinism: new top-level mutable state in lib/sim or lib/core:" >&2
+  echo "lint_determinism: top-level mutable state under $root:" >&2
   echo "$mutable_hits" >&2
-  echo "one process runs many simulations; top-level refs and Hashtbls" >&2
+  echo "one process runs many simulations; top-level refs and tables" >&2
   echo "carry state from one run into the next. Put it in the engine or" >&2
-  echo "system record — or allowlist it here with a proof that it is" >&2
-  echo "reset around every run." >&2
+  echo "system record." >&2
   exit 1
 fi
 echo "lint_determinism: clean"

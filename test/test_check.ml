@@ -47,10 +47,18 @@ let test_micro_exhausts_clean () =
 
 (* ---------------- DPOR reduction ----------------------------------- *)
 
-let reduction kernel =
-  let naive = C.explore { (opts kernel) with C.dpor = false } in
-  let dpor = C.explore (opts kernel) in
-  (naive, dpor)
+(* One naive and one DPOR exploration per kernel, shared by the two
+   tests below: each exploration runs at most once per test binary. *)
+let reductions =
+  List.map
+    (fun kernel ->
+       ( kernel,
+         lazy
+           (let naive = C.explore { (opts kernel) with C.dpor = false } in
+            (naive, C.explore (opts kernel))) ))
+    [ Check.Kernels.Racy; Check.Kernels.Abba; Check.Kernels.Micro ]
+
+let reduction kernel = Lazy.force (List.assoc kernel reductions)
 
 let test_dpor_beats_naive () =
   (* On micro the naive tree is so much larger that enumeration hits the

@@ -225,7 +225,7 @@ let test_run_until_quantum () =
 (* ---------------- Resource ---------------- *)
 
 let test_resource_serializes () =
-  let r = Desim.Resource.create ~name:"svc" () in
+  let r = Desim.Resource.create (Desim.Engine.create ()) in
   let t1 = Desim.Resource.reserve r ~now:(Desim.Time.of_ns 0) ~duration:100 in
   Alcotest.(check int) "first completes at 100" 100 (Desim.Time.to_ns t1);
   (* Arrives at 50 while busy: queues until 100, finishes at 160. *)
@@ -238,18 +238,72 @@ let test_resource_serializes () =
   Alcotest.(check int) "busy time" 170 (Desim.Resource.busy_time r)
 
 let test_resource_utilization () =
-  let r = Desim.Resource.create () in
+  let r = Desim.Resource.create (Desim.Engine.create ()) in
   ignore (Desim.Resource.reserve r ~now:Desim.Time.zero ~duration:250);
   Alcotest.(check (float 1e-9)) "25%" 0.25
-    (Desim.Resource.utilization r ~horizon:(Desim.Time.of_ns 1000));
-  Desim.Resource.reset r;
-  Alcotest.(check int) "reset busy" 0 (Desim.Resource.busy_time r);
-  Alcotest.(check int) "reset jobs" 0 (Desim.Resource.jobs r)
+    (Desim.Resource.utilization r ~horizon:(Desim.Time.of_ns 1000))
 
 let test_resource_negative_duration () =
-  let r = Desim.Resource.create () in
+  let r = Desim.Resource.create (Desim.Engine.create ()) in
   let t = Desim.Resource.reserve r ~now:(Desim.Time.of_ns 5) ~duration:(-10) in
   Alcotest.(check int) "clamped to zero" 5 (Desim.Time.to_ns t)
+
+(* ---------------- Run isolation ---------------- *)
+
+(* Two engines in one process share nothing: each numbers its own
+   resources from 0 in creation order, and each engine's reservation
+   hook sees only that engine's reservations. *)
+let test_resource_ids_per_engine () =
+  let a = Desim.Engine.create () and b = Desim.Engine.create () in
+  let ra = List.init 3 (fun _ -> Desim.Resource.create a) in
+  let rb = List.init 2 (fun _ -> Desim.Resource.create b) in
+  let ra = ra @ [ Desim.Resource.create a ] in
+  Alcotest.(check (list int)) "engine A: dense, in creation order"
+    [ 0; 1; 2; 3 ] (List.map Desim.Resource.id ra);
+  Alcotest.(check (list int)) "engine B: dense, in creation order" [ 0; 1 ]
+    (List.map Desim.Resource.id rb)
+
+let test_reserve_hook_per_engine () =
+  let a = Desim.Engine.create () and b = Desim.Engine.create () in
+  let ra = Desim.Resource.create a and rb = Desim.Resource.create b in
+  let rb' = Desim.Resource.create b in
+  let seen_a = ref [] and seen_b = ref [] in
+  Desim.Engine.set_on_reserve a (Some (fun id -> seen_a := id :: !seen_a));
+  let book r =
+    ignore (Desim.Resource.reserve r ~now:Desim.Time.zero ~duration:1)
+  in
+  book rb;
+  book rb';
+  Alcotest.(check (list int)) "A's hook ignores B's reservations" []
+    !seen_a;
+  book ra;
+  Alcotest.(check (list int)) "A's hook sees A's reservation" [ 0 ] !seen_a;
+  Desim.Engine.set_on_reserve b (Some (fun id -> seen_b := id :: !seen_b));
+  book rb';
+  book ra;
+  Alcotest.(check (list int)) "B's hook sees only B's" [ 1 ] !seen_b;
+  Alcotest.(check (list int)) "A's hook saw A's two" [ 0; 0 ] !seen_a;
+  Desim.Engine.set_on_reserve a None;
+  book ra;
+  Alcotest.(check (list int)) "a cleared hook stops firing" [ 0; 0 ] !seen_a
+
+(* Today's checker runs one shard, but a sharded control plane must not
+   fold its shards into one facility: each shard's service queue is a
+   resource of its own. *)
+let test_shard_services_distinct () =
+  let config =
+    { Samhita.Config.default with
+      Samhita.Config.manager_shards = 2;
+      memory_servers = 2 }
+  in
+  let sys = Samhita.System.create ~config ~threads:2 () in
+  let ids =
+    Array.map
+      (fun sh -> Desim.Resource.id (Samhita.Manager_shard.service sh))
+      (Samhita.Control_plane.shards (Samhita.System.control_plane sys))
+  in
+  Alcotest.(check int) "two shards" 2 (Array.length ids);
+  Alcotest.(check bool) "shard service ids differ" true (ids.(0) <> ids.(1))
 
 let test_schedule_after () =
   let e = Desim.Engine.create () in
@@ -340,6 +394,12 @@ let tests =
       test_resource_utilization;
     Alcotest.test_case "resource negative duration" `Quick
       test_resource_negative_duration;
+    Alcotest.test_case "resource ids per engine" `Quick
+      test_resource_ids_per_engine;
+    Alcotest.test_case "reserve hook per engine" `Quick
+      test_reserve_hook_per_engine;
+    Alcotest.test_case "shard services distinct" `Quick
+      test_shard_services_distinct;
     Alcotest.test_case "schedule_after" `Quick test_schedule_after;
     Alcotest.test_case "delay allocation" `Quick test_delay_allocation;
     Alcotest.test_case "suspend + wake allocation" `Quick

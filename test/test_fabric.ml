@@ -5,7 +5,8 @@ let t0 = Desim.Time.zero
 
 let mk_link ?(latency = ns 100) ?(bw = 1e9) () =
   (* 1 GB/s = 1 byte/ns: convenient arithmetic. *)
-  Fabric.Link.create ~latency ~bandwidth_bytes_per_s:bw ()
+  Fabric.Link.create (Desim.Engine.create ()) ~latency
+    ~bandwidth_bytes_per_s:bw
 
 (* ---------------- Link ---------------- *)
 
@@ -36,7 +37,9 @@ let test_link_stats () =
 let test_link_invalid_bw () =
   Alcotest.check_raises "bad bandwidth"
     (Invalid_argument "Link.create: bandwidth must be positive") (fun () ->
-      ignore (Fabric.Link.create ~latency:0 ~bandwidth_bytes_per_s:0. ()))
+      ignore
+        (Fabric.Link.create (Desim.Engine.create ()) ~latency:0
+           ~bandwidth_bytes_per_s:0.))
 
 (* ---------------- Network ---------------- *)
 

@@ -4,7 +4,9 @@ let cfg = Samhita.Config.default
 let layout = Samhita.Layout.of_config cfg
 let lb = layout.Samhita.Layout.line_bytes
 
-let mk_server () = Samhita.Memory_server.create cfg layout ~id:0 ~node:1
+let mk_server () =
+  Samhita.Memory_server.create (Desim.Engine.create ()) cfg layout ~id:0
+    ~node:1
 
 let test_demand_zero () =
   let s = mk_server () in

@@ -47,8 +47,8 @@ let prop_link_fifo =
         (pair (int_bound 1000) (int_range 1 10_000)))
     (fun jobs ->
        let l =
-         Fabric.Link.create ~latency:(Desim.Time.ns 100)
-           ~bandwidth_bytes_per_s:1e9 ()
+         Fabric.Link.create (Desim.Engine.create ())
+           ~latency:(Desim.Time.ns 100) ~bandwidth_bytes_per_s:1e9
        in
        (* Arrivals in nondecreasing time order. *)
        let arrivals =
